@@ -68,7 +68,6 @@ class Guards:
     mapping_nodes: int = 12     # g, s brute force
     deform_edges: int = 10      # e, p subset enumeration
     branch_edges: int = 8       # b decomposition enumeration
-    inclusion_nodes: int = 64   # subtree inclusion backtracking
 
 
 DEFAULT_GUARDS = Guards()

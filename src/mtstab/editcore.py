@@ -24,6 +24,7 @@ from .errors import (
     SizeGuardError,
     ValidationError,
 )
+from .field import TOLERANCE
 from .mergetree import (
     BLANK,
     AbstractMergeTree,
@@ -32,7 +33,9 @@ from .mergetree import (
 )
 
 SQRT2 = math.sqrt(2.0)
-_EPS = 1e-12  # internal tie-break slack, far below the public tolerance
+#: Tie-break slack of the optimizers: costs within _EPS count as equal. Far
+#: below field.TOLERANCE, the one tolerance for comparing lengths and costs.
+_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +435,14 @@ def contract(et: EdgeTree, deleted) -> EdgeTree:
     ids match what an actual edit sequence produces; when an automatic prune
     folds a still-pending edge into a survivor, the pending deletion turns
     into an equal-cost relabel of the merged edge (see _delete_phase_ops).
+    The distance searches use _quotient; this replay builds witnesses and
+    serves as its test oracle.
     """
-    sim = et.copy()
-    for op in _delete_phase_ops(et, deleted):
-        _apply_edge_op(sim, op)
-    return sim
+    return _delete_phase_ops(et, deleted)[1]
 
 
 def _delete_phase_ops(et: EdgeTree, deleted):
+    """(ops, resulting tree) of the top-down deletion of `deleted`."""
     deleted = set(deleted)
     if et.root in deleted:
         raise ValidationError("the root has no parent edge to delete")
@@ -448,7 +451,7 @@ def _delete_phase_ops(et: EdgeTree, deleted):
     for v in sorted(deleted, key=lambda u: (et.depth(u), _id_key(u))):
         planned = et.length[v]
         cur = sim.length[v]
-        if abs(cur - planned) <= 1e-9:
+        if abs(cur - planned) <= TOLERANCE:
             op = EditOp("edge_delete", v, cur)
         else:
             # an automatic prune folded an ancestor edge into v; shaving off
@@ -456,7 +459,41 @@ def _delete_phase_ops(et: EdgeTree, deleted):
             op = EditOp("edge_relabel", v, planned, label=cur - planned)
         _apply_edge_op(sim, op)
         ops.append(op)
-    return ops
+    return ops, sim
+
+
+def _quotient(et: EdgeTree, deleted, order) -> EdgeTree:
+    """The tree contract(et, deleted) yields, built directly in O(n): same
+    shape and lengths, node ids may differ. `order` lists et's nodes with
+    parents first.
+
+    A node's class top is its nearest ancestor-or-self whose parent edge
+    survives. Every non-root class with exactly one child class folds into
+    that child, which keeps its id and takes the lengths along the chain.
+    """
+    top, kids = {}, {}
+    for v in order:
+        p = et.parent[v]
+        if p is not None and v in deleted:
+            top[v] = top[p]
+        else:
+            top[v] = v
+            kids[v] = []
+            if p is not None:
+                kids[top[p]].append(v)
+    parent, length = {}, {}
+    attach, carry = {et.root: None}, {et.root: 0.0}
+    for u, cs in kids.items():  # class tops, parents first
+        above = attach[u]
+        if above is not None and len(cs) == 1:
+            attach[cs[0]], carry[cs[0]] = above, carry[u] + et.length[u]
+            continue
+        parent[u] = above
+        if above is not None:
+            length[u] = et.length[u] + carry[u]
+        for c in cs:
+            attach[c], carry[c] = u, 0.0
+    return EdgeTree(parent, length, et.root)
 
 
 def _iso_min_cost(q1: EdgeTree, q2: EdgeTree):
@@ -513,23 +550,56 @@ class DeformWitness:
     iso_pairs: tuple
 
 
-def _descendant_closed(et: EdgeTree, subset) -> bool:
-    return all(c in subset for v in subset for c in et.children[v])
+def _path_variants(et: EdgeTree, variants):
+    """The delta_P variants: descendant-closed delete sets (iterated
+    leaf-edge deletions), in the order of `variants`."""
+    return [
+        item
+        for item in variants
+        if all(c in item[1] for v in item[1] for c in et.children[v])
+    ]
 
 
-def _subset_variants(et: EdgeTree, one_degree: bool):
+def _subset_variants(et: EdgeTree):
+    """(cost, delete set, quotient, quotient shape) for every delete set,
+    sorted by cost, then by the sorted ids of the set."""
     edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
+    order = [et.root]
+    for v in order:
+        order.extend(et.children[v])
     out = []
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(edges, r):
             subset = frozenset(combo)
-            if one_degree and not _descendant_closed(et, subset):
-                continue
             cost = sum(et.length[v] for v in subset)
-            q = contract(et, subset)
+            q = _quotient(et, subset, order)
             out.append((cost, subset, q, q.shape()))
     out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))
     return out
+
+
+def _variants_of(t):
+    """(edge tree, _subset_variants) of a merge tree or edge tree.
+
+    Merge trees are immutable, so their list is enumerated once and kept on
+    the tree: delta_E, delta_P and the witness search on the same tree
+    objects share it. Two threads that miss the memo at once both enumerate
+    the same list, and either one is kept. Edge trees are mutable and
+    enumerate afresh."""
+    if isinstance(t, EdgeTree):
+        return t, _subset_variants(t)
+    memo = getattr(t, "_deform_variants", None)
+    if memo is None:
+        et = edge_tree_of(t)
+        memo = t._deform_variants = (et, _subset_variants(et))
+    return memo
+
+
+def _guarded_variants(t1, t2, edge_limit, what):
+    m = max(t1.edge_count(), t2.edge_count())
+    if m > edge_limit:
+        raise SizeGuardError(what, m, edge_limit)
+    return _variants_of(t1), _variants_of(t2)
 
 
 def deform_brute_force(
@@ -546,22 +616,21 @@ def deform_brute_force(
     `one_degree`, delete sets must be closed under descendants (iterated
     leaf-edge deletions only).
     """
-    et1 = edge_tree_of(t1) if isinstance(t1, AbstractMergeTree) else t1
-    et2 = edge_tree_of(t2) if isinstance(t2, AbstractMergeTree) else t2
-    m = max(et1.edge_count(), et2.edge_count())
-    if m > edge_limit:
-        raise SizeGuardError("deformation enumeration", m, edge_limit)
-    variants1 = _subset_variants(et1, one_degree)
+    (et1, variants1), (et2, variants2) = _guarded_variants(
+        t1, t2, edge_limit, "deformation enumeration"
+    )
+    if one_degree:
+        variants1, variants2 = _path_variants(et1, variants1), _path_variants(et2, variants2)
     buckets2 = {}
-    for item in _subset_variants(et2, one_degree):
+    for item in variants2:
         buckets2.setdefault(item[3], []).append(item)
     best = math.inf
-    witness = None
+    win = None
     for c1, d1, q1, s1 in variants1:
-        if witness is not None and c1 >= best - _EPS:
+        if win is not None and c1 >= best - _EPS:
             break
         for c2, d2, q2, _ in buckets2.get(s1, ()):
-            if witness is not None and c1 + c2 >= best - _EPS:
+            if win is not None and c1 + c2 >= best - _EPS:
                 break
             iso = _iso_min_cost(q1, q2)
             if iso is None:
@@ -569,10 +638,14 @@ def deform_brute_force(
             total = c1 + c2 + iso[0]
             if total < best - _EPS:
                 best = total
-                witness = DeformWitness(d1, d2, q1, q2, tuple(iso[1]))
-    if want_witness:
-        return best, witness
-    return best
+                win = (d1, d2)
+    if not want_witness:
+        return best
+    # the witness lives on the operational quotients, whose node ids the
+    # edit sequence reconstruction relies on
+    d1, d2 = win
+    q1, q2 = contract(et1, d1), contract(et2, d2)
+    return best, DeformWitness(d1, d2, q1, q2, tuple(_iso_min_cost(q1, q2)[1]))
 
 
 def deform_witness_search(
@@ -582,7 +655,7 @@ def deform_witness_search(
     max_op_cost: float,
     one_degree: bool = False,
     edge_limit: int = DEFORM_EDGE_LIMIT,
-    slack: float = 1e-9,
+    slack: float = TOLERANCE,
 ):
     """Search for a deformation witness whose normalized sequence has at
     most max_ops operations, each of cost at most max_op_cost.
@@ -591,11 +664,11 @@ def deform_witness_search(
     qualifying sequence need not be cost-optimal. Returns a DeformWitness
     or None when no enumerated plan qualifies.
     """
-    et1 = edge_tree_of(t1) if isinstance(t1, AbstractMergeTree) else t1
-    et2 = edge_tree_of(t2) if isinstance(t2, AbstractMergeTree) else t2
-    m = max(et1.edge_count(), et2.edge_count())
-    if m > edge_limit:
-        raise SizeGuardError("deformation witness search", m, edge_limit)
+    (et1, variants1), (et2, variants2) = _guarded_variants(
+        t1, t2, edge_limit, "deformation witness search"
+    )
+    if one_degree:
+        variants1, variants2 = _path_variants(et1, variants1), _path_variants(et2, variants2)
     cap = max_op_cost + slack
 
     def usable(et, variants):
@@ -606,29 +679,37 @@ def deform_witness_search(
             and all(et.length[v] <= cap for v in item[1])
         ]
 
-    variants1 = usable(et1, _subset_variants(et1, one_degree))
     buckets2 = {}
-    for item in usable(et2, _subset_variants(et2, one_degree)):
+    for item in usable(et2, variants2):
         buckets2.setdefault(item[3], []).append(item)
-    for c1, d1, q1, s1 in variants1:
-        for c2, d2, q2, _ in buckets2.get(s1, ()):
-            if len(d1) + len(d2) > max_ops:
+    for _, d1, q1, s1 in usable(et1, variants1):
+        for _, d2, q2, _ in buckets2.get(s1, ()):
+            budget = max_ops - len(d1) - len(d2)
+            if budget < 0 or _qualifying_iso(q1, q2, budget, cap) is None:
                 continue
-            iso = _iso_for_witness(q1, q2, cap)
-            if iso is None:
-                continue
-            diffs = [
-                abs(q1.length[a] - q2.length[b])
-                for a, b in iso
-                if q1.parent[a] is not None
-            ]
-            relabels = [d for d in diffs if d > 1e-9]
-            if len(d1) + len(d2) + len(relabels) > max_ops:
-                continue
-            if any(d > cap for d in relabels):
-                continue
-            return DeformWitness(d1, d2, q1, q2, tuple(iso))
+            # re-derive the isomorphism on the operational quotients, whose
+            # node ids the edit sequence reconstruction relies on
+            w1, w2 = contract(et1, d1), contract(et2, d2)
+            iso = _qualifying_iso(w1, w2, budget, cap)
+            if iso is not None:
+                return DeformWitness(d1, d2, w1, w2, tuple(iso))
     return None
+
+
+def _qualifying_iso(q1: EdgeTree, q2: EdgeTree, max_relabels: int, cap: float):
+    """The _iso_for_witness pairs if they need at most max_relabels
+    relabels, none costing more than cap; otherwise None."""
+    iso = _iso_for_witness(q1, q2, cap)
+    if iso is None:
+        return None
+    relabels = [
+        d
+        for d in (abs(q1.length[a] - q2.length[b]) for a, b in iso if q1.parent[a] is not None)
+        if d > TOLERANCE
+    ]
+    if len(relabels) > max_relabels or any(d > cap for d in relabels):
+        return None
+    return iso
 
 
 def _iso_for_witness(q1: EdgeTree, q2: EdgeTree, cap: float):
@@ -648,7 +729,7 @@ def _iso_for_witness(q1: EdgeTree, q2: EdgeTree, cap: float):
     k_cap = 1e6 * (len(q1.parent) + len(q2.parent) + 2) * k_count
 
     def penalty(d):
-        return d + (k_cap if d > cap else 0.0) + (k_count if d > 1e-9 else 0.0)
+        return d + (k_cap if d > cap else 0.0) + (k_count if d > TOLERANCE else 0.0)
 
     def go(v, u):
         cost = 0.0
@@ -813,7 +894,7 @@ def _apply_edge_op(et: EdgeTree, op: EditOp) -> None:
         v = op.node
         if v not in et.length:
             raise KeyError(f"no edge below {v!r}")
-        if abs(et.length[v] - op.cost) > 1e-9:
+        if abs(et.length[v] - op.cost) > TOLERANCE:
             raise ValueError(
                 f"recorded cost {op.cost} does not match current length {et.length[v]}"
             )
@@ -834,7 +915,7 @@ def _apply_edge_op(et: EdgeTree, op: EditOp) -> None:
                 raise KeyError(f"no edge below {child_edge!r} to split")
             if inner in et.parent:
                 raise ValueError(f"node {inner!r} already present")
-            if abs(et.length[child_edge] - (upper + lower)) > 1e-9:
+            if abs(et.length[child_edge] - (upper + lower)) > TOLERANCE:
                 raise ValueError("split lengths do not sum to the split edge")
             pp = et.parent[child_edge]
             et.parent[inner] = pp
@@ -960,13 +1041,13 @@ def _depths(lt) -> dict:
 def _deform_sequence(t1, t2, witness: DeformWitness) -> EditSequence:
     et1 = edge_tree_of(t1) if isinstance(t1, AbstractMergeTree) else t1.copy()
     et2 = edge_tree_of(t2) if isinstance(t2, AbstractMergeTree) else t2.copy()
-    ops = list(_delete_phase_ops(et1, witness.deleted1))
+    ops = list(_delete_phase_ops(et1, witness.deleted1)[0])
     q1, q2 = witness.quotient1, witness.quotient2
     to_current = {b: a for a, b in witness.iso_pairs}
     for a, b in sorted(witness.iso_pairs, key=lambda p: (_id_key(p[0]), _id_key(p[1]))):
         if q1.parent[a] is None:
             continue
-        if abs(q1.length[a] - q2.length[b]) > 1e-9:
+        if abs(q1.length[a] - q2.length[b]) > TOLERANCE:
             ops.append(
                 EditOp(
                     "edge_relabel",
@@ -995,7 +1076,7 @@ def _deform_sequence(t1, t2, witness: DeformWitness) -> EditSequence:
     for v in sorted(witness.deleted2, key=lambda u: (et2.depth(u), _id_key(u))):
         planned = et2.length[v]
         cur = sim.length[v]
-        if abs(cur - planned) > 1e-9:
+        if abs(cur - planned) > TOLERANCE:
             records.append(("relabel", v, planned, cur))
             _apply_edge_op(sim, EditOp("edge_relabel", v, planned, label=cur - planned))
             continue

@@ -18,12 +18,13 @@ import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
-from .distances import DEFAULT_GUARDS, Guards, MetricId, compute, tree_distance
+from .distances import DEFAULT_GUARDS, Guards, MetricId, tree_distance
 from .editcore import deform_witness_search, mapping_to_sequence
 from .errors import SizeGuardError, ValidationError
 from .field import (
     TOLERANCE,
     ScalarField,
+    apply_value_change,
     build_domain,
     build_grid_domain,
     field_to_dict,
@@ -111,14 +112,19 @@ class BoundReport:
 def check_bound(f: ScalarField, f2: ScalarField, metric: MetricId, guards=DEFAULT_GUARDS) -> BoundReport:
     """Stability bound report for one minimal perturbation and one metric."""
     info = classify_change_detailed(f, f2)
+    return _tree_bound(f, f2, info, merge_tree_of(f), merge_tree_of(f2), metric, guards)
+
+
+def _tree_bound(f, f2, info, t1, t2, metric, guards) -> BoundReport:
+    """check_bound on the pair's prepared classification and merge trees;
+    reusing the same trees lets the metrics share per-tree work."""
     cls = info.change_class
     extent = info.perturbation.extent
-    t1 = merge_tree_of(f)
     deg = stability_degree(t1)
     bound = deg * extent
     claimed = cls in STABILITY_MATRIX[metric]
     try:
-        dist = compute(metric, f, f2, guards)
+        dist = tree_distance(metric, t1, t2, guards)
     except SizeGuardError:
         return BoundReport(metric, cls, extent, deg, t1.max_child_count(), None,
                            bound, claimed, None, skipped=True)
@@ -190,25 +196,19 @@ def counterexample_fields(family: CounterexampleFamily, x: float, eps: float):
         # path a - c - b - d - e - f; moving f past e splits the edge (d, b)
         dom = build_domain(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         f = validate_field(dom, [0.0, 3 * x, x, 2.5 * x, 2 * x, 2 * x - eps / 2])
-        f2 = apply_field_value(f, 5, 2 * x + eps / 2)
+        f2 = apply_value_change(f, 5, 2 * x + eps / 2)
         return f, f2
     if family is CounterexampleFamily.HORIZONTAL_FIG8:
         dom = build_domain(6, [(0, 1), (1, 2), (1, 4), (4, 3), (4, 5), (1, 5)])
         f = validate_field(dom, [0.0, x - eps, 4 * x, 3 * x, x, 2 * x])
-        f2 = apply_field_value(f, 1, x + eps)
+        f2 = apply_value_change(f, 1, x + eps)
         return f, f2
     if family is CounterexampleFamily.VERTICAL_FIG10:
         dom = build_domain(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         f = validate_field(dom, [0.0, 4 * x + eps, x, 4 * x, 2 * x, 3 * x])
-        f2 = apply_field_value(f, 1, 4 * x - eps)
+        f2 = apply_value_change(f, 1, 4 * x - eps)
         return f, f2
     raise ValidationError(f"unknown family {family!r}")
-
-
-def apply_field_value(f: ScalarField, vertex: int, value: float) -> ScalarField:
-    from .field import apply_value_change
-
-    return apply_value_change(f, vertex, value)
 
 
 def instability_growth(family, metric: MetricId, x_values, eps: float, guards=DEFAULT_GUARDS):
@@ -359,12 +359,12 @@ def run_stability_suite(
         f2 = apply_perturbation(f, p)
         info = classify_change_detailed(f, f2)
         cls = info.change_class
-        t1 = merge_tree_of(f)
+        t1, t2 = merge_tree_of(f), merge_tree_of(f2)
         deg = stability_degree(t1)
         for m in metrics:
             stats = cells.setdefault((m, cls), CellStats())
             stats.trials += 1
-            report = check_bound(f, f2, m, guards)
+            report = _tree_bound(f, f2, info, t1, t2, m, guards)
             if report.skipped:
                 stats.skipped += 1
             elif not report.claimed:
@@ -384,7 +384,6 @@ def run_stability_suite(
         if check_witness and MetricId.E in metrics:
             witness_stats.trials += 1
             try:
-                t2 = merge_tree_of(f2)
                 witness = deform_witness_search(
                     t1, t2, max_ops=deg, max_op_cost=p.extent,
                     edge_limit=guards.deform_edges,

@@ -119,7 +119,7 @@ def test_criterion_1b_fig8_strict_upper_bounds(figs):
            f"delta_E={de:.3f} delta_G={dg:.3f}; true optimum 6*eps")
     assert ok, (
         f"delta_E={de}, delta_G={dg}: the stated bound 0.2 lies below the "
-        "verified optimal edit cost 0.6; see notes/decisions.md"
+        "verified optimal edit cost 0.6; see docs/decisions.md"
     )
 
 
@@ -199,7 +199,7 @@ def test_criterion_3_witness_sequences(suite_report):
     assert ok, (
         f"{wc.failed} trials have no qualifying witness sequence, all of class "
         f"{classes}; genuine gap in the theorem's operation-count clause "
-        "(see notes/decisions.md)"
+        "(see docs/decisions.md)"
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from helpers import (
     edge_canonical,
     labeled_canonical,
     random_abstract_tree,
+    random_field,
     random_tiny_tree,
 )
 from mtstab import mergetree as mt
@@ -26,12 +28,22 @@ from mtstab.editcore import (
     contract,
     deform_brute_force,
     deform_witness_search,
+    _path_variants,
+    _quotient,
+    _subset_variants,
     edge_tree_of,
     mapping_to_sequence,
 )
 from mtstab.errors import InapplicableOperationError, SizeGuardError
-from mtstab.mergetree import abstract_merge_tree, label_for_scheme
-from mtstab.stability import CounterexampleFamily, counterexample
+from mtstab.mergetree import _id_key, abstract_merge_tree, label_for_scheme, merge_tree_of
+from mtstab.perturb import apply_perturbation
+from mtstab.stability import (
+    CounterexampleFamily,
+    counterexample,
+    random_grid_field,
+    random_minimal_perturbation,
+    stability_degree,
+)
 
 CONSTRAINTS = (
     MappingConstraint.TAI,
@@ -269,6 +281,91 @@ def test_deform_matches_sequence_search_free_and_one_degree():
 def test_deform_fig7_sequence_search_agrees():
     t1, t2 = counterexample(CounterexampleFamily.EDGE_SPLIT_FIG7, 10.0, 0.1)
     assert deform_sequence_search(t1, t2, cost_cap=0.11) == pytest.approx(0.1)
+
+
+# ---------------------------------------------------------------------------
+# Delete-set variants: direct quotients, the delta_P filter, per-tree memo
+# ---------------------------------------------------------------------------
+
+def grid_trees(seed, count, max_edges=8):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        t = merge_tree_of(random_field(rng, 4, 4))
+        if t.edge_count() <= max_edges:
+            out.append(t)
+    return out
+
+
+def test_direct_quotient_matches_contract_on_every_delete_set():
+    for t in grid_trees(12, 30):
+        et = edge_tree_of(t)
+        order = [et.root]
+        for v in order:
+            order.extend(et.children[v])
+        edges = [v for v in et.nodes() if et.parent[v] is not None]
+        for r in range(len(edges) + 1):
+            for combo in itertools.combinations(edges, r):
+                q = _quotient(et, frozenset(combo), order)
+                assert edge_canonical(q) == edge_canonical(contract(et, combo)), combo
+
+
+def test_path_variants_are_the_leaf_deletion_sets_in_order():
+    """delta_P's variants filter delta_E's full list; they must be exactly
+    the sets reachable by iterated leaf-edge deletions, sorted as before."""
+    for t in grid_trees(13, 20):
+        et = edge_tree_of(t)
+        reach, frontier = {frozenset()}, [frozenset()]
+        while frontier:
+            grown = []
+            for d in frontier:
+                for v in et.nodes():
+                    if et.parent[v] is None or v in d:
+                        continue
+                    if all(c in d for c in et.children[v]):
+                        bigger = d | {v}
+                        if bigger not in reach:
+                            reach.add(bigger)
+                            grown.append(bigger)
+            frontier = grown
+        expected = sorted(
+            reach,
+            key=lambda d: (sum(et.length[v] for v in d), tuple(sorted(map(_id_key, d)))),
+        )
+        got = [item[1] for item in _path_variants(et, _subset_variants(et))]
+        assert got == expected
+
+
+def test_memoized_variants_give_the_fresh_results():
+    """e, p and the witness search agree whether each call sees freshly
+    built trees or trees whose variants an earlier call memoized."""
+    rng = random.Random(14)
+    checked = 0
+    while checked < 8:
+        f = random_grid_field(rng, 4, 4)
+        pert = random_minimal_perturbation(rng, f)
+        f2 = apply_perturbation(f, pert)
+        t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+        if max(t1.edge_count(), t2.edge_count()) > 8:
+            continue
+        checked += 1
+        deg = stability_degree(t1)
+
+        def results(pair):
+            w = deform_witness_search(*pair(), max_ops=deg, max_op_cost=pert.extent)
+            return (
+                deform_brute_force(*pair()),
+                deform_brute_force(*pair(), one_degree=True),
+                None if w is None else (
+                    w.deleted1, w.deleted2, w.iso_pairs,
+                    edge_canonical(w.quotient1), edge_canonical(w.quotient2),
+                ),
+            )
+
+        fresh = results(lambda: (merge_tree_of(f), merge_tree_of(f2)))
+        deform_brute_force(t1, t2)
+        assert "_deform_variants" in vars(t1) and "_deform_variants" in vars(t2)
+        assert results(lambda: (t1, t2)) == fresh
 
 
 # ---------------------------------------------------------------------------

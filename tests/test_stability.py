@@ -3,19 +3,22 @@ import random
 
 import pytest
 
-from mtstab.distances import MetricId
+from mtstab.distances import Guards, MetricId
 from mtstab.errors import ValidationError
 from mtstab.field import apply_value_change, build_domain, validate_field
 from mtstab.mergetree import merge_tree_of
-from mtstab.perturb import ChangeClass, classify_change
+from mtstab.perturb import ChangeClass, apply_perturbation, classify_change
 from mtstab.stability import (
     STABILITY_MATRIX,
+    CellStats,
     CounterexampleFamily,
     check_bound,
     counterexample,
     counterexample_fields,
     instability_growth,
     linear_growth_ok,
+    random_grid_field,
+    random_minimal_perturbation,
     run_finite_stability,
     run_stability_suite,
     stability_degree,
@@ -97,6 +100,40 @@ def test_suite_deterministic():
     a = run_stability_suite(seed=5, trials=12, grid_size=3, metrics=(MetricId.E, MetricId.L))
     b = run_stability_suite(seed=5, trials=12, grid_size=3, metrics=(MetricId.E, MetricId.L))
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+
+def test_suite_matches_per_metric_check_bound():
+    """The suite prepares each trial once; its cells must equal those of a
+    check_bound call per (trial, metric) on the same draws. The guards are
+    tight enough that e, p and b skip some trials and pass others."""
+    seed, trials, grid = 9, 10, 4
+    guards = Guards(mapping_nodes=9, deform_edges=6, branch_edges=5)
+    rep = run_stability_suite(
+        seed, trials, grid, metrics=tuple(MetricId), guards=guards, check_witness=False
+    )
+    cells = {}
+    for i in range(trials):
+        rng = random.Random(seed * 1_000_003 + i)
+        f = random_grid_field(rng, grid, grid)
+        f2 = apply_perturbation(f, random_minimal_perturbation(rng, f))
+        for m in MetricId:
+            r = check_bound(f, f2, m, guards)
+            stats = cells.setdefault((m, r.change_class), CellStats())
+            stats.trials += 1
+            if r.skipped:
+                stats.skipped += 1
+            elif not r.claimed:
+                stats.informational += 1
+            elif r.passed:
+                stats.passed += 1
+            else:
+                stats.failed += 1
+                stats.failures.append(
+                    {"trial": i, "distance": r.distance, "bound": r.bound, "witness": r.witness}
+                )
+    assert {k: v.to_dict() for k, v in rep.cells.items()} == {
+        k: v.to_dict() for k, v in cells.items()
+    }
 
 
 def test_suite_zero_trials_empty():
