@@ -7,7 +7,6 @@ counterexample. Exit codes: 0 ok, 1 I/O, 2 validation, 3 size guard.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -99,17 +98,12 @@ def cmd_matrix(args) -> int:
     n = len(trees)
     values = [[0.0 if i == j else None for j in range(n)] for i in range(n)]
     status = [["ok" if i == j else "pending" for j in range(n)] for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def one(pair):
-        i, j = pair
-        try:
-            return i, j, tree_distance(metric, trees[i], trees[j], guards), "ok"
-        except SizeGuardError:
-            return i, j, None, "guard-skipped"
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
-        for i, j, d, st in ex.map(one, pairs):
+    for i in range(n):
+        for j in range(i + 1, n):
+            try:
+                d, st = tree_distance(metric, trees[i], trees[j], guards), "ok"
+            except SizeGuardError:
+                d, st = None, "guard-skipped"
             values[i][j] = values[j][i] = d
             status[i][j] = status[j][i] = st
     csv_text = matrix_to_csv(names, values)

@@ -25,9 +25,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from . import editcore, mergetree
 from .editcore import (
     ABS_DIFF,
@@ -35,6 +32,7 @@ from .editcore import (
     MappingConstraint,
     brute_force_distance,
     deform_brute_force,
+    linear_sum_assignment,
 )
 from .errors import SizeGuardError
 from .field import ScalarField
@@ -74,17 +72,29 @@ DEFAULT_GUARDS = Guards()
 
 
 # ---------------------------------------------------------------------------
-# One-degree DP on unordered trees (w, l)
+# One-degree DPs (w, x, l)
 # ---------------------------------------------------------------------------
 
 def _assignment_min(cost_rows, del_costs, ins_costs):
     """Min-cost matching of children where leaving row i unmatched costs
-    del_costs[i] and column j unmatched costs ins_costs[j]."""
+    del_costs[i] and column j unmatched costs ins_costs[j].
+
+    A 1x1 block [[c]] is solved in closed form. The solver's 2x2 matrix is
+    [[c, d], [i, 0.0]], and its two assignments sum to c or to d + i. The
+    closed form makes the solver's own comparisons (c <= d, then c - d < i),
+    so it returns the solver's value bit for bit, near-ties included
+    (docs/decisions.md). Larger blocks go to the solver.
+    """
     n1, n2 = len(del_costs), len(ins_costs)
     if n1 == 0:
         return sum(ins_costs)
     if n2 == 0:
         return sum(del_costs)
+    if n1 == 1 and n2 == 1:
+        c, d, i = cost_rows[0][0], del_costs[0], ins_costs[0]
+        return c if c <= d or c - d < i else d + i
+    import numpy as np
+
     big = (
         sum(max(0.0, max(r, default=0.0)) for r in cost_rows)
         + sum(del_costs)
@@ -92,19 +102,30 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
         + 1.0
     )
     size = n1 + n2
-    mat = np.full((size, size), 0.0)
-    for i in range(n1):
-        for j in range(n2):
-            mat[i, j] = cost_rows[i][j]
-        for j in range(n2, size):
-            mat[i, j] = del_costs[i] if (j - n2) == i else big
-    for i in range(n1, size):
-        for j in range(n2):
-            mat[i, j] = ins_costs[j] if (i - n1) == j else big
-        for j in range(n2, size):
-            mat[i, j] = 0.0
+    mat = np.full((size, size), big)
+    mat[:n1, :n2] = cost_rows
+    mat[n1:, n2:] = 0.0
+    diag1, diag2 = np.arange(n1), np.arange(n2)
+    mat[diag1, n2 + diag1] = del_costs
+    mat[n1 + diag2, diag2] = ins_costs
     rows, cols = linear_sum_assignment(mat)
     return float(mat[rows, cols].sum())
+
+
+def _pair_order(l1: LabeledTree, l2: LabeledTree):
+    """Node pairs reachable from the root pair, each after its parent pair.
+
+    The child pairs of (v, w) are children(v) x children(w); a pair's parent
+    pair is unique, so every pair is listed once. The DPs fill their memo
+    over this list in reverse, children before parents, with no recursion.
+    """
+    ch1, ch2 = l1.children, l2.children
+    order = [(l1.root, l2.root)]
+    for v, w in order:  # grows while it is walked: a breadth-first queue
+        cs2 = ch2[w]
+        if cs2:
+            order.extend((a, b) for a in ch1[v] for b in cs2)
+    return order
 
 
 def one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
@@ -113,19 +134,20 @@ def one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     unmatched subtrees collapse to deletions/insertions."""
     del1 = editcore._collapse_costs(l1, cost, deleting=True)
     ins2 = editcore._collapse_costs(l2, cost, deleting=False)
+    ch1, ch2 = l1.children, l2.children
+    labels1, labels2 = l1.labels, l2.labels
     memo = {}
-
-    def dp(v, w):
-        key = (v, w)
-        if key not in memo:
-            cs1, cs2 = l1.children[v], l2.children[w]
-            rows = [[dp(a, b) for b in cs2] for a in cs1]
-            memo[key] = cost.relabel(l1.labels[v], l2.labels[w]) + _assignment_min(
-                rows, [del1[a] for a in cs1], [ins2[b] for b in cs2]
-            )
-        return memo[key]
-
-    return dp(l1.root, l2.root)
+    for v, w in reversed(_pair_order(l1, l2)):
+        relabel = cost.relabel(labels1[v], labels2[w])
+        cs1, cs2 = ch1[v], ch2[w]
+        if not cs1 and not cs2:
+            memo[v, w] = relabel  # a leaf pair adds an empty matching, 0
+            continue
+        rows = [[memo[a, b] for b in cs2] for a in cs1]
+        memo[v, w] = relabel + _assignment_min(
+            rows, [del1[a] for a in cs1], [ins2[b] for b in cs2]
+        )
+    return memo[l1.root, l2.root]
 
 
 def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
@@ -138,16 +160,20 @@ def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     """
     del1 = editcore._collapse_costs(l1, cost, deleting=True)
     ins2 = editcore._collapse_costs(l2, cost, deleting=False)
+    groups1, groups2 = l1.groups, l2.groups
+    labels1, labels2 = l1.labels, l2.labels
     memo = {}
-
-    def dp(v, w):
-        key = (v, w)
-        if key in memo:
-            return memo[key]
-        g1 = l1.groups[v]
-        g2 = l2.groups[w]
-        drop1 = [sum(del1[a] for a in grp) for grp in g1]
-        drop2 = [sum(ins2[b] for b in grp) for grp in g2]
+    # the groups partition the children, so _pair_order lists every pair read
+    for v, w in reversed(_pair_order(l1, l2)):
+        relabel = cost.relabel(labels1[v], labels2[w])
+        g1, g2 = groups1[v], groups2[w]
+        if not g1 and not g2:
+            memo[v, w] = relabel  # a leaf pair adds an empty alignment, 0.0
+            continue
+        dels = [[del1[a] for a in grp] for grp in g1]
+        inss = [[ins2[b] for b in grp] for grp in g2]
+        drop1 = [sum(costs) for costs in dels]
+        drop2 = [sum(costs) for costs in inss]
         n, m = len(g1), len(g2)
         align = [[math.inf] * (m + 1) for _ in range(n + 1)]
         align[0][0] = 0.0
@@ -158,15 +184,11 @@ def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
                 if j < m:
                     align[i][j + 1] = min(align[i][j + 1], align[i][j] + drop2[j])
                 if i < n and j < m:
-                    rows = [[dp(a, b) for b in g2[j]] for a in g1[i]]
-                    pair = _assignment_min(
-                        rows, [del1[a] for a in g1[i]], [ins2[b] for b in g2[j]]
-                    )
+                    rows = [[memo[a, b] for b in g2[j]] for a in g1[i]]
+                    pair = _assignment_min(rows, dels[i], inss[j])
                     align[i + 1][j + 1] = min(align[i + 1][j + 1], align[i][j] + pair)
-        memo[key] = cost.relabel(l1.labels[v], l2.labels[w]) + align[n][m]
-        return memo[key]
-
-    return dp(l1.root, l2.root)
+        memo[v, w] = relabel + align[n][m]
+    return memo[l1.root, l2.root]
 
 
 # ---------------------------------------------------------------------------

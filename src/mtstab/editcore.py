@@ -16,9 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .errors import (
     InapplicableOperationError,
     SizeGuardError,
@@ -36,6 +33,15 @@ SQRT2 = math.sqrt(2.0)
 #: Tie-break slack of the optimizers: costs within _EPS count as equal. Far
 #: below field.TOLERANCE, the one tolerance for comparing lengths and costs.
 _EPS = 1e-12
+
+
+def linear_sum_assignment(cost_matrix):
+    """scipy.optimize.linear_sum_assignment, imported when first called:
+    scipy and numpy would otherwise take most of the time of
+    `import mtstab.cli`."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +534,7 @@ def _iso_min_cost(q1: EdgeTree, q2: EdgeTree):
                 cost += c0
                 pairs.extend(p0)
                 continue
-            mat = np.array([[entry[0] for entry in row] for row in sub])
-            rows, cols = linear_sum_assignment(mat)
+            rows, cols = linear_sum_assignment([[entry[0] for entry in row] for row in sub])
             for r, c in zip(rows, cols):
                 cost += sub[r][c][0]
                 pairs.extend(sub[r][c][1])
@@ -750,8 +755,7 @@ def _iso_for_witness(q1: EdgeTree, q2: EdgeTree, cap: float):
                 cost += c0
                 pairs.extend(p0)
                 continue
-            mat = np.array([[entry[0] for entry in row] for row in sub])
-            rows, cols = linear_sum_assignment(mat)
+            rows, cols = linear_sum_assignment([[entry[0] for entry in row] for row in sub])
             for r, c in zip(rows, cols):
                 cost += sub[r][c][0]
                 pairs.extend(sub[r][c][1])

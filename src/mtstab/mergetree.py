@@ -64,15 +64,6 @@ class _RootedTree:
     def sorted_nodes(self):
         return sorted(self.value, key=lambda v: (self.value[v], str(v)))
 
-    def subtree_nodes(self, v):
-        out = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self._children[u])
-        return out
-
     def node_count(self) -> int:
         return len(self.value)
 
@@ -87,27 +78,6 @@ class _RootedTree:
         return max(
             len(self._children[v]) + (0 if self.parent[v] is None else 1)
             for v in self.value
-        )
-
-    def path_to_root(self, v):
-        out = [v]
-        while self.parent[out[-1]] is not None:
-            out.append(self.parent[out[-1]])
-        return out
-
-    def is_ancestor(self, a, b) -> bool:
-        """True iff a is a proper ancestor of b."""
-        cur = self.parent[b]
-        while cur is not None:
-            if cur == a:
-                return True
-            cur = self.parent[cur]
-        return False
-
-    def structure_equal(self, other) -> bool:
-        return (
-            self.root == other.root
-            and self.parent == other.parent
         )
 
 
@@ -372,14 +342,6 @@ BDT_BIRTH_DEATH = "bdt_birth_death"
 OBDT_BIRTH_DEATH = "obdt_birth_death"
 BRANCH_LABEL_ON_NODES = "branch_label_on_nodes"
 
-SCHEMES = (
-    EDGE_LENGTH,
-    NODE_DIST_TO_PARENT,
-    BDT_BIRTH_DEATH,
-    OBDT_BIRTH_DEATH,
-    BRANCH_LABEL_ON_NODES,
-)
-
 
 @dataclass(frozen=True)
 class LabeledTree:
@@ -395,15 +357,6 @@ class LabeledTree:
 
     def node_count(self):
         return len(self.parent)
-
-    def subtree_nodes(self, v):
-        out = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self.children[u])
-        return out
 
 
 def _children_map(parent, sort_key):
@@ -623,16 +576,6 @@ def tree_to_dict(tree: _RootedTree) -> dict:
             for v in tree.sorted_nodes()
         ],
     }
-
-
-def tree_from_dict(data: dict) -> AbstractMergeTree:
-    parent = {}
-    value = {}
-    for entry in data["nodes"]:
-        key = entry["id"]
-        parent[key] = entry["parent"]
-        value[key] = float(entry["value"])
-    return abstract_merge_tree(parent, value, data.get("root"))
 
 
 def bdt_to_dict(bdt: Bdt) -> dict:

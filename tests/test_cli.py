@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mtstab
 from mtstab.cli import main, matrix_from_csv, matrix_to_csv
 from mtstab.field import dump_field, validate_field, build_domain, build_grid_domain
 from mtstab.stability import CounterexampleFamily, counterexample_fields
@@ -141,3 +144,13 @@ def test_stability_run_finite_smoke(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["eps"] == 0.05
+
+
+def test_import_cli_loads_neither_numpy_nor_scipy():
+    """The assignment solver is imported on first use, so every command
+    that needs no solver starts without paying for numpy and scipy."""
+    src = os.path.dirname(os.path.dirname(mtstab.__file__))
+    code = "import sys, mtstab.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

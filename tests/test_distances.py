@@ -1,11 +1,15 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from helpers import random_abstract_tree, random_field
 from mtstab import mergetree as mt
 from mtstab.distances import (
     MetricId,
+    _assignment_min,
     compute,
     delta_b,
     delta_e,
@@ -23,7 +27,7 @@ from mtstab.editcore import (
     MappingConstraint,
     brute_force_distance,
 )
-from mtstab.field import apply_value_change, validate_field
+from mtstab.field import apply_value_change, build_domain, validate_field
 from mtstab.mergetree import (
     build_bdt,
     build_obdt,
@@ -190,3 +194,62 @@ def test_fig10_classic_is_single_relabel():
     cost, mapping = brute_force_distance(l1, l2, MappingConstraint.SELKOW)
     assert cost == pytest.approx(0.2)
     assert all(a == b for a, b in mapping.pairs)  # identity, one label differs
+
+
+# ---------------------------------------------------------------------------
+# Depth robustness of the one-degree DPs and their 1x1 assignment kernel
+# ---------------------------------------------------------------------------
+
+def staircase_tree(vertices, shift):
+    """Merge tree of a path field whose saddles rise along the path and
+    whose maxima fall along it, every maximum above every saddle.
+
+    Each saddle carries the rest of the chain, so the merge tree is a chain
+    of saddles; by the elder rule each maximum's branch ends on the branch
+    of the maximum before it, so the BDT is a chain too.
+    """
+    k = (vertices - 2) // 2
+    values = [0.0, 4.0 + shift]
+    for j in range(k):
+        values += [1.0 + (j + shift) / k, 4.0 - (j + 1 + shift) / (k + 1)]
+    domain = build_domain(len(values), [(i, i + 1) for i in range(len(values) - 1)])
+    return merge_tree_of(validate_field(domain, values))
+
+
+def _depth(children, root):
+    deepest, stack = 0, [(root, 0)]
+    while stack:
+        v, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((c, d + 1) for c in children(v))
+    return deepest
+
+
+def test_one_degree_dps_on_1200_level_trees():
+    """w, x and l run bottom-up: no RecursionError on trees far deeper than
+    the interpreter's recursion limit."""
+    a, b = staircase_tree(2400, 0.0), staircase_tree(2400, 0.3)
+    bdt = build_bdt(persistence_branch_decomposition(a))
+    assert _depth(a.children, a.root) >= 1199
+    assert _depth(lambda v: bdt.children[v], bdt.root_branch) >= 1199
+    for m in (MetricId.W, MetricId.X, MetricId.L):
+        ab = tree_distance(m, a, b)
+        assert 0.0 < ab < math.inf
+        assert ab == tree_distance(m, b, a)
+        assert tree_distance(m, a, a) == 0.0
+
+
+def test_assignment_min_1x1_is_the_solver_value():
+    """The 1x1 closed form returns exactly what the solver returns on the
+    2x2 matrix it replaces, on random triples and on near-ties c = d + i,
+    one ulp either side of it."""
+    rng = random.Random(59)
+    for k in range(4000):
+        scale = 10 ** rng.uniform(-3, 3)
+        d = rng.uniform(0.0, scale) if k % 7 else 0.0
+        i = rng.uniform(0.0, scale) * 10 ** rng.uniform(-2, 2) if k % 11 else 0.0
+        c = (rng.uniform(0.0, 2 * scale), d + i,
+             math.nextafter(d + i, math.inf), math.nextafter(d + i, 0.0))[k % 4]
+        mat = np.array([[c, d], [i, 0.0]])
+        rows, cols = linear_sum_assignment(mat)
+        assert _assignment_min([[c]], [d], [i]) == float(mat[rows, cols].sum())
