@@ -30,6 +30,7 @@ from .editcore import (
     ABS_DIFF,
     WASSERSTEIN_POINT,
     MappingConstraint,
+    SelkowMemo,
     brute_force_distance,
     deform_brute_force,
     linear_sum_assignment,
@@ -262,19 +263,22 @@ def delta_b(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
     m = max(t1.edge_count(), t2.edge_count())
     if m > guards.branch_edges:
         raise SizeGuardError("branch decomposition enumeration", m, guards.branch_edges)
-    best = math.inf
-    for bd1 in _all_decompositions(t1):
-        o1 = build_obdt(bd1)
-        l1 = label_for_scheme(o1, mergetree.OBDT_BIRTH_DEATH)
-        for bd2 in _all_decompositions(t2):
-            o2 = build_obdt(bd2)
-            l2 = label_for_scheme(o2, mergetree.OBDT_BIRTH_DEATH)
-            cost, _ = brute_force_distance(
-                l1, l2, MappingConstraint.SELKOW, WASSERSTEIN_POINT,
-                node_limit=guards.mapping_nodes,
-            )
-            best = min(best, cost)
-    return best
+    # each decomposition is prepared once, and one memo serves every pair:
+    # its keys are subtree contents, not decompositions (docs/decisions.md §5)
+    memo = SelkowMemo(WASSERSTEIN_POINT)
+
+    def prepared(tree, deleting):
+        return [
+            memo.prepare(label_for_scheme(build_obdt(bd), mergetree.OBDT_BIRTH_DEATH), deleting)
+            for bd in _all_decompositions(tree)
+        ]
+
+    side1, side2 = prepared(t1, True), prepared(t2, False)
+    # every decomposition of a tree has one branch per leaf
+    n = max(side1[0].labeled.node_count(), side2[0].labeled.node_count())
+    if n > guards.mapping_nodes:
+        raise SizeGuardError("brute-force mapping search", n, guards.mapping_nodes)
+    return min(editcore._selkow_enum(p1, p2, memo)[0] for p1 in side1 for p2 in side2)
 
 
 def _all_decompositions(tree: AbstractMergeTree):

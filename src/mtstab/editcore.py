@@ -27,6 +27,7 @@ from .mergetree import (
     AbstractMergeTree,
     LabeledTree,
     _id_key,
+    _order_consistent,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -154,7 +155,8 @@ def brute_force_distance(
     if max(n1, n2) > node_limit:
         raise SizeGuardError("brute-force mapping search", max(n1, n2), node_limit)
     if constraint is MappingConstraint.SELKOW:
-        c, pairs = _selkow_enum(l1, l2, cost)
+        memo = SelkowMemo(cost)
+        c, pairs = _selkow_enum(memo.prepare(l1, True), memo.prepare(l2, False), memo)
         return c, EditMapping.of(pairs)
     zhang = constraint is MappingConstraint.ZHANG_CONSTRAINED
     c, pairs = _tai_search(l1, l2, cost, zhang)
@@ -193,32 +195,61 @@ def _group_indices(lt: LabeledTree, v):
     return gi
 
 
-def _order_consistent(gi1, gi2, pairs, a, b):
-    """Mapped sibling pairs must agree on the attachment order exactly:
-    same group iff same group, strictly before iff strictly before."""
-    for a2, b2 in pairs:
-        same1 = gi1[a] == gi1[a2]
-        same2 = gi2[b] == gi2[b2]
-        if same1 != same2:
-            return False
-        if not same1 and ((gi1[a] < gi1[a2]) != (gi2[b] < gi2[b2])):
-            return False
-    return True
+@dataclass(frozen=True)
+class SelkowTree:
+    """A labeled tree prepared for Selkow searches: each node's interned
+    subtree id, and the cost of deleting (or inserting) each subtree."""
+
+    labeled: LabeledTree
+    ids: dict
+    collapse: dict
 
 
-def _selkow_enum(l1: LabeledTree, l2: LabeledTree, cost: CostModel):
+class SelkowMemo:
+    """Selkow optima keyed by pairs of hash-consed subtree ids, shared by the
+    searches of one cost model over any number of tree pairs.
+
+    A subtree's id interns its root's node id and label, its children's ids
+    in `children` order (the collapse sums run in that order) and, in an
+    ordered tree, the root's child groups. An optimum depends on nothing
+    else, tie-break keys included, so equal ids give equal (cost, pairs)
+    (docs/decisions.md section 5).
+    """
+
+    def __init__(self, cost: CostModel):
+        self.cost = cost
+        self.subtrees = {}  # (node, label, child ids, groups) -> id
+        self.best = {}  # (id in a source tree, id in a target tree) -> (cost, pairs)
+
+    def prepare(self, lt: LabeledTree, deleting: bool) -> SelkowTree:
+        """`lt` as the source (deleting) or the target tree of a search."""
+        ids = {}
+        for v in _postorder(lt):
+            key = (
+                v,
+                lt.labels[v],
+                tuple(ids[c] for c in lt.children[v]),
+                None if lt.groups is None else lt.groups[v],
+            )
+            ids[v] = self.subtrees.setdefault(key, len(self.subtrees))
+        return SelkowTree(lt, ids, _collapse_costs(lt, self.cost, deleting))
+
+
+def _selkow_enum(t1: SelkowTree, t2: SelkowTree, memo: SelkowMemo):
     """Enumerative optimum over Selkow (one-degree) mappings: roots mapped,
     parents of mapped pairs mapped. Honors child order when both trees are
-    ordered. Independent of the polynomial DPs in the distances module."""
+    ordered. Optima of subtree pairs are read from and kept in `memo`.
+    Independent of the polynomial DPs in the distances module."""
+    l1, l2 = t1.labeled, t2.labeled
     ordered = l1.groups is not None and l2.groups is not None
-    del1 = _collapse_costs(l1, cost, deleting=True)
-    ins2 = _collapse_costs(l2, cost, deleting=False)
-    memo = {}
+    ids1, ids2 = t1.ids, t2.ids
+    del1, ins2 = t1.collapse, t2.collapse
+    cost, table = memo.cost, memo.best
 
     def best(v, w):
-        key = (v, w)
-        if key in memo:
-            return memo[key]
+        key = (ids1[v], ids2[w])
+        if key in table:
+            return table[key]
         cs1 = sorted(l1.children[v], key=_id_key)
         cs2 = sorted(l2.children[w], key=_id_key)
         gi1 = _group_indices(l1, v) if ordered else None
@@ -256,7 +287,7 @@ def _selkow_enum(l1: LabeledTree, l2: LabeledTree, cost: CostModel):
             cost.relabel(l1.labels[v], l2.labels[w]) + state[0],
             ((v, w),) + tuple(state[1]),
         )
-        memo[key] = result
+        table[key] = result
         return result
 
     return best(l1.root, l2.root)
@@ -413,15 +444,19 @@ class EdgeTree:
     def total_length(self):
         return sum(self.length.values())
 
+    def shapes(self):
+        """Every node's shape, the sorted tuple of its children's shapes,
+        filled children first with no recursion."""
+        order = [self.root]
+        for v in order:
+            order.extend(self.children[v])
+        out = {}
+        for v in reversed(order):
+            out[v] = tuple(sorted(out[c] for c in self.children[v]))
+        return out
+
     def shape(self):
-        memo = {}
-
-        def key(v):
-            if v not in memo:
-                memo[v] = tuple(sorted(key(c) for c in self.children[v]))
-            return memo[v]
-
-        return key(self.root)
+        return self.shapes()[self.root]
 
 
 def edge_tree_of(tree: AbstractMergeTree) -> EdgeTree:
@@ -505,14 +540,8 @@ def _quotient(et: EdgeTree, deleted, order) -> EdgeTree:
 def _iso_min_cost(q1: EdgeTree, q2: EdgeTree):
     """Minimum total |length difference| over root-preserving isomorphisms
     of two same-shape edge trees; returns (cost, node pairs) or None."""
-    memo1, memo2 = {}, {}
-
-    def shape_of(et, v, memo):
-        if v not in memo:
-            memo[v] = tuple(sorted(shape_of(et, c, memo) for c in et.children[v]))
-        return memo[v]
-
-    if shape_of(q1, q1.root, memo1) != shape_of(q2, q2.root, memo2):
+    shapes1, shapes2 = q1.shapes(), q2.shapes()
+    if shapes1[q1.root] != shapes2[q2.root]:
         return None
 
     def go(v, w):
@@ -522,10 +551,10 @@ def _iso_min_cost(q1: EdgeTree, q2: EdgeTree):
         pairs = [(v, w)]
         by_shape1 = {}
         for c in q1.children[v]:
-            by_shape1.setdefault(shape_of(q1, c, memo1), []).append(c)
+            by_shape1.setdefault(shapes1[c], []).append(c)
         by_shape2 = {}
         for c in q2.children[w]:
-            by_shape2.setdefault(shape_of(q2, c, memo2), []).append(c)
+            by_shape2.setdefault(shapes2[c], []).append(c)
         for s in sorted(by_shape1):
             group1, group2 = by_shape1[s], by_shape2[s]
             sub = [[go(a, b) for b in group2] for a in group1]
@@ -720,14 +749,8 @@ def _qualifying_iso(q1: EdgeTree, q2: EdgeTree, max_relabels: int, cap: float):
 def _iso_for_witness(q1: EdgeTree, q2: EdgeTree, cap: float):
     """Root-preserving isomorphism preferring (1) no length difference above
     cap, (2) fewest differing edges, (3) smallest total difference."""
-    memo1, memo2 = {}, {}
-
-    def shape_of(et, v, memo):
-        if v not in memo:
-            memo[v] = tuple(sorted(shape_of(et, c, memo) for c in et.children[v]))
-        return memo[v]
-
-    if shape_of(q1, q1.root, memo1) != shape_of(q2, q2.root, memo2):
+    shapes1, shapes2 = q1.shapes(), q2.shapes()
+    if shapes1[q1.root] != shapes2[q2.root]:
         return None
     w = q1.total_length() + q2.total_length() + 1.0
     k_count = 2.0 * w
@@ -743,10 +766,10 @@ def _iso_for_witness(q1: EdgeTree, q2: EdgeTree, cap: float):
         pairs = [(v, u)]
         by_shape1 = {}
         for c in q1.children[v]:
-            by_shape1.setdefault(shape_of(q1, c, memo1), []).append(c)
+            by_shape1.setdefault(shapes1[c], []).append(c)
         by_shape2 = {}
         for c in q2.children[u]:
-            by_shape2.setdefault(shape_of(q2, c, memo2), []).append(c)
+            by_shape2.setdefault(shapes2[c], []).append(c)
         for s in sorted(by_shape1):
             group1, group2 = by_shape1[s], by_shape2[s]
             sub = [[go(a, b) for b in group2] for a in group1]

@@ -508,6 +508,19 @@ def _group_index(groups, node, child):
     raise KeyError(child)
 
 
+def _order_consistent(gi1, gi2, pairs, a, b):
+    """Mapped sibling pairs must agree on the attachment order exactly:
+    same group iff same group, strictly before iff strictly before."""
+    for a2, b2 in pairs:
+        same1 = gi1[a] == gi1[a2]
+        same2 = gi2[b] == gi2[b2]
+        if same1 != same2:
+            return False
+        if not same1 and ((gi1[a] < gi1[a2]) != (gi2[b] < gi2[b2])):
+            return False
+    return True
+
+
 def _embed(root1, root2, children1, children2, compatible, groups1, groups2) -> bool:
     sizes1 = {}
     sizes2 = {}
@@ -537,19 +550,8 @@ def _embed(root1, root2, children1, children2, compatible, groups1, groups2) -> 
             for b in cs2:
                 if b in used:
                     continue
-                if groups1 is not None:
-                    ok = True
-                    for a2, b2 in pairs:
-                        same1 = gi1[a] == gi1[a2]
-                        same2 = gi2[b] == gi2[b2]
-                        if same1 != same2:
-                            ok = False
-                            break
-                        if not same1 and ((gi1[a] < gi1[a2]) != (gi2[b] < gi2[b2])):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
+                if groups1 is not None and not _order_consistent(gi1, gi2, pairs, a, b):
+                    continue
                 if rec(a, b):
                     used.add(b)
                     pairs.append((a, b))

@@ -8,7 +8,10 @@ from scipy.optimize import linear_sum_assignment
 from helpers import random_abstract_tree, random_field
 from mtstab import mergetree as mt
 from mtstab.distances import (
+    DEFAULT_GUARDS,
+    Guards,
     MetricId,
+    _all_decompositions,
     _assignment_min,
     compute,
     delta_b,
@@ -27,6 +30,7 @@ from mtstab.editcore import (
     MappingConstraint,
     brute_force_distance,
 )
+from mtstab.errors import SizeGuardError
 from mtstab.field import apply_value_change, build_domain, validate_field
 from mtstab.mergetree import (
     build_bdt,
@@ -35,7 +39,13 @@ from mtstab.mergetree import (
     merge_tree_of,
     persistence_branch_decomposition,
 )
-from mtstab.stability import CounterexampleFamily, counterexample
+from mtstab.perturb import apply_perturbation
+from mtstab.stability import (
+    CounterexampleFamily,
+    counterexample,
+    random_grid_field,
+    random_minimal_perturbation,
+)
 
 ALL_METRICS = tuple(MetricId)
 
@@ -253,3 +263,71 @@ def test_assignment_min_1x1_is_the_solver_value():
         mat = np.array([[c, d], [i, 0.0]])
         rows, cols = linear_sum_assignment(mat)
         assert _assignment_min([[c]], [d], [i]) == float(mat[rows, cols].sum())
+
+
+# ---------------------------------------------------------------------------
+# delta_b: one preparation per decomposition, one memo for all pairs
+# ---------------------------------------------------------------------------
+
+def delta_b_per_pair(t1, t2, guards=DEFAULT_GUARDS):
+    """The per-pair formula delta_b replaces: every decomposition pair
+    builds both labeled OBDTs and runs its own brute-force Selkow search."""
+    m = max(t1.edge_count(), t2.edge_count())
+    if m > guards.branch_edges:
+        raise SizeGuardError("branch decomposition enumeration", m, guards.branch_edges)
+    best = math.inf
+    for bd1 in _all_decompositions(t1):
+        l1 = label_for_scheme(build_obdt(bd1), mt.OBDT_BIRTH_DEATH)
+        for bd2 in _all_decompositions(t2):
+            l2 = label_for_scheme(build_obdt(bd2), mt.OBDT_BIRTH_DEATH)
+            cost, _ = brute_force_distance(
+                l1, l2, MappingConstraint.SELKOW, WASSERSTEIN_POINT,
+                node_limit=guards.mapping_nodes,
+            )
+            best = min(best, cost)
+    return best
+
+
+def delta_b_pairs():
+    """Random 4x4 tree pairs with at most 8 edges: independent fields, and
+    fields one minimal perturbation apart (as in the stability suite), plus
+    the three counterexample figures."""
+    rng = random.Random(61)
+    pairs = []
+    while len(pairs) < 160:
+        f = random_grid_field(rng, 4, 4)
+        if len(pairs) % 2:
+            g = random_grid_field(rng, 4, 4)
+        else:
+            g = apply_perturbation(f, random_minimal_perturbation(rng, f))
+        t1, t2 = merge_tree_of(f), merge_tree_of(g)
+        if max(t1.edge_count(), t2.edge_count()) <= 8:
+            pairs.append((t1, t2))
+    for family in (
+        CounterexampleFamily.EDGE_SPLIT_FIG7,
+        CounterexampleFamily.HORIZONTAL_FIG8,
+        CounterexampleFamily.VERTICAL_FIG10,
+    ):
+        pairs.append(counterexample(family, 10.0, 0.1))
+    return pairs
+
+
+def test_delta_b_is_the_per_pair_formula_bit_for_bit():
+    """Sharing the Selkow memo across decomposition pairs changes no bit."""
+    for t1, t2 in delta_b_pairs():
+        assert delta_b(t1, t2).hex() == delta_b_per_pair(t1, t2).hex()
+
+
+def test_delta_b_guards_raise_the_per_pair_errors():
+    """A tight branch_edges guard, and separately a tight mapping_nodes
+    guard, raise the per-pair formula's error with the same fields."""
+    t1, t2 = counterexample(CounterexampleFamily.HORIZONTAL_FIG8, 10.0, 0.1)
+    cases = (
+        (Guards(branch_edges=4), ("branch decomposition enumeration", 5, 4)),
+        (Guards(mapping_nodes=2), ("brute-force mapping search", 3, 2)),
+    )
+    for guards, fields in cases:
+        for distance in (delta_b, delta_b_per_pair):
+            with pytest.raises(SizeGuardError) as info:
+                distance(t1, t2, guards)
+            assert (info.value.what, info.value.size, info.value.limit) == fields

@@ -368,6 +368,17 @@ def test_memoized_variants_give_the_fresh_results():
         assert results(lambda: (t1, t2)) == fresh
 
 
+def test_shape_of_a_2000_level_chain():
+    """shape() fills its shapes bottom-up, so depth is no RecursionError."""
+    depth = 2000
+    parent = {0: None, **{v: v - 1 for v in range(1, depth + 1)}}
+    et = EdgeTree(parent, {v: 1.0 for v in range(1, depth + 1)}, 0)
+    shape = et.shape()
+    for _ in range(depth):
+        (shape,) = shape
+    assert shape == ()
+
+
 # ---------------------------------------------------------------------------
 # mapping_to_sequence / check_sequence round trips
 # ---------------------------------------------------------------------------
