@@ -132,8 +132,6 @@ def cmd_classify(args) -> int:
     fb = load_field(args.field_b)
     info = perturb.classify_change_detailed(fa, fb)
     t1, t2 = merge_tree_of(fa), merge_tree_of(fb)
-    b1 = build_bdt(persistence_branch_decomposition(t1))
-    b2 = build_bdt(persistence_branch_decomposition(t2))
     evidence = {
         "class": info.change_class.value,
         "perturbed_vertex": info.perturbation.vertex,
@@ -144,7 +142,8 @@ def cmd_classify(args) -> int:
         "bdt_included": info.bdt_included,
         "tree_nodes": [t1.node_count(), t2.node_count()],
         "tree_edges": [t1.edge_count(), t2.edge_count()],
-        "bdt_nodes": [b1.node_count(), b2.node_count()],
+        # one BDT node per branch, one branch per leaf
+        "bdt_nodes": [len(t1.leaves()), len(t2.leaves())],
     }
     print(json.dumps(evidence, indent=2, sort_keys=True))
     return 0

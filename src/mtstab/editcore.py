@@ -26,6 +26,7 @@ from .mergetree import (
     BLANK,
     AbstractMergeTree,
     LabeledTree,
+    _group_index,
     _id_key,
     _order_consistent,
 )
@@ -98,8 +99,6 @@ class MappingConstraint(Enum):
     TAI = "tai"
     SELKOW = "selkow"
     ZHANG_CONSTRAINED = "zhang_constrained"
-    DEFORM_FREE = "deform_free"
-    DEFORM_ONE_DEGREE = "deform_one_degree"
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,6 @@ def brute_force_distance(
     Returns (cost, EditMapping); ties resolved toward the lexicographically
     smallest mapping. Deformation constraints live in deform_brute_force.
     """
-    if constraint in (MappingConstraint.DEFORM_FREE, MappingConstraint.DEFORM_ONE_DEGREE):
-        raise ValidationError("use deform_brute_force for deformation constraints")
     if cost is None:
         cost = cost_model_for(l1)
     n1, n2 = l1.node_count(), l2.node_count()
@@ -183,16 +180,6 @@ def _collapse_costs(lt: LabeledTree, cost: CostModel, deleting: bool):
         own = cost.delete(lt.labels[v]) if deleting else cost.insert(lt.labels[v])
         out[v] = own + sum(out[c] for c in lt.children[v])
     return out
-
-
-def _group_indices(lt: LabeledTree, v):
-    if lt.groups is None:
-        return None
-    gi = {}
-    for i, grp in enumerate(lt.groups[v]):
-        for c in grp:
-            gi[c] = i
-    return gi
 
 
 @dataclass(frozen=True)
@@ -252,8 +239,8 @@ def _selkow_enum(t1: SelkowTree, t2: SelkowTree, memo: SelkowMemo):
             return table[key]
         cs1 = sorted(l1.children[v], key=_id_key)
         cs2 = sorted(l2.children[w], key=_id_key)
-        gi1 = _group_indices(l1, v) if ordered else None
-        gi2 = _group_indices(l2, w) if ordered else None
+        gi1 = _group_index(l1.groups[v]) if ordered else None
+        gi2 = _group_index(l2.groups[w]) if ordered else None
         state = [math.inf, None, None]  # cost, flat pairs, key
 
         def rec(i, used, acc, chosen):
@@ -455,9 +442,6 @@ class EdgeTree:
             out[v] = tuple(sorted(out[c] for c in self.children[v]))
         return out
 
-    def shape(self):
-        return self.shapes()[self.root]
-
 
 def edge_tree_of(tree: AbstractMergeTree) -> EdgeTree:
     length = {
@@ -537,17 +521,15 @@ def _quotient(et: EdgeTree, deleted, order) -> EdgeTree:
     return EdgeTree(parent, length, et.root)
 
 
-def _iso_min_cost(q1: EdgeTree, q2: EdgeTree):
-    """Minimum total |length difference| over root-preserving isomorphisms
-    of two same-shape edge trees; returns (cost, node pairs) or None."""
-    shapes1, shapes2 = q1.shapes(), q2.shapes()
-    if shapes1[q1.root] != shapes2[q2.root]:
-        return None
+def _iso(q1: EdgeTree, shapes1, q2: EdgeTree, shapes2, edge_cost):
+    """Root-preserving isomorphism of two same-shape edge trees (`shapes1`
+    and `shapes2` their shapes() maps) with the least total
+    edge_cost(length in q1, length in q2); returns (cost, node pairs)."""
 
     def go(v, w):
         cost = 0.0
         if q1.parent[v] is not None:
-            cost = abs(q1.length[v] - q2.length[w])
+            cost = edge_cost(q1.length[v], q2.length[w])
         pairs = [(v, w)]
         by_shape1 = {}
         for c in q1.children[v]:
@@ -570,6 +552,10 @@ def _iso_min_cost(q1: EdgeTree, q2: EdgeTree):
         return cost, pairs
 
     return go(q1.root, q2.root)
+
+
+def _length_diff(a, b):
+    return abs(a - b)
 
 
 DEFORM_EDGE_LIMIT = 10
@@ -595,8 +581,8 @@ def _path_variants(et: EdgeTree, variants):
 
 
 def _subset_variants(et: EdgeTree):
-    """(cost, delete set, quotient, quotient shape) for every delete set,
-    sorted by cost, then by the sorted ids of the set."""
+    """(cost, delete set, quotient, quotient's shapes() map) for every delete
+    set, sorted by cost, then by the sorted ids of the set."""
     edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
     order = [et.root]
     for v in order:
@@ -607,7 +593,7 @@ def _subset_variants(et: EdgeTree):
             subset = frozenset(combo)
             cost = sum(et.length[v] for v in subset)
             q = _quotient(et, subset, order)
-            out.append((cost, subset, q, q.shape()))
+            out.append((cost, subset, q, q.shapes()))
     out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))
     return out
 
@@ -636,6 +622,13 @@ def _guarded_variants(t1, t2, edge_limit, what):
     return _variants_of(t1), _variants_of(t2)
 
 
+def _by_root_shape(variants):
+    buckets = {}
+    for item in variants:
+        buckets.setdefault(item[3][item[2].root], []).append(item)
+    return buckets
+
+
 def deform_brute_force(
     t1,
     t2,
@@ -655,21 +648,16 @@ def deform_brute_force(
     )
     if one_degree:
         variants1, variants2 = _path_variants(et1, variants1), _path_variants(et2, variants2)
-    buckets2 = {}
-    for item in variants2:
-        buckets2.setdefault(item[3], []).append(item)
+    buckets2 = _by_root_shape(variants2)
     best = math.inf
     win = None
     for c1, d1, q1, s1 in variants1:
         if win is not None and c1 >= best - _EPS:
             break
-        for c2, d2, q2, _ in buckets2.get(s1, ()):
+        for c2, d2, q2, s2 in buckets2.get(s1[q1.root], ()):
             if win is not None and c1 + c2 >= best - _EPS:
                 break
-            iso = _iso_min_cost(q1, q2)
-            if iso is None:
-                continue
-            total = c1 + c2 + iso[0]
+            total = c1 + c2 + _iso(q1, s1, q2, s2, _length_diff)[0]
             if total < best - _EPS:
                 best = total
                 win = (d1, d2)
@@ -679,7 +667,8 @@ def deform_brute_force(
     # edit sequence reconstruction relies on
     d1, d2 = win
     q1, q2 = contract(et1, d1), contract(et2, d2)
-    return best, DeformWitness(d1, d2, q1, q2, tuple(_iso_min_cost(q1, q2)[1]))
+    pairs = _iso(q1, q1.shapes(), q2, q2.shapes(), _length_diff)[1]
+    return best, DeformWitness(d1, d2, q1, q2, tuple(pairs))
 
 
 def deform_witness_search(
@@ -687,7 +676,6 @@ def deform_witness_search(
     t2,
     max_ops: int,
     max_op_cost: float,
-    one_degree: bool = False,
     edge_limit: int = DEFORM_EDGE_LIMIT,
     slack: float = TOLERANCE,
 ):
@@ -701,8 +689,6 @@ def deform_witness_search(
     (et1, variants1), (et2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation witness search"
     )
-    if one_degree:
-        variants1, variants2 = _path_variants(et1, variants1), _path_variants(et2, variants2)
     cap = max_op_cost + slack
 
     def usable(et, variants):
@@ -713,29 +699,35 @@ def deform_witness_search(
             and all(et.length[v] <= cap for v in item[1])
         ]
 
-    buckets2 = {}
-    for item in usable(et2, variants2):
-        buckets2.setdefault(item[3], []).append(item)
+    buckets2 = _by_root_shape(usable(et2, variants2))
     for _, d1, q1, s1 in usable(et1, variants1):
-        for _, d2, q2, _ in buckets2.get(s1, ()):
+        for _, d2, q2, s2 in buckets2.get(s1[q1.root], ()):
             budget = max_ops - len(d1) - len(d2)
-            if budget < 0 or _qualifying_iso(q1, q2, budget, cap) is None:
+            if budget < 0 or _qualifying_iso(q1, s1, q2, s2, budget, cap) is None:
                 continue
             # re-derive the isomorphism on the operational quotients, whose
             # node ids the edit sequence reconstruction relies on
             w1, w2 = contract(et1, d1), contract(et2, d2)
-            iso = _qualifying_iso(w1, w2, budget, cap)
+            iso = _qualifying_iso(w1, w1.shapes(), w2, w2.shapes(), budget, cap)
             if iso is not None:
                 return DeformWitness(d1, d2, w1, w2, tuple(iso))
     return None
 
 
-def _qualifying_iso(q1: EdgeTree, q2: EdgeTree, max_relabels: int, cap: float):
-    """The _iso_for_witness pairs if they need at most max_relabels
-    relabels, none costing more than cap; otherwise None."""
-    iso = _iso_for_witness(q1, q2, cap)
-    if iso is None:
-        return None
+def _qualifying_iso(q1: EdgeTree, shapes1, q2: EdgeTree, shapes2, max_relabels: int, cap: float):
+    """The isomorphism preferring (1) no length difference above cap,
+    (2) fewest differing edges, (3) smallest total difference, if its pairs
+    need at most max_relabels relabels, none costing more than cap;
+    otherwise None."""
+    w = q1.total_length() + q2.total_length() + 1.0
+    k_count = 2.0 * w
+    k_cap = 1e6 * (len(q1.parent) + len(q2.parent) + 2) * k_count
+
+    def penalty(a, b):
+        d = abs(a - b)
+        return d + (k_cap if d > cap else 0.0) + (k_count if d > TOLERANCE else 0.0)
+
+    iso = _iso(q1, shapes1, q2, shapes2, penalty)[1]
     relabels = [
         d
         for d in (abs(q1.length[a] - q2.length[b]) for a, b in iso if q1.parent[a] is not None)
@@ -744,47 +736,6 @@ def _qualifying_iso(q1: EdgeTree, q2: EdgeTree, max_relabels: int, cap: float):
     if len(relabels) > max_relabels or any(d > cap for d in relabels):
         return None
     return iso
-
-
-def _iso_for_witness(q1: EdgeTree, q2: EdgeTree, cap: float):
-    """Root-preserving isomorphism preferring (1) no length difference above
-    cap, (2) fewest differing edges, (3) smallest total difference."""
-    shapes1, shapes2 = q1.shapes(), q2.shapes()
-    if shapes1[q1.root] != shapes2[q2.root]:
-        return None
-    w = q1.total_length() + q2.total_length() + 1.0
-    k_count = 2.0 * w
-    k_cap = 1e6 * (len(q1.parent) + len(q2.parent) + 2) * k_count
-
-    def penalty(d):
-        return d + (k_cap if d > cap else 0.0) + (k_count if d > TOLERANCE else 0.0)
-
-    def go(v, u):
-        cost = 0.0
-        if q1.parent[v] is not None:
-            cost = penalty(abs(q1.length[v] - q2.length[u]))
-        pairs = [(v, u)]
-        by_shape1 = {}
-        for c in q1.children[v]:
-            by_shape1.setdefault(shapes1[c], []).append(c)
-        by_shape2 = {}
-        for c in q2.children[u]:
-            by_shape2.setdefault(shapes2[c], []).append(c)
-        for s in sorted(by_shape1):
-            group1, group2 = by_shape1[s], by_shape2[s]
-            sub = [[go(a, b) for b in group2] for a in group1]
-            if len(group1) == 1:
-                c0, p0 = sub[0][0]
-                cost += c0
-                pairs.extend(p0)
-                continue
-            rows, cols = linear_sum_assignment([[entry[0] for entry in row] for row in sub])
-            for r, c in zip(rows, cols):
-                cost += sub[r][c][0]
-                pairs.extend(sub[r][c][1])
-        return cost, pairs
-
-    return go(q1.root, q2.root)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +775,6 @@ class EditSequence:
 
     def __len__(self):
         return len(self.ops)
-
-    def to_json(self):
-        return [op.to_dict() for op in self.ops]
 
 
 def check_sequence(tree, sequence: EditSequence):

@@ -359,14 +359,6 @@ class LabeledTree:
         return len(self.parent)
 
 
-def _children_map(parent, sort_key):
-    ch = {v: [] for v in parent}
-    for v, p in parent.items():
-        if p is not None:
-            ch[p].append(v)
-    return {v: tuple(sorted(c, key=sort_key)) for v, c in ch.items()}
-
-
 def label_for_scheme(obj, scheme: str) -> LabeledTree:
     """Labeled tree for one of the per-distance schemes of the label-function
     catalogue; see the distances module for which distance uses which."""
@@ -428,40 +420,32 @@ INCLUSION_NODE_LIMIT = 64
 def tree_included_up_to_iso(
     t1,
     t2,
-    ordered: bool = False,
     *,
     exempt1=frozenset(),
     exempt2=frozenset(),
     max_nodes: int = INCLUSION_NODE_LIMIT,
 ) -> bool:
-    """Injective root- and parent-preserving embedding of t1 into t2.
+    """Injective root- and parent-preserving embedding of merge tree t1 into
+    merge tree t2.
 
-    Merge tree nodes must agree in scalar value up to the global tolerance.
-    Exempt nodes (renamed by a perturbation) match only exempt nodes, with no
-    value constraint. For BDTs the check compares branch endpoints under the
-    same renaming; `ordered` additionally requires the attachment orders of
-    mapped siblings to agree exactly (same group iff same group).
+    Nodes must agree in scalar value up to the global tolerance. Exempt
+    nodes (renamed by a perturbation) match only exempt nodes, with no value
+    constraint. BDTs go through bdt_included_up_to_iso.
     """
-    if isinstance(t1, _RootedTree) and isinstance(t2, _RootedTree):
-        n = t1.node_count() + t2.node_count()
-        if n > max_nodes:
-            raise SizeGuardError("tree inclusion", n, max_nodes)
-        ex1, ex2 = frozenset(exempt1), frozenset(exempt2)
+    if not (isinstance(t1, _RootedTree) and isinstance(t2, _RootedTree)):
+        raise ValidationError("inclusion needs two merge trees")
+    n = t1.node_count() + t2.node_count()
+    if n > max_nodes:
+        raise SizeGuardError("tree inclusion", n, max_nodes)
+    ex1, ex2 = frozenset(exempt1), frozenset(exempt2)
 
-        def compatible(u, w):
-            e1, e2 = u in ex1, w in ex2
-            if e1 or e2:
-                return e1 and e2
-            return abs(t1.value[u] - t2.value[w]) <= TOLERANCE
+    def compatible(u, w):
+        e1, e2 = u in ex1, w in ex2
+        if e1 or e2:
+            return e1 and e2
+        return abs(t1.value[u] - t2.value[w]) <= TOLERANCE
 
-        return _embed(
-            t1.root, t2.root, t1.children, t2.children, compatible, None, None
-        )
-    if isinstance(t1, Bdt) and isinstance(t2, Bdt):
-        return bdt_included_up_to_iso(
-            t1, t2, ordered, exempt1=exempt1, exempt2=exempt2, max_nodes=max_nodes
-        )
-    raise ValidationError("inclusion needs two merge trees or two BDTs")
+    return _embed(t1.root, t2.root, t1.children, t2.children, compatible, None, None)
 
 
 def bdt_included_up_to_iso(
@@ -501,11 +485,9 @@ def bdt_included_up_to_iso(
     )
 
 
-def _group_index(groups, node, child):
-    for i, grp in enumerate(groups[node]):
-        if child in grp:
-            return i
-    raise KeyError(child)
+def _group_index(groups):
+    """Each child's position among one node's ordered child groups."""
+    return {c: i for i, grp in enumerate(groups) for c in grp}
 
 
 def _order_consistent(gi1, gi2, pairs, a, b):
@@ -540,8 +522,8 @@ def _embed(root1, root2, children1, children2, compatible, groups1, groups2) -> 
         if len(cs1) > len(cs2):
             return False
         if groups1 is not None:
-            gi1 = {c: _group_index(groups1, u, c) for c in cs1}
-            gi2 = {c: _group_index(groups2, w, c) for c in cs2}
+            gi1 = _group_index(groups1[u])
+            gi2 = _group_index(groups2[w])
 
         def assign(i, used, pairs):
             if i == len(cs1):

@@ -33,9 +33,7 @@ from .field import (
 from .mergetree import (
     AbstractMergeTree,
     abstract_merge_tree,
-    build_bdt,
     merge_tree_of,
-    persistence_branch_decomposition,
 )
 from .perturb import (
     ChangeClass,
@@ -500,10 +498,8 @@ def run_finite_stability(
             class_counts[cls] = class_counts.get(cls, 0) + 1
         t1, t2 = merge_tree_of(f), merge_tree_of(f2)
         tree_bound = (t1.node_count() + t2.node_count()) * 2 * eps
-        bdt_bound = (
-            build_bdt(persistence_branch_decomposition(t1)).node_count()
-            + build_bdt(persistence_branch_decomposition(t2)).node_count()
-        ) * 2 * eps
+        # BDT sizes: one node per branch, one branch per leaf
+        bdt_bound = (len(t1.leaves()) + len(t2.leaves())) * 2 * eps
         for m in metrics:
             stats = per_metric[m]
             pre = _FINITE_PRECONDITION[m]

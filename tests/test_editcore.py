@@ -14,6 +14,7 @@ from helpers import (
     random_field,
     random_tiny_tree,
 )
+from mtstab import editcore
 from mtstab import mergetree as mt
 from mtstab.editcore import (
     ABS_DIFF,
@@ -368,12 +369,39 @@ def test_memoized_variants_give_the_fresh_results():
         assert results(lambda: (t1, t2)) == fresh
 
 
+def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
+    """The enumeration keeps each quotient's shapes() map and the
+    isomorphism reuses it: on a fresh pair, delta_E calls shapes() once per
+    delete set of either tree and never inside _iso."""
+    calls = {"all": 0, "in_iso": 0}
+    inside = [False]
+    shapes, iso = EdgeTree.shapes, editcore._iso
+
+    def counted_shapes(self):
+        calls["all"] += 1
+        calls["in_iso"] += inside[0]
+        return shapes(self)
+
+    def flagged_iso(*args):
+        inside[0] = True
+        try:
+            return iso(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(EdgeTree, "shapes", counted_shapes)
+    monkeypatch.setattr(editcore, "_iso", flagged_iso)
+    t1, t2 = grid_trees(15, 2)
+    deform_brute_force(t1, t2)
+    assert calls == {"all": 2 ** t1.edge_count() + 2 ** t2.edge_count(), "in_iso": 0}
+
+
 def test_shape_of_a_2000_level_chain():
-    """shape() fills its shapes bottom-up, so depth is no RecursionError."""
+    """shapes() fills its shapes bottom-up, so depth is no RecursionError."""
     depth = 2000
     parent = {0: None, **{v: v - 1 for v in range(1, depth + 1)}}
     et = EdgeTree(parent, {v: 1.0 for v in range(1, depth + 1)}, 0)
-    shape = et.shape()
+    shape = et.shapes()[et.root]
     for _ in range(depth):
         (shape,) = shape
     assert shape == ()

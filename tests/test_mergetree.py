@@ -4,7 +4,7 @@ import pytest
 
 from helpers import random_field
 from mtstab import mergetree as mt
-from mtstab.errors import AbstractInvariantError, SchemeMismatchError
+from mtstab.errors import AbstractInvariantError, SchemeMismatchError, ValidationError
 from mtstab.field import build_domain, superlevel_components, validate_field
 from mtstab.mergetree import (
     BLANK,
@@ -149,6 +149,8 @@ def test_elder_rule_invariants():
         )
         pers_sum = sum(b.birth - b.death for b in bd.branches)
         assert abs(edge_sum - pers_sum) < 1e-9
+        # one branch per leaf: the BDT size the finite-stability bound counts
+        assert bdt.node_count() == len(t.leaves())
 
 
 def test_obdt_forgets_to_bdt():
@@ -194,6 +196,9 @@ def test_tree_inclusion_identity_and_values():
     assert tree_included_up_to_iso(two_matching, t)  # maps onto A-B
     two_off = abstract_merge_tree({"r": None, "m": "r"}, {"r": 0.0, "m": 10.0})
     assert not tree_included_up_to_iso(two_off, t)  # no child of A has value 10
+    bdt = build_bdt(persistence_branch_decomposition(t))
+    with pytest.raises(ValidationError, match="two merge trees"):
+        tree_included_up_to_iso(bdt, bdt)
 
 
 def test_tree_inclusion_size_guard():

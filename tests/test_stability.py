@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from mtstab.distances import Guards, MetricId
+from mtstab import mergetree as mt
+from mtstab.distances import Guards, MetricId, tree_distance
 from mtstab.errors import ValidationError
-from mtstab.field import apply_value_change, build_domain, validate_field
-from mtstab.mergetree import merge_tree_of
+from mtstab.field import TOLERANCE, apply_value_change, build_domain, validate_field
+from mtstab.mergetree import label_for_scheme, merge_tree_of
 from mtstab.perturb import ChangeClass, apply_perturbation, classify_change
 from mtstab.stability import (
     STABILITY_MATRIX,
@@ -134,6 +135,32 @@ def test_suite_matches_per_metric_check_bound():
     assert {k: v.to_dict() for k, v in rep.cells.items()} == {
         k: v.to_dict() for k, v in cells.items()
     }
+
+
+def test_delta_s_on_a_two_node_simple_change_is_twice_the_extent():
+    """Why delta_S fails its claimed SimpleChange cell off the pinned seed
+    (seed 2, trial 36 of run_stability_suite). On a 2-node tree
+    BRANCH_LABEL_ON_NODES gives the root and the leaf the same birth-death
+    label, so moving the maximum relabels two nodes: delta_S = 2 * delta_W
+    = 2 * extent, above deg(T_f) * extent = extent. This records the cause
+    only; whether the bound or the label changes is still open."""
+    rng = random.Random(2 * 1_000_003 + 36)
+    f = random_grid_field(rng, 4, 4)
+    p = random_minimal_perturbation(rng, f)
+    f2 = apply_perturbation(f, p)
+    assert classify_change(f, f2) is ChangeClass.SIMPLE_CHANGE
+    t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+    for t in (t1, t2):
+        assert t.node_count() == 2
+        labels = label_for_scheme(t, mt.BRANCH_LABEL_ON_NODES).labels
+        (leaf,) = t.leaves()
+        assert labels[t.root] == labels[leaf]
+    s = tree_distance(MetricId.S, t1, t2)
+    w = tree_distance(MetricId.W, t1, t2)
+    assert abs(w - p.extent) <= TOLERANCE
+    assert abs(s - 2 * w) <= TOLERANCE
+    report = check_bound(f, f2, MetricId.S)
+    assert report.claimed and report.degree == 1 and report.passed is False
 
 
 def test_suite_zero_trials_empty():
