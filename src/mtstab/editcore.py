@@ -28,6 +28,7 @@ from .mergetree import (
     LabeledTree,
     _group_index,
     _id_key,
+    _memoized,
     _order_consistent,
 )
 
@@ -90,7 +91,7 @@ WASSERSTEIN_POINT = CostModel("birth_death")
 def cost_model_for(labeled: LabeledTree) -> CostModel:
     from . import mergetree as mt
 
-    if labeled.scheme in (mt.EDGE_LENGTH, mt.NODE_DIST_TO_PARENT):
+    if labeled.scheme == mt.NODE_DIST_TO_PARENT:
         return ABS_DIFF
     return WASSERSTEIN_POINT
 
@@ -598,21 +599,13 @@ def _subset_variants(et: EdgeTree):
     return out
 
 
-def _variants_of(t):
-    """(edge tree, _subset_variants) of a merge tree or edge tree.
-
-    Merge trees are immutable, so their list is enumerated once and kept on
-    the tree: delta_E, delta_P and the witness search on the same tree
-    objects share it. Two threads that miss the memo at once both enumerate
-    the same list, and either one is kept. Edge trees are mutable and
-    enumerate afresh."""
-    if isinstance(t, EdgeTree):
-        return t, _subset_variants(t)
-    memo = getattr(t, "_deform_variants", None)
-    if memo is None:
-        et = edge_tree_of(t)
-        memo = t._deform_variants = (et, _subset_variants(et))
-    return memo
+@_memoized
+def _variants_of(t: AbstractMergeTree):
+    """(edge tree, _subset_variants) of a merge tree, enumerated once and
+    kept on the tree: delta_E, delta_P and the witness search share it. Two
+    threads that miss the memo at once both enumerate the same list."""
+    et = edge_tree_of(t)
+    return et, _subset_variants(et)
 
 
 def _guarded_variants(t1, t2, edge_limit, what):
@@ -677,7 +670,6 @@ def deform_witness_search(
     max_ops: int,
     max_op_cost: float,
     edge_limit: int = DEFORM_EDGE_LIMIT,
-    slack: float = TOLERANCE,
 ):
     """Search for a deformation witness whose normalized sequence has at
     most max_ops operations, each of cost at most max_op_cost.
@@ -689,7 +681,7 @@ def deform_witness_search(
     (et1, variants1), (et2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation witness search"
     )
-    cap = max_op_cost + slack
+    cap = max_op_cost + TOLERANCE
 
     def usable(et, variants):
         return [
@@ -1014,8 +1006,7 @@ def _depths(lt) -> dict:
 
 
 def _deform_sequence(t1, t2, witness: DeformWitness) -> EditSequence:
-    et1 = edge_tree_of(t1) if isinstance(t1, AbstractMergeTree) else t1.copy()
-    et2 = edge_tree_of(t2) if isinstance(t2, AbstractMergeTree) else t2.copy()
+    et1, et2 = edge_tree_of(t1), edge_tree_of(t2)
     ops = list(_delete_phase_ops(et1, witness.deleted1)[0])
     q1, q2 = witness.quotient1, witness.quotient2
     to_current = {b: a for a, b in witness.iso_pairs}

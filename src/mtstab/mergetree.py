@@ -8,10 +8,28 @@ minimum and leaves are maxima.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import AbstractInvariantError, SchemeMismatchError, SizeGuardError, ValidationError
 from .field import TOLERANCE, ScalarField
+
+
+def _memoized(build):
+    """Keep build(obj, *args) on the immutable obj, once per args: a derived
+    structure is built once and lives exactly as long as obj. What build
+    returns must not refer back to obj, or obj would sit on a reference
+    cycle and wait for the cycle collector (docs/decisions.md section 6)."""
+
+    @functools.wraps(build)
+    def memoized(obj, *args):
+        memo = vars(obj).setdefault("_memo", {})
+        key = (build, *args)
+        if key not in memo:
+            memo[key] = build(obj, *args)
+        return memo[key]
+
+    return memoized
 
 
 class _RootedTree:
@@ -169,6 +187,7 @@ def abstract_merge_tree(parent: dict, value: dict, root=None) -> AbstractMergeTr
     return tree
 
 
+@_memoized
 def merge_tree_of(field: ScalarField) -> AbstractMergeTree:
     return prune_to_abstract(build_augmented(field))
 
@@ -204,7 +223,6 @@ class Branch:
 
 @dataclass(frozen=True)
 class BranchDecomposition:
-    tree: AbstractMergeTree
     branches: tuple[Branch, ...]
     main: Branch
     containing: dict  # node -> Branch with node = b_i, i > 1 (root -> main)
@@ -234,7 +252,7 @@ def decomposition_from_choice(tree: AbstractMergeTree, choice: dict) -> BranchDe
         raise ValidationError("decomposition has no branch containing the root")
     containing[tree.root] = main
     branches.sort(key=lambda b: (b.death, b.birth, str(b.leaf)))
-    return BranchDecomposition(tree, tuple(branches), main, containing)
+    return BranchDecomposition(tuple(branches), main, containing)
 
 
 def persistence_choice(tree: AbstractMergeTree) -> dict:
@@ -261,6 +279,7 @@ def _id_key(node):
     return (0, node, "") if isinstance(node, int) else (1, 0, str(node))
 
 
+@_memoized
 def persistence_branch_decomposition(tree: AbstractMergeTree) -> BranchDecomposition:
     return decomposition_from_choice(tree, persistence_choice(tree))
 
@@ -269,16 +288,16 @@ def persistence_branch_decomposition(tree: AbstractMergeTree) -> BranchDecomposi
 class Bdt:
     """Branch decomposition tree: nodes are branches, parenthood is nesting."""
 
-    decomposition: BranchDecomposition
+    branches: tuple[Branch, ...]
     root_branch: Branch
     parent: dict  # Branch -> Branch | None
     children: dict  # Branch -> tuple[Branch, ...]
 
     def nodes(self):
-        return self.decomposition.branches
+        return self.branches
 
     def node_count(self):
-        return len(self.decomposition.branches)
+        return len(self.branches)
 
 
 @dataclass(frozen=True)
@@ -291,6 +310,7 @@ class OrderedBdt(Bdt):
     groups: dict = dc_field(default_factory=dict)  # Branch -> tuple[tuple[Branch, ...], ...]
 
 
+@_memoized
 def build_bdt(bd: BranchDecomposition) -> Bdt:
     parent = {}
     children = {b: [] for b in bd.branches}
@@ -305,9 +325,10 @@ def build_bdt(bd: BranchDecomposition) -> Bdt:
         b: tuple(sorted(c, key=lambda a: (a.death, a.birth, str(a.leaf))))
         for b, c in children.items()
     }
-    return Bdt(bd, bd.main, parent, ordered)
+    return Bdt(bd.branches, bd.main, parent, ordered)
 
 
+@_memoized
 def build_obdt(bd: BranchDecomposition) -> OrderedBdt:
     base = build_bdt(bd)
     groups = {}
@@ -320,7 +341,7 @@ def build_obdt(bd: BranchDecomposition) -> OrderedBdt:
             tuple(sorted(by_attach[i], key=lambda a: (a.birth, str(a.leaf))))
             for i in sorted(by_attach)
         )
-    return OrderedBdt(bd, bd.main, base.parent, base.children, groups)
+    return OrderedBdt(bd.branches, bd.main, base.parent, base.children, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +357,6 @@ class _Blank:
 
 BLANK = _Blank()
 
-EDGE_LENGTH = "edge_length"
 NODE_DIST_TO_PARENT = "node_dist_to_parent"
 BDT_BIRTH_DEATH = "bdt_birth_death"
 OBDT_BIRTH_DEATH = "obdt_birth_death"
@@ -359,10 +379,11 @@ class LabeledTree:
         return len(self.parent)
 
 
+@_memoized
 def label_for_scheme(obj, scheme: str) -> LabeledTree:
     """Labeled tree for one of the per-distance schemes of the label-function
     catalogue; see the distances module for which distance uses which."""
-    if scheme in (EDGE_LENGTH, NODE_DIST_TO_PARENT):
+    if scheme == NODE_DIST_TO_PARENT:
         if not isinstance(obj, _RootedTree):
             raise SchemeMismatchError(f"{scheme} needs a merge tree")
         labels = {
@@ -421,8 +442,7 @@ def tree_included_up_to_iso(
     t1,
     t2,
     *,
-    exempt1=frozenset(),
-    exempt2=frozenset(),
+    exempt=frozenset(),
     max_nodes: int = INCLUSION_NODE_LIMIT,
 ) -> bool:
     """Injective root- and parent-preserving embedding of merge tree t1 into
@@ -437,51 +457,40 @@ def tree_included_up_to_iso(
     n = t1.node_count() + t2.node_count()
     if n > max_nodes:
         raise SizeGuardError("tree inclusion", n, max_nodes)
-    ex1, ex2 = frozenset(exempt1), frozenset(exempt2)
+    value1, value2 = t1.value, t2.value  # _embed's closures must not hold the trees
 
     def compatible(u, w):
-        e1, e2 = u in ex1, w in ex2
+        e1, e2 = u in exempt, w in exempt
         if e1 or e2:
             return e1 and e2
-        return abs(t1.value[u] - t2.value[w]) <= TOLERANCE
+        return abs(value1[u] - value2[w]) <= TOLERANCE
 
-    return _embed(t1.root, t2.root, t1.children, t2.children, compatible, None, None)
+    return _embed(t1.root, t2.root, t1._children, t2._children, compatible, None, None)
 
 
 def bdt_included_up_to_iso(
     b1: Bdt,
     b2: Bdt,
-    ordered: bool = False,
     *,
-    exempt1=frozenset(),
-    exempt2=frozenset(),
+    exempt=frozenset(),
     max_nodes: int = INCLUSION_NODE_LIMIT,
 ) -> bool:
+    """Embedding of BDT b1 into BDT b2 matching branch ends by id (exempt
+    ids match each other); ordered exactly when both are ordered BDTs."""
     n = b1.node_count() + b2.node_count()
     if n > max_nodes:
         raise SizeGuardError("bdt inclusion", n, max_nodes)
-    ex1, ex2 = frozenset(exempt1), frozenset(exempt2)
 
     def vmatch(a, b):
-        if a == b:
-            return True
-        return a in ex1 and b in ex2
+        return a == b or (a in exempt and b in exempt)
 
     def compatible(x: Branch, y: Branch):
         return vmatch(x.leaf, y.leaf) and vmatch(x.start, y.start)
 
-    g1 = b1.groups if (ordered and isinstance(b1, OrderedBdt)) else None
-    g2 = b2.groups if (ordered and isinstance(b2, OrderedBdt)) else None
-    if ordered and (g1 is None or g2 is None):
-        raise ValidationError("ordered inclusion needs ordered BDTs")
+    ordered = isinstance(b1, OrderedBdt) and isinstance(b2, OrderedBdt)
+    groups = (b1.groups, b2.groups) if ordered else (None, None)
     return _embed(
-        b1.root_branch,
-        b2.root_branch,
-        lambda v: b1.children[v],
-        lambda v: b2.children[v],
-        compatible,
-        g1,
-        g2,
+        b1.root_branch, b2.root_branch, b1.children, b2.children, compatible, *groups
     )
 
 
@@ -504,12 +513,14 @@ def _order_consistent(gi1, gi2, pairs, a, b):
 
 
 def _embed(root1, root2, children1, children2, compatible, groups1, groups2) -> bool:
+    # rec and size refer to themselves and end as cyclic garbage, so what
+    # they hold must be dicts, never a tree (docs/decisions.md section 6)
     sizes1 = {}
     sizes2 = {}
 
     def size(v, children, sizes):
         if v not in sizes:
-            sizes[v] = 1 + sum(size(c, children, sizes) for c in children(v))
+            sizes[v] = 1 + sum(size(c, children, sizes) for c in children[v])
         return sizes[v]
 
     def rec(u, w):
@@ -517,8 +528,8 @@ def _embed(root1, root2, children1, children2, compatible, groups1, groups2) -> 
             return False
         if size(u, children1, sizes1) > size(w, children2, sizes2):
             return False
-        cs1 = list(children1(u))
-        cs2 = list(children2(w))
+        cs1 = list(children1[u])
+        cs2 = list(children2[w])
         if len(cs1) > len(cs2):
             return False
         if groups1 is not None:

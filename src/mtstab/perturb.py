@@ -157,15 +157,12 @@ def classify_change_detailed(f: ScalarField, f2: ScalarField) -> Classification:
     exempt = frozenset(v for v in (p.vertex, p.swap_partner) if v is not None)
     t1, t2 = merge_tree_of(f), merge_tree_of(f2)
     bd1, bd2 = persistence_branch_decomposition(t1), persistence_branch_decomposition(t2)
-    o1, o2 = build_obdt(bd1), build_obdt(bd2)
 
-    def both_ways(check, a, b, **kw):
-        return check(a, b, exempt1=exempt, exempt2=exempt, **kw) or check(
-            b, a, exempt1=exempt, exempt2=exempt, **kw
-        )
+    def both_ways(check, a, b):
+        return check(a, b, exempt=exempt) or check(b, a, exempt=exempt)
 
     tree_inc = both_ways(tree_included_up_to_iso, t1, t2)
-    obdt_inc = both_ways(lambda a, b, **kw: bdt_included_up_to_iso(a, b, True, **kw), o1, o2)
+    obdt_inc = both_ways(bdt_included_up_to_iso, build_obdt(bd1), build_obdt(bd2))
     if tree_inc and obdt_inc:
         cls = ChangeClass.SIMPLE_CHANGE
     elif tree_inc:
@@ -173,8 +170,7 @@ def classify_change_detailed(f: ScalarField, f2: ScalarField) -> Classification:
     elif obdt_inc:
         cls = ChangeClass.EDGE_SPLIT
     else:
-        b1, b2 = build_bdt(bd1), build_bdt(bd2)
-        bdt_inc = both_ways(lambda a, b, **kw: bdt_included_up_to_iso(a, b, False, **kw), b1, b2)
+        bdt_inc = both_ways(bdt_included_up_to_iso, build_bdt(bd1), build_bdt(bd2))
         cls = (
             ChangeClass.ORDERED_HORIZONTAL_SWAP
             if bdt_inc

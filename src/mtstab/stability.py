@@ -33,7 +33,9 @@ from .field import (
 from .mergetree import (
     AbstractMergeTree,
     abstract_merge_tree,
+    build_bdt,
     merge_tree_of,
+    persistence_branch_decomposition,
 )
 from .perturb import (
     ChangeClass,
@@ -109,13 +111,12 @@ class BoundReport:
 
 def check_bound(f: ScalarField, f2: ScalarField, metric: MetricId, guards=DEFAULT_GUARDS) -> BoundReport:
     """Stability bound report for one minimal perturbation and one metric."""
-    info = classify_change_detailed(f, f2)
-    return _tree_bound(f, f2, info, merge_tree_of(f), merge_tree_of(f2), metric, guards)
+    return _tree_bound(f, f2, classify_change_detailed(f, f2), metric, guards)
 
 
-def _tree_bound(f, f2, info, t1, t2, metric, guards) -> BoundReport:
-    """check_bound on the pair's prepared classification and merge trees;
-    reusing the same trees lets the metrics share per-tree work."""
+def _tree_bound(f, f2, info, metric, guards) -> BoundReport:
+    """check_bound on the pair's classification, computed once per pair."""
+    t1, t2 = merge_tree_of(f), merge_tree_of(f2)
     cls = info.change_class
     extent = info.perturbation.extent
     deg = stability_degree(t1)
@@ -337,7 +338,6 @@ def run_stability_suite(
     grid_size: int,
     metrics=tuple(MetricId),
     guards: Guards = DEFAULT_GUARDS,
-    check_witness: bool = True,
 ) -> SuiteReport:
     """Randomized verification of the minimal-perturbation bounds.
 
@@ -364,7 +364,7 @@ def run_stability_suite(
         for m in metrics:
             stats = cells.setdefault((m, cls), CellStats())
             stats.trials += 1
-            report = _tree_bound(f, f2, info, t1, t2, m, guards)
+            report = _tree_bound(f, f2, info, m, guards)
             if report.skipped:
                 stats.skipped += 1
             elif not report.claimed:
@@ -381,7 +381,7 @@ def run_stability_suite(
                         "witness": report.witness,
                     }
                 )
-        if check_witness and MetricId.E in metrics:
+        if MetricId.E in metrics:
             witness_stats.trials += 1
             try:
                 witness = deform_witness_search(
@@ -498,8 +498,8 @@ def run_finite_stability(
             class_counts[cls] = class_counts.get(cls, 0) + 1
         t1, t2 = merge_tree_of(f), merge_tree_of(f2)
         tree_bound = (t1.node_count() + t2.node_count()) * 2 * eps
-        # BDT sizes: one node per branch, one branch per leaf
-        bdt_bound = (len(t1.leaves()) + len(t2.leaves())) * 2 * eps
+        bdts = [build_bdt(persistence_branch_decomposition(t)) for t in (t1, t2)]
+        bdt_bound = sum(b.node_count() for b in bdts) * 2 * eps
         for m in metrics:
             stats = per_metric[m]
             pre = _FINITE_PRECONDITION[m]

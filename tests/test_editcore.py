@@ -36,6 +36,7 @@ from mtstab.editcore import (
     mapping_to_sequence,
 )
 from mtstab.errors import InapplicableOperationError, SizeGuardError
+from mtstab.field import ScalarField
 from mtstab.mergetree import _id_key, abstract_merge_tree, label_for_scheme, merge_tree_of
 from mtstab.perturb import apply_perturbation
 from mtstab.stability import (
@@ -338,8 +339,9 @@ def test_path_variants_are_the_leaf_deletion_sets_in_order():
 
 
 def test_memoized_variants_give_the_fresh_results():
-    """e, p and the witness search agree whether each call sees freshly
-    built trees or trees whose variants an earlier call memoized."""
+    """e, p and the witness search agree whether each call sees trees built
+    from a new field object, with nothing memoized yet, or the memoized
+    trees of the same field, whose variants an earlier call enumerated."""
     rng = random.Random(14)
     checked = 0
     while checked < 8:
@@ -363,9 +365,16 @@ def test_memoized_variants_give_the_fresh_results():
                 ),
             )
 
-        fresh = results(lambda: (merge_tree_of(f), merge_tree_of(f2)))
+        def new_trees():
+            pair = tuple(merge_tree_of(ScalarField(g.domain, g.values)) for g in (f, f2))
+            assert pair[0] is not t1 and pair[1] is not t2
+            return pair
+
+        fresh = results(new_trees)
         deform_brute_force(t1, t2)
-        assert "_deform_variants" in vars(t1) and "_deform_variants" in vars(t2)
+        memo1, memo2 = editcore._variants_of(t1), editcore._variants_of(t2)
+        assert merge_tree_of(f) is t1 and editcore._variants_of(merge_tree_of(f)) is memo1
+        assert merge_tree_of(f2) is t2 and editcore._variants_of(merge_tree_of(f2)) is memo2
         assert results(lambda: (t1, t2)) == fresh
 
 

@@ -166,14 +166,12 @@ def test_obdt_forgets_to_bdt():
 
 def test_label_schemes_figure_values():
     t = figure_tree()
-    edge = label_for_scheme(t, mt.EDGE_LENGTH)
-    assert edge.labels["A"] is BLANK
-    # edge lengths from the scalar values; the B-F edge spans 5 - 2 = 3
-    assert {k: v for k, v in edge.labels.items() if k != "A"} == {
+    node = label_for_scheme(t, mt.NODE_DIST_TO_PARENT)
+    assert node.labels["A"] is BLANK
+    # parent edge lengths from the scalar values; the B-F edge spans 5 - 2 = 3
+    assert {k: v for k, v in node.labels.items() if k != "A"} == {
         "B": 2.0, "C": 2.0, "E": 6.0, "D": 2.0, "G": 2.0, "H": 2.5, "I": 3.0, "F": 3.0,
     }
-    node = label_for_scheme(t, mt.NODE_DIST_TO_PARENT)
-    assert node.labels["A"] is BLANK and node.labels["F"] == 3.0 and node.labels["H"] == 2.5
     bdt = label_for_scheme(build_bdt(persistence_branch_decomposition(t)), mt.BDT_BIRTH_DEATH)
     assert bdt.labels["E-A"] == (10.0, 0.0) and bdt.labels["H-D"] == (8.5, 6.0)
     branch = label_for_scheme(t, mt.BRANCH_LABEL_ON_NODES)
@@ -214,9 +212,9 @@ def test_fig7_pair_not_included_either_direction():
 
     t1, t2 = counterexample(CounterexampleFamily.EDGE_SPLIT_FIG7, 10.0, 0.1)
     ex = frozenset({"E", "F"})
-    assert not tree_included_up_to_iso(t1, t2, exempt1=ex, exempt2=ex)
-    assert not tree_included_up_to_iso(t2, t1, exempt1=ex, exempt2=ex)
+    assert not tree_included_up_to_iso(t1, t2, exempt=ex)
+    assert not tree_included_up_to_iso(t2, t1, exempt=ex)
     # but the ordered BDTs are nested
     o1 = build_obdt(persistence_branch_decomposition(t1))
     o2 = build_obdt(persistence_branch_decomposition(t2))
-    assert bdt_included_up_to_iso(o2, o1, True, exempt1=ex, exempt2=ex)
+    assert bdt_included_up_to_iso(o2, o1, exempt=ex)

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -109,9 +111,7 @@ def test_suite_matches_per_metric_check_bound():
     tight enough that e, p and b skip some trials and pass others."""
     seed, trials, grid = 9, 10, 4
     guards = Guards(mapping_nodes=9, deform_edges=6, branch_edges=5)
-    rep = run_stability_suite(
-        seed, trials, grid, metrics=tuple(MetricId), guards=guards, check_witness=False
-    )
+    rep = run_stability_suite(seed, trials, grid, metrics=tuple(MetricId), guards=guards)
     cells = {}
     for i in range(trials):
         rng = random.Random(seed * 1_000_003 + i)
@@ -161,6 +161,72 @@ def test_delta_s_on_a_two_node_simple_change_is_twice_the_extent():
     assert abs(s - 2 * w) <= TOLERANCE
     report = check_bound(f, f2, MetricId.S)
     assert report.claimed and report.degree == 1 and report.passed is False
+
+
+@pytest.mark.parametrize(
+    "seed, trial, distance, extent",
+    [(2, 103, 0.400202, 0.130622), (16, 142, 0.188784, 0.049022), (26, 156, 0.123749, 0.039705)],
+)
+def test_delta_e_and_g_on_saddle_swaps_exceed_deg_f_times_extent(seed, trial, distance, extent):
+    """Why delta_E and delta_G fail their claimed horizontal-swap cells off
+    the pinned seed (these trials of run_stability_suite, 4x4 grid). A
+    saddle of T_g merges three subtrees, so deg(T_g) = 4 while
+    deg(T_f) = 3, and delta_E = delta_G lies above 3 * extent but within
+    4 * extent. This records the cause only; which tree deg is taken in is
+    still open (docs/decisions.md section 2)."""
+    rng = random.Random(seed * 1_000_003 + trial)
+    f = random_grid_field(rng, 4, 4)
+    p = random_minimal_perturbation(rng, f)
+    f2 = apply_perturbation(f, p)
+    assert classify_change(f, f2).is_horizontal
+    t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+    assert stability_degree(t1) == 3 and stability_degree(t2) == 4
+    e = tree_distance(MetricId.E, t1, t2)
+    assert abs(tree_distance(MetricId.G, t1, t2) - e) <= TOLERANCE
+    assert abs(e - distance) <= 1e-6 and abs(p.extent - extent) <= 1e-6
+    assert 3 * p.extent + TOLERANCE < e <= 4 * p.extent
+    for m in (MetricId.E, MetricId.G):
+        report = check_bound(f, f2, m)
+        assert report.claimed and report.degree == 3 and report.passed is False
+
+
+def test_each_tree_is_built_and_prepared_once(monkeypatch):
+    """The classifier, the eight metrics and the witness search share each
+    field's merge tree and its persistence decomposition, so a trial builds
+    each once per field: two per trial."""
+    calls = {"build_augmented": 0, "persistence_choice": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(mt, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(mt, name, counted)
+    trials = 10
+    run_stability_suite(seed=42, trials=trials, grid_size=4, metrics=tuple(MetricId))
+    assert calls == {"build_augmented": 2 * trials, "persistence_choice": 2 * trials}
+
+
+def test_shared_trees_die_with_their_fields(monkeypatch):
+    """What is memoized on a tree never refers back to it, and no search
+    closure holds it: with the cycle collector off, every merge tree and
+    persistence decomposition a suite built is freed when it returns."""
+    refs = []
+    for name in ("prune_to_abstract", "decomposition_from_choice"):
+
+        def recorded(*args, _original=getattr(mt, name)):
+            out = _original(*args)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(mt, name, recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        run_stability_suite(seed=42, trials=5, grid_size=4, metrics=tuple(MetricId))
+        assert len(refs) == 20 and all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def test_suite_zero_trials_empty():
