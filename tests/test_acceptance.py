@@ -16,8 +16,10 @@ derivations recorded in the project decision log (docs/decisions.md):
   deg(T_f) + 2 operations that replays onto T2 (decisions section 2).
 """
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +259,14 @@ def test_criterion_3_witness_sequences(suite_report):
         f"{bad} have none within deg(T_f) + 2 operations replaying onto T2 "
         "(see docs/decisions.md section 2)"
     )
+
+
+def test_suite_report_matches_the_recorded_seed_42_report(suite_report):
+    """The pinned suite's report, every distance and count, is bit for bit
+    the one recorded in tests/data/suite_seed42.json. The recorded floats
+    depend on the numpy/scipy build (docs/decisions.md section 3)."""
+    recorded = (Path(__file__).parent / "data" / "suite_seed42.json").read_text()
+    assert json.dumps(suite_report.to_dict(), indent=1, sort_keys=True) + "\n" == recorded
 
 
 # -- 4. classification correctness -------------------------------------------
