@@ -3,7 +3,9 @@
 Polynomial dynamic programs for the Wasserstein (w), Saikia (x) and
 constrained classic (l) distances; exact exponential search behind size
 guards for the general classic (g), Sridharamurthy (s), deformation-based
-(e), path-mapping (p) and branch-mapping (b) distances.
+(e) and path-mapping (p) distances. The branch-mapping distance (b) runs
+x's DP on every pair of branch decompositions, whose enumeration is
+guarded.
 
 Each metric fixes one (input kind, label scheme, mapping constraint, cost
 model) combination:
@@ -30,7 +32,6 @@ from .editcore import (
     ABS_DIFF,
     WASSERSTEIN_POINT,
     MappingConstraint,
-    SelkowMemo,
     brute_force_distance,
     deform_brute_force,
     linear_sum_assignment,
@@ -224,9 +225,7 @@ def delta_g(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
     labeled trees as delta_l. Exponential; guarded."""
     l1 = label_for_scheme(t1, mergetree.NODE_DIST_TO_PARENT)
     l2 = label_for_scheme(t2, mergetree.NODE_DIST_TO_PARENT)
-    cost, _ = brute_force_distance(
-        l1, l2, MappingConstraint.TAI, ABS_DIFF, node_limit=guards.mapping_nodes
-    )
+    cost, _ = brute_force_distance(l1, l2, MappingConstraint.TAI, node_limit=guards.mapping_nodes)
     return cost
 
 
@@ -236,8 +235,7 @@ def delta_s(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
     l1 = label_for_scheme(t1, mergetree.BRANCH_LABEL_ON_NODES)
     l2 = label_for_scheme(t2, mergetree.BRANCH_LABEL_ON_NODES)
     cost, _ = brute_force_distance(
-        l1, l2, MappingConstraint.ZHANG_CONSTRAINED, WASSERSTEIN_POINT,
-        node_limit=guards.mapping_nodes,
+        l1, l2, MappingConstraint.ZHANG_CONSTRAINED, node_limit=guards.mapping_nodes
     )
     return cost
 
@@ -258,27 +256,25 @@ def delta_b(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
     parents mapped, ancestor relation and sibling ordering preserved) of the
     Wasserstein pair costs plus diagonal costs for unmapped branches.
 
+    For one decomposition pair the optimal branch mapping is the ordered
+    one-degree mapping of the two labeled ordered BDTs, which the DP of
+    delta_x computes (docs/decisions.md §5); only the decomposition
+    enumeration is exponential.
+
     Not a metric; the free decomposition choice makes vertical swaps cheap.
     """
     m = max(t1.edge_count(), t2.edge_count())
     if m > guards.branch_edges:
         raise SizeGuardError("branch decomposition enumeration", m, guards.branch_edges)
-    # each decomposition is prepared once, and one memo serves every pair:
-    # its keys are subtree contents, not decompositions (docs/decisions.md §5)
-    memo = SelkowMemo(WASSERSTEIN_POINT)
+    side1, side2 = _labeled_obdts(t1), _labeled_obdts(t2)
+    return min(ordered_one_degree_dp(l1, l2, WASSERSTEIN_POINT) for l1 in side1 for l2 in side2)
 
-    def prepared(tree, deleting):
-        return [
-            memo.prepare(label_for_scheme(build_obdt(bd), mergetree.OBDT_BIRTH_DEATH), deleting)
-            for bd in _all_decompositions(tree)
-        ]
 
-    side1, side2 = prepared(t1, True), prepared(t2, False)
-    # every decomposition of a tree has one branch per leaf
-    n = max(side1[0].labeled.node_count(), side2[0].labeled.node_count())
-    if n > guards.mapping_nodes:
-        raise SizeGuardError("brute-force mapping search", n, guards.mapping_nodes)
-    return min(editcore._selkow_enum(p1, p2, memo)[0] for p1 in side1 for p2 in side2)
+def _labeled_obdts(tree: AbstractMergeTree):
+    return [
+        label_for_scheme(build_obdt(bd), mergetree.OBDT_BIRTH_DEATH)
+        for bd in _all_decompositions(tree)
+    ]
 
 
 def _all_decompositions(tree: AbstractMergeTree):

@@ -139,22 +139,20 @@ def brute_force_distance(
     l1: LabeledTree,
     l2: LabeledTree,
     constraint: MappingConstraint,
-    cost: CostModel | None = None,
     node_limit: int = BRUTE_FORCE_NODE_LIMIT,
 ):
-    """Exact minimum over all mappings satisfying the constraint.
+    """Exact minimum over all mappings satisfying the constraint, with the
+    cost model of l1's label scheme.
 
     Returns (cost, EditMapping); ties resolved toward the lexicographically
     smallest mapping. Deformation constraints live in deform_brute_force.
     """
-    if cost is None:
-        cost = cost_model_for(l1)
+    cost = cost_model_for(l1)
     n1, n2 = l1.node_count(), l2.node_count()
     if max(n1, n2) > node_limit:
         raise SizeGuardError("brute-force mapping search", max(n1, n2), node_limit)
     if constraint is MappingConstraint.SELKOW:
-        memo = SelkowMemo(cost)
-        c, pairs = _selkow_enum(memo.prepare(l1, True), memo.prepare(l2, False), memo)
+        c, pairs = _selkow_enum(l1, l2, cost)
         return c, EditMapping.of(pairs)
     zhang = constraint is MappingConstraint.ZHANG_CONSTRAINED
     c, pairs = _tai_search(l1, l2, cost, zhang)
@@ -183,61 +181,19 @@ def _collapse_costs(lt: LabeledTree, cost: CostModel, deleting: bool):
     return out
 
 
-@dataclass(frozen=True)
-class SelkowTree:
-    """A labeled tree prepared for Selkow searches: each node's interned
-    subtree id, and the cost of deleting (or inserting) each subtree."""
-
-    labeled: LabeledTree
-    ids: dict
-    collapse: dict
-
-
-class SelkowMemo:
-    """Selkow optima keyed by pairs of hash-consed subtree ids, shared by the
-    searches of one cost model over any number of tree pairs.
-
-    A subtree's id interns its root's node id and label, its children's ids
-    in `children` order (the collapse sums run in that order) and, in an
-    ordered tree, the root's child groups. An optimum depends on nothing
-    else, tie-break keys included, so equal ids give equal (cost, pairs)
-    (docs/decisions.md section 5).
-    """
-
-    def __init__(self, cost: CostModel):
-        self.cost = cost
-        self.subtrees = {}  # (node, label, child ids, groups) -> id
-        self.best = {}  # (id in a source tree, id in a target tree) -> (cost, pairs)
-
-    def prepare(self, lt: LabeledTree, deleting: bool) -> SelkowTree:
-        """`lt` as the source (deleting) or the target tree of a search."""
-        ids = {}
-        for v in _postorder(lt):
-            key = (
-                v,
-                lt.labels[v],
-                tuple(ids[c] for c in lt.children[v]),
-                None if lt.groups is None else lt.groups[v],
-            )
-            ids[v] = self.subtrees.setdefault(key, len(self.subtrees))
-        return SelkowTree(lt, ids, _collapse_costs(lt, self.cost, deleting))
-
-
-def _selkow_enum(t1: SelkowTree, t2: SelkowTree, memo: SelkowMemo):
+def _selkow_enum(l1: LabeledTree, l2: LabeledTree, cost: CostModel):
     """Enumerative optimum over Selkow (one-degree) mappings: roots mapped,
     parents of mapped pairs mapped. Honors child order when both trees are
-    ordered. Optima of subtree pairs are read from and kept in `memo`.
-    Independent of the polynomial DPs in the distances module."""
-    l1, l2 = t1.labeled, t2.labeled
+    ordered. The test oracle of the polynomial DPs in the distances module,
+    independent of them; optima of node pairs are kept for this call."""
     ordered = l1.groups is not None and l2.groups is not None
-    ids1, ids2 = t1.ids, t2.ids
-    del1, ins2 = t1.collapse, t2.collapse
-    cost, table = memo.cost, memo.best
+    del1 = _collapse_costs(l1, cost, deleting=True)
+    ins2 = _collapse_costs(l2, cost, deleting=False)
+    memo = {}
 
     def best(v, w):
-        key = (ids1[v], ids2[w])
-        if key in table:
-            return table[key]
+        if (v, w) in memo:
+            return memo[v, w]
         cs1 = sorted(l1.children[v], key=_id_key)
         cs2 = sorted(l2.children[w], key=_id_key)
         gi1 = _group_index(l1.groups[v]) if ordered else None
@@ -271,12 +227,11 @@ def _selkow_enum(t1: SelkowTree, t2: SelkowTree, memo: SelkowMemo):
                 used.discard(b)
 
         rec(0, set(), 0.0, [])
-        result = (
+        memo[v, w] = (
             cost.relabel(l1.labels[v], l2.labels[w]) + state[0],
             ((v, w),) + tuple(state[1]),
         )
-        table[key] = result
-        return result
+        return memo[v, w]
 
     return best(l1.root, l2.root)
 
@@ -924,7 +879,7 @@ def _prune_regular(et: EdgeTree) -> None:
 # Mapping -> normalized sequence
 # ---------------------------------------------------------------------------
 
-def mapping_to_sequence(l1, l2, mapping, cost=None) -> EditSequence:
+def mapping_to_sequence(l1, l2, mapping) -> EditSequence:
     """Normalized delete -> relabel -> insert sequence realizing a mapping.
 
     Accepts two LabeledTrees plus an EditMapping (classic node operations)
@@ -934,8 +889,7 @@ def mapping_to_sequence(l1, l2, mapping, cost=None) -> EditSequence:
     """
     if isinstance(mapping, DeformWitness):
         return _deform_sequence(l1, l2, mapping)
-    if cost is None:
-        cost = cost_model_for(l1)
+    cost = cost_model_for(l1)
     mapped1 = {a: b for a, b in mapping.pairs}
     mapped2 = {b: a for a, b in mapping.pairs}
     if len(mapped1) != len(mapping.pairs) or len(mapped2) != len(mapping.pairs):

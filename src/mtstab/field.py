@@ -99,9 +99,6 @@ class ScalarField:
     domain: Domain1Skeleton
     values: tuple[float, ...]
 
-    def value(self, v: int) -> float:
-        return self.values[v]
-
     @property
     def vertex_count(self) -> int:
         return self.domain.vertex_count

@@ -496,7 +496,8 @@ def run_finite_stability(
             cls = classify_change_detailed(fa, fb).change_class
             classes.add(cls)
             class_counts[cls] = class_counts.get(cls, 0) + 1
-        t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+        # the classifier built the last step field's tree, which is f2's
+        t1, t2 = merge_tree_of(f), merge_tree_of(seq.fields[-1])
         tree_bound = (t1.node_count() + t2.node_count()) * 2 * eps
         bdts = [build_bdt(persistence_branch_decomposition(t)) for t in (t1, t2)]
         bdt_bound = sum(b.node_count() for b in bdts) * 2 * eps

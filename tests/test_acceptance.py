@@ -38,7 +38,6 @@ from mtstab.distances import (
     tree_distance,
 )
 from mtstab.editcore import (
-    WASSERSTEIN_POINT,
     MappingConstraint,
     brute_force_distance,
     check_sequence,
@@ -310,9 +309,9 @@ def test_criterion_6_oracle_equivalence():
     for a, b in pairs:
         bda, bdb = persistence_branch_decomposition(a), persistence_branch_decomposition(b)
         lw = [label_for_scheme(build_bdt(x), mt.BDT_BIRTH_DEATH) for x in (bda, bdb)]
-        ow, _ = brute_force_distance(lw[0], lw[1], MappingConstraint.SELKOW, WASSERSTEIN_POINT)
+        ow, _ = brute_force_distance(lw[0], lw[1], MappingConstraint.SELKOW)
         lx = [label_for_scheme(build_obdt(x), mt.OBDT_BIRTH_DEATH) for x in (bda, bdb)]
-        ox, _ = brute_force_distance(lx[0], lx[1], MappingConstraint.SELKOW, WASSERSTEIN_POINT)
+        ox, _ = brute_force_distance(lx[0], lx[1], MappingConstraint.SELKOW)
         ll = [label_for_scheme(x, mt.NODE_DIST_TO_PARENT) for x in (a, b)]
         ol, _ = brute_force_distance(ll[0], ll[1], MappingConstraint.SELKOW)
         ok = (

@@ -193,18 +193,26 @@ def test_delta_e_and_g_on_saddle_swaps_exceed_deg_f_times_extent(seed, trial, di
 def test_each_tree_is_built_and_prepared_once(monkeypatch):
     """The classifier, the eight metrics and the witness search share each
     field's merge tree and its persistence decomposition, so a trial builds
-    each once per field: two per trial."""
-    calls = {"build_augmented": 0, "persistence_choice": 0}
+    each once per field: two per trial. The finite suite builds no field's
+    tree twice either: its end field's tree is the last step's."""
+    calls = {"build_augmented": [], "persistence_choice": []}
     for name in calls:
 
-        def counted(*args, _name=name, _original=getattr(mt, name)):
-            calls[_name] += 1
-            return _original(*args)
+        def counted(arg, _name=name, _original=getattr(mt, name)):
+            calls[_name].append(arg)
+            return _original(arg)
 
         monkeypatch.setattr(mt, name, counted)
     trials = 10
     run_stability_suite(seed=42, trials=trials, grid_size=4, metrics=tuple(MetricId))
-    assert calls == {"build_augmented": 2 * trials, "persistence_choice": 2 * trials}
+    assert {name: len(args) for name, args in calls.items()} == {
+        "build_augmented": 2 * trials,
+        "persistence_choice": 2 * trials,
+    }
+    calls["build_augmented"].clear()
+    run_finite_stability(7, 10, 3, 0.05)
+    built = [tuple(f.values) for f in calls["build_augmented"]]
+    assert len(built) == len(set(built))
 
 
 def test_shared_trees_die_with_their_fields(monkeypatch):
