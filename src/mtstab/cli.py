@@ -164,6 +164,8 @@ def cmd_perturb(args) -> int:
         for p in candidates
     ]
     if args.apply is not None:
+        if not 0 <= args.apply < len(candidates):
+            raise ValidationError(f"--apply must be in 0..{len(candidates) - 1}")
         chosen = candidates[args.apply]
         f2 = perturb.apply_perturbation(f, chosen)
         if args.out:

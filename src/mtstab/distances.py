@@ -30,13 +30,15 @@ from enum import Enum
 from . import editcore, mergetree
 from .editcore import (
     ABS_DIFF,
+    BRUTE_FORCE_NODE_LIMIT,
+    DEFORM_EDGE_LIMIT,
     WASSERSTEIN_POINT,
     MappingConstraint,
     brute_force_distance,
     deform_brute_force,
     linear_sum_assignment,
 )
-from .errors import SizeGuardError
+from .errors import SizeGuardError, ValidationError
 from .field import ScalarField
 from .mergetree import (
     AbstractMergeTree,
@@ -65,9 +67,9 @@ class MetricId(Enum):
 class Guards:
     """Size limits for the exponential metrics; CLI flags override them."""
 
-    mapping_nodes: int = 12     # g, s brute force
-    deform_edges: int = 10      # e, p subset enumeration
-    branch_edges: int = 8       # b decomposition enumeration
+    mapping_nodes: int = BRUTE_FORCE_NODE_LIMIT  # g, s brute force
+    deform_edges: int = DEFORM_EDGE_LIMIT        # e, p subset enumeration
+    branch_edges: int = 8                        # b decomposition enumeration
 
 
 DEFAULT_GUARDS = Guards()
@@ -310,4 +312,4 @@ def metric_from_string(name: str) -> MetricId:
     try:
         return MetricId(name.lower())
     except ValueError:
-        raise ValueError(f"unknown metric {name!r}, expected one of w x s l g p e b")
+        raise ValidationError(f"unknown metric {name!r}, expected one of w x s l g p e b")

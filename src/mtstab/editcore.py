@@ -26,10 +26,8 @@ from .mergetree import (
     BLANK,
     AbstractMergeTree,
     LabeledTree,
-    _group_index,
     _id_key,
     _memoized,
-    _order_consistent,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -179,6 +177,24 @@ def _collapse_costs(lt: LabeledTree, cost: CostModel, deleting: bool):
         own = cost.delete(lt.labels[v]) if deleting else cost.insert(lt.labels[v])
         out[v] = own + sum(out[c] for c in lt.children[v])
     return out
+
+
+def _group_index(groups):
+    """Each child's position among one node's ordered child groups."""
+    return {c: i for i, grp in enumerate(groups) for c in grp}
+
+
+def _order_consistent(gi1, gi2, pairs, a, b):
+    """Mapped sibling pairs must agree on the attachment order exactly:
+    same group iff same group, strictly before iff strictly before."""
+    for a2, b2 in pairs:
+        same1 = gi1[a] == gi1[a2]
+        same2 = gi2[b] == gi2[b2]
+        if same1 != same2:
+            return False
+        if not same1 and ((gi1[a] < gi1[a2]) != (gi2[b] < gi2[b2])):
+            return False
+    return True
 
 
 def _selkow_enum(l1: LabeledTree, l2: LabeledTree, cost: CostModel):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 
-from .errors import AbstractInvariantError, SchemeMismatchError, SizeGuardError, ValidationError
+from .errors import AbstractInvariantError, SchemeMismatchError, ValidationError
 from .field import TOLERANCE, ScalarField
 
 
@@ -435,16 +435,7 @@ def label_for_scheme(obj, scheme: str) -> LabeledTree:
 # Subtree inclusion up to isomorphism
 # ---------------------------------------------------------------------------
 
-INCLUSION_NODE_LIMIT = 64
-
-
-def tree_included_up_to_iso(
-    t1,
-    t2,
-    *,
-    exempt=frozenset(),
-    max_nodes: int = INCLUSION_NODE_LIMIT,
-) -> bool:
+def tree_included_up_to_iso(t1, t2, *, exempt=frozenset()) -> bool:
     """Injective root- and parent-preserving embedding of merge tree t1 into
     merge tree t2.
 
@@ -454,32 +445,19 @@ def tree_included_up_to_iso(
     """
     if not (isinstance(t1, _RootedTree) and isinstance(t2, _RootedTree)):
         raise ValidationError("inclusion needs two merge trees")
-    n = t1.node_count() + t2.node_count()
-    if n > max_nodes:
-        raise SizeGuardError("tree inclusion", n, max_nodes)
-    value1, value2 = t1.value, t2.value  # _embed's closures must not hold the trees
 
     def compatible(u, w):
         e1, e2 = u in exempt, w in exempt
         if e1 or e2:
             return e1 and e2
-        return abs(value1[u] - value2[w]) <= TOLERANCE
+        return abs(t1.value[u] - t2.value[w]) <= TOLERANCE
 
     return _embed(t1.root, t2.root, t1._children, t2._children, compatible, None, None)
 
 
-def bdt_included_up_to_iso(
-    b1: Bdt,
-    b2: Bdt,
-    *,
-    exempt=frozenset(),
-    max_nodes: int = INCLUSION_NODE_LIMIT,
-) -> bool:
+def bdt_included_up_to_iso(b1: Bdt, b2: Bdt, *, exempt=frozenset()) -> bool:
     """Embedding of BDT b1 into BDT b2 matching branch ends by id (exempt
     ids match each other); ordered exactly when both are ordered BDTs."""
-    n = b1.node_count() + b2.node_count()
-    if n > max_nodes:
-        raise SizeGuardError("bdt inclusion", n, max_nodes)
 
     def vmatch(a, b):
         return a == b or (a in exempt and b in exempt)
@@ -494,69 +472,46 @@ def bdt_included_up_to_iso(
     )
 
 
-def _group_index(groups):
-    """Each child's position among one node's ordered child groups."""
-    return {c: i for i, grp in enumerate(groups) for c in grp}
-
-
-def _order_consistent(gi1, gi2, pairs, a, b):
-    """Mapped sibling pairs must agree on the attachment order exactly:
-    same group iff same group, strictly before iff strictly before."""
-    for a2, b2 in pairs:
-        same1 = gi1[a] == gi1[a2]
-        same2 = gi2[b] == gi2[b2]
-        if same1 != same2:
-            return False
-        if not same1 and ((gi1[a] < gi1[a2]) != (gi2[b] < gi2[b2])):
-            return False
-    return True
-
-
 def _embed(root1, root2, children1, children2, compatible, groups1, groups2) -> bool:
-    # rec and size refer to themselves and end as cyclic garbage, so what
-    # they hold must be dicts, never a tree (docs/decisions.md section 6)
-    sizes1 = {}
-    sizes2 = {}
+    """Whether the tree at root1 embeds into the tree at root2: roots onto
+    roots, children onto children, injectively, compatible pairs only.
 
-    def size(v, children, sizes):
-        if v not in sizes:
-            sizes[v] = 1 + sum(size(c, children, sizes) for c in children[v])
-        return sizes[v]
+    The compatible pairs reachable from the root pair are listed parents
+    first, each once; fits[u, w] is filled over that list in reverse, so a
+    pair's child pairs are decided before it. Ordered (groups given), each
+    child group of u goes onto its own later group of w, in order, and the
+    first group of w that fits is taken (docs/decisions.md section 7).
+    """
+    if not compatible(root1, root2):
+        return False
+    order = [(root1, root2)]
+    for u, w in order:  # grows while it is walked: a breadth-first queue
+        cs2 = children2[w]
+        order.extend((a, b) for a in children1[u] for b in cs2 if compatible(a, b))
+    fits = {}
+    for u, w in reversed(order):
+        if groups1 is None:
+            fits[u, w] = _covers(children1[u], children2[w], fits)
+        else:
+            # one iterator: each group of u searches on after the group of w
+            # that the group before it took
+            later = iter(groups2[w])
+            fits[u, w] = all(any(_covers(g1, g2, fits) for g2 in later) for g1 in groups1[u])
+    return fits[root1, root2]
 
-    def rec(u, w):
-        if not compatible(u, w):
-            return False
-        if size(u, children1, sizes1) > size(w, children2, sizes2):
-            return False
-        cs1 = list(children1[u])
-        cs2 = list(children2[w])
-        if len(cs1) > len(cs2):
-            return False
-        if groups1 is not None:
-            gi1 = _group_index(groups1[u])
-            gi2 = _group_index(groups2[w])
 
-        def assign(i, used, pairs):
-            if i == len(cs1):
-                return True
-            a = cs1[i]
-            for b in cs2:
-                if b in used:
-                    continue
-                if groups1 is not None and not _order_consistent(gi1, gi2, pairs, a, b):
-                    continue
-                if rec(a, b):
-                    used.add(b)
-                    pairs.append((a, b))
-                    if assign(i + 1, used, pairs):
-                        return True
-                    pairs.pop()
-                    used.discard(b)
-            return False
+def _covers(cs1, cs2, fits) -> bool:
+    """Whether each node of cs1 gets its own node of cs2 that it fits: a
+    bipartite matching that leaves no row unmatched."""
+    if len(cs1) > len(cs2):
+        return False
+    if len(cs1) <= 1:
+        return all(any(fits.get((a, b), False) for b in cs2) for a in cs1)
+    from scipy.optimize import linear_sum_assignment  # on first use, as in editcore
 
-        return assign(0, set(), [])
-
-    return rec(root1, root2)
+    miss = [[0 if fits.get((a, b), False) else 1 for b in cs2] for a in cs1]
+    rows, cols = linear_sum_assignment(miss)
+    return not any(miss[r][c] for r, c in zip(rows, cols))
 
 
 # ---------------------------------------------------------------------------

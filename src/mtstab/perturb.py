@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainMismatchError, NotMinimalError
+from .errors import DomainMismatchError, NotMinimalError, UnknownVertexError
 from .field import ScalarField, apply_value_change, build_domain, validate_field
 from .mergetree import (
     bdt_included_up_to_iso,
@@ -97,6 +97,8 @@ def enumerate_minimal_perturbations(field: ScalarField, vertex: int) -> list[Min
     (midpoint toward the rank neighbor) and swap with the rank successor or
     predecessor (landing halfway to the next-but-one value, so a swap never
     crosses two vertices)."""
+    if not 0 <= vertex < field.vertex_count:
+        raise UnknownVertexError(f"vertex {vertex} not in field")
     order = sorted(range(field.vertex_count), key=field.values.__getitem__)
     pos = order.index(vertex)
     val = field.values[vertex]

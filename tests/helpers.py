@@ -1,5 +1,6 @@
-"""Shared test utilities: random generators, canonical tree comparison and
-an independent sequence-search oracle for the deformation distances."""
+"""Shared test utilities: random generators, canonical tree comparison, an
+independent sequence-search oracle for the deformation distances and a
+backtracking oracle for subtree inclusion."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import heapq
 import itertools
 import random
 
-from mtstab.editcore import EdgeTree, edge_tree_of
+from mtstab.editcore import EdgeTree, _group_index, _order_consistent, edge_tree_of
 from mtstab.field import build_domain, build_grid_domain, validate_field
 from mtstab.mergetree import BLANK, abstract_merge_tree, merge_tree_of
 
@@ -26,6 +27,22 @@ def random_path_field(rng: random.Random, n=5):
         values = [rng.random() for _ in range(n)]
         if len(set(values)) == len(values):
             return validate_field(dom, values)
+
+
+def staircase_field(vertices, shift):
+    """Path field whose saddles rise along the path and whose maxima fall
+    along it, every maximum above every saddle.
+
+    Each saddle carries the rest of the chain, so the merge tree is a chain
+    of saddles; by the elder rule each maximum's branch ends on the branch
+    of the maximum before it, so the BDT is a chain too.
+    """
+    k = (vertices - 2) // 2
+    values = [0.0, 4.0 + shift]
+    for j in range(k):
+        values += [1.0 + (j + shift) / k, 4.0 - (j + 1 + shift) / (k + 1)]
+    domain = build_domain(len(values), [(i, i + 1) for i in range(len(values) - 1)])
+    return validate_field(domain, values)
 
 
 def random_abstract_tree(rng: random.Random, max_edges=6):
@@ -181,3 +198,51 @@ def deform_sequence_search(t1, t2, one_degree=False, *, cost_cap, max_extra_node
                 dist[k] = nd
                 heapq.heappush(heap, (nd, next(counter), nxt))
     return float("inf")
+
+
+def embed_backtracking(root1, root2, children1, children2, compatible, groups1, groups2):
+    """Test oracle of mergetree._embed, with the same arguments and meaning:
+    a recursive search over child assignments that backtracks on failure,
+    exponential in the worst case, so only for small trees."""
+    sizes1 = {}
+    sizes2 = {}
+
+    def size(v, children, sizes):
+        if v not in sizes:
+            sizes[v] = 1 + sum(size(c, children, sizes) for c in children[v])
+        return sizes[v]
+
+    def rec(u, w):
+        if not compatible(u, w):
+            return False
+        if size(u, children1, sizes1) > size(w, children2, sizes2):
+            return False
+        cs1 = list(children1[u])
+        cs2 = list(children2[w])
+        if len(cs1) > len(cs2):
+            return False
+        if groups1 is not None:
+            gi1 = _group_index(groups1[u])
+            gi2 = _group_index(groups2[w])
+
+        def assign(i, used, pairs):
+            if i == len(cs1):
+                return True
+            a = cs1[i]
+            for b in cs2:
+                if b in used:
+                    continue
+                if groups1 is not None and not _order_consistent(gi1, gi2, pairs, a, b):
+                    continue
+                if rec(a, b):
+                    used.add(b)
+                    pairs.append((a, b))
+                    if assign(i + 1, used, pairs):
+                        return True
+                    pairs.pop()
+                    used.discard(b)
+            return False
+
+        return assign(0, set(), [])
+
+    return rec(root1, root2)

@@ -115,6 +115,23 @@ def test_perturb_command(grid_file, capsys):
     assert all(entry["vertex"] == 1 for entry in out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["matrix", "{dir}", "--metric", "z"],
+    ["stability-run", "--metrics", "e,z"],
+    ["perturb", "--field", "{field}", "--vertex", "99"],
+    ["perturb", "--field", "{field}", "--vertex", "-1"],
+    ["perturb", "--field", "{field}", "--vertex", "1", "--apply", "7"],
+    ["perturb", "--field", "{field}", "--vertex", "1", "--apply", "-1"],
+])
+def test_bad_arguments_exit_2(argv, grid_file, capsys):
+    """Validation errors exit 2 with an error line, not a traceback, and an
+    out-of-range candidate index is never applied."""
+    argv = [a.format(dir=os.path.dirname(grid_file), field=grid_file) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+
+
 def test_counterexample_command(capsys):
     assert main(["counterexample", "--family", "fig8", "--x", "10", "--eps", "0.1",
                  "--fields"]) == 0
@@ -133,6 +150,18 @@ def test_stability_run_smoke(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["trials"] == 8 and "cells" in payload
+
+
+def test_stability_run_on_a_10x10_grid(tmp_path):
+    """Trees of more than 64 combined nodes: the classifier has no size
+    guard, so the run finishes instead of exiting 3."""
+    out = tmp_path / "report.json"
+    rc = main([
+        "stability-run", "--grid", "10", "--seed", "0", "--trials", "3",
+        "--metrics", "l,w", "--out", str(out),
+    ])
+    assert rc == 0
+    assert json.loads(out.read_text())["trials"] == 3
 
 
 def test_stability_run_finite_smoke(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from helpers import random_abstract_tree, random_field
+from helpers import random_abstract_tree, random_field, staircase_field
 from mtstab import mergetree as mt
 from mtstab.distances import (
     DEFAULT_GUARDS,
@@ -27,7 +27,7 @@ from mtstab.distances import (
 )
 from mtstab.editcore import MappingConstraint, brute_force_distance
 from mtstab.errors import SizeGuardError
-from mtstab.field import apply_value_change, build_domain, validate_field
+from mtstab.field import apply_value_change, validate_field
 from mtstab.mergetree import (
     build_bdt,
     build_obdt,
@@ -206,22 +206,6 @@ def test_fig10_classic_is_single_relabel():
 # Depth robustness of the one-degree DPs and their 1x1 assignment kernel
 # ---------------------------------------------------------------------------
 
-def staircase_tree(vertices, shift):
-    """Merge tree of a path field whose saddles rise along the path and
-    whose maxima fall along it, every maximum above every saddle.
-
-    Each saddle carries the rest of the chain, so the merge tree is a chain
-    of saddles; by the elder rule each maximum's branch ends on the branch
-    of the maximum before it, so the BDT is a chain too.
-    """
-    k = (vertices - 2) // 2
-    values = [0.0, 4.0 + shift]
-    for j in range(k):
-        values += [1.0 + (j + shift) / k, 4.0 - (j + 1 + shift) / (k + 1)]
-    domain = build_domain(len(values), [(i, i + 1) for i in range(len(values) - 1)])
-    return merge_tree_of(validate_field(domain, values))
-
-
 def _depth(children, root):
     deepest, stack = 0, [(root, 0)]
     while stack:
@@ -234,7 +218,7 @@ def _depth(children, root):
 def test_one_degree_dps_on_1200_level_trees():
     """w, x and l run bottom-up: no RecursionError on trees far deeper than
     the interpreter's recursion limit."""
-    a, b = staircase_tree(2400, 0.0), staircase_tree(2400, 0.3)
+    a, b = merge_tree_of(staircase_field(2400, 0.0)), merge_tree_of(staircase_field(2400, 0.3))
     bdt = build_bdt(persistence_branch_decomposition(a))
     assert _depth(a.children, a.root) >= 1199
     assert _depth(lambda v: bdt.children[v], bdt.root_branch) >= 1199

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_field
+from helpers import embed_backtracking, random_field
 from mtstab import mergetree as mt
 from mtstab.errors import AbstractInvariantError, SchemeMismatchError, ValidationError
 from mtstab.field import build_domain, superlevel_components, validate_field
@@ -199,14 +199,6 @@ def test_tree_inclusion_identity_and_values():
         tree_included_up_to_iso(bdt, bdt)
 
 
-def test_tree_inclusion_size_guard():
-    from mtstab.errors import SizeGuardError
-
-    t = figure_tree()
-    with pytest.raises(SizeGuardError):
-        tree_included_up_to_iso(t, t, max_nodes=5)
-
-
 def test_fig7_pair_not_included_either_direction():
     from mtstab.stability import CounterexampleFamily, counterexample
 
@@ -218,3 +210,99 @@ def test_fig7_pair_not_included_either_direction():
     o1 = build_obdt(persistence_branch_decomposition(t1))
     o2 = build_obdt(persistence_branch_decomposition(t2))
     assert bdt_included_up_to_iso(o2, o1, exempt=ex)
+
+
+def _random_groups(rng, children):
+    """Shuffle each child tuple and cut it into random consecutive groups."""
+    shuffled, groups = {}, {}
+    for v, cs in children.items():
+        cs = list(cs)
+        rng.shuffle(cs)
+        shuffled[v] = tuple(cs)
+        cuts = sorted(rng.sample(range(1, len(cs)), rng.randint(0, max(len(cs) - 1, 0))))
+        bounds = [0] + cuts + [len(cs)]
+        groups[v] = tuple(tuple(cs[i:j]) for i, j in zip(bounds, bounds[1:]) if i < j)
+    return shuffled, groups
+
+
+def _random_children(rng, n):
+    children = {v: [] for v in range(n)}
+    for v in range(1, n):
+        children[rng.randrange(v)].append(v)
+    return children
+
+
+def _star_children(k):
+    return {0: [1], 1: list(range(2, k + 2)), **{v: [] for v in range(2, k + 2)}}
+
+
+def _embed_cases(rng):
+    """Random tree pairs (up to 9 against up to 12 nodes) and star pairs
+    (up to 7 leaves each) with labels from {0, 1, 2}, roots labeled 0."""
+    for k in range(3000):
+        if k % 5 == 4:
+            c1, c2 = _star_children(rng.randint(0, 7)), _star_children(rng.randint(0, 7))
+        else:
+            c1 = _random_children(rng, rng.randint(1, 9))
+            c2 = _random_children(rng, rng.randint(1, 12))
+        yield c1, c2
+
+
+def test_embed_matches_the_backtracking_oracle():
+    """The bottom-up matching pass decides the same inclusions as the
+    backtracking search, ordered and unordered, on trees whose labels
+    repeat, so most pairs have several compatible partners."""
+    rng = random.Random(71)
+    found = {True: 0, False: 0}
+    for k, (c1, c2) in enumerate(_embed_cases(rng)):
+        (ch1, g1), (ch2, g2) = _random_groups(rng, c1), _random_groups(rng, c2)
+        lab1 = {v: rng.randrange(3) if v else 0 for v in ch1}
+        lab2 = {v: rng.randrange(3) if v else 0 for v in ch2}
+
+        def compatible(u, w):
+            return lab1[u] == lab2[w]
+
+        groups = (g1, g2) if k % 2 else (None, None)
+        got = mt._embed(0, 0, ch1, ch2, compatible, *groups)
+        assert got == embed_backtracking(0, 0, ch1, ch2, compatible, *groups), (ch1, ch2, groups)
+        found[got] += 1
+    assert min(found.values()) > 300
+
+
+def _random_merge_tree(rng, n):
+    """Abstract merge tree with small integer values, so values repeat
+    across siblings and cousins."""
+    parent, value = {0: None, 1: 0}, {0: 0, 1: 1}
+    for v in range(2, n):
+        p = rng.randrange(1, v)
+        parent[v], value[v] = p, value[p] + rng.randint(1, 2)
+    kids = {}
+    for v, p in parent.items():
+        kids.setdefault(p, []).append(v)
+    for v in range(1, n):
+        if len(kids.get(v, ())) == 1:  # no regular nodes: give it a second child
+            w = len(parent)
+            parent[w], value[w] = v, value[v] + rng.randint(1, 2)
+    return abstract_merge_tree(parent, value)
+
+
+def test_inclusion_tests_match_the_oracle_with_exempt_sets(monkeypatch):
+    """Both public inclusion tests, with exempt sets, give the oracle's
+    answer on hand-built merge trees with repeated values and on their
+    BDTs and ordered BDTs."""
+    rng = random.Random(72)
+    cases = []
+    for _ in range(400):
+        t1 = _random_merge_tree(rng, rng.randint(2, 7))
+        t2 = _random_merge_tree(rng, rng.randint(2, 9))
+        exempt = frozenset(rng.sample(range(9), rng.randint(0, 2)))
+        bd1, bd2 = persistence_branch_decomposition(t1), persistence_branch_decomposition(t2)
+        cases += [
+            (tree_included_up_to_iso, t1, t2, exempt),
+            (bdt_included_up_to_iso, build_bdt(bd1), build_bdt(bd2), exempt),
+            (bdt_included_up_to_iso, build_obdt(bd1), build_obdt(bd2), exempt),
+        ]
+    got = [check(a, b, exempt=ex) for check, a, b, ex in cases]
+    monkeypatch.setattr(mt, "_embed", embed_backtracking)
+    assert got == [check(a, b, exempt=ex) for check, a, b, ex in cases]
+    assert 100 < sum(got) < len(got) - 100

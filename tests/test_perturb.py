@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import random_field
+from helpers import embed_backtracking, random_field, staircase_field
+from mtstab import mergetree
 from mtstab.distances import MetricId, tree_distance
 from mtstab.errors import DomainMismatchError, NotMinimalError
 from mtstab.field import apply_value_change, build_domain, build_grid_domain, validate_field
@@ -205,6 +206,45 @@ def test_observation_tree_edges_nonneighbor():
 
 def _lower(f, x, y):
     return x if f.values[x] < f.values[y] else y
+
+
+def test_classifier_on_a_10x10_grid_matches_the_oracle(monkeypatch):
+    """Every minimal perturbation of every tree node of a 10x10 field: pairs
+    of more than 64 combined tree nodes classify, and every inclusion flag
+    is the backtracking oracle's."""
+    f = random_field(random.Random(13), 10, 10)
+    pairs = [
+        (f, apply_perturbation(f, p))
+        for v in merge_tree_of(f).sorted_nodes()
+        for p in enumerate_minimal_perturbations(f, v)
+    ]
+    assert all(merge_tree_of(a).node_count() + merge_tree_of(b).node_count() > 64
+               for a, b in pairs)
+    got = [classify_change_detailed(a, b) for a, b in pairs]
+    monkeypatch.setattr(mergetree, "_embed", embed_backtracking)
+    assert got == [classify_change_detailed(a, b) for a, b in pairs]
+    assert len({info.change_class for info in got}) == 4
+
+
+def test_classifier_on_a_1200_level_staircase():
+    """Minimal perturbations of a 2,400-vertex staircase field (a chain of
+    1,199 saddles) classify without RecursionError, the same in both
+    directions and with their lemma shapes."""
+    f = staircase_field(2400, 0.0)
+    seen = set()
+    for v in (1, 4, 1200, 2398):
+        for p in enumerate_minimal_perturbations(f, v):
+            f2 = apply_perturbation(f, p)
+            cls = classify_change(f, f2)
+            assert classify_change(f2, f) is cls
+            assert _lemma_shape_ok(cls, f, f2), (v, p)
+            seen.add(cls)
+    assert seen == {
+        ChangeClass.SIMPLE_CHANGE,
+        ChangeClass.VERTICAL_SWAP,
+        ChangeClass.EDGE_SPLIT,
+        ChangeClass.UNORDERED_HORIZONTAL_SWAP,
+    }
 
 
 # ---------------------------------------------------------------------------
