@@ -22,8 +22,9 @@ model) combination:
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -117,19 +118,75 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
 
 
 def _pair_order(l1: LabeledTree, l2: LabeledTree):
-    """Node pairs reachable from the root pair, each after its parent pair.
+    """The root pair, then every pair of inner nodes reachable from it, each
+    after its parent pair.
 
     The child pairs of (v, w) are children(v) x children(w); a pair's parent
-    pair is unique, so every pair is listed once. The DPs fill their memo
-    over this list in reverse, children before parents, with no recursion.
+    pair is unique, so every pair is listed once. A pair with a leaf needs
+    no memo entry: its parent pair computes it in closed form
+    (_child_costs), so only pairs of inner nodes are listed. The DPs fill
+    their memo over this list in reverse, children before parents, with no
+    recursion.
     """
     ch1, ch2 = l1.children, l2.children
     order = [(l1.root, l2.root)]
     for v, w in order:  # grows while it is walked: a breadth-first queue
-        cs2 = ch2[w]
-        if cs2:
-            order.extend((a, b) for a in ch1[v] for b in cs2)
+        inner2 = [b for b in ch2[w] if ch2[b]]
+        if inner2:
+            order.extend((a, b) for a in ch1[v] if ch1[a] for b in inner2)
     return order
+
+
+def _group_pair_costs(rows, g1, g2, del1, ins2):
+    """Optimal matching cost of each child group pair, one row per group of
+    g1, from the child cost matrix `rows` over the flattened groups.
+
+    A 1x1 pair takes _assignment_min's closed form inline; larger pairs
+    slice the matrix and call it.
+    """
+    spans2 = []
+    left = 0
+    for gb in g2:
+        spans2.append((left, left + len(gb), [ins2[b] for b in gb]))
+        left += len(gb)
+    top = 0
+    for ga in g1:
+        block = rows[top:top + len(ga)]
+        top += len(ga)
+        dels = [del1[a] for a in ga]
+        out = []
+        for lo, hi, inss in spans2:
+            if hi - lo == 1 and len(dels) == 1:
+                c, d, e = block[0][lo], dels[0], inss[0]
+                out.append(c if c <= d or c - d < e else d + e)
+            else:
+                out.append(_assignment_min([row[lo:hi] for row in block], dels, inss))
+        yield out
+
+
+def _child_costs(cs1, cs2, l1, l2, cost, rest1, rest2, memo):
+    """Cost of mapping child a onto child b, for a in cs1 and b in cs2.
+
+    A pair of inner nodes reads the memo. A pair with a leaf is what the DP
+    would compute for it, relabel(a, b) + rest1[a] + rest2[b], where rest is
+    the DP's value against a node without children: collapsing every child.
+    A leaf's rest is 0, and adding 0 leaves the non-negative sum unchanged,
+    so a leaf-leaf cell is the relabel cost as it stands (docs/decisions.md
+    §8).
+    """
+    ch1, ch2 = l1.children, l2.children
+    labels1, labels2 = l1.labels, l2.labels
+    rows = cost.relabel_rows([labels1[a] for a in cs1], [labels2[b] for b in cs2])
+    inner2 = [(j, b) for j, b in enumerate(cs2) if ch2[b]]
+    for row, a in zip(rows, cs1):
+        if ch1[a]:
+            r = rest1[a]
+            for j, b in enumerate(cs2):
+                row[j] = memo[a, b] if ch2[b] else row[j] + r
+        else:
+            for j, b in inner2:
+                row[j] += rest2[b]
+    return rows
 
 
 def one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
@@ -139,16 +196,15 @@ def one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     del1 = editcore._collapse_costs(l1, cost, deleting=True)
     ins2 = editcore._collapse_costs(l2, cost, deleting=False)
     ch1, ch2 = l1.children, l2.children
-    labels1, labels2 = l1.labels, l2.labels
+    # against a node without children every child collapses: the empty
+    # matching, _assignment_min's sum when one side has no rows
+    rest1 = {v: sum([del1[a] for a in cs]) for v, cs in ch1.items()}
+    rest2 = {w: sum([ins2[b] for b in cs]) for w, cs in ch2.items()}
     memo = {}
     for v, w in reversed(_pair_order(l1, l2)):
-        relabel = cost.relabel(labels1[v], labels2[w])
         cs1, cs2 = ch1[v], ch2[w]
-        if not cs1 and not cs2:
-            memo[v, w] = relabel  # a leaf pair adds an empty matching, 0
-            continue
-        rows = [[memo[a, b] for b in cs2] for a in cs1]
-        memo[v, w] = relabel + _assignment_min(
+        rows = _child_costs(cs1, cs2, l1, l2, cost, rest1, rest2, memo)
+        memo[v, w] = cost.relabel(l1.labels[v], l2.labels[w]) + _assignment_min(
             rows, [del1[a] for a in cs1], [ins2[b] for b in cs2]
         )
     return memo[l1.root, l2.root]
@@ -165,33 +221,31 @@ def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     del1 = editcore._collapse_costs(l1, cost, deleting=True)
     ins2 = editcore._collapse_costs(l2, cost, deleting=False)
     groups1, groups2 = l1.groups, l2.groups
-    labels1, labels2 = l1.labels, l2.labels
+    # the cost of dropping each child group whole, and rest: the alignment
+    # against a node without children drops every group, 0.0 + drop[0] + ...
+    drop1 = {v: [sum([del1[a] for a in grp]) for grp in gs] for v, gs in groups1.items()}
+    drop2 = {w: [sum([ins2[b] for b in grp]) for grp in gs] for w, gs in groups2.items()}
+    rest1 = {v: functools.reduce(operator.add, drops, 0.0) for v, drops in drop1.items()}
+    rest2 = {w: functools.reduce(operator.add, drops, 0.0) for w, drops in drop2.items()}
     memo = {}
-    # the groups partition the children, so _pair_order lists every pair read
     for v, w in reversed(_pair_order(l1, l2)):
-        relabel = cost.relabel(labels1[v], labels2[w])
         g1, g2 = groups1[v], groups2[w]
-        if not g1 and not g2:
-            memo[v, w] = relabel  # a leaf pair adds an empty alignment, 0.0
-            continue
-        dels = [[del1[a] for a in grp] for grp in g1]
-        inss = [[ins2[b] for b in grp] for grp in g2]
-        drop1 = [sum(costs) for costs in dels]
-        drop2 = [sum(costs) for costs in inss]
-        n, m = len(g1), len(g2)
-        align = [[math.inf] * (m + 1) for _ in range(n + 1)]
-        align[0][0] = 0.0
-        for i in range(n + 1):
-            for j in range(m + 1):
-                if i < n:
-                    align[i + 1][j] = min(align[i + 1][j], align[i][j] + drop1[i])
-                if j < m:
-                    align[i][j + 1] = min(align[i][j + 1], align[i][j] + drop2[j])
-                if i < n and j < m:
-                    rows = [[memo[a, b] for b in g2[j]] for a in g1[i]]
-                    pair = _assignment_min(rows, dels[i], inss[j])
-                    align[i + 1][j + 1] = min(align[i + 1][j + 1], align[i][j] + pair)
-        memo[v, w] = relabel + align[n][m]
+        rows = _child_costs(
+            [a for grp in g1 for a in grp], [b for grp in g2 for b in grp],
+            l1, l2, cost, rest1, rest2, memo,
+        )
+        d1, d2 = drop1[v], drop2[w]
+        # align[i][j], filled row by row from its three neighbours
+        prev = list(itertools.accumulate(d2, initial=0.0))
+        for drop, pairs in zip(d1, _group_pair_costs(rows, g1, g2, del1, ins2)):
+            left = prev[0] + drop
+            cur = [left]
+            for up, diag, d, pair in zip(prev[1:], prev, d2, pairs):
+                c1, c2, c3 = up + drop, left + d, diag + pair
+                left = c1 if c1 <= c2 and c1 <= c3 else c2 if c2 <= c3 else c3  # min, inlined
+                cur.append(left)
+            prev = cur
+        memo[v, w] = cost.relabel(l1.labels[v], l2.labels[w]) + prev[-1]
     return memo[l1.root, l2.root]
 
 

@@ -68,6 +68,14 @@ class CostModel:
             return abs(a - b)
         return math.hypot(a[0] - b[0], a[1] - b[1])
 
+    def relabel_rows(self, labels_a, labels_b) -> list:
+        """[[relabel(a, b) for b in labels_b] for a in labels_a], the same
+        floats; birth-death points skip the method call per cell."""
+        if self.kind == "scalar":
+            return [[self.relabel(a, b) for b in labels_b] for a in labels_a]
+        hypot = math.hypot
+        return [[hypot(a0 - b0, a1 - b1) for b0, b1 in labels_b] for a0, a1 in labels_a]
+
     def delete(self, a) -> float:
         if self.kind == "scalar":
             if a is BLANK:

@@ -32,11 +32,7 @@ class Domain1Skeleton:
     adjacency: tuple[tuple[int, ...], ...]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set
-
-    @property
-    def _edge_set(self):
-        return frozenset(self.edges)
+        return v in self.adjacency[u]
 
 
 def build_domain(vertex_count: int, edges) -> Domain1Skeleton:

@@ -1,14 +1,23 @@
 """Shared test utilities: random generators, canonical tree comparison, an
-independent sequence-search oracle for the deformation distances and a
-backtracking oracle for subtree inclusion."""
+independent sequence-search oracle for the deformation distances, a
+backtracking oracle for subtree inclusion and all-pairs oracles for the
+one-degree DPs."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 
-from mtstab.editcore import EdgeTree, _group_index, _order_consistent, edge_tree_of
+from mtstab.distances import _assignment_min
+from mtstab.editcore import (
+    EdgeTree,
+    _collapse_costs,
+    _group_index,
+    _order_consistent,
+    edge_tree_of,
+)
 from mtstab.field import build_domain, build_grid_domain, validate_field
 from mtstab.mergetree import BLANK, abstract_merge_tree, merge_tree_of
 
@@ -41,6 +50,25 @@ def staircase_field(vertices, shift):
     values = [0.0, 4.0 + shift]
     for j in range(k):
         values += [1.0 + (j + shift) / k, 4.0 - (j + 1 + shift) / (k + 1)]
+    domain = build_domain(len(values), [(i, i + 1) for i in range(len(values) - 1)])
+    return validate_field(domain, values)
+
+
+def caterpillar_field(rng: random.Random, nodes):
+    """Path field whose merge tree is a caterpillar with `nodes` nodes.
+
+    The global minimum sits at one end; maxima and saddles alternate along
+    the path, saddle values rise along it and every maximum lies above
+    every saddle, so each saddle carries the rest of the chain plus one
+    hanging maximum, and the BDT is a star. The tree shape depends only on
+    `nodes`; the seed moves the values.
+    """
+    k = (nodes - 2) // 2
+    saddles = sorted(rng.uniform(1.0, 2.0) for _ in range(k))
+    maxima = sorted(rng.uniform(3.0, 4.0) for _ in range(k + 1))
+    values = [0.0, maxima[0]]
+    for s, m in zip(saddles, maxima[1:]):
+        values += [s, m]
     domain = build_domain(len(values), [(i, i + 1) for i in range(len(values) - 1)])
     return validate_field(domain, values)
 
@@ -246,3 +274,74 @@ def embed_backtracking(root1, root2, children1, children2, compatible, groups1, 
         return assign(0, set(), [])
 
     return rec(root1, root2)
+
+
+# ---------------------------------------------------------------------------
+# All-pairs oracles for the one-degree DPs
+# ---------------------------------------------------------------------------
+
+def all_pair_order(l1, l2):
+    """Every node pair reachable from the root pair, each after its parent
+    pair, leaves included."""
+    ch1, ch2 = l1.children, l2.children
+    order = [(l1.root, l2.root)]
+    for v, w in order:
+        cs2 = ch2[w]
+        if cs2:
+            order.extend((a, b) for a in ch1[v] for b in cs2)
+    return order
+
+
+def one_degree_dp_all_pairs(l1, l2, cost) -> float:
+    """Oracle of distances.one_degree_dp: the same recurrence with every
+    reachable pair in the memo, leaf pairs included."""
+    del1 = _collapse_costs(l1, cost, deleting=True)
+    ins2 = _collapse_costs(l2, cost, deleting=False)
+    ch1, ch2 = l1.children, l2.children
+    memo = {}
+    for v, w in reversed(all_pair_order(l1, l2)):
+        relabel = cost.relabel(l1.labels[v], l2.labels[w])
+        cs1, cs2 = ch1[v], ch2[w]
+        if not cs1 and not cs2:
+            memo[v, w] = relabel
+            continue
+        rows = [[memo[a, b] for b in cs2] for a in cs1]
+        memo[v, w] = relabel + _assignment_min(
+            rows, [del1[a] for a in cs1], [ins2[b] for b in cs2]
+        )
+    return memo[l1.root, l2.root]
+
+
+def ordered_one_degree_dp_all_pairs(l1, l2, cost) -> float:
+    """Oracle of distances.ordered_one_degree_dp: every reachable pair in
+    the memo, and the group alignment filled forward, each cell pushing to
+    its three successors."""
+    del1 = _collapse_costs(l1, cost, deleting=True)
+    ins2 = _collapse_costs(l2, cost, deleting=False)
+    groups1, groups2 = l1.groups, l2.groups
+    memo = {}
+    for v, w in reversed(all_pair_order(l1, l2)):
+        relabel = cost.relabel(l1.labels[v], l2.labels[w])
+        g1, g2 = groups1[v], groups2[w]
+        if not g1 and not g2:
+            memo[v, w] = relabel
+            continue
+        dels = [[del1[a] for a in grp] for grp in g1]
+        inss = [[ins2[b] for b in grp] for grp in g2]
+        drop1 = [sum(costs) for costs in dels]
+        drop2 = [sum(costs) for costs in inss]
+        n, m = len(g1), len(g2)
+        align = [[math.inf] * (m + 1) for _ in range(n + 1)]
+        align[0][0] = 0.0
+        for i in range(n + 1):
+            for j in range(m + 1):
+                if i < n:
+                    align[i + 1][j] = min(align[i + 1][j], align[i][j] + drop1[i])
+                if j < m:
+                    align[i][j + 1] = min(align[i][j + 1], align[i][j] + drop2[j])
+                if i < n and j < m:
+                    rows = [[memo[a, b] for b in g2[j]] for a in g1[i]]
+                    pair = _assignment_min(rows, dels[i], inss[j])
+                    align[i + 1][j + 1] = min(align[i + 1][j + 1], align[i][j] + pair)
+        memo[v, w] = relabel + align[n][m]
+    return memo[l1.root, l2.root]

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from helpers import random_abstract_tree, random_field, staircase_field
+from helpers import (
+    all_pair_order,
+    caterpillar_field,
+    one_degree_dp_all_pairs,
+    ordered_one_degree_dp_all_pairs,
+    random_abstract_tree,
+    random_field,
+    staircase_field,
+)
 from mtstab import mergetree as mt
 from mtstab.distances import (
     DEFAULT_GUARDS,
@@ -13,6 +21,8 @@ from mtstab.distances import (
     MetricId,
     _all_decompositions,
     _assignment_min,
+    _labeled_obdts,
+    _pair_order,
     compute,
     delta_b,
     delta_e,
@@ -23,12 +33,16 @@ from mtstab.distances import (
     delta_w,
     delta_x,
     metric_from_string,
+    one_degree_dp,
+    ordered_one_degree_dp,
     tree_distance,
 )
-from mtstab.editcore import MappingConstraint, brute_force_distance
+from mtstab.editcore import ABS_DIFF, WASSERSTEIN_POINT, MappingConstraint, brute_force_distance
 from mtstab.errors import SizeGuardError
 from mtstab.field import apply_value_change, validate_field
 from mtstab.mergetree import (
+    BLANK,
+    LabeledTree,
     build_bdt,
     build_obdt,
     label_for_scheme,
@@ -243,6 +257,161 @@ def test_assignment_min_1x1_is_the_solver_value():
         mat = np.array([[c, d], [i, 0.0]])
         rows, cols = linear_sum_assignment(mat)
         assert _assignment_min([[c]], [d], [i]) == float(mat[rows, cols].sum())
+
+
+# ---------------------------------------------------------------------------
+# Inner pairs memoized, pairs with a leaf in closed form
+# ---------------------------------------------------------------------------
+
+def _dp_inputs(t1, t2):
+    """(DP, oracle, labeled pair, cost model) for w, x and l on two trees."""
+    def bdt(t):
+        return label_for_scheme(build_bdt(persistence_branch_decomposition(t)), mt.BDT_BIRTH_DEATH)
+
+    def obdt(t):
+        return label_for_scheme(build_obdt(persistence_branch_decomposition(t)), mt.OBDT_BIRTH_DEATH)
+
+    def classic(t):
+        return label_for_scheme(t, mt.NODE_DIST_TO_PARENT)
+
+    return [
+        (one_degree_dp, one_degree_dp_all_pairs, bdt(t1), bdt(t2), WASSERSTEIN_POINT),
+        (ordered_one_degree_dp, ordered_one_degree_dp_all_pairs, obdt(t1), obdt(t2), WASSERSTEIN_POINT),
+        (one_degree_dp, one_degree_dp_all_pairs, classic(t1), classic(t2), ABS_DIFF),
+    ]
+
+
+def _assert_dps_match_the_oracles(t1, t2):
+    for dp, oracle, l1, l2, cost in _dp_inputs(t1, t2):
+        for a, b in ((l1, l2), (l2, l1)):
+            assert dp(a, b, cost).hex() == oracle(a, b, cost).hex()
+
+
+def random_labeled_tree(rng, parents, scalar):
+    """Labeled tree on nodes 0..len(parents), node v + 1 under parents[v],
+    each node's children shuffled into ordered groups of 1 to 3. Labels are
+    scalars under a blank root, or birth-death points, spread over several
+    magnitudes so that sums round differently in another order."""
+    def value():
+        return rng.uniform(0.1, 1.0) * 10 ** rng.randint(-3, 2)
+
+    parent, children = {0: None}, {0: []}
+    for v, p in enumerate(parents, start=1):
+        parent[v], children[v] = p, []
+        children[p].append(v)
+    groups = {}
+    for v, cs in children.items():
+        rng.shuffle(cs)
+        groups[v], i = [], 0
+        while i < len(cs):
+            k = rng.randint(1, 3)
+            groups[v].append(tuple(cs[i:i + k]))
+            i += k
+        groups[v] = tuple(groups[v])
+    if scalar:
+        labels = {v: BLANK if parent[v] is None else value() for v in parent}
+        scheme = mt.NODE_DIST_TO_PARENT
+    else:
+        labels = {v: (value(), value()) for v in parent}
+        scheme = mt.OBDT_BIRTH_DEATH
+    ch = {v: tuple(cs) for v, cs in children.items()}
+    return LabeledTree(scheme, 0, parent, labels, ch, groups)
+
+
+def _pruned(lt, v):
+    """Copy of a labeled tree with the subtree below v cut off."""
+    gone, stack = set(), list(lt.children[v])
+    while stack:
+        u = stack.pop()
+        gone.add(u)
+        stack.extend(lt.children[u])
+    keep = [u for u in lt.parent if u not in gone]
+    children = {u: () if u == v else lt.children[u] for u in keep}
+    groups = {u: () if u == v else lt.groups[u] for u in keep}
+    return LabeledTree(lt.scheme, lt.root, {u: lt.parent[u] for u in keep},
+                       {u: lt.labels[u] for u in keep}, children, groups)
+
+
+def test_dps_match_the_all_pairs_oracles_on_grid_pairs():
+    """w, x and l equal the all-pairs recurrences bit for bit on random grid
+    trees, one minimal perturbation apart and independent, both ways round."""
+    rng = random.Random(71)
+    for k in range(150):
+        rows, cols = rng.randint(3, 12), rng.randint(3, 12)
+        f = random_grid_field(rng, rows, cols)
+        g = apply_perturbation(f, random_minimal_perturbation(rng, f)) if k % 2 else random_grid_field(rng, rows, cols)
+        _assert_dps_match_the_oracles(merge_tree_of(f), merge_tree_of(g))
+
+
+def test_delta_b_matches_the_all_pairs_oracle_bit_for_bit():
+    """delta_b is the minimum of the ordered DP over decomposition pairs;
+    with the oracle DP in its place the minimum has the same bits."""
+    for t1, t2 in delta_b_pairs()[::4]:
+        expect = min(
+            ordered_one_degree_dp_all_pairs(l1, l2, WASSERSTEIN_POINT)
+            for l1 in _labeled_obdts(t1) for l2 in _labeled_obdts(t2)
+        )
+        assert delta_b(t1, t2).hex() == expect.hex()
+
+
+def test_dps_match_the_all_pairs_oracles_on_deep_trees():
+    """A 400-node caterpillar pair (BDTs are 199-leaf stars) and the
+    2,400-vertex staircase pair (chains)."""
+    rng = random.Random(73)
+    _assert_dps_match_the_oracles(
+        merge_tree_of(caterpillar_field(rng, 400)), merge_tree_of(caterpillar_field(rng, 400))
+    )
+    _assert_dps_match_the_oracles(
+        merge_tree_of(staircase_field(2400, 0.0)), merge_tree_of(staircase_field(2400, 0.3))
+    )
+
+
+def test_dps_match_the_all_pairs_oracles_on_hand_built_trees():
+    """Groups of several children and leaves next to inner nodes, where the
+    ordered rest (a fold over group sums) and the unordered rest (one sum
+    over the children) round differently; single-node trees included.
+
+    Independent random trees are compared, and each tree with its copy with
+    the subtree below its widest inner node cut off. There the identity
+    maps everything else at cost 0.0, so the distance is that node's rest,
+    and a rest summed in another order shows in its bits. The wide trees (a
+    root over one node with 4 to 7 leaves) give that rest many groups.
+    """
+    rng = random.Random(79)
+    for _ in range(400):
+        for scalar in (False, True):
+            cost = ABS_DIFF if scalar else WASSERSTEIN_POINT
+            shapes = [[rng.randrange(v) for v in range(1, rng.randint(1, 16))] for _ in range(3)]
+            shapes.append([0] + [1] * rng.randint(4, 7))
+            t1, t2, t3, wide = (random_labeled_tree(rng, p, scalar) for p in shapes)
+            pairs = [(t1, t2)]
+            for t in (t3, wide):
+                inner = [v for v in t.parent if t.children[v]]
+                if inner:
+                    pairs.append((t, _pruned(t, max(inner, key=lambda v: len(t.children[v])))))
+            for l1, l2 in pairs:
+                for a, b in ((l1, l2), (l2, l1)):
+                    assert one_degree_dp(a, b, cost).hex() == one_degree_dp_all_pairs(a, b, cost).hex()
+                    if not scalar:
+                        assert (ordered_one_degree_dp(a, b, cost).hex()
+                                == ordered_one_degree_dp_all_pairs(a, b, cost).hex())
+
+
+def test_pair_order_lists_only_inner_pairs():
+    """The memo holds the root pair and the inner pairs reachable from it:
+    on a 400-node caterpillar pair the BDT stars give the root pair alone,
+    and the merge trees give every inner pair of the all-pairs order."""
+    rng = random.Random(73)
+    t1, t2 = merge_tree_of(caterpillar_field(rng, 400)), merge_tree_of(caterpillar_field(rng, 400))
+    b1, b2 = (label_for_scheme(build_bdt(persistence_branch_decomposition(t)), mt.BDT_BIRTH_DEATH)
+              for t in (t1, t2))
+    assert _pair_order(b1, b2) == [(b1.root, b2.root)]
+    l1, l2 = (label_for_scheme(t, mt.NODE_DIST_TO_PARENT) for t in (t1, t2))
+    order = _pair_order(l1, l2)
+    inner = [(a, b) for a, b in all_pair_order(l1, l2) if l1.children[a] and l2.children[b]]
+    assert order[0] == (l1.root, l2.root)
+    assert sorted(order, key=repr) == sorted(inner, key=repr)
+    assert len(order) == len(set(order)) == 200  # root and 199 saddles, paired by depth
 
 
 # ---------------------------------------------------------------------------

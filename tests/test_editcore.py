@@ -83,6 +83,22 @@ def test_wasserstein_axioms(p, q):
     assert WASSERSTEIN_POINT.delete(p) == pytest.approx(abs(p[0] - p[1]) / math.sqrt(2))
 
 
+def test_relabel_rows_is_relabel_cell_by_cell():
+    """The row kernel of the one-degree DPs returns relabel's floats, bit
+    for bit, blank scalar labels included."""
+    rng = random.Random(67)
+    for _ in range(50):
+        scalars = [rng.uniform(-10, 10) * 10 ** rng.randint(-6, 3) for _ in range(rng.randint(0, 6))]
+        points = [tuple(rng.uniform(-10, 10) * 10 ** rng.randint(-6, 3) for _ in range(2))
+                  for _ in range(rng.randint(0, 6))]
+        for cost, labels in ((ABS_DIFF, scalars + [mt.BLANK]), (WASSERSTEIN_POINT, points)):
+            la, lb = rng.sample(labels, len(labels) // 2), labels
+            rows = cost.relabel_rows(la, lb)
+            assert [[c.hex() for c in row] for row in rows] == [
+                [cost.relabel(a, b).hex() for b in lb] for a in la
+            ]
+
+
 # ---------------------------------------------------------------------------
 # Brute-force mapping search
 # ---------------------------------------------------------------------------

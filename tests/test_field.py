@@ -48,6 +48,16 @@ def test_grid_edge_count_formula():
             assert len(dom.edges) == r * (c - 1) + c * (r - 1) + (r - 1) * (c - 1)
 
 
+def test_has_edge_agrees_with_the_edge_list():
+    """has_edge answers from the adjacency lists, both ways round, exactly
+    on the pairs in `edges`."""
+    dom = build_grid_domain(5, 6)
+    edges = set(dom.edges)
+    for u in range(dom.vertex_count):
+        for v in range(dom.vertex_count):
+            assert dom.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
+
 def test_validate_field_ok():
     f = path_field([0, 2, 1])
     assert f.values == (0.0, 2.0, 1.0)
