@@ -505,33 +505,38 @@ def _iso(q1: EdgeTree, shapes1, q2: EdgeTree, shapes2, edge_cost):
     """Root-preserving isomorphism of two same-shape edge trees (`shapes1`
     and `shapes2` their shapes() maps) with the least total
     edge_cost(length in q1, length in q2); returns (cost, node pairs)."""
+    return _iso_below(q1, shapes1, q2, shapes2, edge_cost, q1.root, q2.root)
 
-    def go(v, w):
-        cost = 0.0
-        if q1.parent[v] is not None:
-            cost = edge_cost(q1.length[v], q2.length[w])
-        pairs = [(v, w)]
-        by_shape1 = {}
-        for c in q1.children[v]:
-            by_shape1.setdefault(shapes1[c], []).append(c)
-        by_shape2 = {}
-        for c in q2.children[w]:
-            by_shape2.setdefault(shapes2[c], []).append(c)
-        for s in sorted(by_shape1):
-            group1, group2 = by_shape1[s], by_shape2[s]
-            sub = [[go(a, b) for b in group2] for a in group1]
-            if len(group1) == 1:
-                c0, p0 = sub[0][0]
-                cost += c0
-                pairs.extend(p0)
-                continue
-            rows, cols = linear_sum_assignment([[entry[0] for entry in row] for row in sub])
-            for r, c in zip(rows, cols):
-                cost += sub[r][c][0]
-                pairs.extend(sub[r][c][1])
-        return cost, pairs
 
-    return go(q1.root, q2.root)
+def _iso_below(q1, shapes1, q2, shapes2, edge_cost, v, w):
+    """_iso on the subtrees of v and w. A module-level recursion, so a call
+    leaves no reference cycle behind (a self-recursive closure would)."""
+    cost = 0.0
+    if q1.parent[v] is not None:
+        cost = edge_cost(q1.length[v], q2.length[w])
+    pairs = [(v, w)]
+    by_shape1 = {}
+    for c in q1.children[v]:
+        by_shape1.setdefault(shapes1[c], []).append(c)
+    by_shape2 = {}
+    for c in q2.children[w]:
+        by_shape2.setdefault(shapes2[c], []).append(c)
+    for s in sorted(by_shape1):
+        group1, group2 = by_shape1[s], by_shape2[s]
+        sub = [
+            [_iso_below(q1, shapes1, q2, shapes2, edge_cost, a, b) for b in group2]
+            for a in group1
+        ]
+        if len(group1) == 1:
+            c0, p0 = sub[0][0]
+            cost += c0
+            pairs.extend(p0)
+            continue
+        rows, cols = linear_sum_assignment([[entry[0] for entry in row] for row in sub])
+        for r, c in zip(rows, cols):
+            cost += sub[r][c][0]
+            pairs.extend(sub[r][c][1])
+    return cost, pairs
 
 
 def _length_diff(a, b):
@@ -561,30 +566,41 @@ def _path_variants(et: EdgeTree, variants):
 
 
 def _subset_variants(et: EdgeTree):
-    """(cost, delete set, quotient, quotient's shapes() map) for every delete
-    set, sorted by cost, then by the sorted ids of the set."""
+    """[cost, delete set, None] for every delete set, sorted by cost, then by
+    the sorted ids of the set. _shaped fills the third slot with the
+    quotient and its shapes() map when a search first reaches the entry."""
     edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
-    order = [et.root]
-    for v in order:
-        order.extend(et.children[v])
     out = []
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(edges, r):
             subset = frozenset(combo)
-            cost = sum(et.length[v] for v in subset)
-            q = _quotient(et, subset, order)
-            out.append((cost, subset, q, q.shapes()))
+            out.append([sum(et.length[v] for v in subset), subset, None])
     out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))
     return out
 
 
+def _shaped(et: EdgeTree, order, item):
+    """(quotient, its shapes() map) of a _subset_variants entry, built on the
+    first call and kept in the entry. The entry is filled by one assignment,
+    so another thread sees either nothing or the whole pair."""
+    built = item[2]
+    if built is None:
+        q = _quotient(et, item[1], order)
+        built = item[2] = (q, q.shapes())
+    return built
+
+
 @_memoized
 def _variants_of(t: AbstractMergeTree):
-    """(edge tree, _subset_variants) of a merge tree, enumerated once and
-    kept on the tree: delta_E, delta_P and the witness search share it. Two
-    threads that miss the memo at once both enumerate the same list."""
+    """(edge tree, its nodes parents first, _subset_variants) of a merge
+    tree, enumerated once and kept on the tree: delta_E, delta_P and the
+    witness search share it, and with it every quotient one of them built.
+    Two threads that miss the memo at once both enumerate the same list."""
     et = edge_tree_of(t)
-    return et, _subset_variants(et)
+    order = [et.root]
+    for v in order:
+        order.extend(et.children[v])
+    return et, order, _subset_variants(et)
 
 
 def _guarded_variants(t1, t2, edge_limit, what):
@@ -592,13 +608,6 @@ def _guarded_variants(t1, t2, edge_limit, what):
     if m > edge_limit:
         raise SizeGuardError(what, m, edge_limit)
     return _variants_of(t1), _variants_of(t2)
-
-
-def _by_root_shape(variants):
-    buckets = {}
-    for item in variants:
-        buckets.setdefault(item[3][item[2].root], []).append(item)
-    return buckets
 
 
 def deform_brute_force(
@@ -614,25 +623,37 @@ def deform_brute_force(
     contractible edge sets whose quotients are isomorphic rooted trees; with
     `one_degree`, delete sets must be closed under descendants (iterated
     leaf-edge deletions only).
+
+    Both lists are walked in cost order and a quotient is built only when
+    the walk reaches its entry. The inner walk skips quotients of another
+    root shape instead of bucketing them, and stops where the bucket walk
+    would: costs do not decrease and `best` only moves on a matching entry
+    (docs/decisions.md section 9).
     """
-    (et1, variants1), (et2, variants2) = _guarded_variants(
+    (et1, order1, variants1), (et2, order2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation enumeration"
     )
     if one_degree:
         variants1, variants2 = _path_variants(et1, variants1), _path_variants(et2, variants2)
-    buckets2 = _by_root_shape(variants2)
     best = math.inf
     win = None
-    for c1, d1, q1, s1 in variants1:
+    for item1 in variants1:
+        c1 = item1[0]
         if win is not None and c1 >= best - _EPS:
             break
-        for c2, d2, q2, s2 in buckets2.get(s1[q1.root], ()):
+        q1, s1 = _shaped(et1, order1, item1)
+        shape = s1[q1.root]
+        for item2 in variants2:
+            c2 = item2[0]
             if win is not None and c1 + c2 >= best - _EPS:
                 break
+            q2, s2 = _shaped(et2, order2, item2)
+            if s2[q2.root] != shape:
+                continue
             total = c1 + c2 + _iso(q1, s1, q2, s2, _length_diff)[0]
             if total < best - _EPS:
                 best = total
-                win = (d1, d2)
+                win = (item1[1], item2[1])
     if not want_witness:
         return best
     # the witness lives on the operational quotients, whose node ids the
@@ -655,9 +676,10 @@ def deform_witness_search(
 
     This verifies the existence clause of the stability theorems: the
     qualifying sequence need not be cost-optimal. Returns a DeformWitness
-    or None when no enumerated plan qualifies.
+    or None when no enumerated plan qualifies. Only the quotients of usable
+    delete sets are built.
     """
-    (et1, variants1), (et2, variants2) = _guarded_variants(
+    (et1, order1, variants1), (et2, order2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation witness search"
     )
     cap = max_op_cost + TOLERANCE
@@ -670,9 +692,14 @@ def deform_witness_search(
             and all(et.length[v] <= cap for v in item[1])
         ]
 
-    buckets2 = _by_root_shape(usable(et2, variants2))
-    for _, d1, q1, s1 in usable(et1, variants1):
-        for _, d2, q2, s2 in buckets2.get(s1[q1.root], ()):
+    buckets2 = {}
+    for item in usable(et2, variants2):
+        q2, s2 = _shaped(et2, order2, item)
+        buckets2.setdefault(s2[q2.root], []).append((item[1], q2, s2))
+    for item in usable(et1, variants1):
+        d1 = item[1]
+        q1, s1 = _shaped(et1, order1, item)
+        for d2, q2, s2 in buckets2.get(s1[q1.root], ()):
             budget = max_ops - len(d1) - len(d2)
             if budget < 0 or _qualifying_iso(q1, s1, q2, s2, budget, cap) is None:
                 continue

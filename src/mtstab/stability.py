@@ -85,6 +85,7 @@ class BoundReport:
     change_class: ChangeClass
     extent: float
     degree: int
+    degree_g: int  # deg(T_g); the bound uses deg(T_f) only
     max_child_count: int
     distance: float | None
     bound: float
@@ -99,6 +100,7 @@ class BoundReport:
             "class": self.change_class.value,
             "extent": self.extent,
             "degree": self.degree,
+            "degree_g": self.degree_g,
             "max_child_count": self.max_child_count,
             "distance": self.distance,
             "bound": self.bound,
@@ -119,19 +121,19 @@ def _tree_bound(f, f2, info, metric, guards) -> BoundReport:
     t1, t2 = merge_tree_of(f), merge_tree_of(f2)
     cls = info.change_class
     extent = info.perturbation.extent
-    deg = stability_degree(t1)
+    deg, deg_g = stability_degree(t1), stability_degree(t2)
     bound = deg * extent
     claimed = cls in STABILITY_MATRIX[metric]
     try:
         dist = tree_distance(metric, t1, t2, guards)
     except SizeGuardError:
-        return BoundReport(metric, cls, extent, deg, t1.max_child_count(), None,
+        return BoundReport(metric, cls, extent, deg, deg_g, t1.max_child_count(), None,
                            bound, claimed, None, skipped=True)
     passed = (dist <= bound + TOLERANCE) if claimed else None
     witness = None
     if claimed and not passed:
         witness = {"field_a": field_to_dict(f), "field_b": field_to_dict(f2)}
-    return BoundReport(metric, cls, extent, deg, t1.max_child_count(), dist,
+    return BoundReport(metric, cls, extent, deg, deg_g, t1.max_child_count(), dist,
                        bound, claimed, passed, witness=witness)
 
 

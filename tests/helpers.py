@@ -1,7 +1,7 @@
 """Shared test utilities: random generators, canonical tree comparison, an
 independent sequence-search oracle for the deformation distances, a
-backtracking oracle for subtree inclusion and all-pairs oracles for the
-one-degree DPs."""
+backtracking oracle for subtree inclusion, all-pairs oracles for the
+one-degree DPs and eager oracles for the deformation searches."""
 
 from __future__ import annotations
 
@@ -12,14 +12,22 @@ import random
 
 from mtstab.distances import _assignment_min
 from mtstab.editcore import (
+    _EPS,
+    DeformWitness,
     EdgeTree,
     _collapse_costs,
     _group_index,
+    _iso,
+    _length_diff,
     _order_consistent,
+    _path_variants,
+    _qualifying_iso,
+    _quotient,
+    contract,
     edge_tree_of,
 )
-from mtstab.field import build_domain, build_grid_domain, validate_field
-from mtstab.mergetree import BLANK, abstract_merge_tree, merge_tree_of
+from mtstab.field import TOLERANCE, build_domain, build_grid_domain, validate_field
+from mtstab.mergetree import BLANK, _id_key, abstract_merge_tree, merge_tree_of
 
 
 def random_field(rng: random.Random, rows=3, cols=3):
@@ -345,3 +353,86 @@ def ordered_one_degree_dp_all_pairs(l1, l2, cost) -> float:
                     align[i + 1][j + 1] = min(align[i + 1][j + 1], align[i][j] + pair)
         memo[v, w] = relabel + align[n][m]
     return memo[l1.root, l2.root]
+
+
+# ---------------------------------------------------------------------------
+# Eager oracles of the deformation searches: every quotient built up front
+# ---------------------------------------------------------------------------
+
+def eager_subset_variants(et: EdgeTree):
+    """(cost, delete set, quotient, quotient's shapes() map) for every delete
+    set, sorted by cost, then by the sorted ids of the set; each quotient
+    built before any search starts."""
+    edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
+    order = [et.root]
+    for v in order:
+        order.extend(et.children[v])
+    out = []
+    for r in range(len(edges) + 1):
+        for combo in itertools.combinations(edges, r):
+            subset = frozenset(combo)
+            cost = sum(et.length[v] for v in subset)
+            q = _quotient(et, subset, order)
+            out.append((cost, subset, q, q.shapes()))
+    out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))
+    return out
+
+
+def _by_root_shape(variants):
+    buckets = {}
+    for item in variants:
+        buckets.setdefault(item[3][item[2].root], []).append(item)
+    return buckets
+
+
+def eager_deform_brute_force(et1, variants1, et2, variants2, one_degree=False, want_witness=False):
+    """Oracle of editcore.deform_brute_force on two edge trees and their
+    eager_subset_variants: the second tree's variants bucketed by root
+    shape, each bucket walked in cost order."""
+    if one_degree:
+        variants1, variants2 = _path_variants(et1, variants1), _path_variants(et2, variants2)
+    buckets2 = _by_root_shape(variants2)
+    best = math.inf
+    win = None
+    for c1, d1, q1, s1 in variants1:
+        if win is not None and c1 >= best - _EPS:
+            break
+        for c2, d2, q2, s2 in buckets2.get(s1[q1.root], ()):
+            if win is not None and c1 + c2 >= best - _EPS:
+                break
+            total = c1 + c2 + _iso(q1, s1, q2, s2, _length_diff)[0]
+            if total < best - _EPS:
+                best = total
+                win = (d1, d2)
+    if not want_witness:
+        return best
+    d1, d2 = win
+    q1, q2 = contract(et1, d1), contract(et2, d2)
+    pairs = _iso(q1, q1.shapes(), q2, q2.shapes(), _length_diff)[1]
+    return best, DeformWitness(d1, d2, q1, q2, tuple(pairs))
+
+
+def eager_deform_witness_search(et1, variants1, et2, variants2, max_ops, max_op_cost):
+    """Oracle of editcore.deform_witness_search on two edge trees and their
+    eager_subset_variants."""
+    cap = max_op_cost + TOLERANCE
+
+    def usable(et, variants):
+        return [
+            item
+            for item in variants
+            if len(item[1]) <= max_ops
+            and all(et.length[v] <= cap for v in item[1])
+        ]
+
+    buckets2 = _by_root_shape(usable(et2, variants2))
+    for _, d1, q1, s1 in usable(et1, variants1):
+        for _, d2, q2, s2 in buckets2.get(s1[q1.root], ()):
+            budget = max_ops - len(d1) - len(d2)
+            if budget < 0 or _qualifying_iso(q1, s1, q2, s2, budget, cap) is None:
+                continue
+            w1, w2 = contract(et1, d1), contract(et2, d2)
+            iso = _qualifying_iso(w1, w1.shapes(), w2, w2.shapes(), budget, cap)
+            if iso is not None:
+                return DeformWitness(d1, d2, w1, w2, tuple(iso))
+    return None

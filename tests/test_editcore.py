@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     deform_sequence_search,
+    eager_deform_brute_force,
+    eager_deform_witness_search,
+    eager_subset_variants,
     edge_canonical,
     labeled_canonical,
     random_abstract_tree,
@@ -395,16 +399,29 @@ def test_memoized_variants_give_the_fresh_results():
 
 
 def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
-    """The enumeration keeps each quotient's shapes() map and the
-    isomorphism reuses it: on a fresh pair, delta_E calls shapes() once per
-    delete set of either tree and never inside _iso."""
-    calls = {"all": 0, "in_iso": 0}
+    """Quotients are built when a search first reaches their delete set and
+    kept with it: on a fresh pair, shapes() runs at most once per delete set
+    of either tree, over delta_E, delta_P and the witness search together,
+    and never inside _iso. delta_E stops before it reaches every set, so it
+    calls shapes() fewer times than there are delete sets."""
+    quotient, shapes, iso = editcore._quotient, EdgeTree.shapes, editcore._iso
+    made = {}  # id of a quotient -> (the quotient, id of its edge tree, delete set)
+    per_set = {}
+    calls = {"other": 0, "in_iso": 0}
     inside = [False]
-    shapes, iso = EdgeTree.shapes, editcore._iso
+
+    def tagged_quotient(et, deleted, order):
+        q = quotient(et, deleted, order)
+        made[id(q)] = (q, id(et), deleted)
+        return q
 
     def counted_shapes(self):
-        calls["all"] += 1
         calls["in_iso"] += inside[0]
+        if id(self) in made:
+            key = made[id(self)][1:]
+            per_set[key] = per_set.get(key, 0) + 1
+        else:
+            calls["other"] += 1
         return shapes(self)
 
     def flagged_iso(*args):
@@ -414,11 +431,130 @@ def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
         finally:
             inside[0] = False
 
+    monkeypatch.setattr(editcore, "_quotient", tagged_quotient)
     monkeypatch.setattr(EdgeTree, "shapes", counted_shapes)
     monkeypatch.setattr(editcore, "_iso", flagged_iso)
     t1, t2 = grid_trees(15, 2)
     deform_brute_force(t1, t2)
-    assert calls == {"all": 2 ** t1.edge_count() + 2 ** t2.edge_count(), "in_iso": 0}
+    assert calls == {"other": 0, "in_iso": 0}
+    assert set(per_set.values()) == {1}
+    assert len(per_set) < 2 ** t1.edge_count() + 2 ** t2.edge_count()
+    deform_brute_force(t1, t2, one_degree=True)
+    deform_witness_search(t1, t2, max_ops=stability_degree(t1), max_op_cost=0.5)
+    assert set(per_set.values()) == {1} and calls["in_iso"] == 0
+
+
+def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled):
+    """delta_E, delta_P, their witnesses and the witness search on t1, t2
+    equal the eager oracles' bit for bit, and every quotient the lazy
+    searches built equals the eager one of its delete set. `filled` counts
+    [built entries, entries]."""
+    eager = [(et, eager_subset_variants(et)) for et in (edge_tree_of(t1), edge_tree_of(t2))]
+    oracle_args = (*eager[0], *eager[1])
+    for one_degree in (False, True):
+        want, want_w = eager_deform_brute_force(*oracle_args, one_degree, want_witness=True)
+        assert deform_brute_force(t1, t2, one_degree=one_degree).hex() == want.hex()
+        got, got_w = deform_brute_force(t1, t2, one_degree=one_degree, want_witness=True)
+        assert got.hex() == want.hex()
+        assert (got_w.deleted1, got_w.deleted2, got_w.iso_pairs) == (
+            want_w.deleted1, want_w.deleted2, want_w.iso_pairs,
+        )
+    got_w = deform_witness_search(t1, t2, max_ops, max_op_cost)
+    want_w = eager_deform_witness_search(*oracle_args, max_ops, max_op_cost)
+    assert (got_w is None) == (want_w is None)
+    if got_w is not None:
+        assert (got_w.deleted1, got_w.deleted2, got_w.iso_pairs) == (
+            want_w.deleted1, want_w.deleted2, want_w.iso_pairs,
+        )
+        for w in ("quotient1", "quotient2"):
+            assert edge_canonical(getattr(got_w, w)) == edge_canonical(getattr(want_w, w))
+    for t, (_, want_variants) in zip((t1, t2), eager):
+        _, _, variants = editcore._variants_of(t)
+        # the empty set costs the int 0, as sum() returns it
+        assert [(type(c), float(c).hex(), d) for c, d, _ in variants] == [
+            (type(c), float(c).hex(), d) for c, d, _, _ in want_variants
+        ]
+        for (_, _, built), (_, _, q, shapes) in zip(variants, want_variants):
+            filled[1] += 1
+            if built is not None:
+                filled[0] += 1
+                assert edge_canonical(built[0]) == edge_canonical(q)
+                assert built[1] == shapes
+
+
+def test_lazy_quotients_match_the_eager_oracle_on_random_pairs():
+    """200 pairs of 3x3 and 4x4 grid trees, one minimal perturbation apart
+    or independent."""
+    rng = random.Random(16)
+    filled = [0, 0]
+    compared = 0
+    while compared < 200:
+        n = rng.choice((3, 4))
+        f = random_grid_field(rng, n, n)
+        if compared % 2:
+            pert = random_minimal_perturbation(rng, f)
+            f2, max_op_cost = apply_perturbation(f, pert), pert.extent
+        else:
+            m = rng.choice((3, 4))
+            f2, max_op_cost = random_grid_field(rng, m, m), rng.uniform(0.05, 0.5)
+        t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+        if max(t1.edge_count(), t2.edge_count()) > editcore.DEFORM_EDGE_LIMIT:
+            with pytest.raises(SizeGuardError):
+                deform_brute_force(t1, t2)
+            continue
+        _assert_lazy_matches_eager(t1, t2, stability_degree(t1), max_op_cost, filled)
+        compared += 1
+    assert 0 < filled[0] < filled[1]
+
+
+def test_lazy_quotients_match_the_eager_oracle_on_ties_and_one_edge_trees():
+    """Hand-built trees with edges of length 1 (and one of length 2), so
+    many delete sets cost the same and the sorted ids break the ties, also
+    between sets of different sizes, and 1-edge trees."""
+    shapes = [
+        ({"r": None, "a": "r"}, {"r": 0, "a": 1}),
+        ({"r": None, "a": "r"}, {"r": 0, "a": 2}),
+        ({"r": None, "s": "r", "a": "s", "z": "s"}, {"r": 0, "s": 1, "a": 2, "z": 3}),
+        ({"r": None, "s": "r", "a": "s", "b": "s"}, {"r": 0, "s": 1, "a": 2, "b": 2}),
+        (
+            {"r": None, "s": "r", "a": "s", "b": "s", "c": "s"},
+            {"r": 0, "s": 1, "a": 2, "b": 2, "c": 2},
+        ),
+        (
+            {"r": None, "s": "r", "a": "s", "t": "s", "b": "t", "c": "t"},
+            {"r": 0, "s": 1, "a": 2, "t": 2, "b": 3, "c": 3},
+        ),
+        (
+            {"r": None, "s": "r", "t": "s", "u": "s", "a": "t", "b": "t", "c": "u", "d": "u"},
+            {"r": 0, "s": 1, "t": 2, "u": 2, "a": 3, "b": 3, "c": 3, "d": 3},
+        ),
+    ]
+    filled = [0, 0]
+    for (p1, v1), (p2, v2) in itertools.product(shapes, repeat=2):
+        for max_ops, max_op_cost in ((1, 1.0), (3, 1.0), (6, 0.5)):
+            t1, t2 = abstract_merge_tree(p1, v1), abstract_merge_tree(p2, v2)
+            _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled)
+    assert 0 < filled[0] <= filled[1]
+
+
+def test_iso_leaves_no_cyclic_garbage():
+    """_iso recurses at module level, so its calls leave nothing for the
+    cycle collector; the 2-leaf groups go through the assignment solver."""
+    t = abstract_merge_tree(
+        {"r": None, "s": "r", "a": "s", "b": "s", "t": "s", "c": "t", "d": "t"},
+        {"r": 0.0, "s": 1.0, "a": 2.5, "b": 3.0, "t": 2.0, "c": 3.5, "d": 4.0},
+    )
+    q1 = edge_tree_of(t)
+    q2 = EdgeTree(q1.parent, {v: 2.0 * x for v, x in q1.length.items()}, q1.root)
+    s1, s2 = q1.shapes(), q2.shapes()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(200):
+            editcore._iso(q1, s1, q2, s2, editcore._length_diff)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_shape_of_a_2000_level_chain():

@@ -188,6 +188,7 @@ def test_delta_e_and_g_on_saddle_swaps_exceed_deg_f_times_extent(seed, trial, di
     for m in (MetricId.E, MetricId.G):
         report = check_bound(f, f2, m)
         assert report.claimed and report.degree == 3 and report.passed is False
+        assert report.degree_g == 4 and report.to_dict()["degree_g"] == 4
 
 
 def test_each_tree_is_built_and_prepared_once(monkeypatch):
