@@ -179,7 +179,12 @@ def _postorder(lt: LabeledTree):
     return out
 
 
+@_memoized
 def _collapse_costs(lt: LabeledTree, cost: CostModel, deleting: bool):
+    """Cost of deleting (or inserting) each node's whole subtree. Kept on
+    the labeled tree per (cost, side), so a tree that meets many partners,
+    as each decomposition does in delta_b, is summed once; callers only
+    read the dict. Pass the arguments positionally: the memo keys on them."""
     out = {}
     for v in _postorder(lt):
         own = cost.delete(lt.labels[v]) if deleting else cost.insert(lt.labels[v])
@@ -211,8 +216,8 @@ def _selkow_enum(l1: LabeledTree, l2: LabeledTree, cost: CostModel):
     ordered. The test oracle of the polynomial DPs in the distances module,
     independent of them; optima of node pairs are kept for this call."""
     ordered = l1.groups is not None and l2.groups is not None
-    del1 = _collapse_costs(l1, cost, deleting=True)
-    ins2 = _collapse_costs(l2, cost, deleting=False)
+    del1 = _collapse_costs(l1, cost, True)
+    ins2 = _collapse_costs(l2, cost, False)
     memo = {}
 
     def best(v, w):

@@ -3,6 +3,10 @@
 Grouped by CLI exit code: ValidationError subclasses map to exit code 2,
 SizeGuardError to exit code 3, plain I/O failures (OSError, json errors)
 to exit code 1.
+
+Every type pickles: a class whose constructor takes other arguments than
+its message rebuilds itself from them in __reduce__, so an error raised in
+a worker process reaches the caller with its type and attributes.
 """
 
 
@@ -18,6 +22,9 @@ class DuplicateValueError(ValidationError):
         super().__init__(
             f"duplicate scalar value {value!r} at vertices {vertex_a} and {vertex_b}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.vertex_a, self.vertex_b, self.value)
 
 
 class DisconnectedDomainError(ValidationError):
@@ -66,9 +73,15 @@ class SizeGuardError(RuntimeError):
         self.limit = limit
         super().__init__(f"{what}: size {size} exceeds guard {limit}")
 
+    def __reduce__(self):
+        return type(self), (self.what, self.size, self.limit)
+
 
 class InapplicableOperationError(ValueError):
     def __init__(self, step_index, reason):
         self.step_index = step_index
         self.reason = reason
         super().__init__(f"edit operation {step_index} not applicable: {reason}")
+
+    def __reduce__(self):
+        return type(self), (self.step_index, self.reason)

@@ -303,8 +303,8 @@ def all_pair_order(l1, l2):
 def one_degree_dp_all_pairs(l1, l2, cost) -> float:
     """Oracle of distances.one_degree_dp: the same recurrence with every
     reachable pair in the memo, leaf pairs included."""
-    del1 = _collapse_costs(l1, cost, deleting=True)
-    ins2 = _collapse_costs(l2, cost, deleting=False)
+    del1 = _collapse_costs(l1, cost, True)
+    ins2 = _collapse_costs(l2, cost, False)
     ch1, ch2 = l1.children, l2.children
     memo = {}
     for v, w in reversed(all_pair_order(l1, l2)):
@@ -324,8 +324,8 @@ def ordered_one_degree_dp_all_pairs(l1, l2, cost) -> float:
     """Oracle of distances.ordered_one_degree_dp: every reachable pair in
     the memo, and the group alignment filled forward, each cell pushing to
     its three successors."""
-    del1 = _collapse_costs(l1, cost, deleting=True)
-    ins2 = _collapse_costs(l2, cost, deleting=False)
+    del1 = _collapse_costs(l1, cost, True)
+    ins2 = _collapse_costs(l2, cost, False)
     groups1, groups2 = l1.groups, l2.groups
     memo = {}
     for v, w in reversed(all_pair_order(l1, l2)):

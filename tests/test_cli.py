@@ -1,13 +1,18 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import mtstab
+from mtstab import cli
 from mtstab.cli import main, matrix_from_csv, matrix_to_csv
-from mtstab.field import dump_field, validate_field, build_domain, build_grid_domain
+from mtstab.distances import metric_from_string, tree_distance
+from mtstab.errors import DuplicateValueError
+from mtstab.field import dump_field, load_field, validate_field, build_domain, build_grid_domain
+from mtstab.mergetree import merge_tree_of
 from mtstab.stability import CounterexampleFamily, counterexample_fields
 
 
@@ -78,6 +83,85 @@ def test_matrix_guard_skip_marked(tmp_path):
     assert rc == 3
     payload = json.loads(out_json.read_text())
     assert payload["status"][0][1] == "guard-skipped"
+
+
+@pytest.fixture
+def ensemble(tmp_path):
+    """Five independent 5x5 fields, so the matrix has ten pairs."""
+    rng = random.Random(5)
+    domain = build_grid_domain(5, 5)
+    fields_dir = tmp_path / "fields"
+    fields_dir.mkdir()
+    for k in range(5):
+        values = rng.sample(range(1000), domain.vertex_count)
+        dump_field(validate_field(domain, values), str(fields_dir / f"m{k}.json"))
+    return fields_dir
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host has, so the matrix takes its pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _run_matrix(fields_dir, out_dir, metric, *flags):
+    out_dir.mkdir(exist_ok=True)
+    rc = main(["matrix", str(fields_dir), "--metric", metric, *flags,
+               "--out-json", str(out_dir / f"{metric}.json"),
+               "--out-csv", str(out_dir / f"{metric}.csv")])
+    return rc, json.loads((out_dir / f"{metric}.json").read_text())
+
+
+@pytest.mark.parametrize("metric", ["w", "x", "l"])
+def test_matrix_pool_values_are_the_direct_distances(ensemble, tmp_path, two_cpus, metric):
+    rc, payload = _run_matrix(ensemble, tmp_path / "out", metric)
+    assert rc == 0
+    trees = [merge_tree_of(load_field(str(ensemble / name))) for name in payload["members"]]
+    m = metric_from_string(metric)
+    for i in range(len(trees)):
+        for j in range(len(trees)):
+            expected = 0.0 if i == j else tree_distance(m, trees[min(i, j)], trees[max(i, j)])
+            assert float.hex(payload["values"][i][j]) == float.hex(expected)
+
+
+def test_matrix_pool_writes_the_serial_bytes(ensemble, tmp_path, two_cpus, monkeypatch):
+    for metric in ("w", "x", "l"):
+        _run_matrix(ensemble, tmp_path / "pool", metric)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for metric in ("w", "x", "l"):
+        _run_matrix(ensemble, tmp_path / "serial", metric)
+    for name in sorted(os.listdir(tmp_path / "pool")):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_matrix_guard_skips_through_the_pool(ensemble, tmp_path, two_cpus):
+    rc, payload = _run_matrix(ensemble, tmp_path / "out", "e", "--deform-guard", "1")
+    assert rc == 3
+    n = len(payload["members"])
+    for i in range(n):
+        for j in range(n):
+            assert payload["status"][i][j] == ("ok" if i == j else "guard-skipped")
+            assert payload["values"][i][j] == (0.0 if i == j else None)
+
+
+def test_matrix_worker_errors_reach_the_caller_with_their_type(
+    ensemble, tmp_path, two_cpus, monkeypatch, capsys
+):
+    """Fork carries the patched tree_distance into the workers; the error
+    names the worker's pid, so it cannot have been raised here."""
+    def failing(metric, t1, t2, guards):
+        raise DuplicateValueError(os.getpid(), 7, 0.5)
+
+    monkeypatch.setattr(cli, "tree_distance", failing)
+    args = cli.build_parser().parse_args(["matrix", str(ensemble), "--metric", "w"])
+    with pytest.raises(DuplicateValueError) as caught:
+        cli.cmd_matrix(args)
+    err = caught.value
+    assert err.vertex_a != os.getpid()
+    assert (err.vertex_b, err.value) == (7, 0.5)
+    assert cli._matrix_job is None
+    assert main(["matrix", str(ensemble), "--metric", "w"]) == 2
+    assert "duplicate scalar value 0.5" in capsys.readouterr().err
 
 
 def test_matrix_csv_round_trip():
@@ -176,10 +260,12 @@ def test_stability_run_finite_smoke(tmp_path):
 
 
 def test_import_cli_loads_neither_numpy_nor_scipy():
-    """The assignment solver is imported on first use, so every command
-    that needs no solver starts without paying for numpy and scipy."""
+    """The assignment solver is imported on first use, and the matrix
+    command's process pool when it starts, so every command that needs
+    neither starts without paying for them."""
     src = os.path.dirname(os.path.dirname(mtstab.__file__))
-    code = "import sys, mtstab.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    lazy = "{'numpy', 'scipy', 'multiprocessing', 'concurrent.futures'}"
+    code = f"import sys, mtstab.cli; print(sorted({lazy} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"

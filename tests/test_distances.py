@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -14,6 +15,7 @@ from helpers import (
     random_field,
     staircase_field,
 )
+from mtstab import editcore
 from mtstab import mergetree as mt
 from mtstab.distances import (
     DEFAULT_GUARDS,
@@ -475,3 +477,27 @@ def test_delta_b_guards_raise_the_per_pair_errors():
         fields = (info.value.what, info.value.size, info.value.limit)
         assert fields == ("branch decomposition enumeration", 5, 4)
     assert delta_b(t1, t2, Guards(mapping_nodes=2)) == delta_b(t1, t2)
+
+
+def test_collapse_costs_are_summed_once_per_tree_and_side(monkeypatch):
+    """delta_b runs the DP on every decomposition pair, so each labeled OBDT
+    meets every decomposition of the other tree; its collapse costs are
+    still summed once. A tree on both sides is summed once per side."""
+    builds = collections.Counter()
+    postorder = editcore._postorder
+
+    def counting(lt):
+        builds[id(lt)] += 1
+        return postorder(lt)
+
+    monkeypatch.setattr(editcore, "_postorder", counting)
+    t1, t2 = counterexample(CounterexampleFamily.HORIZONTAL_FIG8, 10.0, 0.1)
+    n1, n2 = len(list(_all_decompositions(t1))), len(list(_all_decompositions(t2)))
+    assert n1 > 1 and n2 > 1
+    delta_b(t1, t2)
+    assert sorted(builds.values()) == [1] * (n1 + n2)
+    builds.clear()
+    lt = label_for_scheme(build_obdt(persistence_branch_decomposition(t1)), mt.OBDT_BIRTH_DEATH)
+    for _ in range(3):
+        ordered_one_degree_dp(lt, lt, WASSERSTEIN_POINT)
+    assert builds == {id(lt): 2}
