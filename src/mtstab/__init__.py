@@ -6,13 +6,10 @@ from .field import (
     TOLERANCE,
     Domain1Skeleton,
     ScalarField,
-    VertexOrder,
     apply_value_change,
     build_domain,
     build_grid_domain,
-    superlevel_components,
     validate_field,
-    vertex_order,
 )
 from .mergetree import (
     AbstractMergeTree,

@@ -127,7 +127,7 @@ def cmd_matrix(args) -> int:
     for path in files:
         try:
             fields.append((os.path.basename(path), load_field(path)))
-        except (ValidationError, ValueError, KeyError) as exc:
+        except ValidationError as exc:
             errors.append(f"{path}: {exc}")
     if errors:
         for e in errors:

@@ -104,7 +104,6 @@ def cost_model_for(labeled: LabeledTree) -> CostModel:
 
 class MappingConstraint(Enum):
     TAI = "tai"
-    SELKOW = "selkow"
     ZHANG_CONSTRAINED = "zhang_constrained"
 
 
@@ -157,9 +156,6 @@ def brute_force_distance(
     n1, n2 = l1.node_count(), l2.node_count()
     if max(n1, n2) > node_limit:
         raise SizeGuardError("brute-force mapping search", max(n1, n2), node_limit)
-    if constraint is MappingConstraint.SELKOW:
-        c, pairs = _selkow_enum(l1, l2, cost)
-        return c, EditMapping.of(pairs)
     zhang = constraint is MappingConstraint.ZHANG_CONSTRAINED
     c, pairs = _tai_search(l1, l2, cost, zhang)
     return c, EditMapping.of(pairs)
@@ -190,79 +186,6 @@ def _collapse_costs(lt: LabeledTree, cost: CostModel, deleting: bool):
         own = cost.delete(lt.labels[v]) if deleting else cost.insert(lt.labels[v])
         out[v] = own + sum(out[c] for c in lt.children[v])
     return out
-
-
-def _group_index(groups):
-    """Each child's position among one node's ordered child groups."""
-    return {c: i for i, grp in enumerate(groups) for c in grp}
-
-
-def _order_consistent(gi1, gi2, pairs, a, b):
-    """Mapped sibling pairs must agree on the attachment order exactly:
-    same group iff same group, strictly before iff strictly before."""
-    for a2, b2 in pairs:
-        same1 = gi1[a] == gi1[a2]
-        same2 = gi2[b] == gi2[b2]
-        if same1 != same2:
-            return False
-        if not same1 and ((gi1[a] < gi1[a2]) != (gi2[b] < gi2[b2])):
-            return False
-    return True
-
-
-def _selkow_enum(l1: LabeledTree, l2: LabeledTree, cost: CostModel):
-    """Enumerative optimum over Selkow (one-degree) mappings: roots mapped,
-    parents of mapped pairs mapped. Honors child order when both trees are
-    ordered. The test oracle of the polynomial DPs in the distances module,
-    independent of them; optima of node pairs are kept for this call."""
-    ordered = l1.groups is not None and l2.groups is not None
-    del1 = _collapse_costs(l1, cost, True)
-    ins2 = _collapse_costs(l2, cost, False)
-    memo = {}
-
-    def best(v, w):
-        if (v, w) in memo:
-            return memo[v, w]
-        cs1 = sorted(l1.children[v], key=_id_key)
-        cs2 = sorted(l2.children[w], key=_id_key)
-        gi1 = _group_index(l1.groups[v]) if ordered else None
-        gi2 = _group_index(l2.groups[w]) if ordered else None
-        state = [math.inf, None, None]  # cost, flat pairs, key
-
-        def rec(i, used, acc, chosen):
-            if i == len(cs1):
-                total = acc + sum(ins2[d] for d in cs2 if d not in used)
-                flat = []
-                for _, _, sub in chosen:
-                    flat.extend(sub)
-                fkey = _pairs_key(flat)
-                if _better(total, fkey, state[0], state[2]):
-                    state[0], state[1], state[2] = total, tuple(flat), fkey
-                return
-            a = cs1[i]
-            rec(i + 1, used, acc + del1[a], chosen)
-            for b in cs2:
-                if b in used:
-                    continue
-                if ordered and not _order_consistent(
-                    gi1, gi2, [(x, y) for x, y, _ in chosen], a, b
-                ):
-                    continue
-                sub_cost, sub_pairs = best(a, b)
-                used.add(b)
-                chosen.append((a, b, sub_pairs))
-                rec(i + 1, used, acc + sub_cost, chosen)
-                chosen.pop()
-                used.discard(b)
-
-        rec(0, set(), 0.0, [])
-        memo[v, w] = (
-            cost.relabel(l1.labels[v], l2.labels[w]) + state[0],
-            ((v, w),) + tuple(state[1]),
-        )
-        return memo[v, w]
-
-    return best(l1.root, l2.root)
 
 
 def _ancestry(lt: LabeledTree):
@@ -320,60 +243,69 @@ def _tai_search(l1: LabeledTree, l2: LabeledTree, cost: CostModel, zhang: bool):
         g = min(0.0, min(gains[nodes1[i]].values(), default=0.0))
         suffix[i] = suffix[i + 1] + g
 
-    best = [math.inf, None, None]
-
-    def related(anc, a, b):
-        return a == b or a in anc[b] or b in anc[a]
-
-    def zhang_ok(pairs, v3, w3):
-        for i in range(len(pairs)):
-            v1, w1 = pairs[i]
-            for j in range(len(pairs)):
-                if i == j:
-                    continue
-                v2, w2 = pairs[j]
-                if related(anc1, _lca(l1, anc1, v1, v2), v3) != related(
-                    anc2, _lca(l2, anc2, w1, w2), w3
-                ):
-                    return False
-                if related(anc1, _lca(l1, anc1, v1, v3), v2) != related(
-                    anc2, _lca(l2, anc2, w1, w3), w2
-                ):
-                    return False
-        return True
-
-    def dfs(i, pairs, used, gain_acc):
-        if base + gain_acc + suffix[i] > best[0] + _EPS:
-            return
-        if i == len(nodes1):
-            total = base + gain_acc
-            key = _pairs_key(pairs)
-            if _better(total, key, best[0], best[2]):
-                best[0], best[1], best[2] = total, tuple(pairs), key
-            return
-        v = nodes1[i]
-        for w in nodes2:
-            if w in used:
-                continue
-            ok = True
-            for v2, w2 in pairs:
-                if (v2 in anc1[v]) != (w2 in anc2[w]) or (v in anc1[v2]) != (w in anc2[w2]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if zhang and not zhang_ok(pairs, v, w):
-                continue
-            pairs.append((v, w))
-            used.add(w)
-            dfs(i + 1, pairs, used, gain_acc + gains[v][w])
-            used.discard(w)
-            pairs.pop()
-        dfs(i + 1, pairs, used, gain_acc)
-
-    start = list(forced)
-    dfs(0, start, set(), 0.0)
+    best = [math.inf, None, None]  # cost, pairs, key
+    search = (l1, anc1, nodes1, l2, anc2, nodes2, gains, base, suffix, zhang, best)
+    _tai_dfs(search, 0, list(forced), set(), 0.0)
     return best[0], best[1]
+
+
+def _tai_dfs(search, i, pairs, used, gain_acc):
+    """_tai_search from the i-th node of the first tree on: each free
+    compatible partner in turn, then no partner. A module-level recursion,
+    so a call leaves no reference cycle behind (a self-recursive closure
+    would)."""
+    l1, anc1, nodes1, l2, anc2, nodes2, gains, base, suffix, zhang, best = search
+    if base + gain_acc + suffix[i] > best[0] + _EPS:
+        return
+    if i == len(nodes1):
+        total = base + gain_acc
+        key = _pairs_key(pairs)
+        if _better(total, key, best[0], best[2]):
+            best[0], best[1], best[2] = total, tuple(pairs), key
+        return
+    v = nodes1[i]
+    for w in nodes2:
+        if w in used:
+            continue
+        ok = True
+        for v2, w2 in pairs:
+            if (v2 in anc1[v]) != (w2 in anc2[w]) or (v in anc1[v2]) != (w in anc2[w2]):
+                ok = False
+                break
+        if not ok:
+            continue
+        if zhang and not _zhang_ok(l1, anc1, l2, anc2, pairs, v, w):
+            continue
+        pairs.append((v, w))
+        used.add(w)
+        _tai_dfs(search, i + 1, pairs, used, gain_acc + gains[v][w])
+        used.discard(w)
+        pairs.pop()
+    _tai_dfs(search, i + 1, pairs, used, gain_acc)
+
+
+def _related(anc, a, b):
+    return a == b or a in anc[b] or b in anc[a]
+
+
+def _zhang_ok(l1, anc1, l2, anc2, pairs, v3, w3):
+    """Whether adding (v3, w3) to `pairs` keeps every lowest-common-ancestor
+    triple condition of the constrained edit distance."""
+    for i in range(len(pairs)):
+        v1, w1 = pairs[i]
+        for j in range(len(pairs)):
+            if i == j:
+                continue
+            v2, w2 = pairs[j]
+            if _related(anc1, _lca(l1, anc1, v1, v2), v3) != _related(
+                anc2, _lca(l2, anc2, w1, w2), w3
+            ):
+                return False
+            if _related(anc1, _lca(l1, anc1, v1, v3), v2) != _related(
+                anc2, _lca(l2, anc2, w1, w3), w2
+            ):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

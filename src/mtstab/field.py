@@ -100,13 +100,6 @@ class ScalarField:
         return self.domain.vertex_count
 
 
-@dataclass(frozen=True)
-class VertexOrder:
-    """rank[v] in 1..n, ascending by scalar value."""
-
-    rank: tuple[int, ...]
-
-
 def validate_field(domain: Domain1Skeleton, values) -> ScalarField:
     values = tuple(float(x) for x in values)
     if len(values) != domain.vertex_count:
@@ -122,14 +115,6 @@ def validate_field(domain: Domain1Skeleton, values) -> ScalarField:
     return ScalarField(domain, values)
 
 
-def vertex_order(field: ScalarField) -> VertexOrder:
-    order = sorted(range(field.vertex_count), key=field.values.__getitem__)
-    rank = [0] * field.vertex_count
-    for i, v in enumerate(order):
-        rank[v] = i + 1
-    return VertexOrder(tuple(rank))
-
-
 def apply_value_change(field: ScalarField, vertex: int, new_value: float) -> ScalarField:
     """Return a copy of the field with one vertex value replaced."""
     if not (0 <= vertex < field.vertex_count):
@@ -141,30 +126,6 @@ def apply_value_change(field: ScalarField, vertex: int, new_value: float) -> Sca
     values = list(field.values)
     values[vertex] = new_value
     return ScalarField(field.domain, tuple(values))
-
-
-def superlevel_components(field: ScalarField, threshold: float) -> list[frozenset[int]]:
-    """Connected components of the strict superlevel set {v : f(v) > t}.
-
-    Test oracle for merge tree construction; returned sorted by min vertex id.
-    """
-    alive = {v for v in range(field.vertex_count) if field.values[v] > threshold}
-    comps = []
-    unseen = set(alive)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        unseen.discard(start)
-        while stack:
-            v = stack.pop()
-            for w in field.domain.adjacency[v]:
-                if w in alive and w not in comp:
-                    comp.add(w)
-                    unseen.discard(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +140,32 @@ def field_to_dict(field: ScalarField) -> dict:
 
 
 def field_from_dict(data: dict) -> ScalarField:
-    if "grid" in data:
-        g = data["grid"]
-        dom = build_grid_domain(int(g["rows"]), int(g["cols"]))
-        return validate_field(dom, g["values"])
+    """The field of a JSON payload: {"grid": {"rows", "cols", "values"}}, or
+    {"vertices": [{"id", "value"}, ...], "edges": [[u, v], ...]} with dense
+    0-based ids. Any other payload raises ValidationError: a missing key, a
+    container of the wrong type or an entry that is not a number."""
     try:
-        verts = data["vertices"]
-        edges = data["edges"]
+        if "grid" in data:
+            g = data["grid"]
+            rows, cols = int(g["rows"]), int(g["cols"])
+            values = [float(x) for x in g["values"]]
+            edges = None
+        else:
+            verts = [(int(entry["id"]), float(entry["value"])) for entry in data["vertices"]]
+            edges = [(int(u), int(v)) for u, v in data["edges"]]
     except KeyError as e:
         raise ValidationError(f"field JSON missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"malformed field JSON: {e}") from e
+    if edges is None:
+        return validate_field(build_grid_domain(rows, cols), values)
     n = len(verts)
     values = [None] * n
-    for entry in verts:
-        i = int(entry["id"])
+    for i, value in verts:
         if not (0 <= i < n) or values[i] is not None:
             raise ValidationError(f"vertex ids must be dense 0-based, got {i}")
-        values[i] = float(entry["value"])
-    dom = build_domain(n, [(int(u), int(v)) for u, v in edges])
-    return validate_field(dom, values)
+        values[i] = value
+    return validate_field(build_domain(n, edges), values)
 
 
 def load_field(path: str) -> ScalarField:

@@ -88,9 +88,6 @@ class _RootedTree:
     def edge_count(self) -> int:
         return len(self.value) - 1
 
-    def max_child_count(self) -> int:
-        return max(len(c) for c in self._children.values())
-
     def max_undirected_degree(self) -> int:
         """Maximum number of incident tree edges over all nodes."""
         return max(

@@ -86,7 +86,6 @@ class BoundReport:
     extent: float
     degree: int
     degree_g: int  # deg(T_g); the bound uses deg(T_f) only
-    max_child_count: int
     distance: float | None
     bound: float
     claimed: bool
@@ -101,7 +100,6 @@ class BoundReport:
             "extent": self.extent,
             "degree": self.degree,
             "degree_g": self.degree_g,
-            "max_child_count": self.max_child_count,
             "distance": self.distance,
             "bound": self.bound,
             "claimed": self.claimed,
@@ -127,14 +125,14 @@ def _tree_bound(f, f2, info, metric, guards) -> BoundReport:
     try:
         dist = tree_distance(metric, t1, t2, guards)
     except SizeGuardError:
-        return BoundReport(metric, cls, extent, deg, deg_g, t1.max_child_count(), None,
-                           bound, claimed, None, skipped=True)
+        return BoundReport(metric, cls, extent, deg, deg_g, None, bound, claimed, None,
+                           skipped=True)
     passed = (dist <= bound + TOLERANCE) if claimed else None
     witness = None
     if claimed and not passed:
         witness = {"field_a": field_to_dict(f), "field_b": field_to_dict(f2)}
-    return BoundReport(metric, cls, extent, deg, deg_g, t1.max_child_count(), dist,
-                       bound, claimed, passed, witness=witness)
+    return BoundReport(metric, cls, extent, deg, deg_g, dist, bound, claimed, passed,
+                       witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +477,18 @@ def run_finite_stability(
     Each trial perturbs every vertex independently within [-eps, eps],
     decomposes the perturbation into minimal steps, classifies each step,
     and checks the size-times-2eps bound for every metric whose step-class
-    precondition holds. The deformation bound is unconditional.
+    precondition holds. The deformation bound is unconditional. A metric
+    without a finite-stability precondition raises ValidationError before
+    the first trial.
     """
     metrics = tuple(metrics)
+    unsupported = [m.value for m in metrics if m not in _FINITE_PRECONDITION]
+    if unsupported:
+        supported = " ".join(m.value for m in _FINITE_PRECONDITION)
+        raise ValidationError(
+            f"finite stability has no bound for {', '.join(unsupported)};"
+            f" supported metrics: {supported}"
+        )
     per_metric = {m: CellStats() for m in metrics}
     class_counts = {}
     for i in range(trials):

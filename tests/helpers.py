@@ -1,7 +1,8 @@
-"""Shared test utilities: random generators, canonical tree comparison, an
-independent sequence-search oracle for the deformation distances, a
-backtracking oracle for subtree inclusion, all-pairs oracles for the
-one-degree DPs and eager oracles for the deformation searches."""
+"""Shared test utilities: random generators, canonical tree comparison, a
+superlevel-set oracle for merge tree construction, an independent
+sequence-search oracle for the deformation distances, a backtracking oracle
+for subtree inclusion, the enumerative Selkow search and all-pairs oracles
+for the one-degree DPs, and eager oracles for the deformation searches."""
 
 from __future__ import annotations
 
@@ -13,19 +14,23 @@ import random
 from mtstab.distances import _assignment_min
 from mtstab.editcore import (
     _EPS,
+    BRUTE_FORCE_NODE_LIMIT,
     DeformWitness,
     EdgeTree,
+    EditMapping,
+    _better,
     _collapse_costs,
-    _group_index,
     _iso,
     _length_diff,
-    _order_consistent,
+    _pairs_key,
     _path_variants,
     _qualifying_iso,
     _quotient,
     contract,
+    cost_model_for,
     edge_tree_of,
 )
+from mtstab.errors import SizeGuardError
 from mtstab.field import TOLERANCE, build_domain, build_grid_domain, validate_field
 from mtstab.mergetree import BLANK, _id_key, abstract_merge_tree, merge_tree_of
 
@@ -100,6 +105,30 @@ def random_tiny_tree(rng: random.Random, max_edges=3):
             continue  # interior global minimum disconnects a path's superlevel set
         if t.edge_count() <= max_edges:
             return t
+
+
+def superlevel_components(field, threshold):
+    """Connected components of the strict superlevel set {v : f(v) > t}.
+
+    Test oracle for merge tree construction; returned sorted by min vertex id.
+    """
+    alive = {v for v in range(field.vertex_count) if field.values[v] > threshold}
+    comps = []
+    unseen = set(alive)
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        stack = [start]
+        unseen.discard(start)
+        while stack:
+            v = stack.pop()
+            for w in field.domain.adjacency[v]:
+                if w in alive and w not in comp:
+                    comp.add(w)
+                    unseen.discard(w)
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return sorted(comps, key=min)
 
 
 def labeled_canonical(lt):
@@ -236,6 +265,24 @@ def deform_sequence_search(t1, t2, one_degree=False, *, cost_cap, max_extra_node
     return float("inf")
 
 
+def _group_index(groups):
+    """Each child's position among one node's ordered child groups."""
+    return {c: i for i, grp in enumerate(groups) for c in grp}
+
+
+def _order_consistent(gi1, gi2, pairs, a, b):
+    """Mapped sibling pairs must agree on the attachment order exactly:
+    same group iff same group, strictly before iff strictly before."""
+    for a2, b2 in pairs:
+        same1 = gi1[a] == gi1[a2]
+        same2 = gi2[b] == gi2[b2]
+        if same1 != same2:
+            return False
+        if not same1 and ((gi1[a] < gi1[a2]) != (gi2[b] < gi2[b2])):
+            return False
+    return True
+
+
 def embed_backtracking(root1, root2, children1, children2, compatible, groups1, groups2):
     """Test oracle of mergetree._embed, with the same arguments and meaning:
     a recursive search over child assignments that backtracks on failure,
@@ -285,8 +332,71 @@ def embed_backtracking(root1, root2, children1, children2, compatible, groups1, 
 
 
 # ---------------------------------------------------------------------------
-# All-pairs oracles for the one-degree DPs
+# Oracles of the one-degree DPs: the Selkow search and all-pairs DPs
 # ---------------------------------------------------------------------------
+
+def selkow_brute_force(l1, l2):
+    """Exact optimum over Selkow (one-degree) mappings, by enumeration:
+    roots mapped, parents of mapped pairs mapped, child order honored when
+    both trees are ordered. Returns (cost, EditMapping), ties resolved
+    toward the lexicographically smallest mapping, with the cost model of
+    l1's label scheme; trees above BRUTE_FORCE_NODE_LIMIT nodes raise
+    SizeGuardError. Independent of the DPs it checks; optima of node pairs
+    are kept for this call."""
+    n = max(l1.node_count(), l2.node_count())
+    if n > BRUTE_FORCE_NODE_LIMIT:
+        raise SizeGuardError("brute-force mapping search", n, BRUTE_FORCE_NODE_LIMIT)
+    cost = cost_model_for(l1)
+    ordered = l1.groups is not None and l2.groups is not None
+    del1 = _collapse_costs(l1, cost, True)
+    ins2 = _collapse_costs(l2, cost, False)
+    memo = {}
+
+    def best(v, w):
+        if (v, w) in memo:
+            return memo[v, w]
+        cs1 = sorted(l1.children[v], key=_id_key)
+        cs2 = sorted(l2.children[w], key=_id_key)
+        gi1 = _group_index(l1.groups[v]) if ordered else None
+        gi2 = _group_index(l2.groups[w]) if ordered else None
+        state = [math.inf, None, None]  # cost, flat pairs, key
+
+        def rec(i, used, acc, chosen):
+            if i == len(cs1):
+                total = acc + sum(ins2[d] for d in cs2 if d not in used)
+                flat = []
+                for _, _, sub in chosen:
+                    flat.extend(sub)
+                fkey = _pairs_key(flat)
+                if _better(total, fkey, state[0], state[2]):
+                    state[0], state[1], state[2] = total, tuple(flat), fkey
+                return
+            a = cs1[i]
+            rec(i + 1, used, acc + del1[a], chosen)
+            for b in cs2:
+                if b in used:
+                    continue
+                if ordered and not _order_consistent(
+                    gi1, gi2, [(x, y) for x, y, _ in chosen], a, b
+                ):
+                    continue
+                sub_cost, sub_pairs = best(a, b)
+                used.add(b)
+                chosen.append((a, b, sub_pairs))
+                rec(i + 1, used, acc + sub_cost, chosen)
+                chosen.pop()
+                used.discard(b)
+
+        rec(0, set(), 0.0, [])
+        memo[v, w] = (
+            cost.relabel(l1.labels[v], l2.labels[w]) + state[0],
+            ((v, w),) + tuple(state[1]),
+        )
+        return memo[v, w]
+
+    c, pairs = best(l1.root, l2.root)
+    return c, EditMapping.of(pairs)
+
 
 def all_pair_order(l1, l2):
     """Every node pair reachable from the root pair, each after its parent

@@ -23,7 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import deform_sequence_search, edge_canonical, random_abstract_tree
+from helpers import (
+    deform_sequence_search,
+    edge_canonical,
+    random_abstract_tree,
+    selkow_brute_force,
+)
 from mtstab import mergetree as mt
 from mtstab.distances import (
     MetricId,
@@ -38,8 +43,6 @@ from mtstab.distances import (
     tree_distance,
 )
 from mtstab.editcore import (
-    MappingConstraint,
-    brute_force_distance,
     check_sequence,
     deform_witness_search,
     edge_tree_of,
@@ -309,11 +312,11 @@ def test_criterion_6_oracle_equivalence():
     for a, b in pairs:
         bda, bdb = persistence_branch_decomposition(a), persistence_branch_decomposition(b)
         lw = [label_for_scheme(build_bdt(x), mt.BDT_BIRTH_DEATH) for x in (bda, bdb)]
-        ow, _ = brute_force_distance(lw[0], lw[1], MappingConstraint.SELKOW)
+        ow, _ = selkow_brute_force(lw[0], lw[1])
         lx = [label_for_scheme(build_obdt(x), mt.OBDT_BIRTH_DEATH) for x in (bda, bdb)]
-        ox, _ = brute_force_distance(lx[0], lx[1], MappingConstraint.SELKOW)
+        ox, _ = selkow_brute_force(lx[0], lx[1])
         ll = [label_for_scheme(x, mt.NODE_DIST_TO_PARENT) for x in (a, b)]
-        ol, _ = brute_force_distance(ll[0], ll[1], MappingConstraint.SELKOW)
+        ol, _ = selkow_brute_force(ll[0], ll[1])
         ok = (
             ok
             and abs(delta_w(a, b) - ow) <= TOL

@@ -41,6 +41,35 @@ def test_build_tree_missing_file_exit_1(capsys):
     assert main(["build-tree", "/nonexistent/nope.json"]) == 1
 
 
+#: Field files that are valid JSON but no field, each named by its defect.
+MALFORMED_FIELDS = {
+    "grid-without-cols": {"grid": {"rows": 2}},
+    "vertex-without-id": {"vertices": [{"value": 0.0}, {"id": 1, "value": 1.0}],
+                          "edges": [[0, 1]]},
+    "top-level-list": [0, 1],
+    "value-not-a-number": {"vertices": [{"id": 0, "value": "x"}, {"id": 1, "value": 1.0}],
+                           "edges": [[0, 1]]},
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS)
+@pytest.mark.parametrize("command", ["build-tree", "matrix"])
+def test_malformed_field_json_exits_2(command, payload, tmp_path, capsys):
+    """A field file of the wrong form is a validation error: one error
+    line and exit 2, from build-tree and from matrix alike."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if command == "matrix":
+        dump_field(validate_field(build_grid_domain(2, 2), [0, 3, 1, 2]), str(tmp_path / "ok.json"))
+        argv = ["matrix", str(tmp_path), "--metric", "w"]
+    else:
+        argv = ["build-tree", str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not captured.out
+
+
 def test_matrix_identical_fields(tmp_path, capsys):
     f = validate_field(build_grid_domain(2, 2), [0, 3, 1, 2])
     dump_field(f, str(tmp_path / "a.json"))
@@ -257,6 +286,22 @@ def test_stability_run_finite_smoke(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["eps"] == 0.05
+
+
+@pytest.mark.parametrize("metric", ["s", "b"])
+def test_stability_run_finite_refuses_metrics_without_a_bound(metric, tmp_path, capsys):
+    """Finite mode has no bound for s and b: exit 2 with one error line
+    that names the supported metrics, before any trial runs."""
+    out = tmp_path / "report.json"
+    rc = main([
+        "stability-run", "--trials", "2", "--grid", "3", "--metrics", f"e,{metric}",
+        "--mode", "finite", "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "supported metrics: e p g l w x" in err
+    assert not out.exists()
 
 
 def test_import_cli_loads_neither_numpy_nor_scipy():

@@ -13,6 +13,7 @@ from helpers import (
     ordered_one_degree_dp_all_pairs,
     random_abstract_tree,
     random_field,
+    selkow_brute_force,
     staircase_field,
 )
 from mtstab import editcore
@@ -39,7 +40,7 @@ from mtstab.distances import (
     ordered_one_degree_dp,
     tree_distance,
 )
-from mtstab.editcore import ABS_DIFF, WASSERSTEIN_POINT, MappingConstraint, brute_force_distance
+from mtstab.editcore import ABS_DIFF, WASSERSTEIN_POINT
 from mtstab.errors import SizeGuardError
 from mtstab.field import apply_value_change, validate_field
 from mtstab.mergetree import (
@@ -93,15 +94,15 @@ def test_oracle_equivalence_w_x_l():
     for a, b in small:
         lw1 = label_for_scheme(build_bdt(persistence_branch_decomposition(a)), mt.BDT_BIRTH_DEATH)
         lw2 = label_for_scheme(build_bdt(persistence_branch_decomposition(b)), mt.BDT_BIRTH_DEATH)
-        ow, _ = brute_force_distance(lw1, lw2, MappingConstraint.SELKOW)
+        ow, _ = selkow_brute_force(lw1, lw2)
         assert delta_w(a, b) == pytest.approx(ow, abs=1e-9)
         lx1 = label_for_scheme(build_obdt(persistence_branch_decomposition(a)), mt.OBDT_BIRTH_DEATH)
         lx2 = label_for_scheme(build_obdt(persistence_branch_decomposition(b)), mt.OBDT_BIRTH_DEATH)
-        ox, _ = brute_force_distance(lx1, lx2, MappingConstraint.SELKOW)
+        ox, _ = selkow_brute_force(lx1, lx2)
         assert delta_x(a, b) == pytest.approx(ox, abs=1e-9)
         ll1 = label_for_scheme(a, mt.NODE_DIST_TO_PARENT)
         ll2 = label_for_scheme(b, mt.NODE_DIST_TO_PARENT)
-        ol, _ = brute_force_distance(ll1, ll2, MappingConstraint.SELKOW)
+        ol, _ = selkow_brute_force(ll1, ll2)
         assert delta_l(a, b) == pytest.approx(ol, abs=1e-9)
 
 
@@ -213,7 +214,7 @@ def test_fig10_classic_is_single_relabel():
     t1, t2 = counterexample(CounterexampleFamily.VERTICAL_FIG10, 10.0, 0.1)
     l1 = label_for_scheme(t1, mt.NODE_DIST_TO_PARENT)
     l2 = label_for_scheme(t2, mt.NODE_DIST_TO_PARENT)
-    cost, mapping = brute_force_distance(l1, l2, MappingConstraint.SELKOW)
+    cost, mapping = selkow_brute_force(l1, l2)
     assert cost == pytest.approx(0.2)
     assert all(a == b for a, b in mapping.pairs)  # identity, one label differs
 
@@ -431,7 +432,7 @@ def delta_b_per_pair(t1, t2, guards=DEFAULT_GUARDS):
         l1 = label_for_scheme(build_obdt(bd1), mt.OBDT_BIRTH_DEATH)
         for bd2 in _all_decompositions(t2):
             l2 = label_for_scheme(build_obdt(bd2), mt.OBDT_BIRTH_DEATH)
-            cost, _ = brute_force_distance(l1, l2, MappingConstraint.SELKOW)
+            cost, _ = selkow_brute_force(l1, l2)
             best = min(best, cost)
     return best
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -17,6 +18,7 @@ from helpers import (
     random_abstract_tree,
     random_field,
     random_tiny_tree,
+    selkow_brute_force,
 )
 from mtstab import editcore
 from mtstab import mergetree as mt
@@ -51,10 +53,12 @@ from mtstab.stability import (
     stability_degree,
 )
 
-CONSTRAINTS = (
-    MappingConstraint.TAI,
-    MappingConstraint.ZHANG_CONSTRAINED,
-    MappingConstraint.SELKOW,
+#: The exact mapping searches, each (l1, l2) -> (cost, EditMapping): Tai,
+#: constrained and Selkow mappings, each constraint stricter than the last.
+SEARCHES = (
+    functools.partial(brute_force_distance, constraint=MappingConstraint.TAI),
+    functools.partial(brute_force_distance, constraint=MappingConstraint.ZHANG_CONSTRAINED),
+    selkow_brute_force,
 )
 
 
@@ -111,8 +115,8 @@ def test_identical_trees_zero_any_constraint():
     rng = random.Random(1)
     t = random_abstract_tree(rng)
     lt = labeled(t)
-    for c in CONSTRAINTS:
-        cost, mapping = brute_force_distance(lt, lt, c)
+    for search in SEARCHES:
+        cost, mapping = search(lt, lt)
         assert cost == pytest.approx(0.0)
         assert all(a == b for a, b in mapping.pairs)
 
@@ -136,7 +140,7 @@ def test_constraint_monotonicity():
         l2 = labeled(random_abstract_tree(rng, max_edges=5))
         tai, _ = brute_force_distance(l1, l2, MappingConstraint.TAI)
         zh, _ = brute_force_distance(l1, l2, MappingConstraint.ZHANG_CONSTRAINED)
-        se, _ = brute_force_distance(l1, l2, MappingConstraint.SELKOW)
+        se, _ = selkow_brute_force(l1, l2)
         assert tai <= zh + 1e-9
         assert zh <= se + 1e-9
 
@@ -144,16 +148,16 @@ def test_constraint_monotonicity():
 def test_mapping_constraint_axioms_sampled():
     rng = random.Random(3)
     trees = [labeled(random_abstract_tree(rng, max_edges=4)) for _ in range(6)]
-    for c in CONSTRAINTS:
+    for search in SEARCHES:
         for l1 in trees[:3]:
             for l2 in trees[3:]:
-                d_ab, _ = brute_force_distance(l1, l2, c)
-                d_ba, _ = brute_force_distance(l2, l1, c)
+                d_ab, _ = search(l1, l2)
+                d_ba, _ = search(l2, l1)
                 assert d_ab == pytest.approx(d_ba, abs=1e-9)
         a, b, cc = trees[0], trees[1], trees[2]
-        ab, _ = brute_force_distance(a, b, c)
-        bc, _ = brute_force_distance(b, cc, c)
-        ac, _ = brute_force_distance(a, cc, c)
+        ab, _ = search(a, b)
+        bc, _ = search(b, cc)
+        ac, _ = search(a, cc)
         assert ac <= ab + bc + 1e-9
 
 
@@ -557,6 +561,22 @@ def test_iso_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def test_tai_search_leaves_no_cyclic_garbage():
+    """_tai_search recurses at module level, so the delta_G (Tai) and
+    delta_S (constrained) searches leave nothing for the cycle collector."""
+    rng = random.Random(12)
+    trees = [labeled(random_abstract_tree(rng, max_edges=4)) for _ in range(6)]
+    gc.collect()
+    gc.disable()
+    try:
+        for l1, l2 in itertools.product(trees[:3], trees[3:]):
+            for constraint in MappingConstraint:
+                brute_force_distance(l1, l2, constraint)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_shape_of_a_2000_level_chain():
     """shapes() fills its shapes bottom-up, so depth is no RecursionError."""
     depth = 2000
@@ -576,7 +596,7 @@ def test_identity_mapping_empty_sequence():
     rng = random.Random(9)
     t = random_abstract_tree(rng, max_edges=5)
     lt = labeled(t)
-    cost, mapping = brute_force_distance(lt, lt, MappingConstraint.SELKOW)
+    cost, mapping = selkow_brute_force(lt, lt)
     seq = mapping_to_sequence(lt, lt, mapping)
     assert len(seq) == 0 and seq.total_cost == 0.0
 
@@ -599,11 +619,11 @@ def test_delete_everything_mapping():
 
 def test_mapping_to_sequence_random_round_trip():
     rng = random.Random(10)
-    for constraint in CONSTRAINTS:
+    for search in SEARCHES:
         for _ in range(10):
             l1 = labeled(random_abstract_tree(rng, max_edges=5))
             l2 = labeled(random_abstract_tree(rng, max_edges=5))
-            cost, mapping = brute_force_distance(l1, l2, constraint)
+            cost, mapping = search(l1, l2)
             seq = mapping_to_sequence(l1, l2, mapping)
             assert seq.total_cost == pytest.approx(cost, abs=1e-9)
             out = check_sequence(l1, seq)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import superlevel_components
 from mtstab.errors import (
     DimensionError,
     DisconnectedDomainError,
@@ -15,9 +16,7 @@ from mtstab.field import (
     build_grid_domain,
     field_from_dict,
     field_to_dict,
-    superlevel_components,
     validate_field,
-    vertex_order,
 )
 
 
@@ -80,12 +79,6 @@ def test_validate_field_length_mismatch():
         validate_field(dom, [0, 1])
 
 
-def test_vertex_order_examples():
-    assert vertex_order(path_field([5.0, 1.0, 3.0])).rank == (3, 1, 2)
-    assert vertex_order(path_field([0, 1, 2, 3])).rank == (1, 2, 3, 4)
-    assert vertex_order(path_field([2.5, 2.4])).rank == (2, 1)
-
-
 def test_apply_value_change():
     f = path_field([0, 2, 1])
     g = apply_value_change(f, 2, 3.0)
@@ -132,18 +125,6 @@ def test_superlevel_components_partition(raw, frac):
                 abs(v - w) == 1 for w in comp if w != v
             ), "path-induced component must be an interval"
     assert got == want
-
-
-@given(st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=9, unique=True),
-       st.integers(-5, 5))
-@settings(max_examples=60, deadline=None)
-def test_vertex_order_shift_invariant(raw, shift):
-    values = [v / 10 ** 6 for v in raw]
-    n = len(values)
-    dom = build_domain(n, [(i, i + 1) for i in range(n - 1)])
-    a = vertex_order(validate_field(dom, values))
-    b = vertex_order(validate_field(dom, [v + shift for v in values]))
-    assert a.rank == b.rank
 
 
 def test_field_json_round_trip(tmp_path):

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from helpers import embed_backtracking, random_field
+from helpers import embed_backtracking, random_field, superlevel_components
 from mtstab import mergetree as mt
 from mtstab.errors import AbstractInvariantError, SchemeMismatchError, ValidationError
-from mtstab.field import build_domain, superlevel_components, validate_field
+from mtstab.field import build_domain, validate_field
 from mtstab.mergetree import (
     BLANK,
     abstract_merge_tree,
