@@ -16,8 +16,6 @@ from .mergetree import (
     AugmentedMergeTree,
     Branch,
     BranchDecomposition,
-    Bdt,
-    OrderedBdt,
     LabeledTree,
     abstract_merge_tree,
     build_augmented,

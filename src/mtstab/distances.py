@@ -256,15 +256,15 @@ def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
 def delta_w(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS) -> float:
     """Merge tree Wasserstein distance: one-degree edit distance on
     unordered BDTs with Euclidean birth-death costs."""
-    l1 = label_for_scheme(build_bdt(persistence_branch_decomposition(t1)), mergetree.BDT_BIRTH_DEATH)
-    l2 = label_for_scheme(build_bdt(persistence_branch_decomposition(t2)), mergetree.BDT_BIRTH_DEATH)
+    l1 = build_bdt(persistence_branch_decomposition(t1))
+    l2 = build_bdt(persistence_branch_decomposition(t2))
     return one_degree_dp(l1, l2, WASSERSTEIN_POINT)
 
 
 def delta_x(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS) -> float:
     """Saikia distance: the same one-degree edit distance on ordered BDTs."""
-    l1 = label_for_scheme(build_obdt(persistence_branch_decomposition(t1)), mergetree.OBDT_BIRTH_DEATH)
-    l2 = label_for_scheme(build_obdt(persistence_branch_decomposition(t2)), mergetree.OBDT_BIRTH_DEATH)
+    l1 = build_obdt(persistence_branch_decomposition(t1))
+    l2 = build_obdt(persistence_branch_decomposition(t2))
     return ordered_one_degree_dp(l1, l2, WASSERSTEIN_POINT)
 
 
@@ -322,15 +322,9 @@ def delta_b(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
     m = max(t1.edge_count(), t2.edge_count())
     if m > guards.branch_edges:
         raise SizeGuardError("branch decomposition enumeration", m, guards.branch_edges)
-    side1, side2 = _labeled_obdts(t1), _labeled_obdts(t2)
+    side1 = [build_obdt(bd) for bd in _all_decompositions(t1)]
+    side2 = [build_obdt(bd) for bd in _all_decompositions(t2)]
     return min(ordered_one_degree_dp(l1, l2, WASSERSTEIN_POINT) for l1 in side1 for l2 in side2)
-
-
-def _labeled_obdts(tree: AbstractMergeTree):
-    return [
-        label_for_scheme(build_obdt(bd), mergetree.OBDT_BIRTH_DEATH)
-        for bd in _all_decompositions(tree)
-    ]
 
 
 def _all_decompositions(tree: AbstractMergeTree):

@@ -8,6 +8,7 @@ Vertex values must be pairwise distinct; generators are expected to jitter.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -106,6 +107,9 @@ def validate_field(domain: Domain1Skeleton, values) -> ScalarField:
         raise LengthMismatchError(
             f"{len(values)} values for {domain.vertex_count} vertices"
         )
+    for v, x in enumerate(values):
+        if not math.isfinite(x):
+            raise ValidationError(f"value {x} at vertex {v} is not finite")
     order = sorted(range(len(values)), key=values.__getitem__)
     for a, b in zip(order, order[1:]):
         if values[a] == values[b]:
@@ -143,16 +147,17 @@ def field_from_dict(data: dict) -> ScalarField:
     """The field of a JSON payload: {"grid": {"rows", "cols", "values"}}, or
     {"vertices": [{"id", "value"}, ...], "edges": [[u, v], ...]} with dense
     0-based ids. Any other payload raises ValidationError: a missing key, a
-    container of the wrong type or an entry that is not a number."""
+    container of the wrong type, an entry that is not a number, or a size,
+    id or edge end that is not an integer."""
     try:
         if "grid" in data:
             g = data["grid"]
-            rows, cols = int(g["rows"]), int(g["cols"])
+            rows, cols = _integer(g["rows"]), _integer(g["cols"])
             values = [float(x) for x in g["values"]]
             edges = None
         else:
-            verts = [(int(entry["id"]), float(entry["value"])) for entry in data["vertices"]]
-            edges = [(int(u), int(v)) for u, v in data["edges"]]
+            verts = [(_integer(entry["id"]), float(entry["value"])) for entry in data["vertices"]]
+            edges = [(_integer(u), _integer(v)) for u, v in data["edges"]]
     except KeyError as e:
         raise ValidationError(f"field JSON missing key {e}") from e
     except (TypeError, ValueError) as e:
@@ -166,6 +171,13 @@ def field_from_dict(data: dict) -> ScalarField:
             raise ValidationError(f"vertex ids must be dense 0-based, got {i}")
         values[i] = value
     return validate_field(build_domain(n, edges), values)
+
+
+def _integer(x) -> int:
+    # JSON true and 2.9 would pass int(); neither is a vertex id or a size
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
 
 
 def load_field(path: str) -> ScalarField:

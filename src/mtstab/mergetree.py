@@ -9,7 +9,7 @@ minimum and leaves are maxima.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import AbstractInvariantError, SchemeMismatchError, ValidationError
 from .field import TOLERANCE, ScalarField
@@ -193,9 +193,12 @@ def merge_tree_of(field: ScalarField) -> AbstractMergeTree:
 # Branch decompositions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Branch:
-    """Monotone path from its lowest node (start) to a leaf maximum."""
+    """Monotone path from its lowest node (start) to a leaf maximum.
+
+    Compares and hashes by identity: a branch belongs to one decomposition,
+    and BDT maps and DP memos key on it (docs/decisions.md section 10)."""
 
     nodes: tuple
     birth: float  # value at the leaf
@@ -248,8 +251,12 @@ def decomposition_from_choice(tree: AbstractMergeTree, choice: dict) -> BranchDe
     if main is None:
         raise ValidationError("decomposition has no branch containing the root")
     containing[tree.root] = main
-    branches.sort(key=lambda b: (b.death, b.birth, str(b.leaf)))
+    branches.sort(key=_branch_order)
     return BranchDecomposition(tuple(branches), main, containing)
+
+
+def _branch_order(b: Branch):
+    return (b.death, b.birth, str(b.leaf))
 
 
 def persistence_choice(tree: AbstractMergeTree) -> dict:
@@ -281,68 +288,8 @@ def persistence_branch_decomposition(tree: AbstractMergeTree) -> BranchDecomposi
     return decomposition_from_choice(tree, persistence_choice(tree))
 
 
-@dataclass(frozen=True)
-class Bdt:
-    """Branch decomposition tree: nodes are branches, parenthood is nesting."""
-
-    branches: tuple[Branch, ...]
-    root_branch: Branch
-    parent: dict  # Branch -> Branch | None
-    children: dict  # Branch -> tuple[Branch, ...]
-
-    def nodes(self):
-        return self.branches
-
-    def node_count(self):
-        return len(self.branches)
-
-
-@dataclass(frozen=True)
-class OrderedBdt(Bdt):
-    """Bdt plus, per node, child groups ordered by attachment along the parent path.
-
-    Children attached at the same saddle share a group and stay incomparable.
-    """
-
-    groups: dict = dc_field(default_factory=dict)  # Branch -> tuple[tuple[Branch, ...], ...]
-
-
-@_memoized
-def build_bdt(bd: BranchDecomposition) -> Bdt:
-    parent = {}
-    children = {b: [] for b in bd.branches}
-    for b in bd.branches:
-        if b is bd.main:
-            parent[b] = None
-            continue
-        p = bd.containing[b.start]
-        parent[b] = p
-        children[p].append(b)
-    ordered = {
-        b: tuple(sorted(c, key=lambda a: (a.death, a.birth, str(a.leaf))))
-        for b, c in children.items()
-    }
-    return Bdt(bd.branches, bd.main, parent, ordered)
-
-
-@_memoized
-def build_obdt(bd: BranchDecomposition) -> OrderedBdt:
-    base = build_bdt(bd)
-    groups = {}
-    for b in bd.branches:
-        pos = {v: i for i, v in enumerate(b.nodes)}
-        by_attach = {}
-        for c in base.children[b]:
-            by_attach.setdefault(pos[c.start], []).append(c)
-        groups[b] = tuple(
-            tuple(sorted(by_attach[i], key=lambda a: (a.birth, str(a.leaf))))
-            for i in sorted(by_attach)
-        )
-    return OrderedBdt(bd.branches, bd.main, base.parent, base.children, groups)
-
-
 # ---------------------------------------------------------------------------
-# Label schemes (one per distance family)
+# Labeled trees: BDTs and the label schemes of the merge trees
 # ---------------------------------------------------------------------------
 
 class _Blank:
@@ -377,9 +324,45 @@ class LabeledTree:
 
 
 @_memoized
+def build_bdt(bd: BranchDecomposition) -> LabeledTree:
+    """Branch decomposition tree: a labeled tree over the branches of bd,
+    each labeled by its (birth, death) pair; parenthood is nesting."""
+    parent = {}
+    children = {b: [] for b in bd.branches}
+    for b in bd.branches:
+        p = None if b is bd.main else bd.containing[b.start]
+        parent[b] = p
+        if p is not None:
+            children[p].append(b)
+    labels = {b: (b.birth, b.death) for b in bd.branches}
+    ordered = {b: tuple(sorted(c, key=_branch_order)) for b, c in children.items()}
+    return LabeledTree(BDT_BIRTH_DEATH, bd.main, parent, labels, ordered)
+
+
+@_memoized
+def build_obdt(bd: BranchDecomposition) -> LabeledTree:
+    """The BDT of bd plus, per branch, child groups ordered by attachment
+    along the branch. Children attached at the same saddle share a group and
+    stay incomparable. Shares the BDT's maps."""
+    bdt = build_bdt(bd)
+    groups = {}
+    for b in bd.branches:
+        pos = {v: i for i, v in enumerate(b.nodes)}
+        by_attach = {}
+        for c in bdt.children[b]:
+            by_attach.setdefault(pos[c.start], []).append(c)
+        groups[b] = tuple(
+            tuple(sorted(by_attach[i], key=lambda a: (a.birth, str(a.leaf))))
+            for i in sorted(by_attach)
+        )
+    return LabeledTree(OBDT_BIRTH_DEATH, bdt.root, bdt.parent, bdt.labels, bdt.children, groups)
+
+
+@_memoized
 def label_for_scheme(obj, scheme: str) -> LabeledTree:
-    """Labeled tree for one of the per-distance schemes of the label-function
-    catalogue; see the distances module for which distance uses which."""
+    """Labeled merge tree for one of the per-distance schemes of the
+    label-function catalogue; see the distances module for which distance
+    uses which. BDTs come labeled from build_bdt and build_obdt."""
     if scheme == NODE_DIST_TO_PARENT:
         if not isinstance(obj, _RootedTree):
             raise SchemeMismatchError(f"{scheme} needs a merge tree")
@@ -389,22 +372,6 @@ def label_for_scheme(obj, scheme: str) -> LabeledTree:
         }
         ch = {v: obj.children(v) for v in obj.nodes()}
         return LabeledTree(scheme, obj.root, dict(obj.parent), labels, ch)
-    if scheme == BDT_BIRTH_DEATH or scheme == OBDT_BIRTH_DEATH:
-        if not isinstance(obj, Bdt):
-            raise SchemeMismatchError(f"{scheme} needs a branch decomposition tree")
-        if scheme == OBDT_BIRTH_DEATH and not isinstance(obj, OrderedBdt):
-            raise SchemeMismatchError("ordered scheme needs an ordered BDT")
-        key = {b: b.name for b in obj.nodes()}
-        parent = {key[b]: (None if obj.parent[b] is None else key[obj.parent[b]]) for b in obj.nodes()}
-        labels = {key[b]: (b.birth, b.death) for b in obj.nodes()}
-        ch = {key[b]: tuple(key[c] for c in obj.children[b]) for b in obj.nodes()}
-        groups = None
-        if scheme == OBDT_BIRTH_DEATH:
-            groups = {
-                key[b]: tuple(tuple(key[c] for c in grp) for grp in obj.groups[b])
-                for b in obj.nodes()
-            }
-        return LabeledTree(scheme, key[obj.root_branch], parent, labels, ch, groups)
     if scheme == BRANCH_LABEL_ON_NODES:
         if not isinstance(obj, AbstractMergeTree):
             raise SchemeMismatchError(f"{scheme} needs an abstract merge tree")
@@ -415,7 +382,7 @@ def label_for_scheme(obj, scheme: str) -> LabeledTree:
         labels = {}
         for v in obj.nodes():
             if not obj.children(v):
-                b = next(b for b in bd.branches if b.leaf == v)
+                b = bd.containing[v]
             else:
                 # saddle or root: longest branch starting here
                 cands = starting.get(v, [])
@@ -452,9 +419,9 @@ def tree_included_up_to_iso(t1, t2, *, exempt=frozenset()) -> bool:
     return _embed(t1.root, t2.root, t1._children, t2._children, compatible, None, None)
 
 
-def bdt_included_up_to_iso(b1: Bdt, b2: Bdt, *, exempt=frozenset()) -> bool:
+def bdt_included_up_to_iso(b1: LabeledTree, b2: LabeledTree, *, exempt=frozenset()) -> bool:
     """Embedding of BDT b1 into BDT b2 matching branch ends by id (exempt
-    ids match each other); ordered exactly when both are ordered BDTs."""
+    ids match each other); ordered exactly when both have child groups."""
 
     def vmatch(a, b):
         return a == b or (a in exempt and b in exempt)
@@ -462,11 +429,9 @@ def bdt_included_up_to_iso(b1: Bdt, b2: Bdt, *, exempt=frozenset()) -> bool:
     def compatible(x: Branch, y: Branch):
         return vmatch(x.leaf, y.leaf) and vmatch(x.start, y.start)
 
-    ordered = isinstance(b1, OrderedBdt) and isinstance(b2, OrderedBdt)
+    ordered = b1.groups is not None and b2.groups is not None
     groups = (b1.groups, b2.groups) if ordered else (None, None)
-    return _embed(
-        b1.root_branch, b2.root_branch, b1.children, b2.children, compatible, *groups
-    )
+    return _embed(b1.root, b2.root, b1.children, b2.children, compatible, *groups)
 
 
 def _embed(root1, root2, children1, children2, compatible, groups1, groups2) -> bool:
@@ -525,18 +490,17 @@ def tree_to_dict(tree: _RootedTree) -> dict:
     }
 
 
-def bdt_to_dict(bdt: Bdt) -> dict:
+def bdt_to_dict(bdt: LabeledTree) -> dict:
     out = []
-    groups = bdt.groups if isinstance(bdt, OrderedBdt) else None
-    for b in sorted(bdt.nodes(), key=lambda x: (x.death, x.birth, str(x.leaf))):
+    for b in sorted(bdt.nodes(), key=_branch_order):
         entry = {
             "branch": b.name,
             "birth": b.birth,
             "death": b.death,
             "parent": bdt.parent[b].name if bdt.parent[b] is not None else None,
         }
-        if groups is not None:
-            entry["child_order"] = [[c.name for c in grp] for grp in groups[b]]
+        if bdt.groups is not None:
+            entry["child_order"] = [[c.name for c in grp] for grp in bdt.groups[b]]
         out.append(entry)
-    return {"root": bdt.root_branch.name, "branches": out}
+    return {"root": bdt.root.name, "branches": out}
 

@@ -311,9 +311,9 @@ def test_criterion_6_oracle_equivalence():
     ok = True
     for a, b in pairs:
         bda, bdb = persistence_branch_decomposition(a), persistence_branch_decomposition(b)
-        lw = [label_for_scheme(build_bdt(x), mt.BDT_BIRTH_DEATH) for x in (bda, bdb)]
+        lw = [build_bdt(x) for x in (bda, bdb)]
         ow, _ = selkow_brute_force(lw[0], lw[1])
-        lx = [label_for_scheme(build_obdt(x), mt.OBDT_BIRTH_DEATH) for x in (bda, bdb)]
+        lx = [build_obdt(x) for x in (bda, bdb)]
         ox, _ = selkow_brute_force(lx[0], lx[1])
         ll = [label_for_scheme(x, mt.NODE_DIST_TO_PARENT) for x in (a, b)]
         ol, _ = selkow_brute_force(ll[0], ll[1])

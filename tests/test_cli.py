@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,30 @@ def test_build_tree(grid_file, capsys):
     assert out["bdt"]["branches"]
 
 
+#: A 5x5 field (a) and one minimal perturbation of it (b), drawn by
+#: random_grid_field and random_minimal_perturbation from random.Random(1902),
+#: with the build-tree and classify outputs recorded for them. In both
+#: fields one saddle attaches two branches, so a child_order group holds two.
+BDT_PAIR = Path(__file__).parent / "data" / "bdt_pair"
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_build_tree_prints_the_recorded_dump(name, capsys):
+    """The abstract tree, BDT and ordered BDT dumps are byte for byte the
+    recorded ones."""
+    assert main(["build-tree", str(BDT_PAIR / f"{name}.json")]) == 0
+    out = capsys.readouterr().out
+    assert out == (BDT_PAIR / f"{name}.build-tree.json").read_text()
+    groups = [g for b in json.loads(out)["obdt"]["branches"] for g in b["child_order"]]
+    assert max(map(len, groups)) >= 2
+
+
+def test_classify_prints_the_recorded_evidence(capsys):
+    argv = ["classify", "--field-a", str(BDT_PAIR / "a.json"), "--field-b", str(BDT_PAIR / "b.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (BDT_PAIR / "classify.json").read_text()
+
+
 def test_build_tree_duplicate_values_exit_2(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps({"grid": {"rows": 2, "cols": 2, "values": [0, 1, 1, 2]}}))
@@ -49,6 +75,15 @@ MALFORMED_FIELDS = {
     "top-level-list": [0, 1],
     "value-not-a-number": {"vertices": [{"id": 0, "value": "x"}, {"id": 1, "value": 1.0}],
                            "edges": [[0, 1]]},
+    "id-not-an-integer": {"vertices": [{"id": 0.9, "value": 0.0}, {"id": 1.2, "value": 1.0}],
+                          "edges": [[0, 1]]},
+    "edge-end-not-an-integer": {"vertices": [{"id": 0, "value": 0.0}, {"id": 1, "value": 1.0}],
+                                "edges": [[0.5, 1.7]]},
+    "id-true": {"vertices": [{"id": 0, "value": 0.0}, {"id": True, "value": 1.0}],
+                "edges": [[0, 1]]},
+    "rows-not-an-integer": {"grid": {"rows": 2.9, "cols": 2, "values": [0, 3, 1, 2]}},
+    "value-nan": {"grid": {"rows": 2, "cols": 2, "values": [0, math.nan, 1, 2]}},
+    "value-infinity": {"grid": {"rows": 2, "cols": 2, "values": [0, math.inf, 1, 2]}},
 }
 
 

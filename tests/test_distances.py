@@ -24,7 +24,6 @@ from mtstab.distances import (
     MetricId,
     _all_decompositions,
     _assignment_min,
-    _labeled_obdts,
     _pair_order,
     compute,
     delta_b,
@@ -92,12 +91,12 @@ def test_oracle_equivalence_w_x_l():
     small = [(a, b) for a, b in pairs if a.node_count() <= 6 and b.node_count() <= 6]
     assert len(small) >= 150
     for a, b in small:
-        lw1 = label_for_scheme(build_bdt(persistence_branch_decomposition(a)), mt.BDT_BIRTH_DEATH)
-        lw2 = label_for_scheme(build_bdt(persistence_branch_decomposition(b)), mt.BDT_BIRTH_DEATH)
+        lw1 = build_bdt(persistence_branch_decomposition(a))
+        lw2 = build_bdt(persistence_branch_decomposition(b))
         ow, _ = selkow_brute_force(lw1, lw2)
         assert delta_w(a, b) == pytest.approx(ow, abs=1e-9)
-        lx1 = label_for_scheme(build_obdt(persistence_branch_decomposition(a)), mt.OBDT_BIRTH_DEATH)
-        lx2 = label_for_scheme(build_obdt(persistence_branch_decomposition(b)), mt.OBDT_BIRTH_DEATH)
+        lx1 = build_obdt(persistence_branch_decomposition(a))
+        lx2 = build_obdt(persistence_branch_decomposition(b))
         ox, _ = selkow_brute_force(lx1, lx2)
         assert delta_x(a, b) == pytest.approx(ox, abs=1e-9)
         ll1 = label_for_scheme(a, mt.NODE_DIST_TO_PARENT)
@@ -238,7 +237,7 @@ def test_one_degree_dps_on_1200_level_trees():
     a, b = merge_tree_of(staircase_field(2400, 0.0)), merge_tree_of(staircase_field(2400, 0.3))
     bdt = build_bdt(persistence_branch_decomposition(a))
     assert _depth(a.children, a.root) >= 1199
-    assert _depth(lambda v: bdt.children[v], bdt.root_branch) >= 1199
+    assert _depth(lambda v: bdt.children[v], bdt.root) >= 1199
     for m in (MetricId.W, MetricId.X, MetricId.L):
         ab = tree_distance(m, a, b)
         assert 0.0 < ab < math.inf
@@ -269,10 +268,10 @@ def test_assignment_min_1x1_is_the_solver_value():
 def _dp_inputs(t1, t2):
     """(DP, oracle, labeled pair, cost model) for w, x and l on two trees."""
     def bdt(t):
-        return label_for_scheme(build_bdt(persistence_branch_decomposition(t)), mt.BDT_BIRTH_DEATH)
+        return build_bdt(persistence_branch_decomposition(t))
 
     def obdt(t):
-        return label_for_scheme(build_obdt(persistence_branch_decomposition(t)), mt.OBDT_BIRTH_DEATH)
+        return build_obdt(persistence_branch_decomposition(t))
 
     def classic(t):
         return label_for_scheme(t, mt.NODE_DIST_TO_PARENT)
@@ -352,7 +351,8 @@ def test_delta_b_matches_the_all_pairs_oracle_bit_for_bit():
     for t1, t2 in delta_b_pairs()[::4]:
         expect = min(
             ordered_one_degree_dp_all_pairs(l1, l2, WASSERSTEIN_POINT)
-            for l1 in _labeled_obdts(t1) for l2 in _labeled_obdts(t2)
+            for l1 in [build_obdt(bd) for bd in _all_decompositions(t1)]
+            for l2 in [build_obdt(bd) for bd in _all_decompositions(t2)]
         )
         assert delta_b(t1, t2).hex() == expect.hex()
 
@@ -406,8 +406,7 @@ def test_pair_order_lists_only_inner_pairs():
     and the merge trees give every inner pair of the all-pairs order."""
     rng = random.Random(73)
     t1, t2 = merge_tree_of(caterpillar_field(rng, 400)), merge_tree_of(caterpillar_field(rng, 400))
-    b1, b2 = (label_for_scheme(build_bdt(persistence_branch_decomposition(t)), mt.BDT_BIRTH_DEATH)
-              for t in (t1, t2))
+    b1, b2 = (build_bdt(persistence_branch_decomposition(t)) for t in (t1, t2))
     assert _pair_order(b1, b2) == [(b1.root, b2.root)]
     l1, l2 = (label_for_scheme(t, mt.NODE_DIST_TO_PARENT) for t in (t1, t2))
     order = _pair_order(l1, l2)
@@ -429,9 +428,9 @@ def delta_b_per_pair(t1, t2, guards=DEFAULT_GUARDS):
         raise SizeGuardError("branch decomposition enumeration", m, guards.branch_edges)
     best = math.inf
     for bd1 in _all_decompositions(t1):
-        l1 = label_for_scheme(build_obdt(bd1), mt.OBDT_BIRTH_DEATH)
+        l1 = build_obdt(bd1)
         for bd2 in _all_decompositions(t2):
-            l2 = label_for_scheme(build_obdt(bd2), mt.OBDT_BIRTH_DEATH)
+            l2 = build_obdt(bd2)
             cost, _ = selkow_brute_force(l1, l2)
             best = min(best, cost)
     return best
@@ -498,7 +497,7 @@ def test_collapse_costs_are_summed_once_per_tree_and_side(monkeypatch):
     delta_b(t1, t2)
     assert sorted(builds.values()) == [1] * (n1 + n2)
     builds.clear()
-    lt = label_for_scheme(build_obdt(persistence_branch_decomposition(t1)), mt.OBDT_BIRTH_DEATH)
+    lt = build_obdt(persistence_branch_decomposition(t1))
     for _ in range(3):
         ordered_one_degree_dp(lt, lt, WASSERSTEIN_POINT)
     assert builds == {id(lt): 2}

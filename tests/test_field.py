@@ -9,6 +9,7 @@ from mtstab.errors import (
     DuplicateValueError,
     LengthMismatchError,
     UnknownVertexError,
+    ValidationError,
 )
 from mtstab.field import (
     apply_value_change,
@@ -77,6 +78,13 @@ def test_validate_field_length_mismatch():
     dom = build_domain(3, [(0, 1), (1, 2)])
     with pytest.raises(LengthMismatchError):
         validate_field(dom, [0, 1])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_validate_field_non_finite(bad):
+    dom = build_domain(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValidationError, match="vertex 1 is not finite"):
+        validate_field(dom, [0, bad, 1])
 
 
 def test_apply_value_change():

@@ -172,8 +172,9 @@ def test_label_schemes_figure_values():
     assert {k: v for k, v in node.labels.items() if k != "A"} == {
         "B": 2.0, "C": 2.0, "E": 6.0, "D": 2.0, "G": 2.0, "H": 2.5, "I": 3.0, "F": 3.0,
     }
-    bdt = label_for_scheme(build_bdt(persistence_branch_decomposition(t)), mt.BDT_BIRTH_DEATH)
-    assert bdt.labels["E-A"] == (10.0, 0.0) and bdt.labels["H-D"] == (8.5, 6.0)
+    bdt = build_bdt(persistence_branch_decomposition(t))
+    labels = {b.name: label for b, label in bdt.labels.items()}
+    assert labels["E-A"] == (10.0, 0.0) and labels["H-D"] == (8.5, 6.0)
     branch = label_for_scheme(t, mt.BRANCH_LABEL_ON_NODES)
     assert branch.labels == {
         "A": (10.0, 0.0), "B": (5.0, 2.0), "C": (9.0, 4.0), "D": (8.5, 6.0),
