@@ -33,7 +33,6 @@ from .editcore import (
     CostModel,
     EditMapping,
     EditOp,
-    EditSequence,
     MappingConstraint,
     brute_force_distance,
     check_sequence,

@@ -49,13 +49,16 @@ def linear_sum_assignment(cost_matrix):
 # Cost models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostModel:
     """Relabel / delete / insert costs over one label kind.
 
     Nonnegative, zero on equal labels, symmetric. Deletion and insertion use
     the empty symbol: scalar labels compare against 0, birth-death points
     against their diagonal projection.
+
+    Compared and hashed by identity: the two module singletons below are
+    the only instances, and _collapse_costs keys its memo on them.
     """
 
     kind: str
@@ -377,31 +380,45 @@ def contract(et: EdgeTree, deleted) -> EdgeTree:
     ids match what an actual edit sequence produces; when an automatic prune
     folds a still-pending edge into a survivor, the pending deletion turns
     into an equal-cost relabel of the merged edge (see _delete_phase_ops).
-    The distance searches use _quotient; this replay builds witnesses and
-    serves as its test oracle.
+    The distance searches use _quotient; this replay names the nodes of
+    witnesses, builds their sequences and serves as its test oracle.
     """
     return _delete_phase_ops(et, deleted)[1]
 
 
 def _delete_phase_ops(et: EdgeTree, deleted):
-    """(ops, resulting tree) of the top-down deletion of `deleted`."""
+    """(steps, resulting tree) of the top-down deletion of `deleted`, the
+    one replay of a delete phase. A step is (op, the edge's length before
+    op, parent, children, split). For an edge_delete, parent and children
+    are the edge's before op, and split is what inserting the edge back
+    needs when an automatic prune followed the delete, in EditOp.split's
+    layout: (the merged edge, the pruned parent, upper, lower length).
+    """
     deleted = set(deleted)
     if et.root in deleted:
         raise ValidationError("the root has no parent edge to delete")
     sim = et.copy()
-    ops = []
+    steps = []
     for v in sorted(deleted, key=lambda u: (et.depth(u), _id_key(u))):
         planned = et.length[v]
         cur = sim.length[v]
-        if abs(cur - planned) <= TOLERANCE:
-            op = EditOp("edge_delete", v, cur)
-        else:
+        if abs(cur - planned) > TOLERANCE:
             # an automatic prune folded an ancestor edge into v; shaving off
             # v's own length removes exactly the planned material
             op = EditOp("edge_relabel", v, planned, label=cur - planned)
+            steps.append((op, cur, None, (), None))
+        else:
+            parent, children = sim.parent[v], tuple(sim.children[v])
+            split = None
+            if sim.parent[parent] is not None:
+                after = [c for c in sim.children[parent] if c != v] + list(children)
+                if len(after) == 1:
+                    (merged,) = after
+                    split = (merged, parent, sim.length[merged], sim.length[parent])
+            op = EditOp("edge_delete", v, cur)
+            steps.append((op, cur, parent, children, split))
         _apply_edge_op(sim, op)
-        ops.append(op)
-    return ops, sim
+    return steps, sim
 
 
 def _quotient(et: EdgeTree, deleted, order) -> EdgeTree:
@@ -485,10 +502,13 @@ DEFORM_EDGE_LIMIT = 10
 
 @dataclass(frozen=True)
 class DeformWitness:
+    """A deformation plan: the two delete sets and the isomorphism of their
+    quotients. iso_pairs name the nodes of contract(et1, deleted1) and
+    contract(et2, deleted2), the trees the deletion replay builds, so
+    mapping_to_sequence rebuilds both quotients from the delete sets."""
+
     deleted1: frozenset
     deleted2: frozenset
-    quotient1: EdgeTree
-    quotient2: EdgeTree
     iso_pairs: tuple
 
 
@@ -598,7 +618,7 @@ def deform_brute_force(
     d1, d2 = win
     q1, q2 = contract(et1, d1), contract(et2, d2)
     pairs = _iso(q1, q1.shapes(), q2, q2.shapes(), _length_diff)[1]
-    return best, DeformWitness(d1, d2, q1, q2, tuple(pairs))
+    return best, DeformWitness(d1, d2, tuple(pairs))
 
 
 def deform_witness_search(
@@ -645,7 +665,7 @@ def deform_witness_search(
             w1, w2 = contract(et1, d1), contract(et2, d2)
             iso = _qualifying_iso(w1, w1.shapes(), w2, w2.shapes(), budget, cap)
             if iso is not None:
-                return DeformWitness(d1, d2, w1, w2, tuple(iso))
+                return DeformWitness(d1, d2, tuple(iso))
     return None
 
 
@@ -679,6 +699,8 @@ def _qualifying_iso(q1: EdgeTree, shapes1, q2: EdgeTree, shapes2, max_relabels: 
 
 @dataclass(frozen=True)
 class EditOp:
+    """One edit operation; an edit sequence is a tuple of them."""
+
     kind: str  # node_delete | node_insert | node_relabel | edge_delete | edge_insert | edge_relabel
     node: object
     cost: float
@@ -687,42 +709,19 @@ class EditOp:
     moved_children: tuple = ()
     split: tuple | None = None  # (existing child edge, new inner id, upper len, lower len)
 
-    def to_dict(self):
-        out = {"kind": self.kind, "node": self.node, "cost": self.cost}
-        if self.label is not None and self.label is not BLANK:
-            out["label"] = self.label
-        if self.parent is not None:
-            out["parent"] = self.parent
-        if self.moved_children:
-            out["moved_children"] = list(self.moved_children)
-        if self.split is not None:
-            out["split"] = list(self.split)
-        return out
 
-
-@dataclass(frozen=True)
-class EditSequence:
-    ops: tuple
-
-    @property
-    def total_cost(self) -> float:
-        return sum(op.cost for op in self.ops)
-
-    def __len__(self):
-        return len(self.ops)
-
-
-def check_sequence(tree, sequence: EditSequence):
-    """Apply an edit sequence; raises InapplicableOperationError with the
-    offending step index. Node ops act on LabeledTrees, edge ops on
-    EdgeTrees (or merge trees, converted first)."""
+def check_sequence(tree, sequence):
+    """Apply an edit sequence, a tuple of EditOp; raises
+    InapplicableOperationError with the offending step index. Node ops act
+    on LabeledTrees, edge ops on EdgeTrees (or merge trees, converted
+    first)."""
     if isinstance(tree, AbstractMergeTree):
         current = edge_tree_of(tree)
     elif isinstance(tree, EdgeTree):
         current = tree.copy()
     else:
         current = _copy_labeled(tree)
-    for i, op in enumerate(sequence.ops):
+    for i, op in enumerate(sequence):
         try:
             if op.kind.startswith("edge_"):
                 if not isinstance(current, EdgeTree):
@@ -867,8 +866,9 @@ def _prune_regular(et: EdgeTree) -> None:
 # Mapping -> normalized sequence
 # ---------------------------------------------------------------------------
 
-def mapping_to_sequence(l1, l2, mapping) -> EditSequence:
-    """Normalized delete -> relabel -> insert sequence realizing a mapping.
+def mapping_to_sequence(l1, l2, mapping) -> tuple:
+    """Normalized delete -> relabel -> insert sequence realizing a mapping,
+    a tuple of EditOp.
 
     Accepts two LabeledTrees plus an EditMapping (classic node operations)
     or two merge trees plus a DeformWitness (deformation edge operations).
@@ -933,7 +933,7 @@ def mapping_to_sequence(l1, l2, mapping) -> EditSequence:
         sim = _apply_node_op(sim, op)
         counterpart[wid] = w
         insert_ops.append(op)
-    return EditSequence(tuple(ops) + tuple(insert_ops))
+    return tuple(ops + insert_ops)
 
 
 def _depths(lt) -> dict:
@@ -947,10 +947,12 @@ def _depths(lt) -> dict:
     return depth
 
 
-def _deform_sequence(t1, t2, witness: DeformWitness) -> EditSequence:
-    et1, et2 = edge_tree_of(t1), edge_tree_of(t2)
-    ops = list(_delete_phase_ops(et1, witness.deleted1)[0])
-    q1, q2 = witness.quotient1, witness.quotient2
+def _deform_sequence(t1, t2, witness: DeformWitness) -> tuple:
+    """T1's delete phase, the relabels of the isomorphism, then T2's delete
+    phase run backwards, each step inverted into an insert or relabel."""
+    steps1, q1 = _delete_phase_ops(edge_tree_of(t1), witness.deleted1)
+    steps2, q2 = _delete_phase_ops(edge_tree_of(t2), witness.deleted2)
+    ops = [step[0] for step in steps1]
     to_current = {b: a for a, b in witness.iso_pairs}
     for a, b in sorted(witness.iso_pairs, key=lambda p: (_id_key(p[0]), _id_key(p[1]))):
         if q1.parent[a] is None:
@@ -964,7 +966,6 @@ def _deform_sequence(t1, t2, witness: DeformWitness) -> EditSequence:
                     label=q2.length[b],
                 )
             )
-    # insert phase: invert the deletion ops that carve q2 out of et2
     existing = set(q1.parent)
     fresh = {}
 
@@ -979,53 +980,18 @@ def _deform_sequence(t1, t2, witness: DeformWitness) -> EditSequence:
             existing.add(cand)
         return fresh[w]
 
-    sim = et2.copy()
-    records = []
-    for v in sorted(witness.deleted2, key=lambda u: (et2.depth(u), _id_key(u))):
-        planned = et2.length[v]
-        cur = sim.length[v]
-        if abs(cur - planned) > TOLERANCE:
-            records.append(("relabel", v, planned, cur))
-            _apply_edge_op(sim, EditOp("edge_relabel", v, planned, label=cur - planned))
+    for op, before, parent, children, split in reversed(steps2):
+        v = name_of(op.node)
+        if op.kind == "edge_relabel":
+            ops.append(EditOp("edge_relabel", v, op.cost, label=before))
             continue
-        parent_b = sim.parent[v]
-        children_b = tuple(sim.children[v])
-        prune_info = None
-        if sim.parent.get(parent_b) is not None:
-            after = [c for c in sim.children[parent_b] if c != v] + list(children_b)
-            if len(after) == 1:
-                (merged,) = after
-                prune_info = (merged, sim.length[merged], sim.length[parent_b])
-        _apply_edge_op(sim, EditOp("edge_delete", v, cur))
-        records.append(("delete", v, planned, parent_b, children_b, prune_info))
-    for record in reversed(records):
-        if record[0] == "relabel":
-            _, v, planned, oldlen = record
-            ops.append(EditOp("edge_relabel", name_of(v), planned, label=oldlen))
-            continue
-        _, v, planned, parent_b, children_b, prune_info = record
-        if prune_info is None:
-            ops.append(
-                EditOp(
-                    "edge_insert",
-                    name_of(v),
-                    planned,
-                    label=planned,
-                    parent=name_of(parent_b),
-                    moved_children=tuple(name_of(c) for c in children_b),
-                )
+        parent, children = name_of(parent), tuple(name_of(c) for c in children)
+        if split is not None:
+            split = (name_of(split[0]), name_of(split[1]), *split[2:])
+        ops.append(
+            EditOp(
+                "edge_insert", v, before, label=before,
+                parent=parent, moved_children=children, split=split,
             )
-        else:
-            merged, upper, lower = prune_info
-            ops.append(
-                EditOp(
-                    "edge_insert",
-                    name_of(v),
-                    planned,
-                    label=planned,
-                    parent=name_of(parent_b),
-                    moved_children=tuple(name_of(c) for c in children_b),
-                    split=(name_of(merged), name_of(parent_b), upper, lower),
-                )
-            )
-    return EditSequence(tuple(ops))
+        )
+    return tuple(ops)

@@ -124,6 +124,8 @@ def apply_value_change(field: ScalarField, vertex: int, new_value: float) -> Sca
     if not (0 <= vertex < field.vertex_count):
         raise UnknownVertexError(f"vertex {vertex} not in field")
     new_value = float(new_value)
+    if not math.isfinite(new_value):
+        raise ValidationError(f"value {new_value} at vertex {vertex} is not finite")
     for v, x in enumerate(field.values):
         if v != vertex and x == new_value:
             raise DuplicateValueError(vertex, v, new_value)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 from .distances import DEFAULT_GUARDS, Guards, MetricId, tree_distance
-from .editcore import deform_witness_search, mapping_to_sequence
+from .editcore import deform_witness_search
 from .errors import SizeGuardError, ValidationError
 from .field import (
     TOLERANCE,
@@ -346,8 +346,9 @@ def run_stability_suite(
     when the (metric, class) cell is claimed stable. For the deformation
     distance, deform_witness_search also looks for any edit sequence (not
     necessarily the cheapest) with op count <= degree and per-op cost <=
-    extent. Horizontal swaps are expected among witness_checks.failures:
-    they can need degree + 2 ops (docs/decisions.md section 2).
+    extent; the search admits only such plans, so its answer is the check
+    (docs/decisions.md section 2). Horizontal swaps are expected among
+    witness_checks.failures: they can need degree + 2 ops.
     """
     metrics = tuple(metrics)
     cells = {}
@@ -388,33 +389,28 @@ def run_stability_suite(
                     t1, t2, max_ops=deg, max_op_cost=p.extent,
                     edge_limit=guards.deform_edges,
                 )
-                if witness is not None:
-                    seq = mapping_to_sequence(t1, t2, witness)
-                    ok = len(seq) <= deg and all(
-                        op.cost <= p.extent + TOLERANCE for op in seq.ops
-                    )
-                else:
-                    ok = False
-                    seq = None
-                if ok:
-                    witness_stats.passed += 1
-                else:
-                    witness_stats.failed += 1
-                    witness_stats.failures.append(
-                        {
-                            "trial": i,
-                            "class": cls.value,
-                            "degree": deg,
-                            "extent": p.extent,
-                            "ops": None if seq is None else len(seq),
-                            "witness": {
-                                "field_a": field_to_dict(f),
-                                "field_b": field_to_dict(f2),
-                            },
-                        }
-                    )
             except SizeGuardError:
                 witness_stats.skipped += 1
+                continue
+            if witness is not None:
+                witness_stats.passed += 1
+                continue
+            witness_stats.failed += 1
+            witness_stats.failures.append(
+                {
+                    "trial": i,
+                    "class": cls.value,
+                    "degree": deg,
+                    "extent": p.extent,
+                    # a failed search has no sequence; the key stays so
+                    # recorded reports keep their layout
+                    "ops": None,
+                    "witness": {
+                        "field_a": field_to_dict(f),
+                        "field_b": field_to_dict(f2),
+                    },
+                }
+            )
     return SuiteReport(
         seed, trials, grid_size, metrics, cells, witness_stats, THEOREM_TEXT_NOTES
     )

@@ -519,7 +519,7 @@ def eager_deform_brute_force(et1, variants1, et2, variants2, one_degree=False, w
     d1, d2 = win
     q1, q2 = contract(et1, d1), contract(et2, d2)
     pairs = _iso(q1, q1.shapes(), q2, q2.shapes(), _length_diff)[1]
-    return best, DeformWitness(d1, d2, q1, q2, tuple(pairs))
+    return best, DeformWitness(d1, d2, tuple(pairs))
 
 
 def eager_deform_witness_search(et1, variants1, et2, variants2, max_ops, max_op_cost):
@@ -544,5 +544,5 @@ def eager_deform_witness_search(et1, variants1, et2, variants2, max_ops, max_op_
             w1, w2 = contract(et1, d1), contract(et2, d2)
             iso = _qualifying_iso(w1, w1.shapes(), w2, w2.shapes(), budget, cap)
             if iso is not None:
-                return DeformWitness(d1, d2, w1, w2, tuple(iso))
+                return DeformWitness(d1, d2, tuple(iso))
     return None

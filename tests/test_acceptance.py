@@ -234,7 +234,7 @@ def _swap_witness_ok(failure) -> bool:
     seq = mapping_to_sequence(t1, t2, witness)
     return (
         len(seq) <= deg + 2
-        and all(op.cost <= extent + TOL for op in seq.ops)
+        and all(op.cost <= extent + TOL for op in seq)
         and edge_canonical(check_sequence(t1, seq)) == edge_canonical(edge_tree_of(t2))
     )
 

@@ -25,10 +25,10 @@ from mtstab import mergetree as mt
 from mtstab.editcore import (
     ABS_DIFF,
     WASSERSTEIN_POINT,
+    CostModel,
     EdgeTree,
     EditMapping,
     EditOp,
-    EditSequence,
     MappingConstraint,
     brute_force_distance,
     check_sequence,
@@ -89,6 +89,16 @@ def test_wasserstein_axioms(p, q):
     assert WASSERSTEIN_POINT.relabel(p, p) == 0.0
     assert WASSERSTEIN_POINT.relabel(p, q) == WASSERSTEIN_POINT.relabel(q, p) >= 0.0
     assert WASSERSTEIN_POINT.delete(p) == pytest.approx(abs(p[0] - p[1]) / math.sqrt(2))
+
+
+def test_cost_models_hash_by_identity():
+    """_collapse_costs keys its memo on the cost model, so every lookup
+    hashes it: by identity, not through a generated hash of its fields. A
+    second call returns the memoized dict."""
+    assert CostModel.__hash__ is object.__hash__
+    lt = labeled(random_abstract_tree(random.Random(3), max_edges=5))
+    first = editcore._collapse_costs(lt, ABS_DIFF, True)
+    assert editcore._collapse_costs(lt, ABS_DIFF, True) is first
 
 
 def test_relabel_rows_is_relabel_cell_by_cell():
@@ -190,37 +200,35 @@ def fig3_right():
 
 
 def test_deformation_three_step_sequence():
-    seq = EditSequence(
-        (
-            EditOp("edge_delete", "E", 2.0),
-            EditOp("edge_relabel", "B", 1.0, label=2.0),
-            EditOp(
-                "edge_insert", "E2", 1.5, label=1.5, parent="C2",
-                split=("F", "C2", 2.0, 3.0),
-            ),
-        )
+    seq = (
+        EditOp("edge_delete", "E", 2.0),
+        EditOp("edge_relabel", "B", 1.0, label=2.0),
+        EditOp(
+            "edge_insert", "E2", 1.5, label=1.5, parent="C2",
+            split=("F", "C2", 2.0, 3.0),
+        ),
     )
-    assert seq.total_cost == pytest.approx(4.5)  # 2 + 1 + 1.5
+    assert sum(op.cost for op in seq) == pytest.approx(4.5)  # 2 + 1 + 1.5
     result = check_sequence(fig3_left(), seq)
     assert edge_canonical(result) == edge_canonical(fig3_right())
 
 
 def test_delete_with_prune_merges_labels():
     et = fig3_left()
-    out = check_sequence(et, EditSequence((EditOp("edge_delete", "E", 2.0),)))
+    out = check_sequence(et, (EditOp("edge_delete", "E", 2.0),))
     # C became regular: (D,C)+(C,B) merged into a length-6 edge
     assert sorted(round(v, 6) for v in out.length.values()) == [3.0, 5.0, 6.0]
 
 
 def test_empty_sequence_identity():
     et = fig3_left()
-    out = check_sequence(et, EditSequence(()))
+    out = check_sequence(et, ())
     assert edge_canonical(out) == edge_canonical(et)
 
 
 def test_inapplicable_operation_reports_step():
     with pytest.raises(InapplicableOperationError) as err:
-        check_sequence(fig3_left(), EditSequence((EditOp("edge_delete", "Z", 1.0),)))
+        check_sequence(fig3_left(), (EditOp("edge_delete", "Z", 1.0),))
     assert err.value.step_index == 0
 
 
@@ -383,10 +391,7 @@ def test_memoized_variants_give_the_fresh_results():
             return (
                 deform_brute_force(*pair()),
                 deform_brute_force(*pair(), one_degree=True),
-                None if w is None else (
-                    w.deleted1, w.deleted2, w.iso_pairs,
-                    edge_canonical(w.quotient1), edge_canonical(w.quotient2),
-                ),
+                None if w is None else (w.deleted1, w.deleted2, w.iso_pairs),
             )
 
         def new_trees():
@@ -470,8 +475,6 @@ def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled):
         assert (got_w.deleted1, got_w.deleted2, got_w.iso_pairs) == (
             want_w.deleted1, want_w.deleted2, want_w.iso_pairs,
         )
-        for w in ("quotient1", "quotient2"):
-            assert edge_canonical(getattr(got_w, w)) == edge_canonical(getattr(want_w, w))
     for t, (_, want_variants) in zip((t1, t2), eager):
         _, _, variants = editcore._variants_of(t)
         # the empty set costs the int 0, as sum() returns it
@@ -601,7 +604,7 @@ def test_identity_mapping_empty_sequence():
     lt = labeled(t)
     cost, mapping = selkow_brute_force(lt, lt)
     seq = mapping_to_sequence(lt, lt, mapping)
-    assert len(seq) == 0 and seq.total_cost == 0.0
+    assert seq == ()
 
 
 def test_delete_everything_mapping():
@@ -613,7 +616,7 @@ def test_delete_everything_mapping():
     la, lb = labeled(a), labeled(b)
     mapping = EditMapping.of([("r", "r")])  # roots only; everything else edited
     seq = mapping_to_sequence(la, lb, mapping)
-    kinds = [op.kind for op in seq.ops]
+    kinds = [op.kind for op in seq]
     assert kinds.count("node_delete") == 1  # non-root node of a
     assert kinds.count("node_insert") == 3
     out = check_sequence(la, seq)
@@ -628,7 +631,7 @@ def test_mapping_to_sequence_random_round_trip():
             l2 = labeled(random_abstract_tree(rng, max_edges=5))
             cost, mapping = search(l1, l2)
             seq = mapping_to_sequence(l1, l2, mapping)
-            assert seq.total_cost == pytest.approx(cost, abs=1e-9)
+            assert sum(op.cost for op in seq) == pytest.approx(cost, abs=1e-9)
             out = check_sequence(l1, seq)
             assert labeled_canonical(out) == labeled_canonical(l2)
 
@@ -640,7 +643,7 @@ def test_deform_witness_sequence_round_trip():
         t2 = random_abstract_tree(rng, max_edges=5)
         cost, witness = deform_brute_force(t1, t2, want_witness=True)
         seq = mapping_to_sequence(t1, t2, witness)
-        assert seq.total_cost == pytest.approx(cost, abs=1e-9)
+        assert sum(op.cost for op in seq) == pytest.approx(cost, abs=1e-9)
         out = check_sequence(t1, seq)
         assert edge_canonical(out) == edge_canonical(edge_tree_of(t2))
 
@@ -649,8 +652,8 @@ def test_deform_fig7_witness_single_insert():
     t1, t2 = counterexample(CounterexampleFamily.EDGE_SPLIT_FIG7, 10.0, 0.1)
     cost, witness = deform_brute_force(t2, t1, want_witness=True)
     seq = mapping_to_sequence(t2, t1, witness)
-    assert len(seq) == 1 and seq.ops[0].kind == "edge_insert"
-    assert seq.total_cost == pytest.approx(0.1)
+    assert len(seq) == 1 and seq[0].kind == "edge_insert"
+    assert seq[0].cost == pytest.approx(0.1)
 
 
 def test_witness_search_finds_bounded_witness():
@@ -666,4 +669,4 @@ def test_witness_search_finds_bounded_witness():
     w = deform_witness_search(t1, t2, max_ops=3, max_op_cost=0.2)
     assert w is not None
     seq = mapping_to_sequence(t1, t2, w)
-    assert len(seq) <= 3 and max(op.cost for op in seq.ops) <= 0.2 + 1e-9
+    assert len(seq) <= 3 and max(op.cost for op in seq) <= 0.2 + 1e-9

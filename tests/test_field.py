@@ -100,6 +100,13 @@ def test_apply_value_change():
     assert apply_value_change(f, 1, 2.0).values == f.values
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_apply_value_change_non_finite(bad):
+    f = validate_field(build_grid_domain(2, 2), [0, 3, 1, 2])
+    with pytest.raises(ValidationError, match="vertex 1 is not finite"):
+        apply_value_change(f, 1, bad)
+
+
 def test_apply_value_change_round_trip():
     f = path_field([0, 2, 1])
     g = apply_value_change(apply_value_change(f, 1, 7.0), 1, 2.0)

@@ -5,12 +5,19 @@ import weakref
 
 import pytest
 
+from helpers import edge_canonical
 from mtstab import mergetree as mt
 from mtstab.distances import Guards, MetricId, tree_distance
+from mtstab.editcore import (
+    check_sequence,
+    deform_witness_search,
+    edge_tree_of,
+    mapping_to_sequence,
+)
 from mtstab.errors import ValidationError
 from mtstab.field import TOLERANCE, apply_value_change, build_domain, validate_field
 from mtstab.mergetree import label_for_scheme, merge_tree_of
-from mtstab.perturb import ChangeClass, apply_perturbation, classify_change
+from mtstab.perturb import ChangeClass, apply_perturbation, check_minimal, classify_change
 from mtstab.stability import (
     STABILITY_MATRIX,
     CellStats,
@@ -189,6 +196,59 @@ def test_delta_e_and_g_on_saddle_swaps_exceed_deg_f_times_extent(seed, trial, di
         report = check_bound(f, f2, m)
         assert report.claimed and report.degree == 3 and report.passed is False
         assert report.degree_g == 4 and report.to_dict()["degree_g"] == 4
+
+
+@pytest.mark.parametrize("x", [10.0, 40.0])
+def test_delta_e_and_g_exceed_deg_f_times_extent_on_a_scaled_saddle_swap(x):
+    """The failure of the test above without a seed: the 6-vertex graph of
+    the saddle_passes_saddle_all_move_ordered scenario, values
+    [0, x - eps, x, 5x, 7x, 6x], vertex 1 moved to x + eps. T_g has a
+    saddle of degree 4, and delta_E = delta_G = 3.5 * extent at every
+    scale. This records the cause only; which tree deg is taken in is still
+    open (docs/decisions.md section 2)."""
+    eps = 0.1
+    f = validate_field(
+        build_domain(6, [(0, 1), (1, 2), (2, 3), (2, 4), (1, 3), (1, 4), (1, 5)]),
+        [0, x - eps, x, 5 * x, 7 * x, 6 * x],
+    )
+    f2 = apply_value_change(f, 1, x + eps)
+    assert classify_change(f, f2) is ChangeClass.ORDERED_HORIZONTAL_SWAP
+    t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+    assert stability_degree(t1) == 3 and stability_degree(t2) == 4
+    extent = check_minimal(f, f2).extent
+    for m in (MetricId.E, MetricId.G):
+        d = tree_distance(m, t1, t2)
+        assert d == pytest.approx(3.5 * extent, rel=1e-9) and d <= 4 * extent
+        report = check_bound(f, f2, m)
+        assert report.passed is False and report.degree_g == 4
+
+
+@pytest.mark.parametrize("seed", [42, 0, 1, 2, 3])
+def test_every_witness_the_search_finds_replays_within_its_limits(seed):
+    """The suite's witness check is deform_witness_search's answer
+    (docs/decisions.md section 2). Every witness it finds on a suite trial
+    (200 trials, 4x4 grid) becomes a sequence of at most deg(T_f)
+    operations, each costing at most the extent, that check_sequence
+    replays onto T2. Some of them delete edges, so inserts are replayed
+    too, not only relabels."""
+    found = with_deletions = 0
+    for i in range(200):
+        rng = random.Random(seed * 1_000_003 + i)
+        f = random_grid_field(rng, 4, 4)
+        p = random_minimal_perturbation(rng, f)
+        t1, t2 = merge_tree_of(f), merge_tree_of(apply_perturbation(f, p))
+        deg = stability_degree(t1)
+        witness = deform_witness_search(t1, t2, max_ops=deg, max_op_cost=p.extent)
+        if witness is None:
+            continue
+        found += 1
+        with_deletions += bool(witness.deleted1 or witness.deleted2)
+        seq = mapping_to_sequence(t1, t2, witness)
+        assert len(seq) <= deg, i
+        assert all(op.cost <= p.extent + TOLERANCE for op in seq), i
+        out = check_sequence(t1, seq)
+        assert edge_canonical(out) == edge_canonical(edge_tree_of(t2)), i
+    assert found >= 190 and with_deletions > 0
 
 
 def test_each_tree_is_built_and_prepared_once(monkeypatch):
