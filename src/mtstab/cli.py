@@ -7,6 +7,8 @@ counterexample. Exit codes: 0 ok, 1 I/O, 2 validation, 3 size guard.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -56,18 +58,20 @@ def cmd_build_tree(args) -> int:
 
 
 def matrix_to_csv(names, values) -> str:
-    lines = [",".join(names)]
+    """The member names, then one row of values per member; a name holding a
+    comma or a quote is quoted, as the csv module does."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(names)
     for row in values:
-        lines.append(",".join("" if v is None else format(v, ".9g") for v in row))
-    return "\n".join(lines) + "\n"
+        writer.writerow(["" if v is None else format(v, ".9g") for v in row])
+    return out.getvalue()
 
 
 def matrix_from_csv(text: str):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    names = lines[0].split(",")
-    values = []
-    for ln in lines[1:]:
-        values.append([None if cell == "" else float(cell) for cell in ln.split(",")])
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    names = rows[0]
+    values = [[None if cell == "" else float(cell) for cell in row] for row in rows[1:]]
     return names, values
 
 

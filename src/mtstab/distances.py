@@ -4,8 +4,9 @@ Polynomial dynamic programs for the Wasserstein (w), Saikia (x) and
 constrained classic (l) distances; exact exponential search behind size
 guards for the general classic (g), Sridharamurthy (s), deformation-based
 (e) and path-mapping (p) distances. The branch-mapping distance (b) runs
-x's DP on every pair of branch decompositions, whose enumeration is
-guarded.
+x's DP on the pairs of branch decompositions that a lower bound does not
+rule out; the enumeration is guarded. e, p and b skip candidates by exact
+lower bounds and keep their values bit for bit (docs/decisions.md §11).
 
 Each metric fixes one (input kind, label scheme, mapping constraint, cost
 model) combination:
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -317,6 +319,12 @@ def delta_b(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
     delta_x computes (docs/decisions.md §5); only the decomposition
     enumeration is exponential.
 
+    The DP's value on a pair is its root relabel cost plus an alignment
+    cost >= 0, so the root relabel cost bounds it from below, also after
+    rounding. Pairs run in ascending (bound, i, j) order and the walk stops
+    at the first bound >= the least value so far: no skipped pair could
+    lower the minimum, which keeps its bits (docs/decisions.md §11).
+
     Not a metric; the free decomposition choice makes vertical swaps cheap.
     """
     m = max(t1.edge_count(), t2.edge_count())
@@ -324,7 +332,18 @@ def delta_b(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
         raise SizeGuardError("branch decomposition enumeration", m, guards.branch_edges)
     side1 = [build_obdt(bd) for bd in _all_decompositions(t1)]
     side2 = [build_obdt(bd) for bd in _all_decompositions(t2)]
-    return min(ordered_one_degree_dp(l1, l2, WASSERSTEIN_POINT) for l1 in side1 for l2 in side2)
+    relabel = WASSERSTEIN_POINT.relabel
+    bounds = sorted(
+        (relabel(l1.labels[l1.root], l2.labels[l2.root]), i, j)
+        for i, l1 in enumerate(side1)
+        for j, l2 in enumerate(side2)
+    )
+    best = math.inf
+    for bound, i, j in bounds:
+        if bound >= best:
+            break
+        best = min(best, ordered_one_degree_dp(side1[i], side2[j], WASSERSTEIN_POINT))
+    return best
 
 
 def _all_decompositions(tree: AbstractMergeTree):

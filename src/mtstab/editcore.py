@@ -586,12 +586,22 @@ def deform_brute_force(
     root shape instead of bucketing them, and stops where the bucket walk
     would: costs do not decrease and `best` only moves on a matching entry
     (docs/decisions.md section 9).
+
+    Once a witness is found, the inner walk also skips, before building the
+    quotient, every pair whose lower bound c1 + c2 + |(L1 - c1) - (L2 - c2)|
+    reaches `best`, L being a tree's total edge length. A quotient keeps
+    every surviving length, so its total is L - c, and an isomorphism costs
+    at least the difference of the totals; the margin covers the rounding
+    of these sums. A skip rests on its own pair's bound alone, so it is a
+    `continue`, not a stop (docs/decisions.md section 11).
     """
     (et1, order1, variants1), (et2, order2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation enumeration"
     )
     if one_degree:
         variants1, variants2 = _path_variants(et1, variants1), _path_variants(et2, variants2)
+    len1, len2 = et1.total_length(), et2.total_length()
+    margin = TOLERANCE * (1.0 + len1 + len2)
     best = math.inf
     win = None
     for item1 in variants1:
@@ -600,10 +610,14 @@ def deform_brute_force(
             break
         q1, s1 = _shaped(et1, order1, item1)
         shape = s1[q1.root]
+        rest1 = len1 - c1
         for item2 in variants2:
             c2 = item2[0]
-            if win is not None and c1 + c2 >= best - _EPS:
-                break
+            if win is not None:
+                if c1 + c2 >= best - _EPS:
+                    break
+                if c1 + c2 + abs(rest1 - (len2 - c2)) - margin >= best - _EPS:
+                    continue
             q2, s2 = _shaped(et2, order2, item2)
             if s2[q2.root] != shape:
                 continue

@@ -123,6 +123,24 @@ def test_matrix_identical_fields(tmp_path, capsys):
     assert payload["status"] == [["ok", "ok"], ["ok", "ok"]]
 
 
+def test_matrix_csv_round_trips_a_member_name_with_a_comma(tmp_path):
+    """Names are written and read through the csv module: "a,b.json" comes
+    back as one name of a 2x2 matrix, not two."""
+    f = validate_field(build_grid_domain(2, 2), [0, 3, 1, 2])
+    dump_field(f, str(tmp_path / "a,b.json"))
+    dump_field(validate_field(f.domain, [0, 3.5, 1, 2]), str(tmp_path / "c.json"))
+    out_csv, out_json = tmp_path / "m.csv", tmp_path / "m.json"
+    rc = main(["matrix", str(tmp_path), "--metric", "w",
+               "--out-csv", str(out_csv), "--out-json", str(out_json)])
+    assert rc == 0
+    assert out_csv.read_text().splitlines()[0] == '"a,b.json",c.json'
+    names, values = matrix_from_csv(out_csv.read_text())
+    payload = json.loads(out_json.read_text())
+    assert names == payload["members"] == ["a,b.json", "c.json"]
+    assert len(values) == 2 and values[0][0] == values[1][1] == 0.0
+    assert values[0][1] == values[1][0] == pytest.approx(payload["values"][0][1], abs=1e-8)
+
+
 def test_matrix_block_structure(tmp_path):
     base = validate_field(build_grid_domain(2, 3), [0, 5, 1, 2, 6, 3])
     near = validate_field(base.domain, [0, 5.05, 1, 2, 6.02, 3])

@@ -16,7 +16,7 @@ from helpers import (
     selkow_brute_force,
     staircase_field,
 )
-from mtstab import editcore
+from mtstab import distances, editcore
 from mtstab import mergetree as mt
 from mtstab.distances import (
     DEFAULT_GUARDS,
@@ -347,8 +347,11 @@ def test_dps_match_the_all_pairs_oracles_on_grid_pairs():
 
 def test_delta_b_matches_the_all_pairs_oracle_bit_for_bit():
     """delta_b is the minimum of the ordered DP over decomposition pairs;
-    with the oracle DP in its place the minimum has the same bits."""
-    for t1, t2 in delta_b_pairs()[::4]:
+    with the oracle DP on every pair in its place, the minimum delta_b
+    reaches through its bound has the same bits. Each tree against itself
+    ties the bound with the least value, where the walk stops."""
+    pairs = delta_b_pairs()
+    for t1, t2 in pairs + [(t1, t1) for t1, _ in pairs[::8]]:
         expect = min(
             ordered_one_degree_dp_all_pairs(l1, l2, WASSERSTEIN_POINT)
             for l1 in [build_obdt(bd) for bd in _all_decompositions(t1)]
@@ -480,9 +483,10 @@ def test_delta_b_guards_raise_the_per_pair_errors():
 
 
 def test_collapse_costs_are_summed_once_per_tree_and_side(monkeypatch):
-    """delta_b runs the DP on every decomposition pair, so each labeled OBDT
-    meets every decomposition of the other tree; its collapse costs are
-    still summed once. A tree on both sides is summed once per side."""
+    """delta_b runs the DP on the decomposition pairs its bound does not
+    rule out, so a labeled OBDT can meet several decompositions of the other
+    tree; its collapse costs are still summed once. On the fig8 pair every
+    OBDT meets at least one. A tree on both sides is summed once per side."""
     builds = collections.Counter()
     postorder = editcore._postorder
 
@@ -501,3 +505,25 @@ def test_collapse_costs_are_summed_once_per_tree_and_side(monkeypatch):
     for _ in range(3):
         ordered_one_degree_dp(lt, lt, WASSERSTEIN_POINT)
     assert builds == {id(lt): 2}
+
+
+def test_delta_b_stops_at_the_first_bound_that_reaches_the_least_value(monkeypatch):
+    """The root relabel bound rules out decomposition pairs before their DP:
+    on the fig8 pair fewer than n1 * n2 pairs run it. Against itself a tree
+    runs it once: the identity pair reaches 0.0, and the next pair's bound
+    0.0 ties it and stops the walk."""
+    runs = []
+    dp = distances.ordered_one_degree_dp
+
+    def counting(l1, l2, cost):
+        runs.append((l1, l2))
+        return dp(l1, l2, cost)
+
+    monkeypatch.setattr(distances, "ordered_one_degree_dp", counting)
+    t1, t2 = counterexample(CounterexampleFamily.HORIZONTAL_FIG8, 10.0, 0.1)
+    n1, n2 = len(list(_all_decompositions(t1))), len(list(_all_decompositions(t2)))
+    delta_b(t1, t2)
+    assert 0 < len(runs) < n1 * n2
+    runs.clear()
+    assert delta_b(t1, t1) == 0.0
+    assert len(runs) == 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
     deform_sequence_search,
     eager_deform_brute_force,
@@ -451,6 +452,28 @@ def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
     deform_brute_force(t1, t2, one_degree=True)
     deform_witness_search(t1, t2, max_ops=stability_degree(t1), max_op_cost=0.5)
     assert set(per_set.values()) == {1} and calls["in_iso"] == 0
+
+
+def test_deform_length_bound_skips_isomorphisms_the_eager_oracle_runs(monkeypatch):
+    """Past its first witness, delta_E skips a pair of delete sets whose
+    surviving lengths differ by enough that no isomorphism could lower
+    `best`. The eager oracle has no such bound: on the same pair it runs
+    more isomorphisms for the same value."""
+    calls = {"lazy": 0, "eager": 0}
+
+    def counting(key, iso):
+        def counted(*args):
+            calls[key] += 1
+            return iso(*args)
+        return counted
+
+    monkeypatch.setattr(editcore, "_iso", counting("lazy", editcore._iso))
+    monkeypatch.setattr(helpers, "_iso", counting("eager", helpers._iso))
+    t1, t2 = grid_trees(15, 2)
+    et1, et2 = edge_tree_of(t1), edge_tree_of(t2)
+    want = eager_deform_brute_force(et1, eager_subset_variants(et1), et2, eager_subset_variants(et2))
+    assert deform_brute_force(t1, t2).hex() == want.hex()
+    assert 0 < calls["lazy"] < calls["eager"]
 
 
 def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled):
