@@ -82,6 +82,14 @@ DEFAULT_GUARDS = Guards()
 # One-degree DPs (w, x, l)
 # ---------------------------------------------------------------------------
 
+#: Blocks with n1 + n2 up to this size are built as Python lists and handed
+#: to numpy in one np.array call; larger ones are filled in place. The lists
+#: took 4.1 against 12.6 µs at size 3 and 16.5 against 18.2 µs at 14, but
+#: 19.8 against 19.5 µs at 16 and 8.3 against 2.3 ms at 400
+#: (docs/decisions.md §3).
+_LIST_BLOCK_MAX = 14
+
+
 def _assignment_min(cost_rows, del_costs, ins_costs):
     """Min-cost matching of children where leaving row i unmatched costs
     del_costs[i] and column j unmatched costs ins_costs[j].
@@ -90,7 +98,11 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
     [[c, d], [i, 0.0]], and its two assignments sum to c or to d + i. The
     closed form makes the solver's own comparisons (c <= d, then c - d < i),
     so it returns the solver's value bit for bit, near-ties included
-    (docs/decisions.md). Larger blocks go to the solver.
+    (docs/decisions.md). Larger blocks go to the solver as the augmented
+    (n1 + n2)-square matrix: costs top left, deletions on the top right
+    diagonal, insertions on the bottom left one, zeros bottom right and
+    `big` everywhere else. Small ones are built from lists, large ones in
+    place; both give the same bytes.
     """
     n1, n2 = len(del_costs), len(ins_costs)
     if n1 == 0:
@@ -102,19 +114,29 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
         return c if c <= d or c - d < i else d + i
     import numpy as np
 
-    big = (
-        sum(max(0.0, max(r, default=0.0)) for r in cost_rows)
-        + sum(del_costs)
-        + sum(ins_costs)
-        + 1.0
-    )
+    # rows are non-empty (n2 >= 1) and no cell is below +0.0 or NaN, so big
+    # exceeds every assignment that avoids it (docs/decisions.md §3)
+    big = sum(map(max, cost_rows)) + sum(del_costs) + sum(ins_costs) + 1.0
     size = n1 + n2
-    mat = np.full((size, size), big)
-    mat[:n1, :n2] = cost_rows
-    mat[n1:, n2:] = 0.0
-    diag1, diag2 = np.arange(n1), np.arange(n2)
-    mat[diag1, n2 + diag1] = del_costs
-    mat[n1 + diag2, diag2] = ins_costs
+    if size <= _LIST_BLOCK_MAX:
+        fill1, fill2, zeros = [big] * n1, [big] * n2, [0.0] * n1
+        block = []
+        for i, (r, d) in enumerate(zip(cost_rows, del_costs)):
+            row = [*r, *fill1]
+            row[n2 + i] = d
+            block.append(row)
+        for j, c in enumerate(ins_costs):
+            row = fill2 + zeros
+            row[j] = c
+            block.append(row)
+        mat = np.array(block, dtype=float)
+    else:
+        mat = np.full((size, size), big)
+        mat[:n1, :n2] = cost_rows
+        mat[n1:, n2:] = 0.0
+        diag1, diag2 = np.arange(n1), np.arange(n2)
+        mat[diag1, n2 + diag1] = del_costs
+        mat[n1 + diag2, diag2] = ins_costs
     rows, cols = linear_sum_assignment(mat)
     return float(mat[rows, cols].sum())
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -26,11 +27,20 @@ TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class Domain1Skeleton:
-    """Connected graph on dense 0-based vertex ids; edges normalized (lo, hi)."""
+    """Connected graph on dense 0-based vertex ids; edges normalized (lo, hi).
+
+    Connectivity is checked here, once per domain: a domain without
+    vertices or with two components raises DisconnectedDomainError, however
+    it is made.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if not _connected(self):
+            raise DisconnectedDomainError("domain 1-skeleton is not connected")
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
@@ -38,6 +48,26 @@ class Domain1Skeleton:
 
 def build_domain(vertex_count: int, edges) -> Domain1Skeleton:
     """Validate and normalize an edge list into a Domain1Skeleton."""
+    edges = list(edges)
+    norm = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+    # in bulk: no self-loop, every end in range, no edge twice in either
+    # orientation; the first bad edge is looked for only when one fails
+    if norm:
+        lo, hi = zip(*norm)
+        if (len(set(norm)) < len(norm) or min(lo) < 0 or max(hi) >= vertex_count
+                or any(map(operator.eq, lo, hi))):
+            _raise_first_bad_edge(vertex_count, edges)
+    adj = [[] for _ in range(vertex_count)]
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    # norm is sorted, so each list gets its lower neighbors in order, then
+    # its higher ones in order: sorted already
+    return Domain1Skeleton(vertex_count, tuple(norm), tuple(map(tuple, adj)))
+
+
+def _raise_first_bad_edge(vertex_count: int, edges) -> None:
+    """Raise the error of the first bad edge, in input order."""
     seen = set()
     for u, v in edges:
         if u == v:
@@ -48,15 +78,6 @@ def build_domain(vertex_count: int, edges) -> Domain1Skeleton:
         if e in seen:
             raise ValidationError(f"duplicate edge {e}")
         seen.add(e)
-    norm = tuple(sorted(seen))
-    adj = [[] for _ in range(vertex_count)]
-    for u, v in norm:
-        adj[u].append(v)
-        adj[v].append(u)
-    dom = Domain1Skeleton(vertex_count, norm, tuple(tuple(sorted(a)) for a in adj))
-    if not _connected(dom):
-        raise DisconnectedDomainError("domain 1-skeleton is not connected")
-    return dom
 
 
 def _connected(dom: Domain1Skeleton) -> bool:
@@ -114,8 +135,6 @@ def validate_field(domain: Domain1Skeleton, values) -> ScalarField:
     for a, b in zip(order, order[1:]):
         if values[a] == values[b]:
             raise DuplicateValueError(a, b, values[a])
-    if not _connected(domain):
-        raise DisconnectedDomainError("domain 1-skeleton is not connected")
     return ScalarField(domain, values)
 
 

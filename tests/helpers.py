@@ -2,7 +2,8 @@
 superlevel-set oracle for merge tree construction, an independent
 sequence-search oracle for the deformation distances, a backtracking oracle
 for subtree inclusion, the enumerative Selkow search and all-pairs oracles
-for the one-degree DPs, and eager oracles for the deformation searches."""
+for the one-degree DPs, which solve their child blocks on the in-place
+assignment matrix, and eager oracles for the deformation searches."""
 
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ import itertools
 import math
 import random
 
-from mtstab.distances import _assignment_min
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
 from mtstab.editcore import (
     _EPS,
     BRUTE_FORCE_NODE_LIMIT,
@@ -398,6 +401,43 @@ def selkow_brute_force(l1, l2):
     return c, EditMapping.of(pairs)
 
 
+def assignment_matrix_reference(cost_rows, del_costs, ins_costs):
+    """The augmented matrix distances._assignment_min hands the solver,
+    filled in place in one np.full array, as it was for every block size
+    before small blocks were built from lists."""
+    n1, n2 = len(del_costs), len(ins_costs)
+    big = (
+        sum(max(0.0, max(r, default=0.0)) for r in cost_rows)
+        + sum(del_costs)
+        + sum(ins_costs)
+        + 1.0
+    )
+    size = n1 + n2
+    mat = np.full((size, size), big)
+    mat[:n1, :n2] = cost_rows
+    mat[n1:, n2:] = 0.0
+    diag1, diag2 = np.arange(n1), np.arange(n2)
+    mat[diag1, n2 + diag1] = del_costs
+    mat[n1 + diag2, diag2] = ins_costs
+    return mat
+
+
+def assignment_min_reference(cost_rows, del_costs, ins_costs):
+    """Oracle of distances._assignment_min: its empty and 1x1 cases, and
+    the solver's value on assignment_matrix_reference otherwise."""
+    n1, n2 = len(del_costs), len(ins_costs)
+    if n1 == 0:
+        return sum(ins_costs)
+    if n2 == 0:
+        return sum(del_costs)
+    if n1 == 1 and n2 == 1:
+        c, d, i = cost_rows[0][0], del_costs[0], ins_costs[0]
+        return c if c <= d or c - d < i else d + i
+    mat = assignment_matrix_reference(cost_rows, del_costs, ins_costs)
+    rows, cols = linear_sum_assignment(mat)
+    return float(mat[rows, cols].sum())
+
+
 def all_pair_order(l1, l2):
     """Every node pair reachable from the root pair, each after its parent
     pair, leaves included."""
@@ -424,7 +464,7 @@ def one_degree_dp_all_pairs(l1, l2, cost) -> float:
             memo[v, w] = relabel
             continue
         rows = [[memo[a, b] for b in cs2] for a in cs1]
-        memo[v, w] = relabel + _assignment_min(
+        memo[v, w] = relabel + assignment_min_reference(
             rows, [del1[a] for a in cs1], [ins2[b] for b in cs2]
         )
     return memo[l1.root, l2.root]
@@ -459,7 +499,7 @@ def ordered_one_degree_dp_all_pairs(l1, l2, cost) -> float:
                     align[i][j + 1] = min(align[i][j + 1], align[i][j] + drop2[j])
                 if i < n and j < m:
                     rows = [[memo[a, b] for b in g2[j]] for a in g1[i]]
-                    pair = _assignment_min(rows, dels[i], inss[j])
+                    pair = assignment_min_reference(rows, dels[i], inss[j])
                     align[i + 1][j + 1] = min(align[i + 1][j + 1], align[i][j] + pair)
         memo[v, w] = relabel + align[n][m]
     return memo[l1.root, l2.root]

@@ -246,6 +246,35 @@ def test_matrix_worker_errors_reach_the_caller_with_their_type(
     assert "duplicate scalar value 0.5" in capsys.readouterr().err
 
 
+#: `mtstab matrix --out-json` for w, x and l on golden_ensemble, recorded
+#: before _assignment_min built its small blocks from lists.
+MATRIX_GOLDEN = Path(__file__).parent / "data" / "matrix_golden.json"
+
+
+def golden_ensemble(fields_dir):
+    """Four 15x15 members: one white-noise base plus independent noise of
+    at most 0.002 each, as the members of an ensemble."""
+    base_rng, rng = random.Random(1818), random.Random(1819)
+    domain = build_grid_domain(15, 15)
+    base = [base_rng.random() for _ in range(domain.vertex_count)]
+    for k in range(4):
+        values = [b + rng.uniform(-0.002, 0.002) for b in base]
+        dump_field(validate_field(domain, values), str(fields_dir / f"m{k}.json"))
+
+
+@pytest.mark.parametrize("metric", ["w", "x", "l"])
+def test_matrix_values_are_the_recorded_bits(tmp_path, metric):
+    fields_dir = tmp_path / "fields"
+    fields_dir.mkdir()
+    golden_ensemble(fields_dir)
+    rc, payload = _run_matrix(fields_dir, tmp_path / "out", metric)
+    assert rc == 0
+    want = json.loads(MATRIX_GOLDEN.read_text())[metric]
+    assert payload == want
+    hexes = lambda p: [[float.hex(v) for v in row] for row in p["values"]]
+    assert hexes(payload) == hexes(want)
+
+
 def test_matrix_csv_round_trip():
     names = ["x", "y"]
     values = [[0.0, 1.23456789], [1.23456789, 0.0]]

@@ -8,6 +8,8 @@ from scipy.optimize import linear_sum_assignment
 
 from helpers import (
     all_pair_order,
+    assignment_matrix_reference,
+    assignment_min_reference,
     caterpillar_field,
     one_degree_dp_all_pairs,
     ordered_one_degree_dp_all_pairs,
@@ -259,6 +261,56 @@ def test_assignment_min_1x1_is_the_solver_value():
         mat = np.array([[c, d], [i, 0.0]])
         rows, cols = linear_sum_assignment(mat)
         assert _assignment_min([[c]], [d], [i]) == float(mat[rows, cols].sum())
+
+
+def _assignment_block(rng, n1, n2, kind):
+    """A cost block with its deletion and insertion costs: values spread
+    over 1e-3 to 1e2, rows of zeros, one value everywhere, or entries one
+    ulp either side of their row's deletion plus a column's insertion."""
+    spread = lambda: 10 ** rng.uniform(-3, 2)
+    dels = [spread() for _ in range(n1)]
+    inss = [spread() for _ in range(n2)]
+    rows = [[spread() for _ in range(n2)] for _ in range(n1)]
+    if kind == "zero rows":
+        for r in rng.sample(range(n1), (n1 + 1) // 2):
+            rows[r] = [0.0] * n2
+            dels[r] = 0.0
+    elif kind == "ties":
+        tie = spread()
+        rows = [[tie] * n2 for _ in range(n1)]
+        dels, inss = [tie / 2] * n1, [tie / 2] * n2
+    elif kind == "near ties":
+        for a in range(n1):
+            for b in range(n2):
+                rows[a][b] = math.nextafter(dels[a] + inss[b], rng.choice((0.0, math.inf)))
+    return rows, dels, inss
+
+
+@pytest.mark.parametrize("kind", ["spread", "zero rows", "ties", "near ties"])
+def test_assignment_min_builds_the_in_place_matrix_bytes(monkeypatch, kind):
+    """Both constructions, lists below the threshold and np.full above it,
+    hand the solver the bytes of the in-place matrix and return its value
+    bit for bit, for every shape with n1 + n2 from 2 to threshold + 4."""
+    seen = []
+
+    def solver(mat):
+        seen.append(mat.tobytes())
+        return linear_sum_assignment(mat)
+
+    monkeypatch.setattr(distances, "linear_sum_assignment", solver)
+    rng = random.Random(1818)
+    for size in range(2, distances._LIST_BLOCK_MAX + 5):
+        for n1 in range(1, size):
+            n2 = size - n1
+            for _ in range(3):
+                rows, dels, inss = _assignment_block(rng, n1, n2, kind)
+                seen.clear()
+                got = _assignment_min(rows, dels, inss)
+                assert got.hex() == assignment_min_reference(rows, dels, inss).hex()
+                if size > 2:
+                    assert seen == [assignment_matrix_reference(rows, dels, inss).tobytes()]
+                else:
+                    assert seen == []
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from mtstab.errors import (
     ValidationError,
 )
 from mtstab.field import (
+    Domain1Skeleton,
     apply_value_change,
     build_domain,
     build_grid_domain,
@@ -72,6 +73,44 @@ def test_validate_field_duplicate():
 def test_validate_field_disconnected():
     with pytest.raises(DisconnectedDomainError):
         build_domain(2, [])
+
+
+#: Bad edge lists on n vertices, each with the error type and message that
+#: the per-edge loop raised before edges were checked in bulk: the first
+#: bad edge in input order decides, and connectivity comes after the edges.
+BAD_EDGE_LISTS = {
+    "self-loop": (3, [[0, 1], [1, 1], [1, 2]], ValidationError, "self-loop at vertex 1"),
+    "end-above-range": (3, [[0, 1], [1, 3]], UnknownVertexError, "edge (1,3) outside 0..2"),
+    "end-below-range": (3, [[0, 1], [-1, 2]], UnknownVertexError, "edge (-1,2) outside 0..2"),
+    "duplicate-same-orientation": (3, [[0, 1], [1, 2], [0, 1]], ValidationError,
+                                   "duplicate edge (0, 1)"),
+    "duplicate-reversed": (3, [[0, 1], [1, 2], [2, 1]], ValidationError,
+                           "duplicate edge (1, 2)"),
+    "duplicate-before-self-loop": (3, [[0, 1], [1, 0], [2, 2]], ValidationError,
+                                   "duplicate edge (0, 1)"),
+    "out-of-range-before-duplicate": (3, [[0, 5], [0, 1], [1, 0]], UnknownVertexError,
+                                      "edge (0,5) outside 0..2"),
+    "disconnected": (4, [[0, 1], [2, 3]], DisconnectedDomainError,
+                     "domain 1-skeleton is not connected"),
+    "zero-vertices": (0, [], DisconnectedDomainError, "domain 1-skeleton is not connected"),
+}
+
+
+@pytest.mark.parametrize("via", ["field_from_dict", "build_domain"])
+@pytest.mark.parametrize("n,edges,error,message", BAD_EDGE_LISTS.values(), ids=BAD_EDGE_LISTS)
+def test_bad_edge_lists_raise_the_first_bad_edges_error(n, edges, error, message, via):
+    with pytest.raises(error) as caught:
+        if via == "field_from_dict":
+            vertices = [{"id": i, "value": float(i)} for i in range(n)]
+            field_from_dict({"vertices": vertices, "edges": edges})
+        else:
+            build_domain(n, [tuple(e) for e in edges])
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_a_disconnected_domain_made_directly_raises():
+    with pytest.raises(DisconnectedDomainError, match="^domain 1-skeleton is not connected$"):
+        validate_field(Domain1Skeleton(2, (), ((), ())), [0.0, 1.0])
 
 
 def test_validate_field_length_mismatch():
