@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -48,27 +47,8 @@ class Domain1Skeleton:
 
 def build_domain(vertex_count: int, edges) -> Domain1Skeleton:
     """Validate and normalize an edge list into a Domain1Skeleton."""
-    edges = list(edges)
-    norm = sorted([(u, v) if u < v else (v, u) for u, v in edges])
-    # in bulk: no self-loop, every end in range, no edge twice in either
-    # orientation; the first bad edge is looked for only when one fails
-    if norm:
-        lo, hi = zip(*norm)
-        if (len(set(norm)) < len(norm) or min(lo) < 0 or max(hi) >= vertex_count
-                or any(map(operator.eq, lo, hi))):
-            _raise_first_bad_edge(vertex_count, edges)
-    adj = [[] for _ in range(vertex_count)]
-    for u, v in norm:
-        adj[u].append(v)
-        adj[v].append(u)
-    # norm is sorted, so each list gets its lower neighbors in order, then
-    # its higher ones in order: sorted already
-    return Domain1Skeleton(vertex_count, tuple(norm), tuple(map(tuple, adj)))
-
-
-def _raise_first_bad_edge(vertex_count: int, edges) -> None:
-    """Raise the error of the first bad edge, in input order."""
     seen = set()
+    norm = []
     for u, v in edges:
         if u == v:
             raise ValidationError(f"self-loop at vertex {u}")
@@ -78,6 +58,15 @@ def _raise_first_bad_edge(vertex_count: int, edges) -> None:
         if e in seen:
             raise ValidationError(f"duplicate edge {e}")
         seen.add(e)
+        norm.append(e)
+    norm.sort()
+    adj = [[] for _ in range(vertex_count)]
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    # norm is sorted, so each list gets its lower neighbors in order, then
+    # its higher ones in order: sorted already
+    return Domain1Skeleton(vertex_count, tuple(norm), tuple(map(tuple, adj)))
 
 
 def _connected(dom: Domain1Skeleton) -> bool:

@@ -75,9 +75,9 @@ def test_validate_field_disconnected():
         build_domain(2, [])
 
 
-#: Bad edge lists on n vertices, each with the error type and message that
-#: the per-edge loop raised before edges were checked in bulk: the first
-#: bad edge in input order decides, and connectivity comes after the edges.
+#: Bad edge lists on n vertices, each with its error type and message: the
+#: first bad edge in input order decides, and connectivity comes after the
+#: edges.
 BAD_EDGE_LISTS = {
     "self-loop": (3, [[0, 1], [1, 1], [1, 2]], ValidationError, "self-loop at vertex 1"),
     "end-above-range": (3, [[0, 1], [1, 3]], UnknownVertexError, "edge (1,3) outside 0..2"),
