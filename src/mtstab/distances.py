@@ -217,8 +217,8 @@ def one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     """Classic one-degree (constrained) edit distance on unordered labeled
     trees: roots map to roots, children are matched by optimal assignment,
     unmatched subtrees collapse to deletions/insertions."""
-    del1 = editcore._collapse_costs(l1, cost, True)
-    ins2 = editcore._collapse_costs(l2, cost, False)
+    del1 = editcore._collapse_costs(l1, cost)
+    ins2 = editcore._collapse_costs(l2, cost)
     ch1, ch2 = l1.children, l2.children
     # against a node without children every child collapses: the empty
     # matching, _assignment_min's sum when one side has no rows
@@ -242,8 +242,8 @@ def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     (attached at the same saddle, mutually incomparable) are matched by
     optimal assignment.
     """
-    del1 = editcore._collapse_costs(l1, cost, True)
-    ins2 = editcore._collapse_costs(l2, cost, False)
+    del1 = editcore._collapse_costs(l1, cost)
+    ins2 = editcore._collapse_costs(l2, cost)
     groups1, groups2 = l1.groups, l2.groups
     # the cost of dropping each child group whole, and rest: the alignment
     # against a node without children drops every group, 0.0 + drop[0] + ...

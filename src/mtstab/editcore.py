@@ -11,7 +11,6 @@ independent sequence search in the test suite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -51,11 +50,12 @@ def linear_sum_assignment(cost_matrix):
 
 @dataclass(frozen=True, eq=False)
 class CostModel:
-    """Relabel / delete / insert costs over one label kind.
+    """Relabel and delete costs over one label kind.
 
-    Nonnegative, zero on equal labels, symmetric. Deletion and insertion use
-    the empty symbol: scalar labels compare against 0, birth-death points
-    against their diagonal projection.
+    Nonnegative, zero on equal labels, symmetric. Deletion uses the empty
+    symbol: scalar labels compare against 0, birth-death points against
+    their diagonal projection. Inserting a label costs what deleting it
+    does, so delete prices both.
 
     Compared and hashed by identity: the two module singletons below are
     the only instances, and _collapse_costs keys its memo on them.
@@ -85,9 +85,6 @@ class CostModel:
                 return math.inf
             return abs(a)
         return abs(a[0] - a[1]) / SQRT2
-
-    def insert(self, b) -> float:
-        return self.delete(b)
 
 
 #: |l1 - l2| with empty symbol 0; blank labels pair only with each other.
@@ -179,15 +176,15 @@ def _postorder(lt: LabeledTree):
 
 
 @_memoized
-def _collapse_costs(lt: LabeledTree, cost: CostModel, deleting: bool):
-    """Cost of deleting (or inserting) each node's whole subtree. Kept on
-    the labeled tree per (cost, side), so a tree that meets many partners,
-    as each decomposition does in delta_b, is summed once; callers only
-    read the dict. Pass the arguments positionally: the memo keys on them."""
+def _collapse_costs(lt: LabeledTree, cost: CostModel):
+    """Cost of deleting, or inserting, each node's whole subtree. Kept on
+    the labeled tree per cost model, so a tree that meets many partners, as
+    each decomposition does in delta_b, or meets itself, is summed once;
+    callers only read the dict. Pass the arguments positionally: the memo
+    keys on them."""
     out = {}
     for v in _postorder(lt):
-        own = cost.delete(lt.labels[v]) if deleting else cost.insert(lt.labels[v])
-        out[v] = own + sum(out[c] for c in lt.children[v])
+        out[v] = cost.delete(lt.labels[v]) + sum(out[c] for c in lt.children[v])
     return out
 
 
@@ -232,7 +229,7 @@ def _tai_search(l1: LabeledTree, l2: LabeledTree, cost: CostModel, zhang: bool):
     nodes1 = [v for v in all1 if l1.labels[v] is not BLANK]
     nodes2 = [w for w in all2 if l2.labels[w] is not BLANK]
     del_cost = {v: cost.delete(l1.labels[v]) for v in nodes1}
-    ins_cost = {w: cost.insert(l2.labels[w]) for w in nodes2}
+    ins_cost = {w: cost.delete(l2.labels[w]) for w in nodes2}
     base = sum(del_cost.values()) + sum(ins_cost.values())
     gains = {
         v: {
@@ -525,21 +522,23 @@ def _path_variants(et: EdgeTree, variants):
 def _subset_variants(et: EdgeTree):
     """[cost, delete set, None] for every delete set, sorted by cost, then by
     the sorted ids of the set. _shaped fills the third slot with the
-    quotient and its shapes() map when a search first reaches the entry."""
+    quotient and its shapes() map when a search first reaches the entry.
+    Built by doubling over the edges in id order, so a set's cost is its
+    lengths summed in id order from int 0, as sum gives, whatever the set's
+    hash order, and one sort on (cost, edge indices) is the order above
+    (docs/decisions.md section 9)."""
     edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
-    out = []
-    for r in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, r):
-            subset = frozenset(combo)
-            out.append([sum(et.length[v] for v in subset), subset, None])
-    out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))
-    return out
+    grown = [(0, (), frozenset())]
+    for j, v in enumerate(edges):
+        length, one = et.length[v], frozenset((v,))
+        grown += [(c + length, idx + (j,), d | one) for c, idx, d in grown]
+    grown.sort()
+    return [[c, d, None] for c, _, d in grown]
 
 
 def _shaped(et: EdgeTree, order, item):
     """(quotient, its shapes() map) of a _subset_variants entry, built on the
-    first call and kept in the entry. The entry is filled by one assignment,
-    so another thread sees either nothing or the whole pair."""
+    first call and kept in the entry for every later search."""
     built = item[2]
     if built is None:
         q = _quotient(et, item[1], order)
@@ -551,8 +550,7 @@ def _shaped(et: EdgeTree, order, item):
 def _variants_of(t: AbstractMergeTree):
     """(edge tree, its nodes parents first, _subset_variants) of a merge
     tree, enumerated once and kept on the tree: delta_E, delta_P and the
-    witness search share it, and with it every quotient one of them built.
-    Two threads that miss the memo at once both enumerate the same list."""
+    witness search share it, and with it every quotient one of them built."""
     et = edge_tree_of(t)
     order = [et.root]
     for v in order:
@@ -684,27 +682,19 @@ def deform_witness_search(
 
 
 def _qualifying_iso(q1: EdgeTree, shapes1, q2: EdgeTree, shapes2, max_relabels: int, cap: float):
-    """The isomorphism preferring (1) no length difference above cap,
-    (2) fewest differing edges, (3) smallest total difference, if its pairs
-    need at most max_relabels relabels, none costing more than cap;
-    otherwise None."""
-    w = q1.total_length() + q2.total_length() + 1.0
-    k_count = 2.0 * w
-    k_cap = 1e6 * (len(q1.parent) + len(q2.parent) + 2) * k_count
+    """The isomorphism with the fewest relabels, if it needs at most
+    max_relabels, none above cap; otherwise None. An edge pair counts 0
+    within TOLERANCE, 1 within cap, and above cap more than max_relabels
+    and the edge count, so no total within max_relabels includes it
+    (docs/decisions.md section 2)."""
+    over = max_relabels + len(q1.parent)
 
-    def penalty(a, b):
+    def relabels(a, b):
         d = abs(a - b)
-        return d + (k_cap if d > cap else 0.0) + (k_count if d > TOLERANCE else 0.0)
+        return 0 if d <= TOLERANCE else 1 if d <= cap else over
 
-    iso = _iso(q1, shapes1, q2, shapes2, penalty)[1]
-    relabels = [
-        d
-        for d in (abs(q1.length[a] - q2.length[b]) for a, b in iso if q1.parent[a] is not None)
-        if d > TOLERANCE
-    ]
-    if len(relabels) > max_relabels or any(d > cap for d in relabels):
-        return None
-    return iso
+    count, iso = _iso(q1, shapes1, q2, shapes2, relabels)
+    return iso if count <= max_relabels else None
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +929,7 @@ def mapping_to_sequence(l1, l2, mapping) -> tuple:
         op = EditOp(
             "node_insert",
             wid,
-            cost.insert(l2.labels[w]),
+            cost.delete(l2.labels[w]),
             label=l2.labels[w],
             parent=attach,
             moved_children=moved,

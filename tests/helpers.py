@@ -351,8 +351,8 @@ def selkow_brute_force(l1, l2):
         raise SizeGuardError("brute-force mapping search", n, BRUTE_FORCE_NODE_LIMIT)
     cost = cost_model_for(l1)
     ordered = l1.groups is not None and l2.groups is not None
-    del1 = _collapse_costs(l1, cost, True)
-    ins2 = _collapse_costs(l2, cost, False)
+    del1 = _collapse_costs(l1, cost)
+    ins2 = _collapse_costs(l2, cost)
     memo = {}
 
     def best(v, w):
@@ -453,8 +453,8 @@ def all_pair_order(l1, l2):
 def one_degree_dp_all_pairs(l1, l2, cost) -> float:
     """Oracle of distances.one_degree_dp: the same recurrence with every
     reachable pair in the memo, leaf pairs included."""
-    del1 = _collapse_costs(l1, cost, True)
-    ins2 = _collapse_costs(l2, cost, False)
+    del1 = _collapse_costs(l1, cost)
+    ins2 = _collapse_costs(l2, cost)
     ch1, ch2 = l1.children, l2.children
     memo = {}
     for v, w in reversed(all_pair_order(l1, l2)):
@@ -474,8 +474,8 @@ def ordered_one_degree_dp_all_pairs(l1, l2, cost) -> float:
     """Oracle of distances.ordered_one_degree_dp: every reachable pair in
     the memo, and the group alignment filled forward, each cell pushing to
     its three successors."""
-    del1 = _collapse_costs(l1, cost, True)
-    ins2 = _collapse_costs(l2, cost, False)
+    del1 = _collapse_costs(l1, cost)
+    ins2 = _collapse_costs(l2, cost)
     groups1, groups2 = l1.groups, l2.groups
     memo = {}
     for v, w in reversed(all_pair_order(l1, l2)):
@@ -511,8 +511,8 @@ def ordered_one_degree_dp_all_pairs(l1, l2, cost) -> float:
 
 def eager_subset_variants(et: EdgeTree):
     """(cost, delete set, quotient, quotient's shapes() map) for every delete
-    set, sorted by cost, then by the sorted ids of the set; each quotient
-    built before any search starts."""
+    set, sorted by cost, then by the sorted ids of the set; each cost summed
+    in id order and each quotient built before any search starts."""
     edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
     order = [et.root]
     for v in order:
@@ -521,7 +521,7 @@ def eager_subset_variants(et: EdgeTree):
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(edges, r):
             subset = frozenset(combo)
-            cost = sum(et.length[v] for v in subset)
+            cost = sum(et.length[v] for v in combo)
             q = _quotient(et, subset, order)
             out.append((cost, subset, q, q.shapes()))
     out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))

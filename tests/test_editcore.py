@@ -2,7 +2,10 @@ import functools
 import gc
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,7 @@ from mtstab.editcore import (
     deform_brute_force,
     deform_witness_search,
     _path_variants,
+    _qualifying_iso,
     _quotient,
     _subset_variants,
     edge_tree_of,
@@ -80,7 +84,7 @@ def labeled(tree, scheme=mt.NODE_DIST_TO_PARENT):
 def test_absdiff_axioms(a, b):
     assert ABS_DIFF.relabel(a, a) == 0.0
     assert ABS_DIFF.relabel(a, b) == ABS_DIFF.relabel(b, a) >= 0.0
-    assert ABS_DIFF.delete(a) == ABS_DIFF.insert(a) == abs(a)
+    assert ABS_DIFF.delete(a) == abs(a)
 
 
 @given(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
@@ -98,8 +102,8 @@ def test_cost_models_hash_by_identity():
     second call returns the memoized dict."""
     assert CostModel.__hash__ is object.__hash__
     lt = labeled(random_abstract_tree(random.Random(3), max_edges=5))
-    first = editcore._collapse_costs(lt, ABS_DIFF, True)
-    assert editcore._collapse_costs(lt, ABS_DIFF, True) is first
+    first = editcore._collapse_costs(lt, ABS_DIFF)
+    assert editcore._collapse_costs(lt, ABS_DIFF) is first
 
 
 def test_relabel_rows_is_relabel_cell_by_cell():
@@ -371,6 +375,86 @@ def test_path_variants_are_the_leaf_deletion_sets_in_order():
         assert got == expected
 
 
+#: (parent, value) of hand-built trees with string ids and edges of length 1
+#: (and one of length 2): many delete sets cost the same, also between sets
+#: of different sizes, and the sorted ids break the ties.
+TIED_TREES = [
+    ({"r": None, "a": "r"}, {"r": 0, "a": 1}),
+    ({"r": None, "a": "r"}, {"r": 0, "a": 2}),
+    ({"r": None, "s": "r", "a": "s", "z": "s"}, {"r": 0, "s": 1, "a": 2, "z": 3}),
+    ({"r": None, "s": "r", "a": "s", "b": "s"}, {"r": 0, "s": 1, "a": 2, "b": 2}),
+    (
+        {"r": None, "s": "r", "a": "s", "b": "s", "c": "s"},
+        {"r": 0, "s": 1, "a": 2, "b": 2, "c": 2},
+    ),
+    (
+        {"r": None, "s": "r", "a": "s", "t": "s", "b": "t", "c": "t"},
+        {"r": 0, "s": 1, "a": 2, "t": 2, "b": 3, "c": 3},
+    ),
+    (
+        {"r": None, "s": "r", "t": "s", "u": "s", "a": "t", "b": "t", "c": "u", "d": "u"},
+        {"r": 0, "s": 1, "t": 2, "u": 2, "a": 3, "b": 3, "c": 3, "d": 3},
+    ),
+]
+
+#: Two string-id trees whose delta_E and delta_P depend on the order in
+#: which a delete set's four leaf edges are summed: 0.1 + 0.2 + 0.3 is not
+#: 0.3 + 0.2 + 0.1 in floats.
+HASH_ORDER_PAIR = (
+    (
+        {"root": None, "s": "root", "p": "s", "q": "s", "r": "s", "t": "s"},
+        {"root": 0.0, "s": 0.1, "p": 0.3, "q": 0.6, "r": 0.7, "t": 1.5},
+    ),
+    ({"root": None, "x": "root"}, {"root": 0.0, "x": 1.0}),
+)
+
+
+def test_subset_variants_are_the_combinations_summed_in_edge_order():
+    """Every delete set once, its cost the sum of its lengths in id order
+    (int 0 for the empty set, as sum gives), sorted by cost and then by the
+    sorted ids: the same type, bits and set per entry as a reference built
+    with itertools.combinations, on int-id grid trees and on string-id
+    trees with tied costs."""
+    trees = grid_trees(21, 20, max_edges=9)
+    trees += [abstract_merge_tree(p, v) for p, v in (*TIED_TREES, *HASH_ORDER_PAIR)]
+    for t in trees:
+        et = edge_tree_of(t)
+        edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
+        want = sorted(
+            (
+                (sum(et.length[v] for v in combo), frozenset(combo), tuple(map(_id_key, combo)))
+                for r in range(len(edges) + 1)
+                for combo in itertools.combinations(edges, r)
+            ),
+            key=lambda entry: (entry[0], entry[2]),
+        )
+        got = _subset_variants(et)
+        assert [(type(c), float(c).hex(), d) for c, d, _ in got] == [
+            (type(c), float(c).hex(), d) for c, d, _ in want
+        ]
+        assert all(built is None for _, _, built in got)
+
+
+def test_deform_values_do_not_depend_on_the_hash_seed():
+    """delta_E and delta_P on string-id trees give the same bits under two
+    hash seeds, which order the ids of a frozenset differently."""
+    src = os.path.dirname(os.path.dirname(editcore.__file__))
+    code = (
+        "from mtstab.editcore import deform_brute_force\n"
+        "from mtstab.mergetree import abstract_merge_tree\n"
+        f"t1, t2 = (abstract_merge_tree(p, v) for p, v in {HASH_ORDER_PAIR!r})\n"
+        "print(deform_brute_force(t1, t2).hex(), deform_brute_force(t1, t2, one_degree=True).hex())\n"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+
+
 def test_memoized_variants_give_the_fresh_results():
     """e, p and the witness search agree whether each call sees trees built
     from a new field object, with nothing memoized yet, or the memoized
@@ -541,26 +625,8 @@ def test_lazy_quotients_match_the_eager_oracle_on_ties_and_one_edge_trees():
     """Hand-built trees with edges of length 1 (and one of length 2), so
     many delete sets cost the same and the sorted ids break the ties, also
     between sets of different sizes, and 1-edge trees."""
-    shapes = [
-        ({"r": None, "a": "r"}, {"r": 0, "a": 1}),
-        ({"r": None, "a": "r"}, {"r": 0, "a": 2}),
-        ({"r": None, "s": "r", "a": "s", "z": "s"}, {"r": 0, "s": 1, "a": 2, "z": 3}),
-        ({"r": None, "s": "r", "a": "s", "b": "s"}, {"r": 0, "s": 1, "a": 2, "b": 2}),
-        (
-            {"r": None, "s": "r", "a": "s", "b": "s", "c": "s"},
-            {"r": 0, "s": 1, "a": 2, "b": 2, "c": 2},
-        ),
-        (
-            {"r": None, "s": "r", "a": "s", "t": "s", "b": "t", "c": "t"},
-            {"r": 0, "s": 1, "a": 2, "t": 2, "b": 3, "c": 3},
-        ),
-        (
-            {"r": None, "s": "r", "t": "s", "u": "s", "a": "t", "b": "t", "c": "u", "d": "u"},
-            {"r": 0, "s": 1, "t": 2, "u": 2, "a": 3, "b": 3, "c": 3, "d": 3},
-        ),
-    ]
     filled = [0, 0]
-    for (p1, v1), (p2, v2) in itertools.product(shapes, repeat=2):
+    for (p1, v1), (p2, v2) in itertools.product(TIED_TREES, repeat=2):
         for max_ops, max_op_cost in ((1, 1.0), (3, 1.0), (6, 0.5)):
             t1, t2 = abstract_merge_tree(p1, v1), abstract_merge_tree(p2, v2)
             _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled)
@@ -693,3 +759,15 @@ def test_witness_search_finds_bounded_witness():
     assert w is not None
     seq = mapping_to_sequence(t1, t2, w)
     assert len(seq) <= 3 and max(op.cost for op in seq) <= 0.2 + 1e-9
+
+
+def test_qualifying_iso_rejects_a_relabel_above_cap():
+    """One edge whose lengths differ by 1.0: above cap, no budget of
+    relabels lets it through; with cap above the difference it is the one
+    relabel of the identity."""
+    q1 = EdgeTree({"r": None, "a": "r"}, {"a": 1.0}, "r")
+    q2 = EdgeTree({"r": None, "b": "r"}, {"b": 2.0}, "r")
+    s1, s2 = q1.shapes(), q2.shapes()
+    assert _qualifying_iso(q1, s1, q2, s2, 5, 0.5) is None
+    assert _qualifying_iso(q1, s1, q2, s2, 5, 1.5) == [("r", "r"), ("a", "b")]
+    assert _qualifying_iso(q1, s1, q2, s2, 0, 1.5) is None
