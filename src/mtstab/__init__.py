@@ -13,18 +13,15 @@ from .field import (
 )
 from .mergetree import (
     AbstractMergeTree,
-    AugmentedMergeTree,
     Branch,
     BranchDecomposition,
     LabeledTree,
     abstract_merge_tree,
-    build_augmented,
     build_bdt,
     build_obdt,
     label_for_scheme,
     merge_tree_of,
     persistence_branch_decomposition,
-    prune_to_abstract,
     tree_included_up_to_iso,
 )
 from .editcore import (

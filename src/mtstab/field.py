@@ -157,20 +157,21 @@ def field_from_dict(data: dict) -> ScalarField:
     """The field of a JSON payload: {"grid": {"rows", "cols", "values"}}, or
     {"vertices": [{"id", "value"}, ...], "edges": [[u, v], ...]} with dense
     0-based ids. Any other payload raises ValidationError: a missing key, a
-    container of the wrong type, an entry that is not a number, or a size,
-    id or edge end that is not an integer."""
+    container of the wrong type, a value that is not a JSON number or is
+    too large for a float, or a size, id or edge end that is not an
+    integer."""
     try:
         if "grid" in data:
             g = data["grid"]
             rows, cols = _integer(g["rows"]), _integer(g["cols"])
-            values = [float(x) for x in g["values"]]
+            values = [_number(x) for x in g["values"]]
             edges = None
         else:
-            verts = [(_integer(entry["id"]), float(entry["value"])) for entry in data["vertices"]]
+            verts = [(_integer(entry["id"]), _number(entry["value"])) for entry in data["vertices"]]
             edges = [(_integer(u), _integer(v)) for u, v in data["edges"]]
     except KeyError as e:
         raise ValidationError(f"field JSON missing key {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"malformed field JSON: {e}") from e
     if edges is None:
         return validate_field(build_grid_domain(rows, cols), values)
@@ -188,6 +189,13 @@ def _integer(x) -> int:
     if type(x) is not int:
         raise ValueError(f"{x!r} is not an integer")
     return x
+
+
+def _number(x) -> float:
+    # JSON "0.5" and true would pass float(); neither is a field value
+    if type(x) not in (int, float):
+        raise ValueError(f"{x!r} is not a number")
+    return float(x)
 
 
 def load_field(path: str) -> ScalarField:

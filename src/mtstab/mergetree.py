@@ -32,8 +32,9 @@ def _memoized(build):
     return memoized
 
 
-class _RootedTree:
-    """Shared parent-map tree machinery; immutable by convention."""
+class AbstractMergeTree:
+    """Merge tree with regular vertices pruned: root (degree 1), saddles,
+    maxima. Immutable by convention."""
 
     def __init__(self, parent: dict, value: dict, root):
         if root not in value or parent.get(root) is not None:
@@ -96,25 +97,20 @@ class _RootedTree:
         )
 
 
-class AugmentedMergeTree(_RootedTree):
-    """Split tree over all field vertices."""
+def _build_merge_tree(field: ScalarField) -> AbstractMergeTree:
+    """Descending sweep with union-find over superlevel components (Carr,
+    Snoeyink & Axen 2003) that emits only the root, saddles and maxima.
 
-
-class AbstractMergeTree(_RootedTree):
-    """Merge tree with regular vertices pruned: root (degree 1), saddles, maxima."""
-
-
-def build_augmented(field: ScalarField) -> AugmentedMergeTree:
-    """Descending sweep with union-find over superlevel components.
-
-    Processing vertices by decreasing value, each vertex becomes the lowest
-    vertex of the union of adjacent components above it; their previous
-    lowest vertices get it as parent.
+    A vertex whose higher neighbours lie in exactly one component, other
+    than the global minimum, is regular: it joins that component. Any other
+    vertex is a node: it becomes the parent of the lowest node of each
+    component it merges, and the lowest node of their union
+    (docs/decisions.md section 12). A component's union-find root is its
+    lowest node. Nodes are listed in sweep order.
     """
     values = field.values
     order = sorted(range(field.vertex_count), key=lambda v: -values[v])
-    uf_parent = {}
-    lowest = {}
+    uf_parent = list(range(field.vertex_count))
 
     def find(v):
         r = v
@@ -124,39 +120,18 @@ def build_augmented(field: ScalarField) -> AugmentedMergeTree:
             uf_parent[v], v = r, uf_parent[v]
         return r
 
+    root = order[-1]
     parent = {}
     for v in order:
-        uf_parent[v] = v
-        lowest[v] = v
-        parent[v] = None
-        for u in field.domain.adjacency[v]:
-            if values[u] > values[v]:
-                r = find(u)
-                if lowest[r] != v:
-                    parent[lowest[r]] = v
-                    uf_parent[r] = find(v)
-                    lowest[find(v)] = v
-    root = order[-1]
-    return AugmentedMergeTree(parent, {v: values[v] for v in range(field.vertex_count)}, root)
-
-
-def prune_to_abstract(aug: AugmentedMergeTree) -> AbstractMergeTree:
-    """Contract away regular vertices (exactly one child, not the root)."""
-    keep = {
-        v
-        for v in aug.nodes()
-        if v == aug.root or aug.child_count(v) != 1
-    }
-    parent = {}
-    for v in keep:
-        if v == aug.root:
-            parent[v] = None
+        x = values[v]
+        comps = {find(u) for u in field.domain.adjacency[v] if values[u] > x}
+        if len(comps) == 1 and v != root:
+            uf_parent[v] = comps.pop()
             continue
-        p = aug.parent[v]
-        while p not in keep:
-            p = aug.parent[p]
-        parent[v] = p
-    tree = AbstractMergeTree(parent, {v: aug.value[v] for v in keep}, aug.root)
+        parent[v] = None
+        for r in comps:
+            parent[r] = uf_parent[r] = v
+    tree = AbstractMergeTree(parent, {v: values[v] for v in parent}, root)
     _check_abstract_invariants(tree)
     return tree
 
@@ -186,7 +161,7 @@ def abstract_merge_tree(parent: dict, value: dict, root=None) -> AbstractMergeTr
 
 @_memoized
 def merge_tree_of(field: ScalarField) -> AbstractMergeTree:
-    return prune_to_abstract(build_augmented(field))
+    return _build_merge_tree(field)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +339,7 @@ def label_for_scheme(obj, scheme: str) -> LabeledTree:
     label-function catalogue; see the distances module for which distance
     uses which. BDTs come labeled from build_bdt and build_obdt."""
     if scheme == NODE_DIST_TO_PARENT:
-        if not isinstance(obj, _RootedTree):
+        if not isinstance(obj, AbstractMergeTree):
             raise SchemeMismatchError(f"{scheme} needs a merge tree")
         labels = {
             v: (BLANK if obj.parent[v] is None else obj.value[v] - obj.value[obj.parent[v]])
@@ -407,7 +382,7 @@ def tree_included_up_to_iso(t1, t2, *, exempt=frozenset()) -> bool:
     nodes (renamed by a perturbation) match only exempt nodes, with no value
     constraint. BDTs go through bdt_included_up_to_iso.
     """
-    if not (isinstance(t1, _RootedTree) and isinstance(t2, _RootedTree)):
+    if not (isinstance(t1, AbstractMergeTree) and isinstance(t2, AbstractMergeTree)):
         raise ValidationError("inclusion needs two merge trees")
 
     def compatible(u, w):
@@ -480,7 +455,7 @@ def _covers(cs1, cs2, fits) -> bool:
 # JSON dumps
 # ---------------------------------------------------------------------------
 
-def tree_to_dict(tree: _RootedTree) -> dict:
+def tree_to_dict(tree: AbstractMergeTree) -> dict:
     return {
         "root": tree.root,
         "nodes": [

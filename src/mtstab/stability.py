@@ -14,6 +14,7 @@ parent edge; the theorem arguments count exactly these incident edges.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -219,12 +220,12 @@ def instability_growth(family, metric: MetricId, x_values, eps: float, guards=DE
     return rows
 
 
-def linear_growth_ok(rows, rel_tol=0.10) -> bool:
-    """Doubling x should double the distance, within rel_tol."""
+def linear_growth_ok(rows) -> bool:
+    """Doubling x should double the distance, within 10%."""
     ok = True
     for (x1, d1), (x2, d2) in zip(rows, rows[1:]):
         expect = d1 * (x2 / x1)
-        ok = ok and abs(d2 - expect) <= rel_tol * expect
+        ok = ok and abs(d2 - expect) <= 0.10 * expect
     return ok
 
 
@@ -350,6 +351,8 @@ def run_stability_suite(
     (docs/decisions.md section 2). Horizontal swaps are expected among
     witness_checks.failures: they can need degree + 2 ops.
     """
+    if trials < 0:
+        raise ValidationError(f"need trials >= 0, got {trials}")
     metrics = tuple(metrics)
     cells = {}
     witness_stats = CellStats()
@@ -475,8 +478,13 @@ def run_finite_stability(
     and checks the size-times-2eps bound for every metric whose step-class
     precondition holds. The deformation bound is unconditional. A metric
     without a finite-stability precondition raises ValidationError before
-    the first trial.
+    the first trial, as do a negative trial count and an eps that is not
+    finite and positive.
     """
+    if trials < 0:
+        raise ValidationError(f"need trials >= 0, got {trials}")
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"need a finite eps > 0, got {eps}")
     metrics = tuple(metrics)
     unsupported = [m.value for m in metrics if m not in _FINITE_PRECONDITION]
     if unsupported:

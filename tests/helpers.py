@@ -1,9 +1,10 @@
 """Shared test utilities: random generators, canonical tree comparison, a
-superlevel-set oracle for merge tree construction, an independent
-sequence-search oracle for the deformation distances, a backtracking oracle
-for subtree inclusion, the enumerative Selkow search and all-pairs oracles
-for the one-degree DPs, which solve their child blocks on the in-place
-assignment matrix, and eager oracles for the deformation searches."""
+superlevel-set oracle and the two-pass augmented-tree builder for merge tree
+construction, an independent sequence-search oracle for the deformation
+distances, a backtracking oracle for subtree inclusion, the enumerative
+Selkow search and all-pairs oracles for the one-degree DPs, which solve
+their child blocks on the in-place assignment matrix, and eager oracles for
+the deformation searches."""
 
 from __future__ import annotations
 
@@ -34,8 +35,15 @@ from mtstab.editcore import (
     edge_tree_of,
 )
 from mtstab.errors import SizeGuardError
-from mtstab.field import TOLERANCE, build_domain, build_grid_domain, validate_field
-from mtstab.mergetree import BLANK, _id_key, abstract_merge_tree, merge_tree_of
+from mtstab.field import TOLERANCE, ScalarField, build_domain, build_grid_domain, validate_field
+from mtstab.mergetree import (
+    BLANK,
+    AbstractMergeTree,
+    _check_abstract_invariants,
+    _id_key,
+    abstract_merge_tree,
+    merge_tree_of,
+)
 
 
 def random_field(rng: random.Random, rows=3, cols=3):
@@ -132,6 +140,67 @@ def superlevel_components(field, threshold):
                     stack.append(w)
         comps.append(frozenset(comp))
     return sorted(comps, key=min)
+
+
+class AugmentedMergeTree(AbstractMergeTree):
+    """Split tree over all field vertices."""
+
+
+def build_augmented(field: ScalarField) -> AugmentedMergeTree:
+    """Descending sweep with union-find over superlevel components.
+
+    Processing vertices by decreasing value, each vertex becomes the lowest
+    vertex of the union of adjacent components above it; their previous
+    lowest vertices get it as parent.
+    """
+    values = field.values
+    order = sorted(range(field.vertex_count), key=lambda v: -values[v])
+    uf_parent = {}
+    lowest = {}
+
+    def find(v):
+        r = v
+        while uf_parent[r] != r:
+            r = uf_parent[r]
+        while uf_parent[v] != r:
+            uf_parent[v], v = r, uf_parent[v]
+        return r
+
+    parent = {}
+    for v in order:
+        uf_parent[v] = v
+        lowest[v] = v
+        parent[v] = None
+        for u in field.domain.adjacency[v]:
+            if values[u] > values[v]:
+                r = find(u)
+                if lowest[r] != v:
+                    parent[lowest[r]] = v
+                    uf_parent[r] = find(v)
+                    lowest[find(v)] = v
+    root = order[-1]
+    return AugmentedMergeTree(parent, {v: values[v] for v in range(field.vertex_count)}, root)
+
+
+def prune_to_abstract(aug: AugmentedMergeTree) -> AbstractMergeTree:
+    """Contract away regular vertices (exactly one child, not the root)."""
+    keep = {
+        v
+        for v in aug.nodes()
+        if v == aug.root or aug.child_count(v) != 1
+    }
+    parent = {}
+    for v in keep:
+        if v == aug.root:
+            parent[v] = None
+            continue
+        p = aug.parent[v]
+        while p not in keep:
+            p = aug.parent[p]
+        parent[v] = p
+    tree = AbstractMergeTree(parent, {v: aug.value[v] for v in keep}, aug.root)
+    _check_abstract_invariants(tree)
+    return tree
 
 
 def labeled_canonical(lt):

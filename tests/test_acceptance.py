@@ -182,7 +182,7 @@ def test_criterion_2_linear_growth():
     ok = True
     for fam, metric in UNSTABLE_PAIRS:
         rows = instability_growth(fam, metric, [X, 2 * X], EPS)
-        ok = ok and linear_growth_ok(rows, rel_tol=0.10)
+        ok = ok and linear_growth_ok(rows)
     assert report("2 (linear instability growth)", ok)
 
 

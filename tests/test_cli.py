@@ -84,6 +84,12 @@ MALFORMED_FIELDS = {
     "rows-not-an-integer": {"grid": {"rows": 2.9, "cols": 2, "values": [0, 3, 1, 2]}},
     "value-nan": {"grid": {"rows": 2, "cols": 2, "values": [0, math.nan, 1, 2]}},
     "value-infinity": {"grid": {"rows": 2, "cols": 2, "values": [0, math.inf, 1, 2]}},
+    "value-a-string": {"vertices": [{"id": 0, "value": "0.5"}, {"id": 1, "value": 1.0}],
+                       "edges": [[0, 1]]},
+    "value-true": {"vertices": [{"id": 0, "value": 0.0}, {"id": 1, "value": True}],
+                   "edges": [[0, 1]]},
+    "grid-value-a-string": {"grid": {"rows": 2, "cols": 2, "values": [0, "1", 3, 2]}},
+    "value-401-digits": {"grid": {"rows": 2, "cols": 2, "values": [0, 10**400, 1, 2]}},
 }
 
 
@@ -317,6 +323,9 @@ def test_perturb_command(grid_file, capsys):
     ["perturb", "--field", "{field}", "--vertex", "-1"],
     ["perturb", "--field", "{field}", "--vertex", "1", "--apply", "7"],
     ["perturb", "--field", "{field}", "--vertex", "1", "--apply", "-1"],
+    ["stability-run", "--mode", "finite", "--eps", "-0.05"],
+    ["stability-run", "--trials", "-3"],
+    ["stability-run", "--mode", "finite", "--trials", "-3"],
 ])
 def test_bad_arguments_exit_2(argv, grid_file, capsys):
     """Validation errors exit 2 with an error line, not a traceback, and an

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from helpers import embed_backtracking, random_field, superlevel_components
+from helpers import (
+    build_augmented,
+    caterpillar_field,
+    embed_backtracking,
+    prune_to_abstract,
+    random_field,
+    random_path_field,
+    staircase_field,
+    superlevel_components,
+)
 from mtstab import mergetree as mt
 from mtstab.errors import AbstractInvariantError, SchemeMismatchError, ValidationError
 from mtstab.field import build_domain, validate_field
@@ -10,13 +19,11 @@ from mtstab.mergetree import (
     BLANK,
     abstract_merge_tree,
     bdt_included_up_to_iso,
-    build_augmented,
     build_bdt,
     build_obdt,
     label_for_scheme,
     merge_tree_of,
     persistence_branch_decomposition,
-    prune_to_abstract,
     tree_included_up_to_iso,
 )
 
@@ -97,6 +104,27 @@ def test_abstract_invariant_violation_reported():
     f = path_field([1, 0, 2])
     with pytest.raises(AbstractInvariantError):
         prune_to_abstract(build_augmented(f))
+
+
+def _tree_or_error(build, f):
+    try:
+        t = build(f)
+    except AbstractInvariantError as e:
+        return str(e)
+    return t.parent, t.value, t.root, {v: t.children(v) for v in t.nodes()}
+
+
+def test_sweep_matches_pruned_augmented_tree():
+    """merge_tree_of's one sweep gives prune(augmented), or the same error."""
+    rng = random.Random(31)
+    fields = [random_field(rng, n, m) for n in range(2, 17) for m in (n, rng.randint(2, 16))]
+    fields += [random_path_field(rng, rng.randint(2, 40)) for _ in range(60)]
+    fields += [staircase_field(n, s) for n in (2, 3, 10, 101) for s in (0.0, 0.3)]
+    fields += [caterpillar_field(rng, 400), random_field(rng, 64, 64), path_field([1, 0, 2])]
+    for f in fields:
+        want = _tree_or_error(lambda g: prune_to_abstract(build_augmented(g)), f)
+        assert _tree_or_error(merge_tree_of, f) == want
+    assert want.startswith("root has 2 children")  # path_field([1, 0, 2]), the last
 
 
 def test_figure_branch_decomposition():

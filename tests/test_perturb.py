@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import embed_backtracking, random_field, staircase_field
+from helpers import build_augmented, embed_backtracking, random_field, staircase_field
 from mtstab import mergetree
 from mtstab.distances import MetricId, tree_distance
 from mtstab.errors import DomainMismatchError, NotMinimalError
@@ -185,8 +185,6 @@ def test_observation_tree_edges_nonneighbor():
     checked = 0
     while checked < 50:
         f = random_field(rng, 3, 3)
-        from mtstab.mergetree import build_augmented
-
         aug = build_augmented(f)
         v = rng.randrange(f.vertex_count)
         for p in enumerate_minimal_perturbations(f, v):

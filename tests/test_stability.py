@@ -256,7 +256,7 @@ def test_each_tree_is_built_and_prepared_once(monkeypatch):
     field's merge tree and its persistence decomposition, so a trial builds
     each once per field: two per trial. The finite suite builds no field's
     tree twice either: its end field's tree is the last step's."""
-    calls = {"build_augmented": [], "persistence_choice": []}
+    calls = {"_build_merge_tree": [], "persistence_choice": []}
     for name in calls:
 
         def counted(arg, _name=name, _original=getattr(mt, name)):
@@ -267,12 +267,12 @@ def test_each_tree_is_built_and_prepared_once(monkeypatch):
     trials = 10
     run_stability_suite(seed=42, trials=trials, grid_size=4, metrics=tuple(MetricId))
     assert {name: len(args) for name, args in calls.items()} == {
-        "build_augmented": 2 * trials,
+        "_build_merge_tree": 2 * trials,
         "persistence_choice": 2 * trials,
     }
-    calls["build_augmented"].clear()
+    calls["_build_merge_tree"].clear()
     run_finite_stability(7, 10, 3, 0.05)
-    built = [tuple(f.values) for f in calls["build_augmented"]]
+    built = [tuple(f.values) for f in calls["_build_merge_tree"]]
     assert len(built) == len(set(built))
 
 
@@ -281,7 +281,7 @@ def test_shared_trees_die_with_their_fields(monkeypatch):
     closure holds it: with the cycle collector off, every merge tree and
     persistence decomposition a suite built is freed when it returns."""
     refs = []
-    for name in ("prune_to_abstract", "decomposition_from_choice"):
+    for name in ("_build_merge_tree", "decomposition_from_choice"):
 
         def recorded(*args, _original=getattr(mt, name)):
             out = _original(*args)
