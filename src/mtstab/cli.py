@@ -25,6 +25,7 @@ from .mergetree import (
     persistence_branch_decomposition,
     tree_to_dict,
 )
+from .pool import map_in_order
 
 
 def _guards(args) -> Guards:
@@ -75,46 +76,6 @@ def matrix_from_csv(text: str):
     return names, values
 
 
-# (metric, trees, guards) of the running cmd_matrix. Forked workers inherit
-# it, so only pair indices and results cross the process boundary.
-_matrix_job = None
-
-
-def _matrix_cell(pair):
-    """(distance, "ok") of one pair of the running matrix, or
-    (None, "guard-skipped") when a size guard refuses it."""
-    metric, trees, guards = _matrix_job
-    i, j = pair
-    try:
-        return tree_distance(metric, trees[i], trees[j], guards), "ok"
-    except SizeGuardError:
-        return None, "guard-skipped"
-
-
-def _map_pairs(pairs) -> list:
-    """_matrix_cell of each pair, in pair order: on a pool of forked
-    processes, one per CPU this process may run on, or in this process when
-    that is one CPU or the platform cannot fork (docs/decisions.md §4)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(len(pairs), cpus)
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            # imported once here, not once per worker on its first solve
-            import scipy.optimize  # noqa: F401
-
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(_matrix_cell, pairs))
-    return list(map(_matrix_cell, pairs))
-
-
 def cmd_matrix(args) -> int:
     metric = metric_from_string(args.metric)
     guards = _guards(args)
@@ -143,12 +104,16 @@ def cmd_matrix(args) -> int:
     values = [[0.0 if i == j else None for j in range(n)] for i in range(n)]
     status = [["ok" if i == j else "pending" for j in range(n)] for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    global _matrix_job
-    _matrix_job = (metric, trees, guards)
-    try:
-        cells = _map_pairs(pairs)
-    finally:
-        _matrix_job = None
+
+    def cell(pair):
+        """(distance, "ok"), or (None, "guard-skipped") when a size guard
+        refuses the pair."""
+        try:
+            return tree_distance(metric, trees[pair[0]], trees[pair[1]], guards), "ok"
+        except SizeGuardError:
+            return None, "guard-skipped"
+
+    cells = map_in_order(cell, pairs)
     for (i, j), (d, st) in zip(pairs, cells):
         values[i][j] = values[j][i] = d
         status[i][j] = status[j][i] = st

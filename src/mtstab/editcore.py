@@ -35,13 +35,17 @@ SQRT2 = math.sqrt(2.0)
 _EPS = 1e-12
 
 
-def linear_sum_assignment(cost_matrix):
-    """scipy.optimize.linear_sum_assignment, imported when first called:
-    scipy and numpy would otherwise take most of the time of
-    `import mtstab.cli`."""
-    from scipy.optimize import linear_sum_assignment as solve
+_solve = None
 
-    return solve(cost_matrix)
+
+def linear_sum_assignment(cost_matrix):
+    """scipy.optimize.linear_sum_assignment, imported and bound when first
+    called: scipy and numpy would otherwise take most of the time of
+    `import mtstab.cli`."""
+    global _solve
+    if _solve is None:
+        from scipy.optimize import linear_sum_assignment as _solve
+    return _solve(cost_matrix)
 
 
 # ---------------------------------------------------------------------------

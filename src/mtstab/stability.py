@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from functools import partial
 
 from .distances import DEFAULT_GUARDS, Guards, MetricId, tree_distance
 from .editcore import deform_witness_search
@@ -45,6 +46,7 @@ from .perturb import (
     decompose_perturbation,
     enumerate_minimal_perturbations,
 )
+from .pool import map_in_order
 
 #: Classes each metric is claimed stable on (the hierarchy matrix; the
 #: Wasserstein distance additionally covers ordered horizontal swaps).
@@ -256,6 +258,17 @@ class CellStats:
     informational: int = 0
     failures: list = dc_field(default_factory=list)
 
+    def count(self, outcome):
+        """Count one trial's check: "passed", "skipped" or a failure record."""
+        self.trials += 1
+        if outcome == "passed":
+            self.passed += 1
+        elif outcome == "skipped":
+            self.skipped += 1
+        else:
+            self.failed += 1
+            self.failures.append(outcome)
+
     def to_dict(self):
         return {
             "trials": self.trials,
@@ -350,25 +363,23 @@ def run_stability_suite(
     extent; the search admits only such plans, so its answer is the check
     (docs/decisions.md section 2). Horizontal swaps are expected among
     witness_checks.failures: they can need degree + 2 ops.
+
+    Trial i draws from its own random.Random(seed * 1_000_003 + i), so the
+    trials run on the package's fork pool, one worker per usable CPU, and
+    are folded in trial order; the report is the same bytes as a serial
+    run (docs/decisions.md section 4). A SizeGuardError skips its metric;
+    any other exception reaches the caller with its type.
     """
     if trials < 0:
         raise ValidationError(f"need trials >= 0, got {trials}")
     metrics = tuple(metrics)
     cells = {}
     witness_stats = CellStats()
-    for i in range(trials):
-        rng = random.Random(seed * 1_000_003 + i)
-        f = random_grid_field(rng, grid_size, grid_size)
-        p = random_minimal_perturbation(rng, f)
-        f2 = apply_perturbation(f, p)
-        info = classify_change_detailed(f, f2)
-        cls = info.change_class
-        t1, t2 = merge_tree_of(f), merge_tree_of(f2)
-        deg = stability_degree(t1)
-        for m in metrics:
-            stats = cells.setdefault((m, cls), CellStats())
+    trial = partial(_suite_trial, seed, grid_size, metrics, guards)
+    for i, (reports, witness) in enumerate(map_in_order(trial, range(trials))):
+        for report in reports:
+            stats = cells.setdefault((report.metric, report.change_class), CellStats())
             stats.trials += 1
-            report = _tree_bound(f, f2, info, m, guards)
             if report.skipped:
                 stats.skipped += 1
             elif not report.claimed:
@@ -385,38 +396,46 @@ def run_stability_suite(
                         "witness": report.witness,
                     }
                 )
-        if MetricId.E in metrics:
-            witness_stats.trials += 1
-            try:
-                witness = deform_witness_search(
-                    t1, t2, max_ops=deg, max_op_cost=p.extent,
-                    edge_limit=guards.deform_edges,
-                )
-            except SizeGuardError:
-                witness_stats.skipped += 1
-                continue
-            if witness is not None:
-                witness_stats.passed += 1
-                continue
-            witness_stats.failed += 1
-            witness_stats.failures.append(
-                {
-                    "trial": i,
-                    "class": cls.value,
-                    "degree": deg,
-                    "extent": p.extent,
-                    # a failed search has no sequence; the key stays so
-                    # recorded reports keep their layout
-                    "ops": None,
-                    "witness": {
-                        "field_a": field_to_dict(f),
-                        "field_b": field_to_dict(f2),
-                    },
-                }
-            )
+        if witness is not None:
+            witness_stats.count(witness)
     return SuiteReport(
         seed, trials, grid_size, metrics, cells, witness_stats, THEOREM_TEXT_NOTES
     )
+
+
+def _suite_trial(seed, grid_size, metrics, guards, i):
+    """Trial i of run_stability_suite: the BoundReport of each metric and,
+    when E is among the metrics, the witness search's outcome: "passed",
+    "skipped" or the failure record (None without E). Only this small
+    record leaves the trial, never its fields or trees."""
+    rng = random.Random(seed * 1_000_003 + i)
+    f = random_grid_field(rng, grid_size, grid_size)
+    p = random_minimal_perturbation(rng, f)
+    f2 = apply_perturbation(f, p)
+    info = classify_change_detailed(f, f2)
+    reports = tuple(_tree_bound(f, f2, info, m, guards) for m in metrics)
+    if MetricId.E not in metrics:
+        return reports, None
+    t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+    deg = stability_degree(t1)
+    try:
+        witness = deform_witness_search(
+            t1, t2, max_ops=deg, max_op_cost=p.extent, edge_limit=guards.deform_edges,
+        )
+    except SizeGuardError:
+        return reports, "skipped"
+    if witness is not None:
+        return reports, "passed"
+    return reports, {
+        "trial": i,
+        "class": info.change_class.value,
+        "degree": deg,
+        "extent": p.extent,
+        # a failed search has no sequence; the key stays so recorded
+        # reports keep their layout
+        "ops": None,
+        "witness": {"field_a": field_to_dict(f), "field_b": field_to_dict(f2)},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +499,10 @@ def run_finite_stability(
     without a finite-stability precondition raises ValidationError before
     the first trial, as do a negative trial count and an eps that is not
     finite and positive.
+
+    Trial i draws from its own random.Random(seed * 7_368_787 + i) and runs
+    on the fork pool, as in run_stability_suite (docs/decisions.md
+    section 4).
     """
     if trials < 0:
         raise ValidationError(f"need trials >= 0, got {trials}")
@@ -495,51 +518,62 @@ def run_finite_stability(
         )
     per_metric = {m: CellStats() for m in metrics}
     class_counts = {}
-    for i in range(trials):
-        rng = random.Random(seed * 7_368_787 + i)
-        f = random_grid_field(rng, grid_size, grid_size)
-        while True:
-            values = [v + rng.uniform(-eps, eps) for v in f.values]
-            if len(set(values)) == len(values):
-                break
-        f2 = validate_field(f.domain, values)
-        seq = decompose_perturbation(f, f2)
-        classes = set()
-        for fa, fb in zip(seq.fields, seq.fields[1:]):
-            cls = classify_change_detailed(fa, fb).change_class
-            classes.add(cls)
+    trial = partial(_finite_trial, seed, grid_size, eps, metrics, guards)
+    for step_classes, checks in map_in_order(trial, range(trials)):
+        for cls in step_classes:
             class_counts[cls] = class_counts.get(cls, 0) + 1
-        # the classifier built the last step field's tree, which is f2's
-        t1, t2 = merge_tree_of(f), merge_tree_of(seq.fields[-1])
-        tree_bound = (t1.node_count() + t2.node_count()) * 2 * eps
-        bdts = [build_bdt(persistence_branch_decomposition(t)) for t in (t1, t2)]
-        bdt_bound = sum(b.node_count() for b in bdts) * 2 * eps
-        for m in metrics:
-            stats = per_metric[m]
-            pre = _FINITE_PRECONDITION[m]
-            if pre is not None and not pre(classes):
-                stats.informational += 1
-                continue
-            stats.trials += 1
-            bound = bdt_bound if m in (MetricId.W, MetricId.X) else tree_bound
-            try:
-                dist = tree_distance(m, t1, t2, guards)
-            except SizeGuardError:
-                stats.skipped += 1
-                continue
-            if dist <= bound + TOLERANCE:
-                stats.passed += 1
+        for m, check in zip(metrics, checks):
+            if check is None:
+                per_metric[m].informational += 1
             else:
-                stats.failed += 1
-                stats.failures.append(
-                    {
-                        "trial": i,
-                        "distance": dist,
-                        "bound": bound,
-                        "witness": {
-                            "field_a": field_to_dict(f),
-                            "field_b": field_to_dict(f2),
-                        },
-                    }
-                )
+                per_metric[m].count(check)
     return FiniteStabilityReport(seed, trials, grid_size, eps, per_metric, class_counts)
+
+
+def _finite_trial(seed, grid_size, eps, metrics, guards, i):
+    """Trial i of run_finite_stability: the class of each minimal step, in
+    order, and per metric None when its precondition fails, else "passed",
+    "skipped" or the failure record. Only this small record leaves the
+    trial, never its fields or trees."""
+    rng = random.Random(seed * 7_368_787 + i)
+    f = random_grid_field(rng, grid_size, grid_size)
+    while True:
+        values = [v + rng.uniform(-eps, eps) for v in f.values]
+        if len(set(values)) == len(values):
+            break
+    f2 = validate_field(f.domain, values)
+    seq = decompose_perturbation(f, f2)
+    step_classes = tuple(
+        classify_change_detailed(fa, fb).change_class
+        for fa, fb in zip(seq.fields, seq.fields[1:])
+    )
+    classes = set(step_classes)
+    # the classifier built the last step field's tree, which is f2's
+    t1, t2 = merge_tree_of(f), merge_tree_of(seq.fields[-1])
+    tree_bound = (t1.node_count() + t2.node_count()) * 2 * eps
+    bdts = [build_bdt(persistence_branch_decomposition(t)) for t in (t1, t2)]
+    bdt_bound = sum(b.node_count() for b in bdts) * 2 * eps
+    checks = []
+    for m in metrics:
+        pre = _FINITE_PRECONDITION[m]
+        if pre is not None and not pre(classes):
+            checks.append(None)
+            continue
+        bound = bdt_bound if m in (MetricId.W, MetricId.X) else tree_bound
+        try:
+            dist = tree_distance(m, t1, t2, guards)
+        except SizeGuardError:
+            checks.append("skipped")
+            continue
+        if dist <= bound + TOLERANCE:
+            checks.append("passed")
+        else:
+            checks.append(
+                {
+                    "trial": i,
+                    "distance": dist,
+                    "bound": bound,
+                    "witness": {"field_a": field_to_dict(f), "field_b": field_to_dict(f2)},
+                }
+            )
+    return step_classes, tuple(checks)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mtstab
-from mtstab import cli
+from mtstab import cli, pool
 from mtstab.cli import main, matrix_from_csv, matrix_to_csv
 from mtstab.distances import metric_from_string, tree_distance
 from mtstab.errors import DuplicateValueError
@@ -186,12 +186,6 @@ def ensemble(tmp_path):
     return fields_dir
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs whatever the host has, so the matrix takes its pool."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 def _run_matrix(fields_dir, out_dir, metric, *flags):
     out_dir.mkdir(exist_ok=True)
     rc = main(["matrix", str(fields_dir), "--metric", metric, *flags,
@@ -247,7 +241,7 @@ def test_matrix_worker_errors_reach_the_caller_with_their_type(
     err = caught.value
     assert err.vertex_a != os.getpid()
     assert (err.vertex_b, err.value) == (7, 0.5)
-    assert cli._matrix_job is None
+    assert pool._job is None
     assert main(["matrix", str(ensemble), "--metric", "w"]) == 2
     assert "duplicate scalar value 0.5" in capsys.readouterr().err
 

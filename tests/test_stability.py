@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import random
 import weakref
 
@@ -7,14 +8,15 @@ import pytest
 
 from helpers import edge_canonical
 from mtstab import mergetree as mt
-from mtstab.distances import Guards, MetricId, tree_distance
+from mtstab import pool, stability
+from mtstab.distances import DEFAULT_GUARDS, Guards, MetricId, tree_distance
 from mtstab.editcore import (
     check_sequence,
     deform_witness_search,
     edge_tree_of,
     mapping_to_sequence,
 )
-from mtstab.errors import ValidationError
+from mtstab.errors import DuplicateValueError, ValidationError
 from mtstab.field import TOLERANCE, apply_value_change, build_domain, validate_field
 from mtstab.mergetree import label_for_scheme, merge_tree_of
 from mtstab.perturb import ChangeClass, apply_perturbation, check_minimal, classify_change
@@ -251,11 +253,13 @@ def test_every_witness_the_search_finds_replays_within_its_limits(seed):
     assert found >= 190 and with_deletions > 0
 
 
-def test_each_tree_is_built_and_prepared_once(monkeypatch):
+def test_each_tree_is_built_and_prepared_once(monkeypatch, one_cpu):
     """The classifier, the eight metrics and the witness search share each
     field's merge tree and its persistence decomposition, so a trial builds
     each once per field: two per trial. The finite suite builds no field's
-    tree twice either: its end field's tree is the last step's."""
+    tree twice either: its end field's tree is the last step's. The hooks
+    count in this process, so the trials run here; the pool runs the same
+    trial code (test_suite_pool_reports_are_the_serial_bytes)."""
     calls = {"_build_merge_tree": [], "persistence_choice": []}
     for name in calls:
 
@@ -276,10 +280,11 @@ def test_each_tree_is_built_and_prepared_once(monkeypatch):
     assert len(built) == len(set(built))
 
 
-def test_shared_trees_die_with_their_fields(monkeypatch):
+def test_shared_trees_die_with_their_fields(monkeypatch, one_cpu):
     """What is memoized on a tree never refers back to it, and no search
     closure holds it: with the cycle collector off, every merge tree and
-    persistence decomposition a suite built is freed when it returns."""
+    persistence decomposition a suite built is freed when it returns. The
+    weakrefs live in this process, so the trials run here."""
     refs = []
     for name in ("_build_merge_tree", "decomposition_from_choice"):
 
@@ -296,6 +301,64 @@ def test_shared_trees_die_with_their_fields(monkeypatch):
         assert len(refs) == 20 and all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def _suite_bytes(seed, trials, finite_trials, guards=DEFAULT_GUARDS):
+    reports = (
+        run_stability_suite(seed, trials, 4, metrics=tuple(MetricId), guards=guards),
+        run_finite_stability(seed, finite_trials, 3, 0.05, guards=guards),
+    )
+    return [json.dumps(r.to_dict(), indent=2, sort_keys=True) for r in reports]
+
+
+def test_suite_pool_reports_are_the_serial_bytes(two_cpus, monkeypatch):
+    """Seed 25's first 57 trials hold a claimed-cell failure of s (trial 44)
+    and a failed witness search (trial 56)."""
+    pooled = _suite_bytes(25, 57, 40)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pooled == _suite_bytes(25, 57, 40)
+    report = json.loads(pooled[0])
+    failed = {k: [f["trial"] for f in c["failures"]]
+              for k, c in report["cells"].items() if c["failures"]}
+    assert failed == {"s/SimpleChange": [44]}
+    assert [f["trial"] for f in report["witness_checks"]["failures"]] == [56]
+    assert report["witness_checks"]["failures"][0]["ops"] is None
+
+
+def test_suite_guard_skips_cross_the_pool(two_cpus, monkeypatch):
+    guards = Guards(branch_edges=1)
+    pooled = _suite_bytes(3, 12, 12, guards)
+    b_cells = [c for k, c in json.loads(pooled[0])["cells"].items() if k.startswith("b/")]
+    assert sum(c["skipped"] for c in b_cells) == sum(c["trials"] for c in b_cells) == 12
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pooled == _suite_bytes(3, 12, 12, guards)
+
+
+@pytest.mark.parametrize("suite", ["stability", "finite"])
+def test_suite_trial_errors_reach_the_caller_with_their_type(two_cpus, monkeypatch, suite):
+    """Fork carries the patched validate_field into the workers, where it
+    fails on trial 5's start field; the error names the worker's pid, so it
+    cannot have been raised here."""
+    seed, k = 4, 5
+    mult = 1_000_003 if suite == "stability" else 7_368_787
+    doomed = random_grid_field(random.Random(seed * mult + k), 3, 3).values
+    original = stability.validate_field
+
+    def failing(domain, values):
+        if tuple(values) == tuple(doomed):
+            raise DuplicateValueError(os.getpid(), k, 0.5)
+        return original(domain, values)
+
+    monkeypatch.setattr(stability, "validate_field", failing)
+    with pytest.raises(DuplicateValueError) as caught:
+        if suite == "stability":
+            run_stability_suite(seed, 12, 3, metrics=(MetricId.W,))
+        else:
+            run_finite_stability(seed, 12, 3, 0.05, metrics=(MetricId.W,))
+    err = caught.value
+    assert err.vertex_a != os.getpid()
+    assert (err.vertex_b, err.value) == (k, 0.5)
+    assert pool._job is None
 
 
 def test_suite_zero_trials_empty():
