@@ -42,7 +42,7 @@ from .editcore import (
     linear_sum_assignment,
 )
 from .errors import SizeGuardError, ValidationError
-from .field import ScalarField
+from .field import TOLERANCE, ScalarField
 from .mergetree import (
     AbstractMergeTree,
     LabeledTree,
@@ -90,15 +90,70 @@ DEFAULT_GUARDS = Guards()
 _LIST_BLOCK_MAX = 14
 
 
+#: numpy adds fewer than 8 values one after another and, from 8 on, keeps 8
+#: partial sums, so a left fold is its sum of up to 7 cells (numpy 2.4.6;
+#: docs/decisions.md §3).
+_FOLD_SUM_MAX = 7
+
+
+def _matching_sums(cost_rows, del_costs, ins_costs):
+    """Each partial matching of a 2x2 block, or of a block with one row or
+    one column, summed as the solver's value would sum it; and the sum of
+    the block's cells.
+
+    A matching's full assignment takes, in row order, each row's cost or
+    deletion, then each column's insertion or a 0.0 when the column is
+    matched. numpy adds those cells in row order; skipping the 0.0 cells
+    changes no sum of non-negative floats. The folds are written out:
+    Python's sum() compensates its rounding from 3.12 on.
+    """
+    if len(cost_rows) == 2 and len(ins_costs) == 2:
+        (c00, c01), (c10, c11) = cost_rows
+        d0, d1 = del_costs
+        e0, e1 = ins_costs
+        sums = [d0 + d1 + e0 + e1, c00 + d1 + e1, c01 + d1 + e0,
+                d0 + c10 + e1, d0 + c11 + e0, c00 + c11, c01 + c10]
+        return sums, sums[0] + c00 + c01 + c10 + c11
+    if len(cost_rows) == 1:
+        # no match: d, then every insertion; row 0 on column j: c0j, then
+        # every insertion but ej
+        row, none = cost_rows[0], del_costs[0]
+        for e in ins_costs:
+            none += e
+        sums = [none]
+        for j, c in enumerate(row):
+            for k, e in enumerate(ins_costs):
+                if k != j:
+                    c += e
+            sums.append(c)
+        return sums, none + sum(row)
+    # no match: every deletion, then e; row i on the column: the deletions
+    # with ci0 in place of di
+    col, dels = [r[0] for r in cost_rows], del_costs
+    none = dels[0]
+    for d in dels[1:]:
+        none += d
+    sums = [none + ins_costs[0]]
+    for i, c in enumerate(col):
+        s = c if i == 0 else dels[0]
+        for k in range(1, len(dels)):
+            s += c if k == i else dels[k]
+        sums.append(s)
+    return sums, sums[0] + sum(col)
+
+
 def _assignment_min(cost_rows, del_costs, ins_costs):
     """Min-cost matching of children where leaving row i unmatched costs
     del_costs[i] and column j unmatched costs ins_costs[j].
 
-    A 1x1 block [[c]] is solved in closed form. The solver's 2x2 matrix is
-    [[c, d], [i, 0.0]], and its two assignments sum to c or to d + i. The
-    closed form makes the solver's own comparisons (c <= d, then c - d < i),
-    so it returns the solver's value bit for bit, near-ties included
-    (docs/decisions.md). Larger blocks go to the solver as the augmented
+    The value is the solver's, bit for bit, whichever way it is found
+    (docs/decisions.md §3). A 1x1 block [[c]] makes the solver's own
+    comparisons on its 2x2 matrix [[c, d], [i, 0.0]]: c <= d, then
+    c - d < i. A 2x2 block, or one with one row or one column and
+    n1 + n2 <= _FOLD_SUM_MAX, returns its least matching sum when every
+    other one lies more than TOLERANCE * (1 + the block's sum) above it:
+    the solver then takes the same cells and numpy sums them in the same
+    order. Every other block goes to the solver as the augmented
     (n1 + n2)-square matrix: costs top left, deletions on the top right
     diagonal, insertions on the bottom left one, zeros bottom right and
     `big` everywhere else. Small ones are built from lists, large ones in
@@ -112,6 +167,11 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
     if n1 == 1 and n2 == 1:
         c, d, i = cost_rows[0][0], del_costs[0], ins_costs[0]
         return c if c <= d or c - d < i else d + i
+    if n1 == n2 == 2 or ((n1 == 1 or n2 == 1) and n1 + n2 <= _FOLD_SUM_MAX):
+        sums, total = _matching_sums(cost_rows, del_costs, ins_costs)
+        sums.sort()
+        if sums[1] > sums[0] + TOLERANCE * (1.0 + total):
+            return sums[0]
     import numpy as np
 
     # rows are non-empty (n2 >= 1) and no cell is below +0.0 or NaN, so big
@@ -148,9 +208,9 @@ def _pair_order(l1: LabeledTree, l2: LabeledTree):
     The child pairs of (v, w) are children(v) x children(w); a pair's parent
     pair is unique, so every pair is listed once. A pair with a leaf needs
     no memo entry: its parent pair computes it in closed form
-    (_child_costs), so only pairs of inner nodes are listed. The DPs fill
-    their memo over this list in reverse, children before parents, with no
-    recursion.
+    (docs/decisions.md §8), so only pairs of inner nodes are listed. The DPs
+    fill their memo over this list in reverse, children before parents,
+    with no recursion.
     """
     ch1, ch2 = l1.children, l2.children
     order = [(l1.root, l2.root)]
@@ -161,76 +221,78 @@ def _pair_order(l1: LabeledTree, l2: LabeledTree):
     return order
 
 
-def _group_pair_costs(rows, g1, g2, del1, ins2):
-    """Optimal matching cost of each child group pair, one row per group of
-    g1, from the child cost matrix `rows` over the flattened groups.
+#: The view of a node without children: it has no rows and no groups.
+_NO_CHILDREN = ([], [], [], [], [], [])
 
-    A 1x1 pair takes _assignment_min's closed form inline; larger pairs
-    slice the matrix and call it.
+
+def _child_views(lt: LabeledTree, groups, collapse):
+    """What the DP's pairs read of each node's children, built once per DP
+    call: groups[v] lists v's child groups, and its children in group order
+    are the rows (or columns) of v's child cost matrix.
+
+    Per node: the children's labels and collapse costs; (position, child,
+    rest of child) for each child with children, and the positions of the
+    leaves; each group's (first, end, collapse costs) span; drop, the cost
+    of collapsing each group whole. rest is the DP's value against a node
+    without children, which collapses every group: the fold 0.0 + drop[0] +
+    drop[1] + ... A leaf's rest, 0.0, is never read.
     """
-    spans2 = []
-    left = 0
-    for gb in g2:
-        spans2.append((left, left + len(gb), [ins2[b] for b in gb]))
-        left += len(gb)
-    top = 0
-    for ga in g1:
-        block = rows[top:top + len(ga)]
-        top += len(ga)
-        dels = [del1[a] for a in ga]
-        out = []
-        for lo, hi, inss in spans2:
-            if hi - lo == 1 and len(dels) == 1:
-                c, d, e = block[0][lo], dels[0], inss[0]
-                out.append(c if c <= d or c - d < e else d + e)
+    labels, children = lt.labels, lt.children
+    views, rest = dict.fromkeys(groups, _NO_CHILDREN), {}
+    for v, gs in groups.items():
+        if gs:
+            kids, costs, spans, drop = [], [], [], []
+            for grp in gs:
+                cs = [collapse[a] for a in grp]
+                spans.append((len(kids), len(kids) + len(grp), cs))
+                drop.append(sum(cs))
+                kids += grp
+                costs += cs
+            rest[v] = functools.reduce(operator.add, drop, 0.0)
+            views[v] = kids, costs, spans, drop
+    for v in rest:  # every child's rest is known now
+        kids, costs, spans, drop = views[v]
+        inner, leaves = [], []
+        for i, a in enumerate(kids):
+            if children[a]:
+                inner.append((i, a, rest[a]))
             else:
-                out.append(_assignment_min([row[lo:hi] for row in block], dels, inss))
-        yield out
-
-
-def _child_costs(cs1, cs2, l1, l2, cost, rest1, rest2, memo):
-    """Cost of mapping child a onto child b, for a in cs1 and b in cs2.
-
-    A pair of inner nodes reads the memo. A pair with a leaf is what the DP
-    would compute for it, relabel(a, b) + rest1[a] + rest2[b], where rest is
-    the DP's value against a node without children: collapsing every child.
-    A leaf's rest is 0, and adding 0 leaves the non-negative sum unchanged,
-    so a leaf-leaf cell is the relabel cost as it stands (docs/decisions.md
-    §8).
-    """
-    ch1, ch2 = l1.children, l2.children
-    labels1, labels2 = l1.labels, l2.labels
-    rows = cost.relabel_rows([labels1[a] for a in cs1], [labels2[b] for b in cs2])
-    inner2 = [(j, b) for j, b in enumerate(cs2) if ch2[b]]
-    for row, a in zip(rows, cs1):
-        if ch1[a]:
-            r = rest1[a]
-            for j, b in enumerate(cs2):
-                row[j] = memo[a, b] if ch2[b] else row[j] + r
-        else:
-            for j, b in inner2:
-                row[j] += rest2[b]
-    return rows
+                leaves.append(i)
+        views[v] = ([labels[a] for a in kids], costs, inner, leaves, spans, drop)
+    return views
 
 
 def one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     """Classic one-degree (constrained) edit distance on unordered labeled
     trees: roots map to roots, children are matched by optimal assignment,
-    unmatched subtrees collapse to deletions/insertions."""
-    del1 = editcore._collapse_costs(l1, cost)
-    ins2 = editcore._collapse_costs(l2, cost)
-    ch1, ch2 = l1.children, l2.children
-    # against a node without children every child collapses: the empty
-    # matching, _assignment_min's sum when one side has no rows
-    rest1 = {v: sum([del1[a] for a in cs]) for v, cs in ch1.items()}
-    rest2 = {w: sum([ins2[b] for b in cs]) for w, cs in ch2.items()}
+    unmatched subtrees collapse to deletions/insertions.
+
+    A node's children form one group, so rest is 0.0 + the sum of their
+    collapse costs: the sum itself, _assignment_min's value when one side
+    has no rows.
+    """
+    views1 = _child_views(l1, {v: [cs] if cs else [] for v, cs in l1.children.items()},
+                          editcore._collapse_costs(l1, cost))
+    views2 = _child_views(l2, {w: [cs] if cs else [] for w, cs in l2.children.items()},
+                          editcore._collapse_costs(l2, cost))
+    labels1, labels2 = l1.labels, l2.labels
+    relabel, relabel_rows = cost.relabel, cost.relabel_rows
     memo = {}
     for v, w in reversed(_pair_order(l1, l2)):
-        cs1, cs2 = ch1[v], ch2[w]
-        rows = _child_costs(cs1, cs2, l1, l2, cost, rest1, rest2, memo)
-        memo[v, w] = cost.relabel(l1.labels[v], l2.labels[w]) + _assignment_min(
-            rows, [del1[a] for a in cs1], [ins2[b] for b in cs2]
-        )
+        lab1, dels, inner1, leaves1, _, _ = views1[v]
+        lab2, inss, inner2, _, _, _ = views2[w]
+        # a pair with a leaf adds the one rest term the DP would add
+        # (docs/decisions.md §8); a pair of inner nodes reads the memo
+        rows = relabel_rows(lab1, lab2)
+        for i in leaves1:
+            row = rows[i]
+            for j, _, r in inner2:
+                row[j] += r
+        for i, a, r in inner1:
+            rows[i] = row = [c + r for c in rows[i]]
+            for j, b, _ in inner2:
+                row[j] = memo[a, b]
+        memo[v, w] = relabel(labels1[v], labels2[w]) + _assignment_min(rows, dels, inss)
     return memo[l1.root, l2.root]
 
 
@@ -242,34 +304,40 @@ def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     (attached at the same saddle, mutually incomparable) are matched by
     optimal assignment.
     """
-    del1 = editcore._collapse_costs(l1, cost)
-    ins2 = editcore._collapse_costs(l2, cost)
-    groups1, groups2 = l1.groups, l2.groups
-    # the cost of dropping each child group whole, and rest: the alignment
-    # against a node without children drops every group, 0.0 + drop[0] + ...
-    drop1 = {v: [sum([del1[a] for a in grp]) for grp in gs] for v, gs in groups1.items()}
-    drop2 = {w: [sum([ins2[b] for b in grp]) for grp in gs] for w, gs in groups2.items()}
-    rest1 = {v: functools.reduce(operator.add, drops, 0.0) for v, drops in drop1.items()}
-    rest2 = {w: functools.reduce(operator.add, drops, 0.0) for w, drops in drop2.items()}
+    views1 = _child_views(l1, l1.groups, editcore._collapse_costs(l1, cost))
+    views2 = _child_views(l2, l2.groups, editcore._collapse_costs(l2, cost))
+    labels1, labels2 = l1.labels, l2.labels
+    relabel, relabel_rows = cost.relabel, cost.relabel_rows
     memo = {}
     for v, w in reversed(_pair_order(l1, l2)):
-        g1, g2 = groups1[v], groups2[w]
-        rows = _child_costs(
-            [a for grp in g1 for a in grp], [b for grp in g2 for b in grp],
-            l1, l2, cost, rest1, rest2, memo,
-        )
-        d1, d2 = drop1[v], drop2[w]
+        lab1, _, inner1, leaves1, spans1, d1 = views1[v]
+        lab2, _, inner2, _, spans2, d2 = views2[w]
+        rows = relabel_rows(lab1, lab2)
+        for i in leaves1:
+            row = rows[i]
+            for j, _, r in inner2:
+                row[j] += r
+        for i, a, r in inner1:
+            rows[i] = row = [c + r for c in rows[i]]
+            for j, b, _ in inner2:
+                row[j] = memo[a, b]
         # align[i][j], filled row by row from its three neighbours
         prev = list(itertools.accumulate(d2, initial=0.0))
-        for drop, pairs in zip(d1, _group_pair_costs(rows, g1, g2, del1, ins2)):
+        for (top, bottom, dels), drop in zip(spans1, d1):
+            block = rows[top:bottom]
             left = prev[0] + drop
             cur = [left]
-            for up, diag, d, pair in zip(prev[1:], prev, d2, pairs):
+            for up, diag, d, (lo, hi, inss) in zip(prev[1:], prev, d2, spans2):
+                if bottom - top == 1 and hi - lo == 1:  # _assignment_min's 1x1 form
+                    c, dd, e = block[0][lo], dels[0], inss[0]
+                    pair = c if c <= dd or c - dd < e else dd + e
+                else:
+                    pair = _assignment_min([row[lo:hi] for row in block], dels, inss)
                 c1, c2, c3 = up + drop, left + d, diag + pair
                 left = c1 if c1 <= c2 and c1 <= c3 else c2 if c2 <= c3 else c3  # min, inlined
                 cur.append(left)
             prev = cur
-        memo[v, w] = cost.relabel(l1.labels[v], l2.labels[w]) + prev[-1]
+        memo[v, w] = relabel(labels1[v], labels2[w]) + prev[-1]
     return memo[l1.root, l2.root]
 
 

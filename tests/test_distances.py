@@ -286,11 +286,9 @@ def _assignment_block(rng, n1, n2, kind):
     return rows, dels, inss
 
 
-@pytest.mark.parametrize("kind", ["spread", "zero rows", "ties", "near ties"])
-def test_assignment_min_builds_the_in_place_matrix_bytes(monkeypatch, kind):
-    """Both constructions, lists below the threshold and np.full above it,
-    hand the solver the bytes of the in-place matrix and return its value
-    bit for bit, for every shape with n1 + n2 from 2 to threshold + 4."""
+def _solver_calls(monkeypatch):
+    """Patch the solver of _assignment_min to record the bytes of each
+    matrix it receives; returns the list of records."""
     seen = []
 
     def solver(mat):
@@ -298,6 +296,24 @@ def test_assignment_min_builds_the_in_place_matrix_bytes(monkeypatch, kind):
         return linear_sum_assignment(mat)
 
     monkeypatch.setattr(distances, "linear_sum_assignment", solver)
+    return seen
+
+
+def _closed_form_shape(n1, n2):
+    return n1 == n2 == 2 or (
+        (n1 == 1 or n2 == 1) and 2 < n1 + n2 <= distances._FOLD_SUM_MAX
+    )
+
+
+@pytest.mark.parametrize("kind", ["spread", "zero rows", "ties", "near ties"])
+def test_assignment_min_builds_the_in_place_matrix_bytes(monkeypatch, kind):
+    """Every shape with n1 + n2 from 2 to threshold + 4 returns the
+    reference value bit for bit. The 1x1 block makes no solver call; every
+    other one makes none or hands the solver the bytes of the in-place
+    matrix, from lists below the threshold and from np.full above it. Ties
+    and near ties reach the solver in the shapes the closed forms cover
+    too."""
+    seen = _solver_calls(monkeypatch)
     rng = random.Random(1818)
     for size in range(2, distances._LIST_BLOCK_MAX + 5):
         for n1 in range(1, size):
@@ -307,10 +323,63 @@ def test_assignment_min_builds_the_in_place_matrix_bytes(monkeypatch, kind):
                 seen.clear()
                 got = _assignment_min(rows, dels, inss)
                 assert got.hex() == assignment_min_reference(rows, dels, inss).hex()
-                if size > 2:
-                    assert seen == [assignment_matrix_reference(rows, dels, inss).tobytes()]
-                else:
+                if size == 2:
                     assert seen == []
+                    continue
+                solved = [assignment_matrix_reference(rows, dels, inss).tobytes()]
+                if kind in ("ties", "near ties") or not _closed_form_shape(n1, n2):
+                    assert seen == solved
+                else:
+                    assert seen in ([], solved)
+
+
+def _small_block(rng, n1, n2, kind):
+    """A block of a shape the closed forms cover: spread values, zero rows,
+    small integers (many exact ties), cells one ulp either side of their
+    row's deletion plus their column's insertion or equal to it, or a 2x2
+    block whose two full matchings c00 + c11 and c01 + c10 lie within one
+    ulp of each other and below every other matching."""
+    if kind == "integer ties":
+        small = lambda: float(rng.randint(0, 4))
+        return ([[small() for _ in range(n2)] for _ in range(n1)],
+                [small() for _ in range(n1)], [small() for _ in range(n2)])
+    if kind == "diagonal near ties":
+        c00, c11 = 10 ** rng.uniform(-3, 2), 10 ** rng.uniform(-3, 2)
+        c01 = rng.uniform(0.0, c00 + c11)
+        c10 = (c00 + c11) - c01
+        c10 = rng.choice((c10, math.nextafter(c10, 0.0), math.nextafter(c10, math.inf)))
+        far = 2 * (c00 + c01 + c10 + c11)
+        return [[c00, c01], [c10, c11]], [far, far], [far, far]
+    rows, dels, inss = _assignment_block(rng, n1, n2, "near ties" if kind == "d + e near ties" else kind)
+    if kind == "d + e near ties":
+        for a in range(n1):
+            for b in range(n2):
+                rows[a][b] = rng.choice((rows[a][b], dels[a] + inss[b]))
+    return rows, dels, inss
+
+
+@pytest.mark.parametrize(
+    "kind", ["spread", "zero rows", "integer ties", "d + e near ties", "diagonal near ties"]
+)
+def test_small_block_closed_forms_are_the_solver_value(monkeypatch, kind):
+    """Blocks of 1x2 to 1x6, 2x1 to 6x1 and 2x2 give the solver's value bit
+    for bit, near ties included: there the least matching sum in floats
+    need not be the solver's choice. Spread values never reach the
+    solver."""
+    seen = _solver_calls(monkeypatch)
+    shapes = [(1, k) for k in range(2, 7)] + [(k, 1) for k in range(2, 7)] + [(2, 2)]
+    if kind == "diagonal near ties":
+        shapes = [(2, 2)]
+    assert all(_closed_form_shape(n1, n2) for n1, n2 in shapes)
+    rng = random.Random(2222)
+    for n1, n2 in shapes:
+        for _ in range(3000 // len(shapes)):
+            rows, dels, inss = _small_block(rng, n1, n2, kind)
+            seen.clear()
+            got = _assignment_min(rows, dels, inss)
+            assert got.hex() == assignment_min_reference(rows, dels, inss).hex()
+            if kind == "spread":
+                assert seen == []
 
 
 # ---------------------------------------------------------------------------
