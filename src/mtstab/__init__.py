@@ -30,7 +30,6 @@ from .editcore import (
     CostModel,
     EditMapping,
     EditOp,
-    MappingConstraint,
     brute_force_distance,
     check_sequence,
     deform_brute_force,

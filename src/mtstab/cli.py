@@ -38,7 +38,7 @@ def _guards(args) -> Guards:
 
 def _add_guard_flags(p):
     p.add_argument("--mapping-guard", type=int, default=Guards().mapping_nodes,
-                   help="node limit for the exact g/s searches")
+                   help="node limit for the exact g search")
     p.add_argument("--deform-guard", type=int, default=Guards().deform_edges,
                    help="edge limit for the e/p enumerations")
     p.add_argument("--branch-guard", type=int, default=Guards().branch_edges,
@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stability_run)
 
     p = sub.add_parser("counterexample", help="regenerate an instability family")
-    p.add_argument("--family", required=True, choices=("fig7", "fig8", "fig10"))
+    p.add_argument("--family", required=True,
+                   choices=[f.value for f in stability.CounterexampleFamily])
     p.add_argument("--x", type=float, default=10.0)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--fields", action="store_true", help="include field realizations")

@@ -1,12 +1,13 @@
 """The eight merge tree edit distances.
 
-Polynomial dynamic programs for the Wasserstein (w), Saikia (x) and
-constrained classic (l) distances; exact exponential search behind size
-guards for the general classic (g), Sridharamurthy (s), deformation-based
-(e) and path-mapping (p) distances. The branch-mapping distance (b) runs
-x's DP on the pairs of branch decompositions that a lower bound does not
-rule out; the enumeration is guarded. e, p and b skip candidates by exact
-lower bounds and keep their values bit for bit (docs/decisions.md §11).
+Polynomial dynamic programs for the Wasserstein (w), Saikia (x),
+Sridharamurthy (s) and constrained classic (l) distances; exact
+exponential search behind size guards for the general classic (g),
+deformation-based (e) and path-mapping (p) distances. The branch-mapping
+distance (b) runs x's DP on the pairs of branch decompositions that a
+lower bound does not rule out; the enumeration is guarded. e, p and b skip
+candidates by exact lower bounds and keep their values bit for bit
+(docs/decisions.md §11).
 
 Each metric fixes one (input kind, label scheme, mapping constraint, cost
 model) combination:
@@ -36,7 +37,6 @@ from .editcore import (
     BRUTE_FORCE_NODE_LIMIT,
     DEFORM_EDGE_LIMIT,
     WASSERSTEIN_POINT,
-    MappingConstraint,
     brute_force_distance,
     deform_brute_force,
     linear_sum_assignment,
@@ -70,7 +70,7 @@ class MetricId(Enum):
 class Guards:
     """Size limits for the exponential metrics; CLI flags override them."""
 
-    mapping_nodes: int = BRUTE_FORCE_NODE_LIMIT  # g, s brute force
+    mapping_nodes: int = BRUTE_FORCE_NODE_LIMIT  # g brute force
     deform_edges: int = DEFORM_EDGE_LIMIT        # e, p subset enumeration
     branch_edges: int = 8                        # b decomposition enumeration
 
@@ -342,6 +342,57 @@ def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Constrained DP (s)
+# ---------------------------------------------------------------------------
+
+def _constrained_nodes(lt: LabeledTree, cost):
+    """Per node of lt, in postorder: its label, its delete cost, and its
+    children's positions, collapse costs, hops and climbs. A child's hop
+    collapses its siblings and deletes the child alone; its climb deletes
+    the node and collapses the child's siblings."""
+    order = editcore._postorder(lt)
+    at = {v: i for i, v in enumerate(order)}
+    collapse, labels, delete = editcore._collapse_costs(lt, cost), lt.labels, cost.delete
+    out = []
+    for v in order:
+        kids = lt.children[v]
+        cs = [collapse[c] for c in kids]
+        d, total = delete(labels[v]), sum(cs)
+        rests = [total - c for c in cs]
+        hops = [r + delete(labels[c]) for r, c in zip(rests, kids)]
+        out.append((labels[v], d, [at[c] for c in kids], cs, hops, [d + r for r in rests]))
+    return out
+
+
+def constrained_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
+    """Zhang's constrained edit distance on unordered labeled trees (Zhang,
+    Algorithmica 1996), no node forced to map: T(v, w) for the subtrees and
+    F(v, w) for the child forests, children first, plus the T case
+    del(v) + ins(w) + F for costs that break the triangle inequality
+    through the empty label (docs/decisions.md §13). Each row is read by
+    its parent's row only, so it is dropped once that row is done."""
+    nodes1, nodes2 = _constrained_nodes(l1, cost), _constrained_nodes(l2, cost)
+    labels2 = [node[0] for node in nodes2]
+    n2 = len(nodes2)
+    T, F = [None] * len(nodes1), [None] * len(nodes1)
+    for i, (lab1, d1, kids1, cols1, hops1, climbs1) in enumerate(nodes1):
+        rel = cost.relabel_rows([lab1], labels2)[0]
+        Tk, Fk = [T[a] for a in kids1], [F[a] for a in kids1]
+        Tv, Fv = [0.0] * n2, [0.0] * n2
+        for j, (_, d2, kids2, cols2, hops2, climbs2) in enumerate(nodes2):
+            Fv[j] = f = min([_assignment_min([[Ta[b] for b in kids2] for Ta in Tk], cols1, cols2),
+                             *[h + Fv[b] for b, h in zip(kids2, hops2)],
+                             *[h + Fa[j] for Fa, h in zip(Fk, hops1)]])
+            Tv[j] = min([rel[j] + f, d1 + d2 + f,
+                         *[h + Tv[b] for b, h in zip(kids2, climbs2)],
+                         *[h + Ta[j] for Ta, h in zip(Tk, climbs1)]])
+        T[i], F[i] = Tv, Fv
+        for a in kids1:
+            T[a] = F[a] = None
+    return T[-1][-1]
+
+
+# ---------------------------------------------------------------------------
 # The eight metrics (tree level)
 # ---------------------------------------------------------------------------
 
@@ -373,7 +424,7 @@ def delta_g(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
     labeled trees as delta_l. Exponential; guarded."""
     l1 = label_for_scheme(t1, mergetree.NODE_DIST_TO_PARENT)
     l2 = label_for_scheme(t2, mergetree.NODE_DIST_TO_PARENT)
-    cost, _ = brute_force_distance(l1, l2, MappingConstraint.TAI, node_limit=guards.mapping_nodes)
+    cost, _ = brute_force_distance(l1, l2, node_limit=guards.mapping_nodes)
     return cost
 
 
@@ -382,10 +433,7 @@ def delta_s(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
     trees whose nodes carry the birth-death pair of their branch."""
     l1 = label_for_scheme(t1, mergetree.BRANCH_LABEL_ON_NODES)
     l2 = label_for_scheme(t2, mergetree.BRANCH_LABEL_ON_NODES)
-    cost, _ = brute_force_distance(
-        l1, l2, MappingConstraint.ZHANG_CONSTRAINED, node_limit=guards.mapping_nodes
-    )
-    return cost
+    return constrained_dp(l1, l2, WASSERSTEIN_POINT)
 
 
 def delta_e(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS) -> float:

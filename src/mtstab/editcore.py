@@ -1,6 +1,5 @@
 """Common machinery of the edit distances: cost models, edit mappings,
-mapping-constraint predicates, exact brute-force optimizers and edit
-sequences.
+exact brute-force optimizers and edit sequences.
 
 Distances are computed through mapping / edge-subset characterizations
 rather than literal operation-sequence search: optimal sequences normalize
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import (
     InapplicableOperationError,
@@ -108,11 +106,6 @@ def cost_model_for(labeled: LabeledTree) -> CostModel:
     return WASSERSTEIN_POINT
 
 
-class MappingConstraint(Enum):
-    TAI = "tai"
-    ZHANG_CONSTRAINED = "zhang_constrained"
-
-
 @dataclass(frozen=True)
 class EditMapping:
     """One-to-one node correspondence, stored sorted for determinism."""
@@ -143,17 +136,16 @@ def _better(cost, key, best_cost, best_key):
 
 
 # ---------------------------------------------------------------------------
-# Brute force over constrained mappings
+# Brute force over Tai mappings
 # ---------------------------------------------------------------------------
 
 def brute_force_distance(
     l1: LabeledTree,
     l2: LabeledTree,
-    constraint: MappingConstraint,
     node_limit: int = BRUTE_FORCE_NODE_LIMIT,
 ):
-    """Exact minimum over all mappings satisfying the constraint, with the
-    cost model of l1's label scheme.
+    """Exact minimum over all Tai mappings, the edit distance of delta_G,
+    with the cost model of l1's label scheme.
 
     Returns (cost, EditMapping); ties resolved toward the lexicographically
     smallest mapping. Deformation constraints live in deform_brute_force.
@@ -162,8 +154,7 @@ def brute_force_distance(
     n1, n2 = l1.node_count(), l2.node_count()
     if max(n1, n2) > node_limit:
         raise SizeGuardError("brute-force mapping search", max(n1, n2), node_limit)
-    zhang = constraint is MappingConstraint.ZHANG_CONSTRAINED
-    c, pairs = _tai_search(l1, l2, cost, zhang)
+    c, pairs = _tai_search(l1, l2, cost)
     return c, EditMapping.of(pairs)
 
 
@@ -208,22 +199,8 @@ def _ancestry(lt: LabeledTree):
     return anc
 
 
-def _lca(lt: LabeledTree, anc, a, b):
-    if a == b:
-        return a
-    cur = a
-    bset = anc[b] | {b}
-    while cur is not None:
-        if cur in bset:
-            return cur
-        cur = lt.parent[cur]
-    return lt.root
-
-
-def _tai_search(l1: LabeledTree, l2: LabeledTree, cost: CostModel, zhang: bool):
-    """Branch and bound over one-to-one ancestor-preserving mappings (Tai);
-    with `zhang`, additionally the lowest-common-ancestor triple condition
-    of the constrained edit distance."""
+def _tai_search(l1: LabeledTree, l2: LabeledTree, cost: CostModel):
+    """Branch and bound over one-to-one ancestor-preserving mappings (Tai)."""
     anc1, anc2 = _ancestry(l1), _ancestry(l2)
     all1 = sorted(l1.nodes(), key=_id_key)
     all2 = sorted(l2.nodes(), key=_id_key)
@@ -250,7 +227,7 @@ def _tai_search(l1: LabeledTree, l2: LabeledTree, cost: CostModel, zhang: bool):
         suffix[i] = suffix[i + 1] + g
 
     best = [math.inf, None, None]  # cost, pairs, key
-    search = (l1, anc1, nodes1, l2, anc2, nodes2, gains, base, suffix, zhang, best)
+    search = (anc1, nodes1, anc2, nodes2, gains, base, suffix, best)
     _tai_dfs(search, 0, list(forced), set(), 0.0)
     return best[0], best[1]
 
@@ -260,7 +237,7 @@ def _tai_dfs(search, i, pairs, used, gain_acc):
     compatible partner in turn, then no partner. A module-level recursion,
     so a call leaves no reference cycle behind (a self-recursive closure
     would)."""
-    l1, anc1, nodes1, l2, anc2, nodes2, gains, base, suffix, zhang, best = search
+    anc1, nodes1, anc2, nodes2, gains, base, suffix, best = search
     if base + gain_acc + suffix[i] > best[0] + _EPS:
         return
     if i == len(nodes1):
@@ -280,38 +257,12 @@ def _tai_dfs(search, i, pairs, used, gain_acc):
                 break
         if not ok:
             continue
-        if zhang and not _zhang_ok(l1, anc1, l2, anc2, pairs, v, w):
-            continue
         pairs.append((v, w))
         used.add(w)
         _tai_dfs(search, i + 1, pairs, used, gain_acc + gains[v][w])
         used.discard(w)
         pairs.pop()
     _tai_dfs(search, i + 1, pairs, used, gain_acc)
-
-
-def _related(anc, a, b):
-    return a == b or a in anc[b] or b in anc[a]
-
-
-def _zhang_ok(l1, anc1, l2, anc2, pairs, v3, w3):
-    """Whether adding (v3, w3) to `pairs` keeps every lowest-common-ancestor
-    triple condition of the constrained edit distance."""
-    for i in range(len(pairs)):
-        v1, w1 = pairs[i]
-        for j in range(len(pairs)):
-            if i == j:
-                continue
-            v2, w2 = pairs[j]
-            if _related(anc1, _lca(l1, anc1, v1, v2), v3) != _related(
-                anc2, _lca(l2, anc2, w1, w2), w3
-            ):
-                return False
-            if _related(anc1, _lca(l1, anc1, v1, v3), v2) != _related(
-                anc2, _lca(l2, anc2, w1, w3), w2
-            ):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

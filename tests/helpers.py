@@ -3,8 +3,9 @@ superlevel-set oracle and the two-pass augmented-tree builder for merge tree
 construction, an independent sequence-search oracle for the deformation
 distances, a backtracking oracle for subtree inclusion, the enumerative
 Selkow search and all-pairs oracles for the one-degree DPs, which solve
-their child blocks on the in-place assignment matrix, and eager oracles for
-the deformation searches."""
+their child blocks on the in-place assignment matrix, the constrained
+branch and bound for the constrained DP, and eager oracles for the
+deformation searches."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from mtstab.editcore import (
     DeformWitness,
     EdgeTree,
     EditMapping,
+    _ancestry,
     _better,
     _collapse_costs,
     _iso,
@@ -34,7 +36,7 @@ from mtstab.editcore import (
     cost_model_for,
     edge_tree_of,
 )
-from mtstab.errors import SizeGuardError
+from mtstab.errors import SizeGuardError, ValidationError
 from mtstab.field import TOLERANCE, ScalarField, build_domain, build_grid_domain, validate_field
 from mtstab.mergetree import (
     BLANK,
@@ -44,6 +46,8 @@ from mtstab.mergetree import (
     abstract_merge_tree,
     merge_tree_of,
 )
+from mtstab.perturb import apply_perturbation
+from mtstab.stability import random_grid_field, random_minimal_perturbation
 
 
 def random_field(rng: random.Random, rows=3, cols=3):
@@ -104,6 +108,16 @@ def random_abstract_tree(rng: random.Random, max_edges=6):
         t = merge_tree_of(random_field(rng, 3, 3))
         if t.edge_count() <= max_edges:
             return t
+
+
+def suite_tree_pairs(seed, trials, grid_size):
+    """The merge trees of each trial of run_stability_suite(seed, trials,
+    grid_size), drawn as the suite draws them."""
+    for i in range(trials):
+        rng = random.Random(seed * 1_000_003 + i)
+        f = random_grid_field(rng, grid_size, grid_size)
+        f2 = apply_perturbation(f, random_minimal_perturbation(rng, f))
+        yield merge_tree_of(f), merge_tree_of(f2)
 
 
 def random_tiny_tree(rng: random.Random, max_edges=3):
@@ -468,6 +482,101 @@ def selkow_brute_force(l1, l2):
 
     c, pairs = best(l1.root, l2.root)
     return c, EditMapping.of(pairs)
+
+
+# ---------------------------------------------------------------------------
+# Oracle of the constrained DP: Zhang's mappings by branch and bound
+# ---------------------------------------------------------------------------
+
+def _lca_tables(lt, anc):
+    """lca[a][b], the lowest common ancestor of a and b, and related[x], the
+    nodes that are x, above x or below x."""
+    up = {x: anc[x] | {x} for x in lt.nodes()}
+    related = {x: up[x] | {y for y in lt.nodes() if x in anc[y]} for x in lt.nodes()}
+    lca = {a: {b: max(up[a] & up[b], key=lambda x: len(anc[x])) for b in up} for a in up}
+    return lca, related
+
+
+def _zhang_ok(tables1, tables2, pairs, v3, w3):
+    """Whether adding (v3, w3) to the Tai mapping `pairs` keeps every
+    lowest-common-ancestor triple condition of the constrained edit
+    distance: lca(a, b) is related to c in one tree iff it is in the other,
+    for every three pairs. Triples with a repeated pair hold already."""
+    (lca1, rel1), (lca2, rel2) = tables1, tables2
+    for i, (v1, w1) in enumerate(pairs):
+        for v2, w2 in pairs[i + 1:]:
+            if (v3 in rel1[lca1[v1][v2]]) != (w3 in rel2[lca2[w1][w2]]):
+                return False
+        up1, up2 = rel1[lca1[v1][v3]], rel2[lca2[w1][w3]]
+        for v2, w2 in pairs:
+            if (v2 in up1) != (w2 in up2):
+                return False
+    return True
+
+
+def zhang_brute_force(l1, l2, node_limit=BRUTE_FORCE_NODE_LIMIT):
+    """Exact optimum over Zhang's constrained mappings: one-to-one,
+    ancestor-preserving (Tai) and keeping every lowest-common-ancestor
+    triple condition. Branch and bound in the order of the Tai search:
+    each node of l1 by id takes each free compatible partner in turn, then
+    none. Blank labels must mark both roots or neither, and blank roots map
+    to each other. Returns (cost, EditMapping), ties resolved toward the
+    lexicographically smallest mapping, with the cost model of l1's label
+    scheme; trees above node_limit nodes raise SizeGuardError."""
+    n = max(l1.node_count(), l2.node_count())
+    if n > node_limit:
+        raise SizeGuardError("brute-force mapping search", n, node_limit)
+    cost = cost_model_for(l1)
+    anc1, anc2 = _ancestry(l1), _ancestry(l2)
+    all1, all2 = sorted(l1.nodes(), key=_id_key), sorted(l2.nodes(), key=_id_key)
+    blank1 = [v for v in all1 if l1.labels[v] is BLANK]
+    blank2 = [w for w in all2 if l2.labels[w] is BLANK]
+    if len(blank1) > 1 or len(blank2) > 1 or bool(blank1) != bool(blank2):
+        raise ValidationError("blank labels must mark exactly the two roots")
+    nodes1 = [v for v in all1 if l1.labels[v] is not BLANK]
+    nodes2 = [w for w in all2 if l2.labels[w] is not BLANK]
+    del_cost = {v: cost.delete(l1.labels[v]) for v in nodes1}
+    ins_cost = {w: cost.delete(l2.labels[w]) for w in nodes2}
+    base = sum(del_cost.values()) + sum(ins_cost.values())
+    gains = {
+        v: {w: cost.relabel(l1.labels[v], l2.labels[w]) - del_cost[v] - ins_cost[w]
+            for w in nodes2}
+        for v in nodes1
+    }
+    suffix = [0.0] * (len(nodes1) + 1)
+    for i in range(len(nodes1) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + min(0.0, min(gains[nodes1[i]].values(), default=0.0))
+    tables1, tables2 = _lca_tables(l1, anc1), _lca_tables(l2, anc2)
+    best = [math.inf, None, None]  # cost, pairs, key
+
+    def dfs(i, pairs, used, gain_acc):
+        if base + gain_acc + suffix[i] > best[0] + _EPS:
+            return
+        if i == len(nodes1):
+            key = _pairs_key(pairs)
+            if _better(base + gain_acc, key, best[0], best[2]):
+                best[0], best[1], best[2] = base + gain_acc, tuple(pairs), key
+            return
+        v = nodes1[i]
+        for w in nodes2:
+            if w in used:
+                continue
+            ok = True
+            for v2, w2 in pairs:
+                if (v2 in anc1[v]) != (w2 in anc2[w]) or (v in anc1[v2]) != (w in anc2[w2]):
+                    ok = False
+                    break
+            if not ok or not _zhang_ok(tables1, tables2, pairs, v, w):
+                continue
+            pairs.append((v, w))
+            used.add(w)
+            dfs(i + 1, pairs, used, gain_acc + gains[v][w])
+            used.discard(w)
+            pairs.pop()
+        dfs(i + 1, pairs, used, gain_acc)
+
+    dfs(0, list(zip(blank1, blank2)), set(), 0.0)
+    return best[0], EditMapping.of(best[1])
 
 
 def assignment_matrix_reference(cost_rows, del_costs, ins_costs):

@@ -226,6 +226,14 @@ def test_matrix_guard_skips_through_the_pool(ensemble, tmp_path, two_cpus):
             assert payload["values"][i][j] == (0.0 if i == j else None)
 
 
+def test_matrix_s_ignores_the_mapping_guard(ensemble, tmp_path, two_cpus):
+    """s runs a DP, so a mapping guard of 2 nodes, below every tree of the
+    ensemble, skips no pair; it guards the g search only."""
+    rc, payload = _run_matrix(ensemble, tmp_path / "out", "s", "--mapping-guard", "2")
+    assert rc == 0
+    assert {st for row in payload["status"] for st in row} == {"ok"}
+
+
 def test_matrix_worker_errors_reach_the_caller_with_their_type(
     ensemble, tmp_path, two_cpus, monkeypatch, capsys
 ):
@@ -337,6 +345,16 @@ def test_counterexample_command(capsys):
     assert out["family"] == "fig8"
     assert len(out["tree_a"]["nodes"]) == 6
     assert "field_a" in out
+
+
+def test_counterexample_family_choices_are_the_enum_values(capsys):
+    """--family offers every CounterexampleFamily value, and only those."""
+    parser = cli.build_parser()
+    for family in CounterexampleFamily:
+        assert parser.parse_args(["counterexample", "--family", family.value]).family == family.value
+    with pytest.raises(SystemExit):
+        parser.parse_args(["counterexample", "--family", "fig9"])
+    capsys.readouterr()
 
 
 def test_stability_run_smoke(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import random
 
@@ -17,6 +18,8 @@ from helpers import (
     random_field,
     selkow_brute_force,
     staircase_field,
+    suite_tree_pairs,
+    zhang_brute_force,
 )
 from mtstab import distances, editcore
 from mtstab import mergetree as mt
@@ -28,6 +31,7 @@ from mtstab.distances import (
     _assignment_min,
     _pair_order,
     compute,
+    constrained_dp,
     delta_b,
     delta_e,
     delta_g,
@@ -41,7 +45,7 @@ from mtstab.distances import (
     ordered_one_degree_dp,
     tree_distance,
 )
-from mtstab.editcore import ABS_DIFF, WASSERSTEIN_POINT
+from mtstab.editcore import ABS_DIFF, WASSERSTEIN_POINT, cost_model_for
 from mtstab.errors import SizeGuardError
 from mtstab.field import apply_value_change, validate_field
 from mtstab.mergetree import (
@@ -538,6 +542,60 @@ def test_pair_order_lists_only_inner_pairs():
     assert order[0] == (l1.root, l2.root)
     assert sorted(order, key=repr) == sorted(inner, key=repr)
     assert len(order) == len(set(order)) == 200  # root and 199 saddles, paired by depth
+
+
+# ---------------------------------------------------------------------------
+# delta_s: Zhang's constrained DP against the branch and bound
+# ---------------------------------------------------------------------------
+
+def test_constrained_dp_matches_the_zhang_oracle_on_random_pairs():
+    """400 random pairs of at most 6 edges per label scheme: branch labels
+    with Wasserstein costs, and distances to the parent, blank roots
+    included, with |l1 - l2|. The DP sums in another order than the search,
+    so the two agree within 1e-12, not bit for bit (docs/decisions.md §13)."""
+    for scheme in (mt.BRANCH_LABEL_ON_NODES, mt.NODE_DIST_TO_PARENT):
+        rng = random.Random(71)
+        for _ in range(400):
+            l1 = label_for_scheme(random_abstract_tree(rng, 6), scheme)
+            l2 = label_for_scheme(random_abstract_tree(rng, 6), scheme)
+            oracle, _ = zhang_brute_force(l1, l2)
+            assert constrained_dp(l1, l2, cost_model_for(l1)) == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("grid", [6, 8])
+def test_constrained_dp_matches_the_zhang_oracle_on_suite_pairs(grid):
+    """The 40 seed-5 suite pairs at 6x6 and 8x8, up to 30 nodes, which the
+    12-node guard of the search used to refuse; the oracle's limit is
+    lifted."""
+    for t1, t2 in suite_tree_pairs(5, 40, grid):
+        l1 = label_for_scheme(t1, mt.BRANCH_LABEL_ON_NODES)
+        l2 = label_for_scheme(t2, mt.BRANCH_LABEL_ON_NODES)
+        oracle, _ = zhang_brute_force(l1, l2, node_limit=math.inf)
+        assert delta_s(t1, t2) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_delta_s_deletes_both_nodes_of_far_apart_two_node_trees():
+    """A relabel from (0, 0.1) to (10, 10.1) costs 10 * sqrt(2), deleting
+    and inserting all four labels 4 * 0.1 / sqrt(2). T's case del(v) +
+    ins(w) + F finds the second; without it the DP returns 14.28."""
+    t1 = mt.abstract_merge_tree({"r": None, "m": "r"}, {"r": 0.0, "m": 0.1})
+    t2 = mt.abstract_merge_tree({"r": None, "m": "r"}, {"r": 10.0, "m": 10.1})
+    assert delta_s(t1, t2) == pytest.approx(4 * 0.1 / 2 ** 0.5, abs=1e-12)
+    l1 = label_for_scheme(t1, mt.BRANCH_LABEL_ON_NODES)
+    l2 = label_for_scheme(t2, mt.BRANCH_LABEL_ON_NODES)
+    assert delta_s(t1, t2) == pytest.approx(zhang_brute_force(l1, l2)[0], abs=1e-12)
+
+
+def test_delta_s_has_no_size_guard():
+    """delta_s runs no search, so mapping_nodes does not bind."""
+    for t1, t2 in itertools.islice(suite_tree_pairs(5, 40, 8), 5):
+        assert delta_s(t1, t2, Guards(mapping_nodes=2)) == delta_s(t1, t2)
+
+
+def test_delta_s_is_symmetric_with_a_zero_diagonal_on_6x6_pairs():
+    for t1, t2 in suite_tree_pairs(5, 40, 6):
+        assert delta_s(t1, t2) == pytest.approx(delta_s(t2, t1), abs=1e-12)
+        assert delta_s(t1, t1) == 0.0
 
 
 # ---------------------------------------------------------------------------

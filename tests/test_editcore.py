@@ -1,4 +1,3 @@
-import functools
 import gc
 import itertools
 import math
@@ -23,6 +22,7 @@ from helpers import (
     random_field,
     random_tiny_tree,
     selkow_brute_force,
+    zhang_brute_force,
 )
 from mtstab import editcore
 from mtstab import mergetree as mt
@@ -33,7 +33,6 @@ from mtstab.editcore import (
     EdgeTree,
     EditMapping,
     EditOp,
-    MappingConstraint,
     brute_force_distance,
     check_sequence,
     contract,
@@ -60,11 +59,7 @@ from mtstab.stability import (
 
 #: The exact mapping searches, each (l1, l2) -> (cost, EditMapping): Tai,
 #: constrained and Selkow mappings, each constraint stricter than the last.
-SEARCHES = (
-    functools.partial(brute_force_distance, constraint=MappingConstraint.TAI),
-    functools.partial(brute_force_distance, constraint=MappingConstraint.ZHANG_CONSTRAINED),
-    selkow_brute_force,
-)
+SEARCHES = (brute_force_distance, zhang_brute_force, selkow_brute_force)
 
 
 def single_node(label):
@@ -137,13 +132,13 @@ def test_identical_trees_zero_any_constraint():
 
 
 def test_single_node_distance():
-    cost, _ = brute_force_distance(single_node(3.0), single_node(5.0), MappingConstraint.TAI)
+    cost, _ = brute_force_distance(single_node(3.0), single_node(5.0))
     assert cost == pytest.approx(2.0)
 
 
 def test_fig7_tai_distance_exceeds_x():
     t1, t2 = counterexample(CounterexampleFamily.EDGE_SPLIT_FIG7, 10.0, 0.1)
-    cost, _ = brute_force_distance(labeled(t1), labeled(t2), MappingConstraint.TAI)
+    cost, _ = brute_force_distance(labeled(t1), labeled(t2))
     assert cost > 10.0
     assert cost == pytest.approx(20.1)  # 2x + eps: one length-x edge stays unmapped
 
@@ -153,8 +148,8 @@ def test_constraint_monotonicity():
     for _ in range(15):
         l1 = labeled(random_abstract_tree(rng, max_edges=5))
         l2 = labeled(random_abstract_tree(rng, max_edges=5))
-        tai, _ = brute_force_distance(l1, l2, MappingConstraint.TAI)
-        zh, _ = brute_force_distance(l1, l2, MappingConstraint.ZHANG_CONSTRAINED)
+        tai, _ = brute_force_distance(l1, l2)
+        zh, _ = zhang_brute_force(l1, l2)
         se, _ = selkow_brute_force(l1, l2)
         assert tai <= zh + 1e-9
         assert zh <= se + 1e-9
@@ -180,7 +175,7 @@ def test_brute_force_size_guard():
     rng = random.Random(4)
     big = labeled(random_abstract_tree(rng))
     with pytest.raises(SizeGuardError):
-        brute_force_distance(big, big, MappingConstraint.TAI, node_limit=2)
+        brute_force_distance(big, big, node_limit=2)
 
 
 # ---------------------------------------------------------------------------
@@ -657,16 +652,15 @@ def test_iso_leaves_no_cyclic_garbage():
 
 
 def test_tai_search_leaves_no_cyclic_garbage():
-    """_tai_search recurses at module level, so the delta_G (Tai) and
-    delta_S (constrained) searches leave nothing for the cycle collector."""
+    """_tai_search recurses at module level, so the delta_G search leaves
+    nothing for the cycle collector."""
     rng = random.Random(12)
     trees = [labeled(random_abstract_tree(rng, max_edges=4)) for _ in range(6)]
     gc.collect()
     gc.disable()
     try:
         for l1, l2 in itertools.product(trees[:3], trees[3:]):
-            for constraint in MappingConstraint:
-                brute_force_distance(l1, l2, constraint)
+            brute_force_distance(l1, l2)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -172,6 +172,15 @@ def test_delta_s_on_a_two_node_simple_change_is_twice_the_extent():
     assert report.claimed and report.degree == 1 and report.passed is False
 
 
+@pytest.mark.parametrize("grid", [5, 6, 8])
+def test_delta_s_skips_no_trial_of_the_seed_5_suites(grid):
+    """delta_s runs a DP with no size guard, so the seed-5 suites skip none
+    of its 40 trials, up to 8x8 grids (trees of up to 30 nodes)."""
+    report = run_stability_suite(seed=5, trials=40, grid_size=grid, metrics=(MetricId.S,))
+    assert sum(c.trials for c in report.cells.values()) == 40
+    assert [c.skipped for c in report.cells.values()] == [0] * len(report.cells)
+
+
 @pytest.mark.parametrize(
     "seed, trial, distance, extent",
     [(2, 103, 0.400202, 0.130622), (16, 142, 0.188784, 0.049022), (26, 156, 0.123749, 0.039705)],
