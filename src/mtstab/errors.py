@@ -2,11 +2,12 @@
 
 Grouped by CLI exit code: ValidationError subclasses map to exit code 2,
 SizeGuardError to exit code 3, plain I/O failures (OSError, json errors)
-to exit code 1.
+to exit code 1. PoolWorkerError, a pool child lost, is left uncaught with
+its traceback.
 
 Every type pickles: a class whose constructor takes other arguments than
 its message rebuilds itself from them in __reduce__, so an error raised in
-a worker process reaches the caller with its type and attributes.
+a forked pool child reaches the caller with its type and attributes.
 """
 
 
@@ -75,6 +76,21 @@ class SizeGuardError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.what, self.size, self.limit)
+
+
+class PoolWorkerError(RuntimeError):
+    """A forked pool child ended without a readable result: it was killed,
+    exited early, or its result could not be pickled. status is its exit
+    code, or minus the signal that ended it."""
+
+    def __init__(self, pid, status):
+        self.pid = pid
+        self.status = status
+        how = f"signal {-status}" if status < 0 else f"exit code {status}"
+        super().__init__(f"pool worker {pid} ended ({how}) without a readable result")
+
+    def __reduce__(self):
+        return type(self), (self.pid, self.status)
 
 
 class InapplicableOperationError(ValueError):

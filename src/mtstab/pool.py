@@ -6,27 +6,78 @@ Private to the package; see docs/decisions.md section 4.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 
-# The function of the running pool job. Forked workers inherit it, so only
-# items and results cross the process boundary; a worker that finds it set
-# is inside a job and does not start a pool of its own.
+from .errors import PoolWorkerError
+
+# The function of the running pool job. Forked children inherit it, and the
+# caller holds it while it computes its share, so a process that finds it
+# set is inside a job and does not start a pool of its own.
 _job = None
 
 
-def _run_job(item):
-    return _job(item)
+def _flush_std_streams():
+    """os._exit flushes nothing: flushed before the fork, the caller's
+    buffered output is not written again by a child, and flushed in the
+    child, fn's own output is not lost."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except Exception:  # None, closed or detached
+            pass
+
+
+def _work(fn, items, counter) -> list:
+    """(index, ok, value or exception) for each item this process takes,
+    the next index from the shared counter each time, until the counter
+    passes the last item. A failure moves it there, so nothing more starts."""
+    records = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(items):
+            return records
+        try:
+            records.append((i, True, fn(items[i])))
+        except BaseException as exc:  # raised again by map_in_order's fold
+            with counter.get_lock():
+                counter.value = len(items)
+            records.append((i, False, exc))
+            return records
+
+
+def _child(fn, items, counter, write_end):
+    """A forked child's life: its share of the items, its records pickled
+    to its pipe once, then os._exit, never a return into the caller's
+    stack."""
+    import pickle
+    import traceback
+
+    code = 1
+    try:
+        with open(write_end, "wb") as out:
+            out.write(pickle.dumps(_work(fn, items, counter)))
+        code = 0
+    except BaseException:  # the child ends here whatever went wrong
+        traceback.print_exc()
+    finally:
+        _flush_std_streams()
+        os._exit(code)
 
 
 def map_in_order(fn, items) -> list:
-    """[fn(item) for item in items], on a pool of forked processes, one per
-    CPU this process may run on (at most one per item).
+    """[fn(item) for item in items], on the calling process and one forked
+    child per further CPU this process may run on (at most one process per
+    item); each process takes the next item from a shared counter.
 
-    It computes in the calling process instead when that is one worker,
-    when the platform cannot fork, when other threads run (a forked worker
-    could inherit a lock one of them holds) and inside a pool job. An
-    exception raised by fn reaches the caller with its type, and the items
-    not yet started are cancelled.
+    It computes in the calling process alone when that is one worker, when
+    the platform cannot fork, when other threads run (a child could inherit
+    a lock one of them holds) and inside a pool job. An exception raised by
+    fn reaches the caller with its type, that of the lowest failing item,
+    and no item starts after it. A child that ends without a readable result
+    raises PoolWorkerError with its pid and exit status.
     """
     items = list(items)
     try:
@@ -35,20 +86,50 @@ def map_in_order(fn, items) -> list:
         cpus = os.cpu_count() or 1
     workers = min(len(items), cpus)
     global _job
-    if workers > 1 and _job is None and threading.active_count() == 1:
-        import multiprocessing
+    if workers < 2 or _job is not None or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return list(map(fn, items))
+    import multiprocessing
+    import pickle
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
+    # imported once here, not once per child on its first solve
+    import scipy.optimize  # noqa: F401
 
-            # imported once here, not once per worker on its first solve
-            import scipy.optimize  # noqa: F401
-
-            context = multiprocessing.get_context("fork")
-            _job = fn
+    counter = multiprocessing.get_context("fork").Value("q", 0)
+    _job = fn
+    _flush_std_streams()
+    children = {}
+    try:
+        for _ in range(workers - 1):
+            read_end, write_end = os.pipe()
             try:
-                with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                    return list(pool.map(_run_job, items))
-            finally:
-                _job = None
-    return list(map(fn, items))
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _child(fn, items, counter, write_end)
+            os.close(write_end)
+            children[pid] = read_end
+        records = _work(fn, items, counter)
+    finally:
+        with counter.get_lock():
+            counter.value = len(items)
+        _job = None
+        ended = []
+        for pid, read_end in children.items():
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            ended.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
+    for pid, status, data in ended:
+        try:
+            records += pickle.loads(data)
+        except Exception as exc:
+            raise PoolWorkerError(pid, status) from exc
+        if status != 0:
+            raise PoolWorkerError(pid, status)
+    records.sort(key=lambda record: record[0])
+    for _, ok, value in records:
+        if not ok:
+            raise value
+    return [value for _, _, value in records]

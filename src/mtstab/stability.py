@@ -365,7 +365,8 @@ def run_stability_suite(
     witness_checks.failures: they can need degree + 2 ops.
 
     Trial i draws from its own random.Random(seed * 1_000_003 + i), so the
-    trials run on the package's fork pool, one worker per usable CPU, and
+    trials run on the package's fork pool, the calling process and one
+    forked child per further usable CPU each taking the next trial, and
     are folded in trial order; the report is the same bytes as a serial
     run (docs/decisions.md section 4). A SizeGuardError skips its metric;
     any other exception reaches the caller with its type.
@@ -501,8 +502,8 @@ def run_finite_stability(
     finite and positive.
 
     Trial i draws from its own random.Random(seed * 7_368_787 + i) and runs
-    on the fork pool, as in run_stability_suite (docs/decisions.md
-    section 4).
+    on the fork pool, in the calling process or a forked child, as in
+    run_stability_suite (docs/decisions.md section 4).
     """
     if trials < 0:
         raise ValidationError(f"need trials >= 0, got {trials}")

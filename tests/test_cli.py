@@ -235,12 +235,14 @@ def test_matrix_s_ignores_the_mapping_guard(ensemble, tmp_path, two_cpus):
 
 
 def test_matrix_worker_errors_reach_the_caller_with_their_type(
-    ensemble, tmp_path, two_cpus, monkeypatch, capsys
+    ensemble, in_child, monkeypatch, capsys
 ):
-    """Fork carries the patched tree_distance into the workers; the error
-    names the worker's pid, so it cannot have been raised here."""
+    """Fork carries the patched tree_distance into the child, the only
+    process where it fails; the error names the child's pid."""
     def failing(metric, t1, t2, guards):
-        raise DuplicateValueError(os.getpid(), 7, 0.5)
+        if in_child():
+            raise DuplicateValueError(os.getpid(), 7, 0.5)
+        return 0.0
 
     monkeypatch.setattr(cli, "tree_distance", failing)
     args = cli.build_parser().parse_args(["matrix", str(ensemble), "--metric", "w"])
@@ -250,6 +252,7 @@ def test_matrix_worker_errors_reach_the_caller_with_their_type(
     assert err.vertex_a != os.getpid()
     assert (err.vertex_b, err.value) == (7, 0.5)
     assert pool._job is None
+    in_child.started.clear()
     assert main(["matrix", str(ensemble), "--metric", "w"]) == 2
     assert "duplicate scalar value 0.5" in capsys.readouterr().err
 

@@ -8,11 +8,12 @@ ARGS = {
     errors.DuplicateValueError: (3, 8, 0.25),
     errors.SizeGuardError: ("brute-force mapping search", 13, 12),
     errors.InapplicableOperationError: (2, "edge (4, 5) is gone"),
+    errors.PoolWorkerError: (4321, -9),
 }
 
 
 def test_every_error_survives_pickling():
-    """Errors cross the process boundary of the matrix command's pool."""
+    """Errors cross the process boundary of the package's fork pool."""
     classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
                if issubclass(c, Exception) and c.__module__ == errors.__name__]
     assert set(ARGS) < set(classes)

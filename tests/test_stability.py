@@ -344,29 +344,25 @@ def test_suite_guard_skips_cross_the_pool(two_cpus, monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["stability", "finite"])
-def test_suite_trial_errors_reach_the_caller_with_their_type(two_cpus, monkeypatch, suite):
-    """Fork carries the patched validate_field into the workers, where it
-    fails on trial 5's start field; the error names the worker's pid, so it
-    cannot have been raised here."""
-    seed, k = 4, 5
-    mult = 1_000_003 if suite == "stability" else 7_368_787
-    doomed = random_grid_field(random.Random(seed * mult + k), 3, 3).values
+def test_suite_trial_errors_reach_the_caller_with_their_type(in_child, monkeypatch, suite):
+    """Fork carries the patched validate_field into the child, the only
+    process where it fails; the error names the child's pid."""
     original = stability.validate_field
 
     def failing(domain, values):
-        if tuple(values) == tuple(doomed):
-            raise DuplicateValueError(os.getpid(), k, 0.5)
+        if in_child():
+            raise DuplicateValueError(os.getpid(), 5, 0.5)
         return original(domain, values)
 
     monkeypatch.setattr(stability, "validate_field", failing)
     with pytest.raises(DuplicateValueError) as caught:
         if suite == "stability":
-            run_stability_suite(seed, 12, 3, metrics=(MetricId.W,))
+            run_stability_suite(4, 12, 3, metrics=(MetricId.W,))
         else:
-            run_finite_stability(seed, 12, 3, 0.05, metrics=(MetricId.W,))
+            run_finite_stability(4, 12, 3, 0.05, metrics=(MetricId.W,))
     err = caught.value
     assert err.vertex_a != os.getpid()
-    assert (err.vertex_b, err.value) == (k, 0.5)
+    assert (err.vertex_b, err.value) == (5, 0.5)
     assert pool._job is None
 
 
