@@ -40,7 +40,7 @@ def _add_guard_flags(p):
     p.add_argument("--mapping-guard", type=int, default=Guards().mapping_nodes,
                    help="node limit for the exact g search")
     p.add_argument("--deform-guard", type=int, default=Guards().deform_edges,
-                   help="edge limit for the e/p enumerations")
+                   help="edge limit for the e enumeration")
     p.add_argument("--branch-guard", type=int, default=Guards().branch_edges,
                    help="edge limit for the b enumeration")
 

@@ -1,11 +1,11 @@
 """The eight merge tree edit distances.
 
 Polynomial dynamic programs for the Wasserstein (w), Saikia (x),
-Sridharamurthy (s) and constrained classic (l) distances; exact
-exponential search behind size guards for the general classic (g),
-deformation-based (e) and path-mapping (p) distances. The branch-mapping
+Sridharamurthy (s), constrained classic (l) and path mapping (p)
+distances; exact exponential search behind size guards for the general
+classic (g) and deformation-based (e) distances. The branch-mapping
 distance (b) runs x's DP on the pairs of branch decompositions that a
-lower bound does not rule out; the enumeration is guarded. e, p and b skip
+lower bound does not rule out; the enumeration is guarded. e and b skip
 candidates by exact lower bounds and keep their values bit for bit
 (docs/decisions.md §11).
 
@@ -18,7 +18,7 @@ model) combination:
     l : merge tree,     dist-to-parent,      one-degree,        |l1 - l2|
     g : merge tree,     dist-to-parent,      general (Tai),     |l1 - l2|
     e : merge tree,     edge lengths,        deformation,       |l1 - l2|
-    p : merge tree,     edge lengths,        one-degree deform, |l1 - l2|
+    p : merge tree,     dist-to-parent,      path mapping,      |l1 - l2|
     b : merge tree,     branch pairs,        branch mapping,    Wasserstein
 """
 
@@ -71,7 +71,7 @@ class Guards:
     """Size limits for the exponential metrics; CLI flags override them."""
 
     mapping_nodes: int = BRUTE_FORCE_NODE_LIMIT  # g brute force
-    deform_edges: int = DEFORM_EDGE_LIMIT        # e, p subset enumeration
+    deform_edges: int = DEFORM_EDGE_LIMIT        # e subset enumeration
     branch_edges: int = 8                        # b decomposition enumeration
 
 
@@ -393,6 +393,75 @@ def constrained_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Path mapping DP (p)
+# ---------------------------------------------------------------------------
+
+def _path_nodes(lt: LabeledTree):
+    """Per node of lt, in postorder: its children's positions and subtree
+    lengths R, and the paths down from it: (position of u, L, S) for each
+    descendant-or-self u, L the length from the node's parent down to u and
+    S the R of the side subtrees cut off above u. The root has no paths."""
+    order = editcore._postorder(lt)
+    at = {v: i for i, v in enumerate(order)}
+    R, labels, children = editcore._collapse_costs(lt, ABS_DIFF), lt.labels, lt.children
+    out = []
+    for c in order:
+        paths = [] if lt.parent[c] is None else [(c, labels[c], 0.0)]
+        for u, length, side in paths:  # grows while it is walked
+            kids = children[u]
+            for k in kids:
+                paths.append((k, length + labels[k], side + sum(R[o] for o in kids if o != k)))
+        kids = children[c]
+        out.append(([at[k] for k in kids], [R[k] for k in kids],
+                    [(at[u], length, side) for u, length, side in paths]))
+    return out
+
+
+def path_mapping_dp(l1: LabeledTree, l2: LabeledTree) -> float:
+    """Path mapping distance (Wetzels, Leitte & Garth, TVCG 2024) of two
+    trees labeled by distance to the parent: the least cost of deleting
+    whole subtrees of both trees so that, once the nodes left with one
+    child are merged away, the rest is isomorphic, plus the length
+    differences of the paired edges (docs/decisions.md §14).
+
+    G(x, y) matches x's children with y's: a pair (c, d) costs the least
+    |L(c→u) − L(d→w)| + S(c→u) + S(d→w) + G(u, w) over the paths down from
+    c and d, and an unmatched child costs R. G is filled children first
+    with no recursion; δ_P = G(root1, root2).
+    """
+    nodes1, nodes2 = _path_nodes(l1), _path_nodes(l2)
+    # a leaf against y inserts y's child subtrees: _assignment_min's value
+    # with no rows, as x against a leaf is its value with no columns
+    leaf_row = [sum(inss) for _, inss, _ in nodes2]
+    G = []
+    for kids1, dels, _ in nodes1:
+        if not kids1:
+            G.append(leaf_row)
+            continue
+        drop, Gx = sum(dels), []
+        for kids2, inss, _ in nodes2:
+            if not kids2:
+                Gx.append(drop)
+                continue
+            rows = []
+            for c in kids1:
+                paths1, row = nodes1[c][2], []
+                for d in kids2:
+                    paths2, best = nodes2[d][2], math.inf
+                    for u, a, s in paths1:
+                        Gu = G[u]
+                        for w, b, t in paths2:
+                            v = abs(a - b) + s + t + Gu[w]
+                            if v < best:
+                                best = v
+                    row.append(best)
+                rows.append(row)
+            Gx.append(_assignment_min(rows, dels, inss))
+        G.append(Gx)
+    return float(G[-1][-1])
+
+
+# ---------------------------------------------------------------------------
 # The eight metrics (tree level)
 # ---------------------------------------------------------------------------
 
@@ -438,12 +507,15 @@ def delta_s(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
 
 def delta_e(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS) -> float:
     """Deformation-based edit distance (unconstrained)."""
-    return deform_brute_force(t1, t2, one_degree=False, edge_limit=guards.deform_edges)
+    return deform_brute_force(t1, t2, edge_limit=guards.deform_edges)
 
 
 def delta_p(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS) -> float:
-    """Path mapping distance: the one-degree deformation variant."""
-    return deform_brute_force(t1, t2, one_degree=True, edge_limit=guards.deform_edges)
+    """Path mapping distance: the one-degree deformation variant, by the
+    path mapping DP on the same labeled trees as delta_l. No guard."""
+    l1 = label_for_scheme(t1, mergetree.NODE_DIST_TO_PARENT)
+    l2 = label_for_scheme(t2, mergetree.NODE_DIST_TO_PARENT)
+    return path_mapping_dp(l1, l2)
 
 
 def delta_b(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS) -> float:

@@ -466,16 +466,6 @@ class DeformWitness:
     iso_pairs: tuple
 
 
-def _path_variants(et: EdgeTree, variants):
-    """The delta_P variants: descendant-closed delete sets (iterated
-    leaf-edge deletions), in the order of `variants`."""
-    return [
-        item
-        for item in variants
-        if all(c in item[1] for v in item[1] for c in et.children[v])
-    ]
-
-
 def _subset_variants(et: EdgeTree):
     """[cost, delete set, None] for every delete set, sorted by cost, then by
     the sorted ids of the set. _shaped fills the third slot with the
@@ -506,8 +496,8 @@ def _shaped(et: EdgeTree, order, item):
 @_memoized
 def _variants_of(t: AbstractMergeTree):
     """(edge tree, its nodes parents first, _subset_variants) of a merge
-    tree, enumerated once and kept on the tree: delta_E, delta_P and the
-    witness search share it, and with it every quotient one of them built."""
+    tree, enumerated once and kept on the tree: delta_E and the witness
+    search share it, and with it every quotient one of them built."""
     et = edge_tree_of(t)
     order = [et.root]
     for v in order:
@@ -522,19 +512,11 @@ def _guarded_variants(t1, t2, edge_limit, what):
     return _variants_of(t1), _variants_of(t2)
 
 
-def deform_brute_force(
-    t1,
-    t2,
-    one_degree: bool = False,
-    edge_limit: int = DEFORM_EDGE_LIMIT,
-    want_witness: bool = False,
-):
+def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
     """Exact deformation-based edit distance by enumerating delete sets.
 
     Minimizes len(D1) + len(D2) + optimal relabel cost over all pairs of
-    contractible edge sets whose quotients are isomorphic rooted trees; with
-    `one_degree`, delete sets must be closed under descendants (iterated
-    leaf-edge deletions only).
+    contractible edge sets whose quotients are isomorphic rooted trees.
 
     Both lists are walked in cost order and a quotient is built only when
     the walk reaches its entry. The inner walk skips quotients of another
@@ -553,41 +535,29 @@ def deform_brute_force(
     (et1, order1, variants1), (et2, order2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation enumeration"
     )
-    if one_degree:
-        variants1, variants2 = _path_variants(et1, variants1), _path_variants(et2, variants2)
     len1, len2 = et1.total_length(), et2.total_length()
     margin = TOLERANCE * (1.0 + len1 + len2)
-    best = math.inf
-    win = None
+    best = math.inf  # no stop or skip fires while it is
     for item1 in variants1:
         c1 = item1[0]
-        if win is not None and c1 >= best - _EPS:
+        if c1 >= best - _EPS:
             break
         q1, s1 = _shaped(et1, order1, item1)
         shape = s1[q1.root]
         rest1 = len1 - c1
         for item2 in variants2:
             c2 = item2[0]
-            if win is not None:
-                if c1 + c2 >= best - _EPS:
-                    break
-                if c1 + c2 + abs(rest1 - (len2 - c2)) - margin >= best - _EPS:
-                    continue
+            if c1 + c2 >= best - _EPS:
+                break
+            if c1 + c2 + abs(rest1 - (len2 - c2)) - margin >= best - _EPS:
+                continue
             q2, s2 = _shaped(et2, order2, item2)
             if s2[q2.root] != shape:
                 continue
             total = c1 + c2 + _iso(q1, s1, q2, s2, _length_diff)[0]
             if total < best - _EPS:
                 best = total
-                win = (item1[1], item2[1])
-    if not want_witness:
-        return best
-    # the witness lives on the operational quotients, whose node ids the
-    # edit sequence reconstruction relies on
-    d1, d2 = win
-    q1, q2 = contract(et1, d1), contract(et2, d2)
-    pairs = _iso(q1, q1.shapes(), q2, q2.shapes(), _length_diff)[1]
-    return best, DeformWitness(d1, d2, tuple(pairs))
+    return best
 
 
 def deform_witness_search(

@@ -346,6 +346,16 @@ THEOREM_TEXT_NOTES = (
 )
 
 
+def _distinct_metrics(metrics) -> tuple:
+    """metrics as a tuple; a metric named twice would count each of its
+    trials twice, so it raises ValidationError naming the metric."""
+    metrics = tuple(metrics)
+    for k, m in enumerate(metrics):
+        if m in metrics[:k]:
+            raise ValidationError(f"metric {m.value} is named more than once")
+    return metrics
+
+
 def run_stability_suite(
     seed: int,
     trials: int,
@@ -369,11 +379,12 @@ def run_stability_suite(
     forked child per further usable CPU each taking the next trial, and
     are folded in trial order; the report is the same bytes as a serial
     run (docs/decisions.md section 4). A SizeGuardError skips its metric;
-    any other exception reaches the caller with its type.
+    any other exception reaches the caller with its type. A metric named
+    twice raises ValidationError before the first trial.
     """
     if trials < 0:
         raise ValidationError(f"need trials >= 0, got {trials}")
-    metrics = tuple(metrics)
+    metrics = _distinct_metrics(metrics)
     cells = {}
     witness_stats = CellStats()
     trial = partial(_suite_trial, seed, grid_size, metrics, guards)
@@ -499,7 +510,7 @@ def run_finite_stability(
     precondition holds. The deformation bound is unconditional. A metric
     without a finite-stability precondition raises ValidationError before
     the first trial, as do a negative trial count and an eps that is not
-    finite and positive.
+    finite and positive, or a metric named twice.
 
     Trial i draws from its own random.Random(seed * 7_368_787 + i) and runs
     on the fork pool, in the calling process or a forked child, as in
@@ -509,7 +520,7 @@ def run_finite_stability(
         raise ValidationError(f"need trials >= 0, got {trials}")
     if not 0 < eps < math.inf:
         raise ValidationError(f"need a finite eps > 0, got {eps}")
-    metrics = tuple(metrics)
+    metrics = _distinct_metrics(metrics)
     unsupported = [m.value for m in metrics if m not in _FINITE_PRECONDITION]
     if unsupported:
         supported = " ".join(m.value for m in _FINITE_PRECONDITION)

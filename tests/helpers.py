@@ -29,7 +29,6 @@ from mtstab.editcore import (
     _iso,
     _length_diff,
     _pairs_key,
-    _path_variants,
     _qualifying_iso,
     _quotient,
     contract,
@@ -118,6 +117,19 @@ def suite_tree_pairs(seed, trials, grid_size):
         f = random_grid_field(rng, grid_size, grid_size)
         f2 = apply_perturbation(f, random_minimal_perturbation(rng, f))
         yield merge_tree_of(f), merge_tree_of(f2)
+
+
+def finite_tree_pairs(seed, trials, grid_size, eps):
+    """The merge trees of each trial of run_finite_stability(seed, trials,
+    grid_size, eps), drawn as the suite draws them."""
+    for i in range(trials):
+        rng = random.Random(seed * 7_368_787 + i)
+        f = random_grid_field(rng, grid_size, grid_size)
+        while True:
+            values = [v + rng.uniform(-eps, eps) for v in f.values]
+            if len(set(values)) == len(values):
+                break
+        yield merge_tree_of(f), merge_tree_of(validate_field(f.domain, values))
 
 
 def random_tiny_tree(rng: random.Random, max_edges=3):
@@ -713,12 +725,41 @@ def _by_root_shape(variants):
     return buckets
 
 
-def eager_deform_brute_force(et1, variants1, et2, variants2, one_degree=False, want_witness=False):
+def path_variants(et: EdgeTree):
+    """The entries of eager_subset_variants(et) whose delete set is closed
+    under descendants (iterated leaf-edge deletions), delta_P's delete
+    sets, in the same order. Built from the unions of whole subtrees, so a
+    16-edge tree does not build 2^16 quotients."""
+    order = [et.root]
+    for v in order:
+        order.extend(et.children[v])
+    below, closed = {}, {}  # edges under v; descendant-closed sets of them
+    for v in reversed(order):
+        below[v] = frozenset().union(*({c} | below[c] for c in et.children[v]))
+        options = [closed[c] + [below[c] | {c}] for c in et.children[v]]
+        closed[v] = [frozenset().union(*combo) for combo in itertools.product(*options)]
+    out = []
+    for subset in closed[et.root]:
+        ids = sorted(subset, key=_id_key)
+        q = _quotient(et, subset, order)
+        out.append((sum(et.length[v] for v in ids), subset, q, q.shapes()))
+    out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))
+    return out
+
+
+def path_brute_force(t1, t2):
+    """delta_P's oracle: the walk of eager_deform_brute_force over the
+    descendant-closed delete sets of both merge trees, no size guard."""
+    et1, et2 = edge_tree_of(t1), edge_tree_of(t2)
+    return eager_deform_brute_force(et1, path_variants(et1), et2, path_variants(et2))
+
+
+def eager_deform_brute_force(et1, variants1, et2, variants2, want_witness=False):
     """Oracle of editcore.deform_brute_force on two edge trees and their
     eager_subset_variants: the second tree's variants bucketed by root
-    shape, each bucket walked in cost order."""
-    if one_degree:
-        variants1, variants2 = _path_variants(et1, variants1), _path_variants(et2, variants2)
+    shape, each bucket walked in cost order. With want_witness, also the
+    DeformWitness of the least cost, named on the operational quotients
+    that mapping_to_sequence rebuilds."""
     buckets2 = _by_root_shape(variants2)
     best = math.inf
     win = None

@@ -234,6 +234,14 @@ def test_matrix_s_ignores_the_mapping_guard(ensemble, tmp_path, two_cpus):
     assert {st for row in payload["status"] for st in row} == {"ok"}
 
 
+def test_matrix_p_ignores_the_deform_guard(ensemble, tmp_path, two_cpus):
+    """p runs the path mapping DP, so a deform guard of 1 edge, below every
+    tree of the ensemble, skips no pair; it guards the e enumeration only."""
+    rc, payload = _run_matrix(ensemble, tmp_path / "out", "p", "--deform-guard", "1")
+    assert rc == 0
+    assert {st for row in payload["status"] for st in row} == {"ok"}
+
+
 def test_matrix_worker_errors_reach_the_caller_with_their_type(
     ensemble, in_child, monkeypatch, capsys
 ):
@@ -407,6 +415,22 @@ def test_stability_run_finite_refuses_metrics_without_a_bound(metric, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "supported metrics: e p g l w x" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["minimal", "finite"])
+def test_stability_run_refuses_a_repeated_metric(mode, tmp_path, capsys):
+    """A metric named twice would count each of its trials twice: exit 2
+    with one error line that names it, before any trial runs."""
+    out = tmp_path / "report.json"
+    rc = main([
+        "stability-run", "--seed", "1", "--trials", "3", "--grid", "3",
+        "--metrics", "w,l,w", "--mode", mode, "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "metric w " in err
     assert not out.exists()
 
 

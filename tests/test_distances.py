@@ -12,8 +12,10 @@ from helpers import (
     assignment_matrix_reference,
     assignment_min_reference,
     caterpillar_field,
+    finite_tree_pairs,
     one_degree_dp_all_pairs,
     ordered_one_degree_dp_all_pairs,
+    path_brute_force,
     random_abstract_tree,
     random_field,
     selkow_brute_force,
@@ -596,6 +598,53 @@ def test_delta_s_is_symmetric_with_a_zero_diagonal_on_6x6_pairs():
     for t1, t2 in suite_tree_pairs(5, 40, 6):
         assert delta_s(t1, t2) == pytest.approx(delta_s(t2, t1), abs=1e-12)
         assert delta_s(t1, t1) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# delta_p: the path mapping DP against the delete-set walk
+# ---------------------------------------------------------------------------
+
+def test_path_mapping_dp_matches_the_path_oracle_on_random_pairs():
+    """400 random pairs of at most 8 edges, both ways round and each tree
+    against itself. The DP sums in another order than the walk, so the two
+    agree within 1e-12, not bit for bit (docs/decisions.md §14)."""
+    rng = random.Random(73)
+    for _ in range(400):
+        t1, t2 = random_abstract_tree(rng, 8), random_abstract_tree(rng, 8)
+        for a, b in ((t1, t2), (t2, t1), (t1, t1)):
+            assert delta_p(a, b) == pytest.approx(path_brute_force(a, b), abs=1e-12)
+
+
+@pytest.mark.parametrize("suite, pairs", [
+    ("seed-42 4x4", lambda: suite_tree_pairs(42, 200, 4)),
+    ("seed-5 5x5", lambda: suite_tree_pairs(5, 40, 5)),
+    ("seed-7 3x3 finite", lambda: finite_tree_pairs(7, 100, 3, 0.05)),
+])
+def test_path_mapping_dp_matches_the_path_oracle_on_suite_pairs(suite, pairs):
+    """The pairs the stability suites run, the 5x5 ones up to the sizes
+    the deform guard used to refuse; the oracle has no guard."""
+    for t1, t2 in pairs():
+        assert delta_p(t1, t2) == pytest.approx(path_brute_force(t1, t2), abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [10.0, 20.0, 40.0])
+def test_delta_p_on_the_counterexample_figures(x):
+    """fig7 and fig10 stay at eps and 2 eps; fig8 grows as 2x + 2 eps."""
+    eps = 0.1
+    for family, want in (
+        (CounterexampleFamily.EDGE_SPLIT_FIG7, eps),
+        (CounterexampleFamily.HORIZONTAL_FIG8, 2 * x + 2 * eps),
+        (CounterexampleFamily.VERTICAL_FIG10, 2 * eps),
+    ):
+        t1, t2 = counterexample(family, x, eps)
+        assert delta_p(t1, t2) == pytest.approx(want, abs=1e-9)
+        assert delta_p(t1, t2) == pytest.approx(path_brute_force(t1, t2), abs=1e-12)
+
+
+def test_delta_p_has_no_size_guard():
+    """delta_p runs no search, so deform_edges does not bind."""
+    for t1, t2 in itertools.islice(suite_tree_pairs(5, 40, 6), 5):
+        assert delta_p(t1, t2, Guards(deform_edges=1)) == delta_p(t1, t2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from helpers import (
     eager_subset_variants,
     edge_canonical,
     labeled_canonical,
+    path_variants,
     random_abstract_tree,
     random_field,
     random_tiny_tree,
@@ -26,6 +27,7 @@ from helpers import (
 )
 from mtstab import editcore
 from mtstab import mergetree as mt
+from mtstab.distances import delta_p
 from mtstab.editcore import (
     ABS_DIFF,
     WASSERSTEIN_POINT,
@@ -38,7 +40,6 @@ from mtstab.editcore import (
     contract,
     deform_brute_force,
     deform_witness_search,
-    _path_variants,
     _qualifying_iso,
     _quotient,
     _subset_variants,
@@ -241,13 +242,13 @@ def test_deform_identical_zero():
     for _ in range(5):
         t = random_abstract_tree(rng, max_edges=6)
         assert deform_brute_force(t, t) == pytest.approx(0.0)
-        assert deform_brute_force(t, t, one_degree=True) == pytest.approx(0.0)
+        assert delta_p(t, t) == pytest.approx(0.0)
 
 
 def test_deform_fig7_costs_epsilon():
     t1, t2 = counterexample(CounterexampleFamily.EDGE_SPLIT_FIG7, 10.0, 0.1)
     assert deform_brute_force(t1, t2) == pytest.approx(0.1)
-    assert deform_brute_force(t1, t2, one_degree=True) == pytest.approx(0.1)
+    assert delta_p(t1, t2) == pytest.approx(0.1)
 
 
 def test_one_degree_at_least_free():
@@ -256,7 +257,7 @@ def test_one_degree_at_least_free():
         t1 = random_abstract_tree(rng, max_edges=5)
         t2 = random_abstract_tree(rng, max_edges=5)
         free = deform_brute_force(t1, t2)
-        od = deform_brute_force(t1, t2, one_degree=True)
+        od = delta_p(t1, t2)
         assert free <= od + 1e-9
 
 
@@ -282,7 +283,8 @@ def test_contract_operational_semantics():
 def test_deform_matches_sequence_search_free_and_one_degree():
     """Cross-check against the independent Dijkstra sequence search: the
     normalized delete-relabel-insert optimum equals the true sequence
-    optimum on tiny instances (both modes).
+    optimum on tiny instances, for delta_E's enumeration and for delta_P's
+    path mapping DP.
 
     The search confirms two directions: nothing cheaper than the normalized
     optimum exists (cap slightly above it), and the optimum itself is
@@ -307,7 +309,7 @@ def test_deform_matches_sequence_search_free_and_one_degree():
     pairs.extend([(a, b), (b, a)])
     for t1, t2 in pairs:
         for od in (False, True):
-            expected = deform_brute_force(t1, t2, one_degree=od)
+            expected = delta_p(t1, t2) if od else deform_brute_force(t1, t2)
             found = deform_sequence_search(t1, t2, one_degree=od, cost_cap=expected + 1e-6)
             assert found == pytest.approx(expected, abs=1e-9)
 
@@ -318,7 +320,7 @@ def test_deform_fig7_sequence_search_agrees():
 
 
 # ---------------------------------------------------------------------------
-# Delete-set variants: direct quotients, the delta_P filter, per-tree memo
+# Delete-set variants: direct quotients, delta_P's oracle sets, per-tree memo
 # ---------------------------------------------------------------------------
 
 def grid_trees(seed, count, max_edges=8):
@@ -345,8 +347,9 @@ def test_direct_quotient_matches_contract_on_every_delete_set():
 
 
 def test_path_variants_are_the_leaf_deletion_sets_in_order():
-    """delta_P's variants filter delta_E's full list; they must be exactly
-    the sets reachable by iterated leaf-edge deletions, sorted as before."""
+    """The delete sets of delta_P's oracle must be exactly the sets
+    reachable by iterated leaf-edge deletions, sorted as delta_E's list
+    sorts them, with the costs of its entries."""
     for t in grid_trees(13, 20):
         et = edge_tree_of(t)
         reach, frontier = {frozenset()}, [frozenset()]
@@ -366,8 +369,11 @@ def test_path_variants_are_the_leaf_deletion_sets_in_order():
             reach,
             key=lambda d: (sum(et.length[v] for v in d), tuple(sorted(map(_id_key, d)))),
         )
-        got = [item[1] for item in _path_variants(et, _subset_variants(et))]
+        got = [item[1] for item in path_variants(et)]
         assert got == expected
+        closed = [(c, d) for c, d, _, _ in eager_subset_variants(et)
+                  if all(k in d for v in d for k in et.children[v])]
+        assert [(c, d) for c, d, _, _ in path_variants(et)] == closed
 
 
 #: (parent, value) of hand-built trees with string ids and edges of length 1
@@ -435,10 +441,11 @@ def test_deform_values_do_not_depend_on_the_hash_seed():
     hash seeds, which order the ids of a frozenset differently."""
     src = os.path.dirname(os.path.dirname(editcore.__file__))
     code = (
+        "from mtstab.distances import delta_p\n"
         "from mtstab.editcore import deform_brute_force\n"
         "from mtstab.mergetree import abstract_merge_tree\n"
         f"t1, t2 = (abstract_merge_tree(p, v) for p, v in {HASH_ORDER_PAIR!r})\n"
-        "print(deform_brute_force(t1, t2).hex(), deform_brute_force(t1, t2, one_degree=True).hex())\n"
+        "print(deform_brute_force(t1, t2).hex(), delta_p(t1, t2).hex())\n"
     )
     outputs = [
         subprocess.run(
@@ -470,7 +477,7 @@ def test_memoized_variants_give_the_fresh_results():
             w = deform_witness_search(*pair(), max_ops=deg, max_op_cost=pert.extent)
             return (
                 deform_brute_force(*pair()),
-                deform_brute_force(*pair(), one_degree=True),
+                delta_p(*pair()),
                 None if w is None else (w.deleted1, w.deleted2, w.iso_pairs),
             )
 
@@ -490,7 +497,7 @@ def test_memoized_variants_give_the_fresh_results():
 def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
     """Quotients are built when a search first reaches their delete set and
     kept with it: on a fresh pair, shapes() runs at most once per delete set
-    of either tree, over delta_E, delta_P and the witness search together,
+    of either tree, over delta_E and the witness search together,
     and never inside _iso. delta_E stops before it reaches every set, so it
     calls shapes() fewer times than there are delete sets."""
     quotient, shapes, iso = editcore._quotient, EdgeTree.shapes, editcore._iso
@@ -528,7 +535,6 @@ def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
     assert calls == {"other": 0, "in_iso": 0}
     assert set(per_set.values()) == {1}
     assert len(per_set) < 2 ** t1.edge_count() + 2 ** t2.edge_count()
-    deform_brute_force(t1, t2, one_degree=True)
     deform_witness_search(t1, t2, max_ops=stability_degree(t1), max_op_cost=0.5)
     assert set(per_set.values()) == {1} and calls["in_iso"] == 0
 
@@ -556,20 +562,12 @@ def test_deform_length_bound_skips_isomorphisms_the_eager_oracle_runs(monkeypatc
 
 
 def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled):
-    """delta_E, delta_P, their witnesses and the witness search on t1, t2
-    equal the eager oracles' bit for bit, and every quotient the lazy
-    searches built equals the eager one of its delete set. `filled` counts
-    [built entries, entries]."""
+    """delta_E and the witness search on t1, t2 equal the eager oracles'
+    bit for bit, and every quotient the lazy searches built equals the
+    eager one of its delete set. `filled` counts [built entries, entries]."""
     eager = [(et, eager_subset_variants(et)) for et in (edge_tree_of(t1), edge_tree_of(t2))]
     oracle_args = (*eager[0], *eager[1])
-    for one_degree in (False, True):
-        want, want_w = eager_deform_brute_force(*oracle_args, one_degree, want_witness=True)
-        assert deform_brute_force(t1, t2, one_degree=one_degree).hex() == want.hex()
-        got, got_w = deform_brute_force(t1, t2, one_degree=one_degree, want_witness=True)
-        assert got.hex() == want.hex()
-        assert (got_w.deleted1, got_w.deleted2, got_w.iso_pairs) == (
-            want_w.deleted1, want_w.deleted2, want_w.iso_pairs,
-        )
+    assert deform_brute_force(t1, t2).hex() == eager_deform_brute_force(*oracle_args).hex()
     got_w = deform_witness_search(t1, t2, max_ops, max_op_cost)
     want_w = eager_deform_witness_search(*oracle_args, max_ops, max_op_cost)
     assert (got_w is None) == (want_w is None)
@@ -719,12 +717,20 @@ def test_mapping_to_sequence_random_round_trip():
             assert labeled_canonical(out) == labeled_canonical(l2)
 
 
+def eager_witness(t1, t2):
+    """delta_E's value and DeformWitness, from the eager oracle."""
+    et1, et2 = edge_tree_of(t1), edge_tree_of(t2)
+    return eager_deform_brute_force(
+        et1, eager_subset_variants(et1), et2, eager_subset_variants(et2), want_witness=True
+    )
+
+
 def test_deform_witness_sequence_round_trip():
     rng = random.Random(11)
     for _ in range(25):
         t1 = random_abstract_tree(rng, max_edges=5)
         t2 = random_abstract_tree(rng, max_edges=5)
-        cost, witness = deform_brute_force(t1, t2, want_witness=True)
+        cost, witness = eager_witness(t1, t2)
         seq = mapping_to_sequence(t1, t2, witness)
         assert sum(op.cost for op in seq) == pytest.approx(cost, abs=1e-9)
         out = check_sequence(t1, seq)
@@ -733,7 +739,7 @@ def test_deform_witness_sequence_round_trip():
 
 def test_deform_fig7_witness_single_insert():
     t1, t2 = counterexample(CounterexampleFamily.EDGE_SPLIT_FIG7, 10.0, 0.1)
-    cost, witness = deform_brute_force(t2, t1, want_witness=True)
+    cost, witness = eager_witness(t2, t1)
     seq = mapping_to_sequence(t2, t1, witness)
     assert len(seq) == 1 and seq[0].kind == "edge_insert"
     assert seq[0].cost == pytest.approx(0.1)

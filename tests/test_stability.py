@@ -117,7 +117,7 @@ def test_suite_deterministic():
 def test_suite_matches_per_metric_check_bound():
     """The suite prepares each trial once; its cells must equal those of a
     check_bound call per (trial, metric) on the same draws. The guards are
-    tight enough that e, p and b skip some trials and pass others."""
+    tight enough that e and b skip some trials and pass others."""
     seed, trials, grid = 9, 10, 4
     guards = Guards(mapping_nodes=9, deform_edges=6, branch_edges=5)
     rep = run_stability_suite(seed, trials, grid, metrics=tuple(MetricId), guards=guards)
@@ -177,6 +177,15 @@ def test_delta_s_skips_no_trial_of_the_seed_5_suites(grid):
     """delta_s runs a DP with no size guard, so the seed-5 suites skip none
     of its 40 trials, up to 8x8 grids (trees of up to 30 nodes)."""
     report = run_stability_suite(seed=5, trials=40, grid_size=grid, metrics=(MetricId.S,))
+    assert sum(c.trials for c in report.cells.values()) == 40
+    assert [c.skipped for c in report.cells.values()] == [0] * len(report.cells)
+
+
+@pytest.mark.parametrize("grid", [5, 6, 8])
+def test_delta_p_skips_no_trial_of_the_seed_5_suites(grid):
+    """delta_p runs the path mapping DP with no size guard, so the seed-5
+    suites skip none of its 40 trials, up to 8x8 grids."""
+    report = run_stability_suite(seed=5, trials=40, grid_size=grid, metrics=(MetricId.P,))
     assert sum(c.trials for c in report.cells.values()) == 40
     assert [c.skipped for c in report.cells.values()] == [0] * len(report.cells)
 
