@@ -271,23 +271,22 @@ def _tai_dfs(search, i, pairs, used, gain_acc):
 
 class EdgeTree:
     """Rooted tree with a length per non-root node (its parent edge); the
-    working representation for deformation-based operations."""
+    working representation for deformation-based operations. Built once and
+    only read: `children` lists each node's children by id, `order` every
+    node with parents first."""
 
     def __init__(self, parent: dict, length: dict, root):
         self.parent = dict(parent)
         self.length = {v: float(x) for v, x in length.items()}
         self.root = root
-        self._rebuild()
-
-    def _rebuild(self):
         ch = {v: [] for v in self.parent}
         for v, p in self.parent.items():
             if p is not None:
                 ch[p].append(v)
         self.children = {v: sorted(c, key=_id_key) for v, c in ch.items()}
-
-    def copy(self) -> "EdgeTree":
-        return EdgeTree(self.parent, self.length, self.root)
+        self.order = order = [root]
+        for v in order:
+            order.extend(self.children[v])
 
     def nodes(self):
         return self.parent.keys()
@@ -295,24 +294,14 @@ class EdgeTree:
     def edge_count(self):
         return len(self.parent) - 1
 
-    def depth(self, v):
-        d = 0
-        while self.parent[v] is not None:
-            v = self.parent[v]
-            d += 1
-        return d
-
     def total_length(self):
         return sum(self.length.values())
 
     def shapes(self):
         """Every node's shape, the sorted tuple of its children's shapes,
         filled children first with no recursion."""
-        order = [self.root]
-        for v in order:
-            order.extend(self.children[v])
         out = {}
-        for v in reversed(order):
+        for v in reversed(self.order):
             out[v] = tuple(sorted(out[c] for c in self.children[v]))
         return out
 
@@ -327,65 +316,20 @@ def edge_tree_of(tree: AbstractMergeTree) -> EdgeTree:
 
 
 def contract(et: EdgeTree, deleted) -> EdgeTree:
-    """Contract the parent edges of `deleted`, with the automatic pruning of
-    emerging regular nodes (merged labels sum).
-
-    Implemented operationally (top-down deletions), so the surviving node
-    ids match what an actual edit sequence produces; when an automatic prune
-    folds a still-pending edge into a survivor, the pending deletion turns
-    into an equal-cost relabel of the merged edge (see _delete_phase_ops).
-    The distance searches use _quotient; this replay names the nodes of
-    witnesses, builds their sequences and serves as its test oracle.
-    """
-    return _delete_phase_ops(et, deleted)[1]
-
-
-def _delete_phase_ops(et: EdgeTree, deleted):
-    """(steps, resulting tree) of the top-down deletion of `deleted`, the
-    one replay of a delete phase. A step is (op, the edge's length before
-    op, parent, children, split). For an edge_delete, parent and children
-    are the edge's before op, and split is what inserting the edge back
-    needs when an automatic prune followed the delete, in EditOp.split's
-    layout: (the merged edge, the pruned parent, upper, lower length).
-    """
-    deleted = set(deleted)
-    if et.root in deleted:
-        raise ValidationError("the root has no parent edge to delete")
-    sim = et.copy()
-    steps = []
-    for v in sorted(deleted, key=lambda u: (et.depth(u), _id_key(u))):
-        planned = et.length[v]
-        cur = sim.length[v]
-        if abs(cur - planned) > TOLERANCE:
-            # an automatic prune folded an ancestor edge into v; shaving off
-            # v's own length removes exactly the planned material
-            op = EditOp("edge_relabel", v, planned, label=cur - planned)
-            steps.append((op, cur, None, (), None))
-        else:
-            parent, children = sim.parent[v], tuple(sim.children[v])
-            split = None
-            if sim.parent[parent] is not None:
-                after = [c for c in sim.children[parent] if c != v] + list(children)
-                if len(after) == 1:
-                    (merged,) = after
-                    split = (merged, parent, sim.length[merged], sim.length[parent])
-            op = EditOp("edge_delete", v, cur)
-            steps.append((op, cur, parent, children, split))
-        _apply_edge_op(sim, op)
-    return steps, sim
-
-
-def _quotient(et: EdgeTree, deleted, order) -> EdgeTree:
-    """The tree contract(et, deleted) yields, built directly in O(n): same
-    shape and lengths, node ids may differ. `order` lists et's nodes with
-    parents first.
+    """The quotient of et by the parent edges of `deleted`: each deleted
+    edge contracted, then every node left with one child and a parent
+    pruned, its edge merged into the child's (lengths sum). Built directly
+    in O(n); tests/helpers.py replays the same deletions one operation at a
+    time as its oracle.
 
     A node's class top is its nearest ancestor-or-self whose parent edge
     survives. Every non-root class with exactly one child class folds into
     that child, which keeps its id and takes the lengths along the chain.
     """
+    if et.root in deleted:
+        raise ValidationError("the root has no parent edge to delete")
     top, kids = {}, {}
-    for v in order:
+    for v in et.order:
         p = et.parent[v]
         if p is not None and v in deleted:
             top[v] = top[p]
@@ -454,18 +398,6 @@ def _length_diff(a, b):
 DEFORM_EDGE_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class DeformWitness:
-    """A deformation plan: the two delete sets and the isomorphism of their
-    quotients. iso_pairs name the nodes of contract(et1, deleted1) and
-    contract(et2, deleted2), the trees the deletion replay builds, so
-    mapping_to_sequence rebuilds both quotients from the delete sets."""
-
-    deleted1: frozenset
-    deleted2: frozenset
-    iso_pairs: tuple
-
-
 def _subset_variants(et: EdgeTree):
     """[cost, delete set, None] for every delete set, sorted by cost, then by
     the sorted ids of the set. _shaped fills the third slot with the
@@ -483,26 +415,23 @@ def _subset_variants(et: EdgeTree):
     return [[c, d, None] for c, _, d in grown]
 
 
-def _shaped(et: EdgeTree, order, item):
+def _shaped(et: EdgeTree, item):
     """(quotient, its shapes() map) of a _subset_variants entry, built on the
     first call and kept in the entry for every later search."""
     built = item[2]
     if built is None:
-        q = _quotient(et, item[1], order)
+        q = contract(et, item[1])
         built = item[2] = (q, q.shapes())
     return built
 
 
 @_memoized
 def _variants_of(t: AbstractMergeTree):
-    """(edge tree, its nodes parents first, _subset_variants) of a merge
-    tree, enumerated once and kept on the tree: delta_E and the witness
-    search share it, and with it every quotient one of them built."""
+    """(edge tree, _subset_variants) of a merge tree, enumerated once and
+    kept on the tree: delta_E and the witness search share it, and with it
+    every quotient one of them built."""
     et = edge_tree_of(t)
-    order = [et.root]
-    for v in order:
-        order.extend(et.children[v])
-    return et, order, _subset_variants(et)
+    return et, _subset_variants(et)
 
 
 def _guarded_variants(t1, t2, edge_limit, what):
@@ -532,7 +461,7 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
     of these sums. A skip rests on its own pair's bound alone, so it is a
     `continue`, not a stop (docs/decisions.md section 11).
     """
-    (et1, order1, variants1), (et2, order2, variants2) = _guarded_variants(
+    (et1, variants1), (et2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation enumeration"
     )
     len1, len2 = et1.total_length(), et2.total_length()
@@ -542,7 +471,7 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
         c1 = item1[0]
         if c1 >= best - _EPS:
             break
-        q1, s1 = _shaped(et1, order1, item1)
+        q1, s1 = _shaped(et1, item1)
         shape = s1[q1.root]
         rest1 = len1 - c1
         for item2 in variants2:
@@ -551,7 +480,7 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
                 break
             if c1 + c2 + abs(rest1 - (len2 - c2)) - margin >= best - _EPS:
                 continue
-            q2, s2 = _shaped(et2, order2, item2)
+            q2, s2 = _shaped(et2, item2)
             if s2[q2.root] != shape:
                 continue
             total = c1 + c2 + _iso(q1, s1, q2, s2, _length_diff)[0]
@@ -566,16 +495,16 @@ def deform_witness_search(
     max_ops: int,
     max_op_cost: float,
     edge_limit: int = DEFORM_EDGE_LIMIT,
-):
-    """Search for a deformation witness whose normalized sequence has at
-    most max_ops operations, each of cost at most max_op_cost.
+) -> bool:
+    """Whether some deformation plan has a normalized sequence of at most
+    max_ops operations, each of cost at most max_op_cost.
 
     This verifies the existence clause of the stability theorems: the
-    qualifying sequence need not be cost-optimal. Returns a DeformWitness
-    or None when no enumerated plan qualifies. Only the quotients of usable
-    delete sets are built.
+    qualifying sequence need not be cost-optimal. A plan is two delete sets
+    and an isomorphism of their quotients (docs/decisions.md section 2).
+    Only the quotients of usable delete sets are built.
     """
-    (et1, order1, variants1), (et2, order2, variants2) = _guarded_variants(
+    (et1, variants1), (et2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation witness search"
     )
     cap = max_op_cost + TOLERANCE
@@ -590,22 +519,15 @@ def deform_witness_search(
 
     buckets2 = {}
     for item in usable(et2, variants2):
-        q2, s2 = _shaped(et2, order2, item)
-        buckets2.setdefault(s2[q2.root], []).append((item[1], q2, s2))
+        q2, s2 = _shaped(et2, item)
+        buckets2.setdefault(s2[q2.root], []).append((len(item[1]), q2, s2))
     for item in usable(et1, variants1):
-        d1 = item[1]
-        q1, s1 = _shaped(et1, order1, item)
-        for d2, q2, s2 in buckets2.get(s1[q1.root], ()):
-            budget = max_ops - len(d1) - len(d2)
-            if budget < 0 or _qualifying_iso(q1, s1, q2, s2, budget, cap) is None:
-                continue
-            # re-derive the isomorphism on the operational quotients, whose
-            # node ids the edit sequence reconstruction relies on
-            w1, w2 = contract(et1, d1), contract(et2, d2)
-            iso = _qualifying_iso(w1, w1.shapes(), w2, w2.shapes(), budget, cap)
-            if iso is not None:
-                return DeformWitness(d1, d2, tuple(iso))
-    return None
+        q1, s1 = _shaped(et1, item)
+        for n2, q2, s2 in buckets2.get(s1[q1.root], ()):
+            budget = max_ops - len(item[1]) - n2
+            if budget >= 0 and _qualifying_iso(q1, s1, q2, s2, budget, cap) is not None:
+                return True
+    return False
 
 
 def _qualifying_iso(q1: EdgeTree, shapes1, q2: EdgeTree, shapes2, max_relabels: int, cap: float):
@@ -630,7 +552,9 @@ def _qualifying_iso(q1: EdgeTree, shapes1, q2: EdgeTree, shapes2, max_relabels: 
 
 @dataclass(frozen=True)
 class EditOp:
-    """One edit operation; an edit sequence is a tuple of them."""
+    """One edit operation; an edit sequence is a tuple of them. The edge
+    kinds and `split` describe the deformation operations, which
+    tests/helpers.py builds and replays on edge trees."""
 
     kind: str  # node_delete | node_insert | node_relabel | edge_delete | edge_insert | edge_relabel
     node: object
@@ -641,43 +565,17 @@ class EditOp:
     split: tuple | None = None  # (existing child edge, new inner id, upper len, lower len)
 
 
-def check_sequence(tree, sequence):
-    """Apply an edit sequence, a tuple of EditOp; raises
-    InapplicableOperationError with the offending step index. Node ops act
-    on LabeledTrees, edge ops on EdgeTrees (or merge trees, converted
-    first)."""
-    if isinstance(tree, AbstractMergeTree):
-        current = edge_tree_of(tree)
-    elif isinstance(tree, EdgeTree):
-        current = tree.copy()
-    else:
-        current = _copy_labeled(tree)
+def check_sequence(tree: LabeledTree, sequence) -> LabeledTree:
+    """Apply an edit sequence of node operations, a tuple of EditOp, to a
+    LabeledTree; raises InapplicableOperationError with the offending step
+    index."""
+    current = tree
     for i, op in enumerate(sequence):
         try:
-            if op.kind.startswith("edge_"):
-                if not isinstance(current, EdgeTree):
-                    raise ValueError("edge op on a node-labeled tree")
-                _apply_edge_op(current, op)
-            else:
-                if not isinstance(current, LabeledTree):
-                    raise ValueError("node op on an edge tree")
-                current = _apply_node_op(current, op)
-        except InapplicableOperationError:
-            raise
+            current = _apply_node_op(current, op)
         except (KeyError, ValueError) as exc:
             raise InapplicableOperationError(i, str(exc)) from exc
     return current
-
-
-def _copy_labeled(lt: LabeledTree) -> LabeledTree:
-    return LabeledTree(
-        lt.scheme,
-        lt.root,
-        dict(lt.parent),
-        dict(lt.labels),
-        {v: tuple(c) for v, c in lt.children.items()},
-        None if lt.groups is None else {v: tuple(map(tuple, g)) for v, g in lt.groups.items()},
-    )
 
 
 def _apply_node_op(lt: LabeledTree, op: EditOp) -> LabeledTree:
@@ -725,74 +623,6 @@ def _apply_node_op(lt: LabeledTree, op: EditOp) -> LabeledTree:
     )
 
 
-def _apply_edge_op(et: EdgeTree, op: EditOp) -> None:
-    if op.kind == "edge_relabel":
-        if op.node not in et.length:
-            raise KeyError(f"no edge below {op.node!r}")
-        et.length[op.node] = float(op.label)
-    elif op.kind == "edge_delete":
-        v = op.node
-        if v not in et.length:
-            raise KeyError(f"no edge below {v!r}")
-        if abs(et.length[v] - op.cost) > TOLERANCE:
-            raise ValueError(
-                f"recorded cost {op.cost} does not match current length {et.length[v]}"
-            )
-        p = et.parent[v]
-        for c in list(et.children[v]):
-            et.parent[c] = p
-        del et.parent[v], et.length[v]
-        et._rebuild()
-        _prune_regular(et)
-    elif op.kind == "edge_insert":
-        v = op.node
-        if v in et.parent:
-            raise ValueError(f"node {v!r} already present")
-        attach = op.parent
-        if op.split is not None:
-            child_edge, inner, upper, lower = op.split
-            if child_edge not in et.length:
-                raise KeyError(f"no edge below {child_edge!r} to split")
-            if inner in et.parent:
-                raise ValueError(f"node {inner!r} already present")
-            if abs(et.length[child_edge] - (upper + lower)) > TOLERANCE:
-                raise ValueError("split lengths do not sum to the split edge")
-            pp = et.parent[child_edge]
-            et.parent[inner] = pp
-            et.length[inner] = float(lower)
-            et.parent[child_edge] = inner
-            et.length[child_edge] = float(upper)
-            attach = inner
-            et._rebuild()
-        if attach not in et.parent:
-            raise KeyError(f"no attach node {attach!r}")
-        for c in op.moved_children:
-            if et.parent.get(c) != attach:
-                raise ValueError(f"{c!r} is not a child of {attach!r}")
-        et.parent[v] = attach
-        et.length[v] = float(op.label)
-        for c in op.moved_children:
-            et.parent[c] = v
-        et._rebuild()
-    else:
-        raise ValueError(f"unknown edge op {op.kind!r}")
-
-
-def _prune_regular(et: EdgeTree) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for v in list(et.parent):
-            if et.parent[v] is None or len(et.children[v]) != 1:
-                continue
-            (c,) = et.children[v]
-            et.length[c] += et.length[v]
-            et.parent[c] = et.parent[v]
-            del et.parent[v], et.length[v]
-            et._rebuild()
-            changed = True
-
-
 # ---------------------------------------------------------------------------
 # Mapping -> normalized sequence
 # ---------------------------------------------------------------------------
@@ -801,13 +631,10 @@ def mapping_to_sequence(l1, l2, mapping) -> tuple:
     """Normalized delete -> relabel -> insert sequence realizing a mapping,
     a tuple of EditOp.
 
-    Accepts two LabeledTrees plus an EditMapping (classic node operations)
-    or two merge trees plus a DeformWitness (deformation edge operations).
-    The total cost equals the mapping cost; check_sequence reproduces l2 up
-    to isomorphism.
+    Takes two LabeledTrees and an EditMapping between them, and emits node
+    operations. The total cost equals the mapping cost; check_sequence
+    reproduces l2 up to isomorphism.
     """
-    if isinstance(mapping, DeformWitness):
-        return _deform_sequence(l1, l2, mapping)
     cost = cost_model_for(l1)
     mapped1 = {a: b for a, b in mapping.pairs}
     mapped2 = {b: a for a, b in mapping.pairs}
@@ -833,7 +660,7 @@ def mapping_to_sequence(l1, l2, mapping) -> tuple:
     # simulate the delete phase so insertions can re-parent the mapped nodes
     # hanging below them (they sit at their nearest mapped ancestor until the
     # intermediate chain is rebuilt)
-    sim = _copy_labeled(l1)
+    sim = l1
     for op in ops:
         sim = _apply_node_op(sim, op)
     anc2 = _ancestry(l2)
@@ -876,53 +703,3 @@ def _depths(lt) -> dict:
             depth[c] = depth[v] + 1
             stack.append(c)
     return depth
-
-
-def _deform_sequence(t1, t2, witness: DeformWitness) -> tuple:
-    """T1's delete phase, the relabels of the isomorphism, then T2's delete
-    phase run backwards, each step inverted into an insert or relabel."""
-    steps1, q1 = _delete_phase_ops(edge_tree_of(t1), witness.deleted1)
-    steps2, q2 = _delete_phase_ops(edge_tree_of(t2), witness.deleted2)
-    ops = [step[0] for step in steps1]
-    to_current = {b: a for a, b in witness.iso_pairs}
-    for a, b in sorted(witness.iso_pairs, key=lambda p: (_id_key(p[0]), _id_key(p[1]))):
-        if q1.parent[a] is None:
-            continue
-        if abs(q1.length[a] - q2.length[b]) > TOLERANCE:
-            ops.append(
-                EditOp(
-                    "edge_relabel",
-                    a,
-                    abs(q1.length[a] - q2.length[b]),
-                    label=q2.length[b],
-                )
-            )
-    existing = set(q1.parent)
-    fresh = {}
-
-    def name_of(w):
-        if w in to_current:
-            return to_current[w]
-        if w not in fresh:
-            cand = w
-            while cand in existing:
-                cand = f"+{cand}"
-            fresh[w] = cand
-            existing.add(cand)
-        return fresh[w]
-
-    for op, before, parent, children, split in reversed(steps2):
-        v = name_of(op.node)
-        if op.kind == "edge_relabel":
-            ops.append(EditOp("edge_relabel", v, op.cost, label=before))
-            continue
-        parent, children = name_of(parent), tuple(name_of(c) for c in children)
-        if split is not None:
-            split = (name_of(split[0]), name_of(split[1]), *split[2:])
-        ops.append(
-            EditOp(
-                "edge_insert", v, before, label=before,
-                parent=parent, moved_children=children, split=split,
-            )
-        )
-    return tuple(ops)

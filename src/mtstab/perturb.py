@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainMismatchError, NotMinimalError, UnknownVertexError
+from .errors import DomainMismatchError, NotMinimalError, UnknownVertexError, ValidationError
 from .field import ScalarField, apply_value_change, build_domain, validate_field
 from .mergetree import (
     bdt_included_up_to_iso,
@@ -111,7 +111,14 @@ def enumerate_minimal_perturbations(field: ScalarField, vertex: int) -> list[Min
     def add(new_value, partner, direction):
         f2 = apply_value_change(field, vertex, new_value)
         p = check_minimal(field, f2)
-        assert p.swap_partner == partner and p.direction == direction
+        if p.swap_partner != partner or p.direction != direction:
+            # the midpoint of two adjacent floats rounds back to the
+            # vertex's own value, so the move changes nothing
+            neighbor = succ if direction == "up" else pred
+            raise ValidationError(
+                f"vertex {vertex} cannot move {direction}: no float lies strictly "
+                f"between its value {val!r} and {neighbor!r}"
+            )
         candidates.append(p)
 
     add((val + succ) / 2 if succ is not None else val + 1.0, None, "up")

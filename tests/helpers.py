@@ -1,6 +1,8 @@
 """Shared test utilities: random generators, canonical tree comparison, a
 superlevel-set oracle and the two-pass augmented-tree builder for merge tree
-construction, an independent sequence-search oracle for the deformation
+construction, the deformation edit operations with the top-down deletion
+replay that is editcore.contract's oracle and the witness sequences built
+from it, an independent sequence-search oracle for the deformation
 distances, a backtracking oracle for subtree inclusion, the enumerative
 Selkow search and all-pairs oracles for the one-degree DPs, which solve
 their child blocks on the in-place assignment matrix, the constrained
@@ -13,6 +15,7 @@ import heapq
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -20,9 +23,9 @@ from scipy.optimize import linear_sum_assignment
 from mtstab.editcore import (
     _EPS,
     BRUTE_FORCE_NODE_LIMIT,
-    DeformWitness,
     EdgeTree,
     EditMapping,
+    EditOp,
     _ancestry,
     _better,
     _collapse_costs,
@@ -30,12 +33,11 @@ from mtstab.editcore import (
     _length_diff,
     _pairs_key,
     _qualifying_iso,
-    _quotient,
     contract,
     cost_model_for,
     edge_tree_of,
 )
-from mtstab.errors import SizeGuardError, ValidationError
+from mtstab.errors import InapplicableOperationError, SizeGuardError, ValidationError
 from mtstab.field import TOLERANCE, ScalarField, build_domain, build_grid_domain, validate_field
 from mtstab.mergetree import (
     BLANK,
@@ -254,19 +256,208 @@ def edge_canonical(et: EdgeTree):
 
 
 # ---------------------------------------------------------------------------
+# Deformation edit operations: the top-down deletion replay and witnesses
+# ---------------------------------------------------------------------------
+
+def apply_edge_op(et: EdgeTree, op: EditOp) -> EdgeTree:
+    """The edge tree that one deformation operation leaves, a new EdgeTree;
+    raises KeyError or ValueError when op does not apply. A delete moves the
+    edge's children to its parent and then prunes every node left regular,
+    merging its edge into its child's (lengths sum). An insert with a split
+    first cuts an existing edge in two at a new inner node."""
+    parent, length = dict(et.parent), dict(et.length)
+    if op.kind == "edge_relabel":
+        if op.node not in length:
+            raise KeyError(f"no edge below {op.node!r}")
+        length[op.node] = float(op.label)
+    elif op.kind == "edge_delete":
+        v = op.node
+        if v not in length:
+            raise KeyError(f"no edge below {v!r}")
+        if abs(length[v] - op.cost) > TOLERANCE:
+            raise ValueError(f"recorded cost {op.cost} does not match current length {length[v]}")
+        for c in et.children[v]:
+            parent[c] = parent[v]
+        del parent[v], length[v]
+        _prune_regular(parent, length)
+    elif op.kind == "edge_insert":
+        v = op.node
+        if v in parent:
+            raise ValueError(f"node {v!r} already present")
+        attach = op.parent
+        if op.split is not None:
+            child_edge, inner, upper, lower = op.split
+            if child_edge not in length:
+                raise KeyError(f"no edge below {child_edge!r} to split")
+            if inner in parent:
+                raise ValueError(f"node {inner!r} already present")
+            if abs(length[child_edge] - (upper + lower)) > TOLERANCE:
+                raise ValueError("split lengths do not sum to the split edge")
+            parent[inner], length[inner] = parent[child_edge], float(lower)
+            parent[child_edge], length[child_edge] = inner, float(upper)
+            attach = inner
+        if attach not in parent:
+            raise KeyError(f"no attach node {attach!r}")
+        for c in op.moved_children:
+            if parent.get(c) != attach:
+                raise ValueError(f"{c!r} is not a child of {attach!r}")
+        parent[v], length[v] = attach, float(op.label)
+        for c in op.moved_children:
+            parent[c] = v
+    else:
+        raise ValueError(f"unknown edge op {op.kind!r}")
+    return EdgeTree(parent, length, et.root)
+
+
+def _prune_regular(parent, length):
+    """Fold every non-root node with exactly one child into that child, in
+    the order of the parent map; the child keeps its id and its edge takes
+    both lengths. A fold changes no node's child count, so one pass finds
+    every regular node."""
+    kids = {}
+    for v, p in parent.items():
+        kids.setdefault(p, []).append(v)
+    only = {v: cs[0] for v, cs in kids.items() if len(cs) == 1}
+    for v in list(parent):
+        p = parent[v]
+        if p is None or v not in only:
+            continue
+        c = only[v]
+        length[c] += length[v]
+        parent[c] = p
+        del parent[v], length[v]
+        if p in only:
+            only[p] = c
+
+
+def check_edge_sequence(tree, sequence) -> EdgeTree:
+    """Apply a sequence of deformation operations, a tuple of EditOp, to a
+    merge tree (converted by edge_tree_of) or an edge tree; raises
+    InapplicableOperationError with the offending step index."""
+    current = edge_tree_of(tree) if isinstance(tree, AbstractMergeTree) else tree
+    for i, op in enumerate(sequence):
+        try:
+            current = apply_edge_op(current, op)
+        except (KeyError, ValueError) as exc:
+            raise InapplicableOperationError(i, str(exc)) from exc
+    return current
+
+
+def delete_phase_ops(et: EdgeTree, deleted):
+    """(steps, resulting tree) of the top-down deletion of `deleted`, the
+    operational replay of a delete phase. A step is (op, the edge's length
+    before op, parent, children, split). For an edge_delete, parent and
+    children are the edge's before op, and split is what inserting the edge
+    back needs when an automatic prune followed the delete, in
+    EditOp.split's layout: (the merged edge, the pruned parent, upper, lower
+    length). When a prune folded a still-pending edge into a survivor, the
+    pending deletion turns into an equal-cost relabel of the merged edge.
+    """
+    deleted = set(deleted)
+    if et.root in deleted:
+        raise ValidationError("the root has no parent edge to delete")
+    depth = {et.root: 0}
+    for v in et.order[1:]:
+        depth[v] = depth[et.parent[v]] + 1
+    sim = et
+    steps = []
+    for v in sorted(deleted, key=lambda u: (depth[u], _id_key(u))):
+        planned = et.length[v]
+        cur = sim.length[v]
+        if abs(cur - planned) > TOLERANCE:
+            # an automatic prune folded an ancestor edge into v; shaving off
+            # v's own length removes exactly the planned material
+            op = EditOp("edge_relabel", v, planned, label=cur - planned)
+            steps.append((op, cur, None, (), None))
+        else:
+            parent, children = sim.parent[v], tuple(sim.children[v])
+            split = None
+            if sim.parent[parent] is not None:
+                after = [c for c in sim.children[parent] if c != v] + list(children)
+                if len(after) == 1:
+                    (merged,) = after
+                    split = (merged, parent, sim.length[merged], sim.length[parent])
+            op = EditOp("edge_delete", v, cur)
+            steps.append((op, cur, parent, children, split))
+        sim = apply_edge_op(sim, op)
+    return steps, sim
+
+
+def replay_contract(et: EdgeTree, deleted) -> EdgeTree:
+    """Oracle of editcore.contract: the tree the top-down deletion replay
+    of `deleted` leaves, with the node ids an actual edit sequence gives.
+    Same shape and lengths as contract's, node ids may differ."""
+    return delete_phase_ops(et, deleted)[1]
+
+
+@dataclass(frozen=True)
+class DeformWitness:
+    """A deformation plan: the two delete sets and the isomorphism of their
+    quotients. iso_pairs name the nodes of replay_contract(et1, deleted1)
+    and replay_contract(et2, deleted2), so deform_sequence rebuilds both
+    quotients from the delete sets."""
+
+    deleted1: frozenset
+    deleted2: frozenset
+    iso_pairs: tuple
+
+
+def deform_sequence(t1, t2, witness: DeformWitness) -> tuple:
+    """The normalized sequence of a deformation witness, a tuple of EditOp:
+    T1's delete phase, the relabels of the isomorphism, then T2's delete
+    phase run backwards, each step inverted into an insert or relabel."""
+    steps1, q1 = delete_phase_ops(edge_tree_of(t1), witness.deleted1)
+    steps2, q2 = delete_phase_ops(edge_tree_of(t2), witness.deleted2)
+    ops = [step[0] for step in steps1]
+    to_current = {b: a for a, b in witness.iso_pairs}
+    for a, b in sorted(witness.iso_pairs, key=lambda p: (_id_key(p[0]), _id_key(p[1]))):
+        if q1.parent[a] is None:
+            continue
+        if abs(q1.length[a] - q2.length[b]) > TOLERANCE:
+            ops.append(
+                EditOp("edge_relabel", a, abs(q1.length[a] - q2.length[b]), label=q2.length[b])
+            )
+    existing = set(q1.parent)
+    fresh = {}
+
+    def name_of(w):
+        if w in to_current:
+            return to_current[w]
+        if w not in fresh:
+            cand = w
+            while cand in existing:
+                cand = f"+{cand}"
+            fresh[w] = cand
+            existing.add(cand)
+        return fresh[w]
+
+    for op, before, parent, children, split in reversed(steps2):
+        v = name_of(op.node)
+        if op.kind == "edge_relabel":
+            ops.append(EditOp("edge_relabel", v, op.cost, label=before))
+            continue
+        parent, children = name_of(parent), tuple(name_of(c) for c in children)
+        if split is not None:
+            split = (name_of(split[0]), name_of(split[1]), *split[2:])
+        ops.append(
+            EditOp(
+                "edge_insert", v, before, label=before,
+                parent=parent, moved_children=children, split=split,
+            )
+        )
+    return tuple(ops)
+
+
+# ---------------------------------------------------------------------------
 # Independent oracle: Dijkstra over canonicalized edge trees
 # ---------------------------------------------------------------------------
 
 def _frontier_moves(et: EdgeTree, labels, one_degree, counter):
     """All applicable single operations with their costs and results."""
-    from mtstab.editcore import EditOp, _apply_edge_op
-
     moves = []
 
     def emit(op, cost):
-        nxt = et.copy()
-        _apply_edge_op(nxt, op)
-        moves.append((cost, nxt))
+        moves.append((cost, apply_edge_op(et, op)))
     for v in list(et.length):
         if one_degree and et.children[v]:
             continue
@@ -338,9 +529,8 @@ def deform_sequence_search(t1, t2, one_degree=False, *, cost_cap, max_extra_node
     labels = _candidate_labels(et1, et2)
     goal = edge_canonical(et2)
     max_nodes = max(len(et1.parent), len(et2.parent)) + max_extra_nodes
-    start = et1.copy()
-    dist = {edge_canonical(start): 0.0}
-    heap = [(0.0, 0, start)]
+    dist = {edge_canonical(et1): 0.0}
+    heap = [(0.0, 0, et1)]
     counter = itertools.count(1)
     names = itertools.count()
     while heap:
@@ -704,15 +894,12 @@ def eager_subset_variants(et: EdgeTree):
     set, sorted by cost, then by the sorted ids of the set; each cost summed
     in id order and each quotient built before any search starts."""
     edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
-    order = [et.root]
-    for v in order:
-        order.extend(et.children[v])
     out = []
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(edges, r):
             subset = frozenset(combo)
             cost = sum(et.length[v] for v in combo)
-            q = _quotient(et, subset, order)
+            q = contract(et, subset)
             out.append((cost, subset, q, q.shapes()))
     out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))
     return out
@@ -730,18 +917,15 @@ def path_variants(et: EdgeTree):
     under descendants (iterated leaf-edge deletions), delta_P's delete
     sets, in the same order. Built from the unions of whole subtrees, so a
     16-edge tree does not build 2^16 quotients."""
-    order = [et.root]
-    for v in order:
-        order.extend(et.children[v])
     below, closed = {}, {}  # edges under v; descendant-closed sets of them
-    for v in reversed(order):
+    for v in reversed(et.order):
         below[v] = frozenset().union(*({c} | below[c] for c in et.children[v]))
         options = [closed[c] + [below[c] | {c}] for c in et.children[v]]
         closed[v] = [frozenset().union(*combo) for combo in itertools.product(*options)]
     out = []
     for subset in closed[et.root]:
         ids = sorted(subset, key=_id_key)
-        q = _quotient(et, subset, order)
+        q = contract(et, subset)
         out.append((sum(et.length[v] for v in ids), subset, q, q.shapes()))
     out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))
     return out
@@ -758,8 +942,8 @@ def eager_deform_brute_force(et1, variants1, et2, variants2, want_witness=False)
     """Oracle of editcore.deform_brute_force on two edge trees and their
     eager_subset_variants: the second tree's variants bucketed by root
     shape, each bucket walked in cost order. With want_witness, also the
-    DeformWitness of the least cost, named on the operational quotients
-    that mapping_to_sequence rebuilds."""
+    DeformWitness of the least cost, named on the replay quotients that
+    deform_sequence rebuilds."""
     buckets2 = _by_root_shape(variants2)
     best = math.inf
     win = None
@@ -776,32 +960,36 @@ def eager_deform_brute_force(et1, variants1, et2, variants2, want_witness=False)
     if not want_witness:
         return best
     d1, d2 = win
-    q1, q2 = contract(et1, d1), contract(et2, d2)
+    q1, q2 = replay_contract(et1, d1), replay_contract(et2, d2)
     pairs = _iso(q1, q1.shapes(), q2, q2.shapes(), _length_diff)[1]
     return best, DeformWitness(d1, d2, tuple(pairs))
 
 
 def eager_deform_witness_search(et1, variants1, et2, variants2, max_ops, max_op_cost):
-    """Oracle of editcore.deform_witness_search on two edge trees and their
-    eager_subset_variants."""
+    """Oracle of editcore.deform_witness_search on two edge trees: the first
+    qualifying plan as a DeformWitness, or None. The variants are lists in
+    cost order whose entries hold a delete set second, those of
+    eager_subset_variants or of editcore._variants_of. Each usable delete set
+    gets its replay quotient, and the second tree's are bucketed by root
+    shape, so the witness names the nodes deform_sequence rebuilds."""
     cap = max_op_cost + TOLERANCE
 
     def usable(et, variants):
-        return [
-            item
-            for item in variants
-            if len(item[1]) <= max_ops
-            and all(et.length[v] <= cap for v in item[1])
-        ]
+        out = []
+        for item in variants:
+            d = item[1]
+            if len(d) <= max_ops and all(et.length[v] <= cap for v in d):
+                q = replay_contract(et, d)
+                out.append((d, q, q.shapes()))
+        return out
 
-    buckets2 = _by_root_shape(usable(et2, variants2))
-    for _, d1, q1, s1 in usable(et1, variants1):
-        for _, d2, q2, s2 in buckets2.get(s1[q1.root], ()):
+    buckets2 = {}
+    for d2, q2, s2 in usable(et2, variants2):
+        buckets2.setdefault(s2[q2.root], []).append((d2, q2, s2))
+    for d1, q1, s1 in usable(et1, variants1):
+        for d2, q2, s2 in buckets2.get(s1[q1.root], ()):
             budget = max_ops - len(d1) - len(d2)
-            if budget < 0 or _qualifying_iso(q1, s1, q2, s2, budget, cap) is None:
-                continue
-            w1, w2 = contract(et1, d1), contract(et2, d2)
-            iso = _qualifying_iso(w1, w1.shapes(), w2, w2.shapes(), budget, cap)
+            iso = None if budget < 0 else _qualifying_iso(q1, s1, q2, s2, budget, cap)
             if iso is not None:
                 return DeformWitness(d1, d2, tuple(iso))
     return None

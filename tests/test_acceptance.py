@@ -24,11 +24,15 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    check_edge_sequence,
+    deform_sequence,
     deform_sequence_search,
+    eager_deform_witness_search,
     edge_canonical,
     random_abstract_tree,
     selkow_brute_force,
 )
+from mtstab import editcore
 from mtstab import mergetree as mt
 from mtstab.distances import (
     MetricId,
@@ -42,12 +46,7 @@ from mtstab.distances import (
     delta_x,
     tree_distance,
 )
-from mtstab.editcore import (
-    check_sequence,
-    deform_witness_search,
-    edge_tree_of,
-    mapping_to_sequence,
-)
+from mtstab.editcore import deform_witness_search, edge_tree_of
 from mtstab.field import field_from_dict, validate_field
 from mtstab.mergetree import (
     build_bdt,
@@ -228,14 +227,18 @@ def _swap_witness_ok(failure) -> bool:
     extent = classify_change_detailed(f, f2).perturbation.extent
     if deg != failure["degree"] or abs(extent - failure["extent"]) > TOL:
         return False
-    witness = deform_witness_search(t1, t2, max_ops=deg + 2, max_op_cost=extent)
+    if not deform_witness_search(t1, t2, max_ops=deg + 2, max_op_cost=extent):
+        return False
+    witness = eager_deform_witness_search(
+        *editcore._variants_of(t1), *editcore._variants_of(t2), deg + 2, extent
+    )
     if witness is None:
         return False
-    seq = mapping_to_sequence(t1, t2, witness)
+    seq = deform_sequence(t1, t2, witness)
     return (
         len(seq) <= deg + 2
         and all(op.cost <= extent + TOL for op in seq)
-        and edge_canonical(check_sequence(t1, seq)) == edge_canonical(edge_tree_of(t2))
+        and edge_canonical(check_edge_sequence(t1, seq)) == edge_canonical(edge_tree_of(t2))
     )
 
 

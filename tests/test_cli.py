@@ -329,6 +329,22 @@ def test_perturb_command(grid_file, capsys):
     assert all(entry["vertex"] == 1 for entry in out)
 
 
+def test_perturb_between_adjacent_floats_exits_2(tmp_path, capsys):
+    """A vertex whose rank neighbor holds the adjacent float has no minimal
+    move: exit 2 with an error line naming the vertex, not a traceback."""
+    path = tmp_path / "adjacent.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": 0, "value": 1.0}, {"id": 1, "value": math.nextafter(1.0, 2.0)},
+                     {"id": 2, "value": 2.0}],
+        "edges": [[0, 1], [1, 2]],
+    }))
+    for vertex, named in (("0", "vertex 0 cannot move up"), ("1", "vertices 1 and 0")):
+        assert main(["perturb", "--field", str(path), "--vertex", vertex]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+        assert named in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["matrix", "{dir}", "--metric", "z"],
     ["stability-run", "--metrics", "e,z"],

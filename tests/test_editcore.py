@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import (
+    check_edge_sequence,
+    deform_sequence,
     deform_sequence_search,
     eager_deform_brute_force,
     eager_deform_witness_search,
@@ -22,6 +24,7 @@ from helpers import (
     random_abstract_tree,
     random_field,
     random_tiny_tree,
+    replay_contract,
     selkow_brute_force,
     zhang_brute_force,
 )
@@ -41,12 +44,11 @@ from mtstab.editcore import (
     deform_brute_force,
     deform_witness_search,
     _qualifying_iso,
-    _quotient,
     _subset_variants,
     edge_tree_of,
     mapping_to_sequence,
 )
-from mtstab.errors import InapplicableOperationError, SizeGuardError
+from mtstab.errors import InapplicableOperationError, SizeGuardError, ValidationError
 from mtstab.field import ScalarField
 from mtstab.mergetree import _id_key, abstract_merge_tree, label_for_scheme, merge_tree_of
 from mtstab.perturb import apply_perturbation
@@ -210,26 +212,26 @@ def test_deformation_three_step_sequence():
         ),
     )
     assert sum(op.cost for op in seq) == pytest.approx(4.5)  # 2 + 1 + 1.5
-    result = check_sequence(fig3_left(), seq)
+    result = check_edge_sequence(fig3_left(), seq)
     assert edge_canonical(result) == edge_canonical(fig3_right())
 
 
 def test_delete_with_prune_merges_labels():
     et = fig3_left()
-    out = check_sequence(et, (EditOp("edge_delete", "E", 2.0),))
+    out = check_edge_sequence(et, (EditOp("edge_delete", "E", 2.0),))
     # C became regular: (D,C)+(C,B) merged into a length-6 edge
     assert sorted(round(v, 6) for v in out.length.values()) == [3.0, 5.0, 6.0]
 
 
 def test_empty_sequence_identity():
     et = fig3_left()
-    out = check_sequence(et, ())
+    out = check_edge_sequence(et, ())
     assert edge_canonical(out) == edge_canonical(et)
 
 
 def test_inapplicable_operation_reports_step():
     with pytest.raises(InapplicableOperationError) as err:
-        check_sequence(fig3_left(), (EditOp("edge_delete", "Z", 1.0),))
+        check_edge_sequence(fig3_left(), (EditOp("edge_delete", "Z", 1.0),))
     assert err.value.step_index == 0
 
 
@@ -269,15 +271,18 @@ def test_deform_size_guard():
 
 
 def test_contract_operational_semantics():
-    # deleting both leaves of a cherry keeps their parent as a leaf edge
+    # deleting both leaves of a cherry keeps their parent as a leaf edge,
+    # in the direct quotient and in the deletion replay
     et = EdgeTree(
         {"r": None, "p": "r", "c": "p", "d": "p"},
         {"p": 1.0, "c": 2.0, "d": 3.0},
         "r",
     )
-    q = contract(et, {"c", "d"})
-    assert q.edge_count() == 1
-    assert list(q.length.values()) == [pytest.approx(1.0)]
+    for q in (contract(et, {"c", "d"}), replay_contract(et, {"c", "d"})):
+        assert q.edge_count() == 1
+        assert list(q.length.values()) == [pytest.approx(1.0)]
+    with pytest.raises(ValidationError):
+        contract(et, {"r"})
 
 
 def test_deform_matches_sequence_search_free_and_one_degree():
@@ -334,16 +339,15 @@ def grid_trees(seed, count, max_edges=8):
 
 
 def test_direct_quotient_matches_contract_on_every_delete_set():
+    """contract, the direct quotient, has the shape and lengths of the
+    top-down deletion replay on every delete set."""
     for t in grid_trees(12, 30):
         et = edge_tree_of(t)
-        order = [et.root]
-        for v in order:
-            order.extend(et.children[v])
         edges = [v for v in et.nodes() if et.parent[v] is not None]
         for r in range(len(edges) + 1):
             for combo in itertools.combinations(edges, r):
-                q = _quotient(et, frozenset(combo), order)
-                assert edge_canonical(q) == edge_canonical(contract(et, combo)), combo
+                q = contract(et, frozenset(combo))
+                assert edge_canonical(q) == edge_canonical(replay_contract(et, combo)), combo
 
 
 def test_path_variants_are_the_leaf_deletion_sets_in_order():
@@ -474,11 +478,10 @@ def test_memoized_variants_give_the_fresh_results():
         deg = stability_degree(t1)
 
         def results(pair):
-            w = deform_witness_search(*pair(), max_ops=deg, max_op_cost=pert.extent)
             return (
                 deform_brute_force(*pair()),
                 delta_p(*pair()),
-                None if w is None else (w.deleted1, w.deleted2, w.iso_pairs),
+                deform_witness_search(*pair(), max_ops=deg, max_op_cost=pert.extent),
             )
 
         def new_trees():
@@ -500,14 +503,14 @@ def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
     of either tree, over delta_E and the witness search together,
     and never inside _iso. delta_E stops before it reaches every set, so it
     calls shapes() fewer times than there are delete sets."""
-    quotient, shapes, iso = editcore._quotient, EdgeTree.shapes, editcore._iso
+    quotient, shapes, iso = editcore.contract, EdgeTree.shapes, editcore._iso
     made = {}  # id of a quotient -> (the quotient, id of its edge tree, delete set)
     per_set = {}
     calls = {"other": 0, "in_iso": 0}
     inside = [False]
 
-    def tagged_quotient(et, deleted, order):
-        q = quotient(et, deleted, order)
+    def tagged_quotient(et, deleted):
+        q = quotient(et, deleted)
         made[id(q)] = (q, id(et), deleted)
         return q
 
@@ -527,7 +530,7 @@ def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(editcore, "_quotient", tagged_quotient)
+    monkeypatch.setattr(editcore, "contract", tagged_quotient)
     monkeypatch.setattr(EdgeTree, "shapes", counted_shapes)
     monkeypatch.setattr(editcore, "_iso", flagged_iso)
     t1, t2 = grid_trees(15, 2)
@@ -569,14 +572,10 @@ def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled):
     oracle_args = (*eager[0], *eager[1])
     assert deform_brute_force(t1, t2).hex() == eager_deform_brute_force(*oracle_args).hex()
     got_w = deform_witness_search(t1, t2, max_ops, max_op_cost)
-    want_w = eager_deform_witness_search(*oracle_args, max_ops, max_op_cost)
-    assert (got_w is None) == (want_w is None)
-    if got_w is not None:
-        assert (got_w.deleted1, got_w.deleted2, got_w.iso_pairs) == (
-            want_w.deleted1, want_w.deleted2, want_w.iso_pairs,
-        )
+    assert type(got_w) is bool
+    assert got_w == (eager_deform_witness_search(*oracle_args, max_ops, max_op_cost) is not None)
     for t, (_, want_variants) in zip((t1, t2), eager):
-        _, _, variants = editcore._variants_of(t)
+        _, variants = editcore._variants_of(t)
         # the empty set costs the int 0, as sum() returns it
         assert [(type(c), float(c).hex(), d) for c, d, _ in variants] == [
             (type(c), float(c).hex(), d) for c, d, _, _ in want_variants
@@ -731,16 +730,16 @@ def test_deform_witness_sequence_round_trip():
         t1 = random_abstract_tree(rng, max_edges=5)
         t2 = random_abstract_tree(rng, max_edges=5)
         cost, witness = eager_witness(t1, t2)
-        seq = mapping_to_sequence(t1, t2, witness)
+        seq = deform_sequence(t1, t2, witness)
         assert sum(op.cost for op in seq) == pytest.approx(cost, abs=1e-9)
-        out = check_sequence(t1, seq)
+        out = check_edge_sequence(t1, seq)
         assert edge_canonical(out) == edge_canonical(edge_tree_of(t2))
 
 
 def test_deform_fig7_witness_single_insert():
     t1, t2 = counterexample(CounterexampleFamily.EDGE_SPLIT_FIG7, 10.0, 0.1)
     cost, witness = eager_witness(t2, t1)
-    seq = mapping_to_sequence(t2, t1, witness)
+    seq = deform_sequence(t2, t1, witness)
     assert len(seq) == 1 and seq[0].kind == "edge_insert"
     assert seq[0].cost == pytest.approx(0.1)
 
@@ -755,9 +754,12 @@ def test_witness_search_finds_bounded_witness():
         {"r": None, "s": "r", "m": "s", "n": "s"},
         {"r": 0.0, "s": 1.2, "m": 3.0, "n": 2.0},
     )
-    w = deform_witness_search(t1, t2, max_ops=3, max_op_cost=0.2)
-    assert w is not None
-    seq = mapping_to_sequence(t1, t2, w)
+    assert deform_witness_search(t1, t2, max_ops=3, max_op_cost=0.2) is True
+    et1, et2 = edge_tree_of(t1), edge_tree_of(t2)
+    w = eager_deform_witness_search(
+        et1, eager_subset_variants(et1), et2, eager_subset_variants(et2), 3, 0.2
+    )
+    seq = deform_sequence(t1, t2, w)
     assert len(seq) <= 3 and max(op.cost for op in seq) <= 0.2 + 1e-9
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from helpers import build_augmented, embed_backtracking, random_field, staircase_field
 from mtstab import mergetree
 from mtstab.distances import MetricId, tree_distance
-from mtstab.errors import DomainMismatchError, NotMinimalError
+from mtstab.errors import DomainMismatchError, DuplicateValueError, NotMinimalError, ValidationError
 from mtstab.field import apply_value_change, build_domain, build_grid_domain, validate_field
 from mtstab.mergetree import build_bdt, merge_tree_of, persistence_branch_decomposition
 from mtstab.perturb import (
@@ -43,6 +44,22 @@ def test_enumerate_middle_vertex():
     assert swaps["up"].swap_partner == 1  # passes the value-2 vertex
     assert swaps["down"].swap_partner == 0  # allowed: lands below the minimum
     assert swaps["down"].new_value < 0
+
+
+def test_enumerate_between_adjacent_floats_raises_a_validation_error():
+    """Vertex 0 and vertex 1 hold adjacent floats, so no value lies between
+    them. Vertex 0's up move, their midpoint, rounds back to its own value
+    and raises ValidationError naming the vertex and both values; vertex
+    1's down move rounds onto vertex 0's value, a duplicate."""
+    f = path_field([1.0, math.nextafter(1.0, 2.0), 2.0])
+    with pytest.raises(ValidationError) as err:
+        enumerate_minimal_perturbations(f, 0)
+    assert str(err.value) == (
+        "vertex 0 cannot move up: no float lies strictly between its value "
+        "1.0 and 1.0000000000000002"
+    )
+    with pytest.raises(DuplicateValueError):
+        enumerate_minimal_perturbations(f, 1)
 
 
 def test_enumerate_candidates_all_validate():

@@ -6,16 +6,16 @@ import weakref
 
 import pytest
 
-from helpers import edge_canonical
-from mtstab import mergetree as mt
-from mtstab import pool, stability
-from mtstab.distances import DEFAULT_GUARDS, Guards, MetricId, tree_distance
-from mtstab.editcore import (
-    check_sequence,
-    deform_witness_search,
-    edge_tree_of,
-    mapping_to_sequence,
+from helpers import (
+    check_edge_sequence,
+    deform_sequence,
+    eager_deform_witness_search,
+    edge_canonical,
 )
+from mtstab import editcore, pool, stability
+from mtstab import mergetree as mt
+from mtstab.distances import DEFAULT_GUARDS, Guards, MetricId, tree_distance
+from mtstab.editcore import deform_witness_search, edge_tree_of
 from mtstab.errors import DuplicateValueError, ValidationError
 from mtstab.field import TOLERANCE, apply_value_change, build_domain, validate_field
 from mtstab.mergetree import label_for_scheme, merge_tree_of
@@ -245,12 +245,14 @@ def test_delta_e_and_g_exceed_deg_f_times_extent_on_a_scaled_saddle_swap(x):
 
 @pytest.mark.parametrize("seed", [42, 0, 1, 2, 3])
 def test_every_witness_the_search_finds_replays_within_its_limits(seed):
-    """The suite's witness check is deform_witness_search's answer
-    (docs/decisions.md section 2). Every witness it finds on a suite trial
-    (200 trials, 4x4 grid) becomes a sequence of at most deg(T_f)
-    operations, each costing at most the extent, that check_sequence
-    replays onto T2. Some of them delete edges, so inserts are replayed
-    too, not only relabels."""
+    """The suite's witness check is deform_witness_search's verdict
+    (docs/decisions.md section 2). For every True verdict on a suite trial
+    (200 trials, 4x4 grid), the replay oracle finds a witness on the same
+    delete-set lists, and it becomes a sequence of at most deg(T_f)
+    operations, each costing at most the extent, that check_edge_sequence
+    replays onto T2; for every False verdict the oracle finds none. Some
+    witnesses delete edges, so inserts are replayed too, not only
+    relabels."""
     found = with_deletions = 0
     for i in range(200):
         rng = random.Random(seed * 1_000_003 + i)
@@ -258,15 +260,19 @@ def test_every_witness_the_search_finds_replays_within_its_limits(seed):
         p = random_minimal_perturbation(rng, f)
         t1, t2 = merge_tree_of(f), merge_tree_of(apply_perturbation(f, p))
         deg = stability_degree(t1)
-        witness = deform_witness_search(t1, t2, max_ops=deg, max_op_cost=p.extent)
-        if witness is None:
+        verdict = deform_witness_search(t1, t2, max_ops=deg, max_op_cost=p.extent)
+        witness = eager_deform_witness_search(
+            *editcore._variants_of(t1), *editcore._variants_of(t2), deg, p.extent
+        )
+        assert verdict is (witness is not None), i
+        if not verdict:
             continue
         found += 1
         with_deletions += bool(witness.deleted1 or witness.deleted2)
-        seq = mapping_to_sequence(t1, t2, witness)
+        seq = deform_sequence(t1, t2, witness)
         assert len(seq) <= deg, i
         assert all(op.cost <= p.extent + TOLERANCE for op in seq), i
-        out = check_sequence(t1, seq)
+        out = check_edge_sequence(t1, seq)
         assert edge_canonical(out) == edge_canonical(edge_tree_of(t2)), i
     assert found >= 190 and with_deletions > 0
 
