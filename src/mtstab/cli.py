@@ -76,6 +76,16 @@ def matrix_from_csv(text: str):
     return names, values
 
 
+def _load_member(path):
+    """The merge tree of one `matrix` member, or the error line of a file
+    that is no valid field or gives no valid tree. Only the tree leaves the
+    process: it carries no memo, whose keys are the builder functions."""
+    try:
+        return merge_tree_of(load_field(path))
+    except ValidationError as exc:
+        return f"{path}: {exc}"
+
+
 def cmd_matrix(args) -> int:
     metric = metric_from_string(args.metric)
     guards = _guards(args)
@@ -87,19 +97,13 @@ def cmd_matrix(args) -> int:
     if len(files) < 2:
         print(f"error: need at least 2 field files in {args.dir}", file=sys.stderr)
         return 1
-    fields = []
-    errors = []
-    for path in files:
-        try:
-            fields.append((os.path.basename(path), load_field(path)))
-        except ValidationError as exc:
-            errors.append(f"{path}: {exc}")
+    trees = map_in_order(_load_member, files)
+    errors = [t for t in trees if isinstance(t, str)]
     if errors:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         return 2
-    names = [n for n, _ in fields]
-    trees = [merge_tree_of(f) for _, f in fields]
+    names = [os.path.basename(path) for path in files]
     n = len(trees)
     values = [[0.0 if i == j else None for j in range(n)] for i in range(n)]
     status = [["ok" if i == j else "pending" for j in range(n)] for i in range(n)]

@@ -9,6 +9,7 @@ the merge trees and their (ordered) branch decomposition trees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -102,33 +103,34 @@ def enumerate_minimal_perturbations(field: ScalarField, vertex: int) -> list[Min
     order = sorted(range(field.vertex_count), key=field.values.__getitem__)
     pos = order.index(vertex)
     val = field.values[vertex]
-    succ = field.values[order[pos + 1]] if pos + 1 < len(order) else None
-    succ2 = field.values[order[pos + 2]] if pos + 2 < len(order) else None
-    pred = field.values[order[pos - 1]] if pos - 1 >= 0 else None
-    pred2 = field.values[order[pos - 2]] if pos - 2 >= 0 else None
+    succ = field.values[order[pos + 1]] if pos + 1 < len(order) else math.inf
+    succ2 = field.values[order[pos + 2]] if pos + 2 < len(order) else math.inf
+    pred = field.values[order[pos - 1]] if pos - 1 >= 0 else -math.inf
+    pred2 = field.values[order[pos - 2]] if pos - 2 >= 0 else -math.inf
     candidates = []
 
-    def add(new_value, partner, direction):
-        f2 = apply_value_change(field, vertex, new_value)
-        p = check_minimal(field, f2)
-        if p.swap_partner != partner or p.direction != direction:
-            # the midpoint of two adjacent floats rounds back to the
-            # vertex's own value, so the move changes nothing
-            neighbor = succ if direction == "up" else pred
-            raise ValidationError(
-                f"vertex {vertex} cannot move {direction}: no float lies strictly "
-                f"between its value {val!r} and {neighbor!r}"
-            )
-        candidates.append(p)
+    def add(lo, hi, partner, direction):
+        """The move to the midpoint of lo and hi, the values it must land
+        strictly between, or 1.0 past the finite one when the other is
+        infinite."""
+        new_value = hi - 1.0 if lo == -math.inf else lo + 1.0 if hi == math.inf else (lo + hi) / 2
+        if not lo < new_value < hi:
+            # rounding: the midpoint of two adjacent floats lands on one of
+            # them, a step of 1.0 can vanish from 2**53 up, and a midpoint
+            # near the largest float can overflow
+            past = "" if partner is None else f" past vertex {partner}"
+            why = (f"no float lies strictly between {lo!r} and {hi!r}"
+                   if math.nextafter(lo, hi) == hi
+                   else f"{new_value!r} does not lie strictly between {lo!r} and {hi!r}")
+            raise ValidationError(f"vertex {vertex} cannot move {direction}{past}: {why}")
+        candidates.append(check_minimal(field, apply_value_change(field, vertex, new_value)))
 
-    add((val + succ) / 2 if succ is not None else val + 1.0, None, "up")
-    add((val + pred) / 2 if pred is not None else val - 1.0, None, "down")
-    if succ is not None:
-        target = (succ + succ2) / 2 if succ2 is not None else succ + 1.0
-        add(target, order[pos + 1], "up")
-    if pred is not None:
-        target = (pred + pred2) / 2 if pred2 is not None else pred - 1.0
-        add(target, order[pos - 1], "down")
+    add(val, succ, None, "up")
+    add(pred, val, None, "down")
+    if succ < math.inf:
+        add(succ, succ2, order[pos + 1], "up")
+    if pred > -math.inf:
+        add(pred2, pred, order[pos - 1], "down")
     return candidates
 
 

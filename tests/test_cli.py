@@ -265,6 +265,55 @@ def test_matrix_worker_errors_reach_the_caller_with_their_type(
     assert "duplicate scalar value 0.5" in capsys.readouterr().err
 
 
+def test_matrix_member_errors_reach_the_caller_with_their_type(
+    ensemble, in_child, monkeypatch, capsys
+):
+    """The members load on the pool too: a load that fails in the child
+    with an OSError raises it in the caller, and main exits 1."""
+    real_load_field = cli.load_field
+
+    def failing(path):
+        if in_child():
+            raise OSError(f"cannot read {path} in {os.getpid()}")
+        return real_load_field(path)
+
+    monkeypatch.setattr(cli, "load_field", failing)
+    args = cli.build_parser().parse_args(["matrix", str(ensemble), "--metric", "w"])
+    with pytest.raises(OSError) as caught:
+        cli.cmd_matrix(args)
+    assert type(caught.value) is OSError
+    assert f"in {os.getpid()}" not in str(caught.value)
+    assert pool._job is None
+    in_child.started.clear()
+    assert main(["matrix", str(ensemble), "--metric", "w"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read ") and not captured.out
+    assert pool._job is None
+
+
+@pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])
+def test_matrix_lists_every_bad_member_with_its_path(cpus, request, tmp_path, capsys):
+    """A file that is no field and a field whose tree breaks the abstract
+    invariants (a path whose minimum lies inside, so the root has two
+    children) each give one error line with the path, in file order."""
+    request.getfixturevalue(cpus)
+    good = validate_field(build_grid_domain(2, 2), [0, 3, 1, 2])
+    dump_field(good, str(tmp_path / "a_good.json"))
+    (tmp_path / "b_malformed.json").write_text(json.dumps({"grid": {"rows": 2}}))
+    path_field = validate_field(build_domain(3, [(0, 1), (1, 2)]), [1.0, 0.0, 2.0])
+    dump_field(path_field, str(tmp_path / "c_path.json"))
+    dump_field(good, str(tmp_path / "d_good.json"))
+    assert main(["matrix", str(tmp_path), "--metric", "w"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [line.split(": ")[1] for line in lines] == [
+        str(tmp_path / "b_malformed.json"), str(tmp_path / "c_path.json")
+    ]
+    assert all(line.startswith("error: ") for line in lines)
+    assert "root has 2 children" in lines[1]
+    assert not captured.out
+
+
 #: `mtstab matrix --out-json` for w, x and l on golden_ensemble, recorded
 #: before _assignment_min built its small blocks from lists.
 MATRIX_GOLDEN = Path(__file__).parent / "data" / "matrix_golden.json"
@@ -338,7 +387,7 @@ def test_perturb_between_adjacent_floats_exits_2(tmp_path, capsys):
                      {"id": 2, "value": 2.0}],
         "edges": [[0, 1], [1, 2]],
     }))
-    for vertex, named in (("0", "vertex 0 cannot move up"), ("1", "vertices 1 and 0")):
+    for vertex, named in (("0", "vertex 0 cannot move up"), ("1", "vertex 1 cannot move down")):
         assert main(["perturb", "--field", str(path), "--vertex", vertex]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out

@@ -6,7 +6,7 @@ import pytest
 from helpers import build_augmented, embed_backtracking, random_field, staircase_field
 from mtstab import mergetree
 from mtstab.distances import MetricId, tree_distance
-from mtstab.errors import DomainMismatchError, DuplicateValueError, NotMinimalError, ValidationError
+from mtstab.errors import DomainMismatchError, NotMinimalError, ValidationError
 from mtstab.field import apply_value_change, build_domain, build_grid_domain, validate_field
 from mtstab.mergetree import build_bdt, merge_tree_of, persistence_branch_decomposition
 from mtstab.perturb import (
@@ -46,20 +46,39 @@ def test_enumerate_middle_vertex():
     assert swaps["down"].new_value < 0
 
 
-def test_enumerate_between_adjacent_floats_raises_a_validation_error():
+@pytest.mark.parametrize("vertex, move", [
+    (0, "up"),  # the up move lands on its own value
+    (1, "down"),  # the down move lands on vertex 0's value
+    (2, "down past vertex 1"),  # the down swap lands on vertex 0's value
+], ids=["up", "down", "down-swap"])
+def test_enumerate_between_adjacent_floats_raises_a_validation_error(vertex, move):
     """Vertex 0 and vertex 1 hold adjacent floats, so no value lies between
-    them. Vertex 0's up move, their midpoint, rounds back to its own value
-    and raises ValidationError naming the vertex and both values; vertex
-    1's down move rounds onto vertex 0's value, a duplicate."""
+    them. Each move that must land between them raises ValidationError
+    naming the vertex and both values, not a duplicate of a value the
+    field never held twice."""
     f = path_field([1.0, math.nextafter(1.0, 2.0), 2.0])
     with pytest.raises(ValidationError) as err:
-        enumerate_minimal_perturbations(f, 0)
+        enumerate_minimal_perturbations(f, vertex)
+    assert type(err.value) is ValidationError
     assert str(err.value) == (
-        "vertex 0 cannot move up: no float lies strictly between its value "
+        f"vertex {vertex} cannot move {move}: no float lies strictly between "
         "1.0 and 1.0000000000000002"
     )
-    with pytest.raises(DuplicateValueError):
-        enumerate_minimal_perturbations(f, 1)
+
+
+@pytest.mark.parametrize("values, vertex, move, why", [
+    ([1e17, 0.0, 2e17], 2, "up", "2e+17 does not lie strictly between 2e+17 and inf"),
+    ([1e17, 0.0, 2e17], 0, "up past vertex 2", "2e+17 does not lie strictly between 2e+17 and inf"),
+    ([1e308, 0.0, 1.7e308], 0, "up", "inf does not lie strictly between 1e+308 and 1.7e+308"),
+], ids=["step-vanishes", "swap-step-vanishes", "midpoint-overflows"])
+def test_enumerate_a_move_that_rounds_outside_its_bounds_raises(values, vertex, move, why):
+    """A step of 1.0 past the largest value rounds back to it at 2e17, and
+    the midpoint of two values near the largest float overflows: each is a
+    ValidationError naming where the move landed and its two bounds."""
+    with pytest.raises(ValidationError) as err:
+        enumerate_minimal_perturbations(path_field(values), vertex)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == f"vertex {vertex} cannot move {move}: {why}"
 
 
 def test_enumerate_candidates_all_validate():
