@@ -114,28 +114,36 @@ class BoundReport:
 
 def check_bound(f: ScalarField, f2: ScalarField, metric: MetricId, guards=DEFAULT_GUARDS) -> BoundReport:
     """Stability bound report for one minimal perturbation and one metric."""
-    return _tree_bound(f, f2, classify_change_detailed(f, f2), metric, guards)
-
-
-def _tree_bound(f, f2, info, metric, guards) -> BoundReport:
-    """check_bound on the pair's classification, computed once per pair."""
+    info = classify_change_detailed(f, f2)
     t1, t2 = merge_tree_of(f), merge_tree_of(f2)
-    cls = info.change_class
-    extent = info.perturbation.extent
-    deg, deg_g = stability_degree(t1), stability_degree(t2)
+    cls, extent = info.change_class, info.perturbation.extent
+    deg = stability_degree(t1)
     bound = deg * extent
     claimed = cls in STABILITY_MATRIX[metric]
+    dist, outcome = _check(None, f, f2, t1, t2, metric, bound, claimed, guards)
+    passed = None if outcome in ("skipped", "informational") else outcome == "passed"
+    return BoundReport(
+        metric, cls, extent, deg, stability_degree(t2), dist, bound, claimed, passed,
+        skipped=outcome == "skipped",
+        witness=outcome["witness"] if passed is False else None,
+    )
+
+
+def _check(i, f, f2, t1, t2, metric, bound, claimed, guards):
+    """Check trial i's pair (f, f2), with merge trees t1 and t2, against a
+    bound: (distance, outcome). The outcome is "skipped" when a size guard
+    refuses the metric (distance None), "informational" when the bound is
+    not claimed, "passed" within it, else the failure record."""
     try:
         dist = tree_distance(metric, t1, t2, guards)
     except SizeGuardError:
-        return BoundReport(metric, cls, extent, deg, deg_g, None, bound, claimed, None,
-                           skipped=True)
-    passed = (dist <= bound + TOLERANCE) if claimed else None
-    witness = None
-    if claimed and not passed:
-        witness = {"field_a": field_to_dict(f), "field_b": field_to_dict(f2)}
-    return BoundReport(metric, cls, extent, deg, deg_g, dist, bound, claimed, passed,
-                       witness=witness)
+        return None, "skipped"
+    if not claimed:
+        return dist, "informational"
+    if dist <= bound + TOLERANCE:
+        return dist, "passed"
+    witness = {"field_a": field_to_dict(f), "field_b": field_to_dict(f2)}
+    return dist, {"trial": i, "distance": dist, "bound": bound, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +267,19 @@ class CellStats:
     failures: list = dc_field(default_factory=list)
 
     def count(self, outcome):
-        """Count one trial's check: "passed", "skipped" or a failure record."""
+        """Count one trial's outcome (see _check): "passed", "skipped",
+        "informational" or a failure record. None, a check not run (a
+        finite precondition miss), is informational but no trial."""
+        if outcome is None:
+            self.informational += 1
+            return
         self.trials += 1
         if outcome == "passed":
             self.passed += 1
         elif outcome == "skipped":
             self.skipped += 1
+        elif outcome == "informational":
+            self.informational += 1
         else:
             self.failed += 1
             self.failures.append(outcome)
@@ -389,26 +404,9 @@ def run_stability_suite(
     cells = {}
     witness_stats = CellStats()
     trial = partial(_suite_trial, seed, grid_size, metrics, guards)
-    for i, (reports, witness) in enumerate(map_in_order(trial, range(trials))):
-        for report in reports:
-            stats = cells.setdefault((report.metric, report.change_class), CellStats())
-            stats.trials += 1
-            if report.skipped:
-                stats.skipped += 1
-            elif not report.claimed:
-                stats.informational += 1
-            elif report.passed:
-                stats.passed += 1
-            else:
-                stats.failed += 1
-                stats.failures.append(
-                    {
-                        "trial": i,
-                        "distance": report.distance,
-                        "bound": report.bound,
-                        "witness": report.witness,
-                    }
-                )
+    for cls, outcomes, witness in map_in_order(trial, range(trials)):
+        for m, outcome in zip(metrics, outcomes):
+            cells.setdefault((m, cls), CellStats()).count(outcome)
         if witness is not None:
             witness_stats.count(witness)
     return SuiteReport(
@@ -417,31 +415,37 @@ def run_stability_suite(
 
 
 def _suite_trial(seed, grid_size, metrics, guards, i):
-    """Trial i of run_stability_suite: the BoundReport of each metric and,
-    when E is among the metrics, the witness search's outcome: "passed",
-    "skipped" or the failure record (None without E). Only this small
-    record leaves the trial, never its fields or trees."""
+    """Trial i of run_stability_suite: the pair's change class, each
+    metric's outcome (see _check) and, when E is among the metrics, the
+    witness search's outcome: "passed", "skipped" or the failure record
+    (None without E). Unclaimed cells are computed too, as information.
+    Only this small record leaves the trial, never its fields or trees."""
     rng = random.Random(seed * 1_000_003 + i)
     f = random_grid_field(rng, grid_size, grid_size)
     p = random_minimal_perturbation(rng, f)
     f2 = apply_perturbation(f, p)
     info = classify_change_detailed(f, f2)
-    reports = tuple(_tree_bound(f, f2, info, m, guards) for m in metrics)
-    if MetricId.E not in metrics:
-        return reports, None
+    cls = info.change_class
     t1, t2 = merge_tree_of(f), merge_tree_of(f2)
     deg = stability_degree(t1)
+    bound = deg * info.perturbation.extent
+    outcomes = tuple(
+        _check(i, f, f2, t1, t2, m, bound, cls in STABILITY_MATRIX[m], guards)[1]
+        for m in metrics
+    )
+    if MetricId.E not in metrics:
+        return cls, outcomes, None
     try:
         found = deform_witness_search(
             t1, t2, max_ops=deg, max_op_cost=p.extent, edge_limit=guards.deform_edges,
         )
     except SizeGuardError:
-        return reports, "skipped"
+        return cls, outcomes, "skipped"
     if found:
-        return reports, "passed"
-    return reports, {
+        return cls, outcomes, "passed"
+    return cls, outcomes, {
         "trial": i,
-        "class": info.change_class.value,
+        "class": cls.value,
         "degree": deg,
         "extent": p.extent,
         # a failed search has no sequence; the key stays so recorded
@@ -455,16 +459,16 @@ def _suite_trial(seed, grid_size, metrics, guards, i):
 # Finite / local stability
 # ---------------------------------------------------------------------------
 
-_FINITE_PRECONDITION = {
-    MetricId.E: None,  # unconditional
-    MetricId.P: lambda classes: not any(c.is_horizontal for c in classes),
-    MetricId.G: lambda classes: ChangeClass.EDGE_SPLIT not in classes,
-    MetricId.L: lambda classes: classes
-    <= {ChangeClass.SIMPLE_CHANGE, ChangeClass.VERTICAL_SWAP},
-    MetricId.W: lambda classes: classes
-    <= {ChangeClass.SIMPLE_CHANGE, ChangeClass.EDGE_SPLIT},
-    MetricId.X: lambda classes: classes
-    <= {ChangeClass.SIMPLE_CHANGE, ChangeClass.EDGE_SPLIT},
+#: Step classes each metric's finite-stability bound is claimed on: a trial
+#: is checked when the classes of all its minimal steps lie in the set.
+#: The keys' order is the "supported metrics" order of the error message.
+_FINITE_CLAIMS = {
+    MetricId.E: set(ChangeClass),  # unconditional
+    MetricId.P: {c for c in ChangeClass if not c.is_horizontal},
+    MetricId.G: set(ChangeClass) - {ChangeClass.EDGE_SPLIT},
+    MetricId.L: {ChangeClass.SIMPLE_CHANGE, ChangeClass.VERTICAL_SWAP},
+    MetricId.W: {ChangeClass.SIMPLE_CHANGE, ChangeClass.EDGE_SPLIT},
+    MetricId.X: {ChangeClass.SIMPLE_CHANGE, ChangeClass.EDGE_SPLIT},
 }
 
 
@@ -510,8 +514,9 @@ def run_finite_stability(
     and checks the size-times-2eps bound for every metric whose step-class
     precondition holds. The deformation bound is unconditional. A metric
     without a finite-stability precondition raises ValidationError before
-    the first trial, as do a negative trial count and an eps that is not
-    finite and positive, or a metric named twice.
+    the first trial, as do a negative trial count, an eps that is not
+    positive or whose jitter range 2 * eps is not finite, or a metric
+    named twice.
 
     Trial i draws from its own random.Random(seed * 7_368_787 + i) and runs
     on the fork pool, in the calling process or a forked child, as in
@@ -519,12 +524,12 @@ def run_finite_stability(
     """
     if trials < 0:
         raise ValidationError(f"need trials >= 0, got {trials}")
-    if not 0 < eps < math.inf:
-        raise ValidationError(f"need a finite eps > 0, got {eps}")
+    if not 0 < 2 * eps < math.inf:
+        raise ValidationError(f"need an eps > 0 with a finite 2 * eps, got {eps}")
     metrics = _distinct_metrics(metrics)
-    unsupported = [m.value for m in metrics if m not in _FINITE_PRECONDITION]
+    unsupported = [m.value for m in metrics if m not in _FINITE_CLAIMS]
     if unsupported:
-        supported = " ".join(m.value for m in _FINITE_PRECONDITION)
+        supported = " ".join(m.value for m in _FINITE_CLAIMS)
         raise ValidationError(
             f"finite stability has no bound for {', '.join(unsupported)};"
             f" supported metrics: {supported}"
@@ -536,18 +541,15 @@ def run_finite_stability(
         for cls in step_classes:
             class_counts[cls] = class_counts.get(cls, 0) + 1
         for m, check in zip(metrics, checks):
-            if check is None:
-                per_metric[m].informational += 1
-            else:
-                per_metric[m].count(check)
+            per_metric[m].count(check)
     return FiniteStabilityReport(seed, trials, grid_size, eps, per_metric, class_counts)
 
 
 def _finite_trial(seed, grid_size, eps, metrics, guards, i):
     """Trial i of run_finite_stability: the class of each minimal step, in
-    order, and per metric None when its precondition fails, else "passed",
-    "skipped" or the failure record. Only this small record leaves the
-    trial, never its fields or trees."""
+    order, and per metric None when its precondition fails, else its
+    outcome (see _check). Only this small record leaves the trial, never
+    its fields or trees."""
     rng = random.Random(seed * 7_368_787 + i)
     f = random_grid_field(rng, grid_size, grid_size)
     while True:
@@ -568,25 +570,7 @@ def _finite_trial(seed, grid_size, eps, metrics, guards, i):
     bdt_bound = sum(b.node_count() for b in bdts) * 2 * eps
     checks = []
     for m in metrics:
-        pre = _FINITE_PRECONDITION[m]
-        if pre is not None and not pre(classes):
-            checks.append(None)
-            continue
         bound = bdt_bound if m in (MetricId.W, MetricId.X) else tree_bound
-        try:
-            dist = tree_distance(m, t1, t2, guards)
-        except SizeGuardError:
-            checks.append("skipped")
-            continue
-        if dist <= bound + TOLERANCE:
-            checks.append("passed")
-        else:
-            checks.append(
-                {
-                    "trial": i,
-                    "distance": dist,
-                    "bound": bound,
-                    "witness": {"field_a": field_to_dict(f), "field_b": field_to_dict(f2)},
-                }
-            )
+        claimed = classes <= _FINITE_CLAIMS[m]
+        checks.append(_check(i, f, f2, t1, t2, m, bound, True, guards)[1] if claimed else None)
     return step_classes, tuple(checks)

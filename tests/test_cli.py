@@ -92,14 +92,25 @@ MALFORMED_FIELDS = {
     "value-401-digits": {"grid": {"rows": 2, "cols": 2, "values": [0, 10**400, 1, 2]}},
 }
 
+#: Field files the JSON parser cannot read, as bytes, each named by its defect.
+UNREADABLE_FIELDS = {
+    "not-utf-8": b'\xff\xfe{"grid": 1}',
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+}
 
-@pytest.mark.parametrize("payload", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS)
+
+@pytest.mark.parametrize(
+    "payload",
+    [json.dumps(p).encode() for p in MALFORMED_FIELDS.values()] + list(UNREADABLE_FIELDS.values()),
+    ids=[*MALFORMED_FIELDS, *UNREADABLE_FIELDS],
+)
 @pytest.mark.parametrize("command", ["build-tree", "matrix"])
 def test_malformed_field_json_exits_2(command, payload, tmp_path, capsys):
-    """A field file of the wrong form is a validation error: one error
-    line and exit 2, from build-tree and from matrix alike."""
+    """A field file of the wrong form, or one the JSON parser cannot read,
+    is a validation error: one error line and exit 2, from build-tree and
+    from matrix alike."""
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_bytes(payload)
     if command == "matrix":
         dump_field(validate_field(build_grid_domain(2, 2), [0, 3, 1, 2]), str(tmp_path / "ok.json"))
         argv = ["matrix", str(tmp_path), "--metric", "w"]
@@ -404,6 +415,8 @@ def test_perturb_between_adjacent_floats_exits_2(tmp_path, capsys):
     ["stability-run", "--mode", "finite", "--eps", "-0.05"],
     ["stability-run", "--trials", "-3"],
     ["stability-run", "--mode", "finite", "--trials", "-3"],
+    # 2 * eps overflows, so every jittered value would be infinite
+    ["stability-run", "--mode", "finite", "--eps", "1e308", "--trials", "1", "--grid", "2"],
 ])
 def test_bad_arguments_exit_2(argv, grid_file, capsys):
     """Validation errors exit 2 with an error line, not a traceback, and an

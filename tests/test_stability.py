@@ -381,6 +381,40 @@ def test_suite_trial_errors_reach_the_caller_with_their_type(in_child, monkeypat
     assert pool._job is None
 
 
+def test_failure_records_and_informational_counts(monkeypatch, one_cpu):
+    """w is made to exceed every bound. Both suites' failure records hold
+    the same four keys; each unclaimed cell of the minimal suite computes
+    its distance and counts the trial; a finite precondition miss computes
+    no distance and counts no trial, only as informational. The patch lives
+    in this process, so the trials run here."""
+    calls = []
+
+    def far(metric, t1, t2, guards):
+        calls.append(metric)
+        return 1e9
+
+    monkeypatch.setattr(stability, "tree_distance", far)
+    trials = 30
+    report = run_stability_suite(3, trials, 4, metrics=(MetricId.W,))
+    assert calls == [MetricId.W] * trials
+    assert sum(s.trials for s in report.cells.values()) == trials
+    claimed = [s for (m, c), s in report.cells.items() if c in STABILITY_MATRIX[m]]
+    unclaimed = [s for (m, c), s in report.cells.items() if c not in STABILITY_MATRIX[m]]
+    assert claimed and all(s.trials == s.failed == len(s.failures) for s in claimed)
+    assert unclaimed and all(s.trials == s.informational for s in unclaimed)
+    records = [r for s in claimed for r in s.failures]
+    calls.clear()
+    finite = run_finite_stability(3, trials, 3, 0.05, metrics=(MetricId.W,))
+    stats = finite.per_metric[MetricId.W]
+    assert calls == [MetricId.W] * stats.trials
+    assert stats.informational > 0 and stats.trials + stats.informational == trials
+    assert stats.trials == stats.failed == len(stats.failures) > 0
+    records += stats.failures
+    assert all(set(r) == {"trial", "distance", "bound", "witness"} for r in records)
+    assert all(r["distance"] == 1e9 and set(r["witness"]) == {"field_a", "field_b"}
+               for r in records)
+
+
 def test_suite_zero_trials_empty():
     rep = run_stability_suite(seed=1, trials=0, grid_size=3, metrics=(MetricId.E,))
     assert rep.cells == {} and rep.witness_checks.trials == 0
