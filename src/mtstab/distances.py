@@ -197,7 +197,12 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
         diag1, diag2 = np.arange(n1), np.arange(n2)
         mat[diag1, n2 + diag1] = del_costs
         mat[n1 + diag2, diag2] = ins_costs
-    rows, cols = linear_sum_assignment(mat)
+    try:
+        rows, cols = linear_sum_assignment(mat)
+    except ValueError as exc:
+        # only an overflowed block fails: big is then inf, and the solver
+        # finds no matching of finite cells or meets a NaN
+        raise ValidationError(f"an assignment block's costs overflow a float: {exc}") from exc
     return float(mat[rows, cols].sum())
 
 
@@ -346,11 +351,11 @@ def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
 # ---------------------------------------------------------------------------
 
 def _constrained_nodes(lt: LabeledTree, cost):
-    """Per node of lt, in postorder: its label, its delete cost, and its
+    """Per node of lt, children first: its label, its delete cost, and its
     children's positions, collapse costs, hops and climbs. A child's hop
     collapses its siblings and deletes the child alone; its climb deletes
     the node and collapses the child's siblings."""
-    order = editcore._postorder(lt)
+    order = editcore._order(lt)[::-1]
     at = {v: i for i, v in enumerate(order)}
     collapse, labels, delete = editcore._collapse_costs(lt, cost), lt.labels, cost.delete
     out = []
@@ -397,11 +402,11 @@ def constrained_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
 # ---------------------------------------------------------------------------
 
 def _path_nodes(lt: LabeledTree):
-    """Per node of lt, in postorder: its children's positions and subtree
+    """Per node of lt, children first: its children's positions and subtree
     lengths R, and the paths down from it: (position of u, L, S) for each
     descendant-or-self u, L the length from the node's parent down to u and
     S the R of the side subtrees cut off above u. The root has no paths."""
-    order = editcore._postorder(lt)
+    order = editcore._order(lt)[::-1]
     at = {v: i for i, v in enumerate(order)}
     R, labels, children = editcore._collapse_costs(lt, ABS_DIFF), lt.labels, lt.children
     out = []
@@ -577,7 +582,13 @@ _TREE_METRICS = {
 
 
 def tree_distance(metric: MetricId, t1, t2, guards=DEFAULT_GUARDS) -> float:
-    return _TREE_METRICS[metric](t1, t2, guards)
+    """metric's distance between two merge trees. A value that is not
+    finite, a float overflow on trees of huge values, raises
+    ValidationError naming the metric."""
+    d = _TREE_METRICS[metric](t1, t2, guards)
+    if not math.isfinite(d):
+        raise ValidationError(f"delta_{metric.value} overflows a float: {d}")
+    return d
 
 
 def compute(metric: MetricId, f1: ScalarField, f2: ScalarField, guards=DEFAULT_GUARDS) -> float:

@@ -21,10 +21,12 @@ from .errors import (
 from .field import TOLERANCE
 from .mergetree import (
     BLANK,
+    NODE_DIST_TO_PARENT,
     AbstractMergeTree,
     LabeledTree,
     _id_key,
     _memoized,
+    label_for_scheme,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -99,9 +101,7 @@ WASSERSTEIN_POINT = CostModel("birth_death")
 
 
 def cost_model_for(labeled: LabeledTree) -> CostModel:
-    from . import mergetree as mt
-
-    if labeled.scheme == mt.NODE_DIST_TO_PARENT:
+    if labeled.scheme == NODE_DIST_TO_PARENT:
         return ABS_DIFF
     return WASSERSTEIN_POINT
 
@@ -158,18 +158,23 @@ def brute_force_distance(
     return c, EditMapping.of(pairs)
 
 
-def _postorder(lt: LabeledTree):
-    out = []
-    stack = [(lt.root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            out.append(v)
-        else:
-            stack.append((v, True))
-            for c in lt.children[v]:
-                stack.append((c, False))
-    return out
+def _parents_first(lt: LabeledTree):
+    """Every node of lt, parents first: the root, then each listed node's
+    children in lt.children order. Reversed, it puts children before their
+    parents and the root last, which is all the bottom-up fills need."""
+    order = [lt.root]
+    for v in order:
+        order.extend(lt.children[v])
+    return order
+
+
+#: _parents_first kept on the tree, for trees walked more than once: a
+#: delete-set list's base tree, walked by contract for every quotient, and
+#: the trees of the s and p DPs and of the Tai search, walked per pair. A
+#: quotient is walked once, by _shapes, and _collapse_costs once per tree
+#: and cost model; both call _parents_first directly, so a long-lived tree
+#: that only they walk keeps no order.
+_order = _memoized(_parents_first)
 
 
 @_memoized
@@ -180,20 +185,14 @@ def _collapse_costs(lt: LabeledTree, cost: CostModel):
     callers only read the dict. Pass the arguments positionally: the memo
     keys on them."""
     out = {}
-    for v in _postorder(lt):
+    for v in reversed(_parents_first(lt)):
         out[v] = cost.delete(lt.labels[v]) + sum(out[c] for c in lt.children[v])
     return out
 
 
 def _ancestry(lt: LabeledTree):
     anc = {}
-    order = [lt.root]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        order.extend(lt.children[v])
-    for v in order:
+    for v in _order(lt):
         p = lt.parent[v]
         anc[v] = frozenset() if p is None else anc[p] | {p}
     return anc
@@ -269,68 +268,42 @@ def _tai_dfs(search, i, pairs, used, gain_acc):
 # Deformation-based distances: quotient enumeration
 # ---------------------------------------------------------------------------
 
-class EdgeTree:
-    """Rooted tree with a length per non-root node (its parent edge); the
-    working representation for deformation-based operations. Built once and
-    only read: `children` lists each node's children by id, `order` every
-    node with parents first."""
-
-    def __init__(self, parent: dict, length: dict, root):
-        self.parent = dict(parent)
-        self.length = {v: float(x) for v, x in length.items()}
-        self.root = root
-        ch = {v: [] for v in self.parent}
-        for v, p in self.parent.items():
-            if p is not None:
-                ch[p].append(v)
-        self.children = {v: sorted(c, key=_id_key) for v, c in ch.items()}
-        self.order = order = [root]
-        for v in order:
-            order.extend(self.children[v])
-
-    def nodes(self):
-        return self.parent.keys()
-
-    def edge_count(self):
-        return len(self.parent) - 1
-
-    def total_length(self):
-        return sum(self.length.values())
-
-    def shapes(self):
-        """Every node's shape, the sorted tuple of its children's shapes,
-        filled children first with no recursion."""
-        out = {}
-        for v in reversed(self.order):
-            out[v] = tuple(sorted(out[c] for c in self.children[v]))
-        return out
+def _shapes(lt: LabeledTree):
+    """Every node's shape, the sorted tuple of its children's shapes,
+    filled children first with no recursion."""
+    out = {}
+    for v in reversed(_parents_first(lt)):
+        out[v] = tuple(sorted(out[c] for c in lt.children[v]))
+    return out
 
 
-def edge_tree_of(tree: AbstractMergeTree) -> EdgeTree:
-    length = {
-        v: tree.value[v] - tree.value[tree.parent[v]]
-        for v in tree.nodes()
-        if tree.parent[v] is not None
-    }
-    return EdgeTree(dict(tree.parent), length, tree.root)
+def _by_id(scheme, root, parent: dict, labels: dict) -> LabeledTree:
+    """The LabeledTree of a parent map, each node's children sorted by id."""
+    ch = {v: [] for v in parent}
+    for v, p in parent.items():
+        if p is not None:
+            ch[p].append(v)
+    children = {v: tuple(sorted(c, key=_id_key)) for v, c in ch.items()}
+    return LabeledTree(scheme, root, parent, labels, children)
 
 
-def contract(et: EdgeTree, deleted) -> EdgeTree:
-    """The quotient of et by the parent edges of `deleted`: each deleted
-    edge contracted, then every node left with one child and a parent
-    pruned, its edge merged into the child's (lengths sum). Built directly
-    in O(n); tests/helpers.py replays the same deletions one operation at a
-    time as its oracle.
+def contract(lt: LabeledTree, deleted) -> LabeledTree:
+    """The quotient of lt, a tree labeled by distance to the parent, by the
+    parent edges of `deleted`: each deleted edge contracted, then every node
+    left with one child and a parent pruned, its edge merged into the
+    child's (lengths sum). Built directly in O(n); tests/helpers.py replays
+    the same deletions one operation at a time as its oracle.
 
     A node's class top is its nearest ancestor-or-self whose parent edge
     survives. Every non-root class with exactly one child class folds into
     that child, which keeps its id and takes the lengths along the chain.
+    The quotient's children are sorted by id, whatever lt's order.
     """
-    if et.root in deleted:
+    if lt.root in deleted:
         raise ValidationError("the root has no parent edge to delete")
     top, kids = {}, {}
-    for v in et.order:
-        p = et.parent[v]
+    for v in _order(lt):
+        p = lt.parent[v]
         if p is not None and v in deleted:
             top[v] = top[p]
         else:
@@ -338,25 +311,25 @@ def contract(et: EdgeTree, deleted) -> EdgeTree:
             kids[v] = []
             if p is not None:
                 kids[top[p]].append(v)
-    parent, length = {}, {}
-    attach, carry = {et.root: None}, {et.root: 0.0}
+    parent, labels = {}, {}
+    attach, carry = {lt.root: None}, {lt.root: 0.0}
     for u, cs in kids.items():  # class tops, parents first
         above = attach[u]
         if above is not None and len(cs) == 1:
-            attach[cs[0]], carry[cs[0]] = above, carry[u] + et.length[u]
+            attach[cs[0]], carry[cs[0]] = above, carry[u] + lt.labels[u]
             continue
         parent[u] = above
-        if above is not None:
-            length[u] = et.length[u] + carry[u]
+        labels[u] = BLANK if above is None else lt.labels[u] + carry[u]
         for c in cs:
             attach[c], carry[c] = u, 0.0
-    return EdgeTree(parent, length, et.root)
+    return _by_id(NODE_DIST_TO_PARENT, lt.root, parent, labels)
 
 
-def _iso(q1: EdgeTree, shapes1, q2: EdgeTree, shapes2, edge_cost):
-    """Root-preserving isomorphism of two same-shape edge trees (`shapes1`
-    and `shapes2` their shapes() maps) with the least total
-    edge_cost(length in q1, length in q2); returns (cost, node pairs)."""
+def _iso(q1: LabeledTree, shapes1, q2: LabeledTree, shapes2, edge_cost):
+    """Root-preserving isomorphism of two same-shape trees labeled by
+    distance to the parent (`shapes1` and `shapes2` their _shapes maps) with
+    the least total edge_cost(length in q1, length in q2); returns (cost,
+    node pairs)."""
     return _iso_below(q1, shapes1, q2, shapes2, edge_cost, q1.root, q2.root)
 
 
@@ -365,7 +338,7 @@ def _iso_below(q1, shapes1, q2, shapes2, edge_cost, v, w):
     leaves no reference cycle behind (a self-recursive closure would)."""
     cost = 0.0
     if q1.parent[v] is not None:
-        cost = edge_cost(q1.length[v], q2.length[w])
+        cost = edge_cost(q1.labels[v], q2.labels[w])
     pairs = [(v, w)]
     by_shape1 = {}
     for c in q1.children[v]:
@@ -398,40 +371,41 @@ def _length_diff(a, b):
 DEFORM_EDGE_LIMIT = 10
 
 
-def _subset_variants(et: EdgeTree):
+def _subset_variants(lt: LabeledTree):
     """[cost, delete set, None] for every delete set, sorted by cost, then by
     the sorted ids of the set. _shaped fills the third slot with the
-    quotient and its shapes() map when a search first reaches the entry.
+    quotient and its _shapes map when a search first reaches the entry.
     Built by doubling over the edges in id order, so a set's cost is its
     lengths summed in id order from int 0, as sum gives, whatever the set's
     hash order, and one sort on (cost, edge indices) is the order above
     (docs/decisions.md section 9)."""
-    edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
+    edges = sorted((v for v in lt.nodes() if lt.parent[v] is not None), key=_id_key)
     grown = [(0, (), frozenset())]
     for j, v in enumerate(edges):
-        length, one = et.length[v], frozenset((v,))
+        length, one = lt.labels[v], frozenset((v,))
         grown += [(c + length, idx + (j,), d | one) for c, idx, d in grown]
     grown.sort()
     return [[c, d, None] for c, _, d in grown]
 
 
-def _shaped(et: EdgeTree, item):
-    """(quotient, its shapes() map) of a _subset_variants entry, built on the
+def _shaped(lt: LabeledTree, item):
+    """(quotient, its _shapes map) of a _subset_variants entry, built on the
     first call and kept in the entry for every later search."""
     built = item[2]
     if built is None:
-        q = contract(et, item[1])
-        built = item[2] = (q, q.shapes())
+        q = contract(lt, item[1])
+        built = item[2] = (q, _shapes(q))
     return built
 
 
 @_memoized
 def _variants_of(t: AbstractMergeTree):
-    """(edge tree, _subset_variants) of a merge tree, enumerated once and
+    """(labeled tree, _subset_variants) of a merge tree, enumerated once and
     kept on the tree: delta_E and the witness search share it, and with it
-    every quotient one of them built."""
-    et = edge_tree_of(t)
-    return et, _subset_variants(et)
+    every quotient one of them built. The labeled tree is delta_L's and
+    delta_P's, each edge labeled by its length."""
+    lt = label_for_scheme(t, NODE_DIST_TO_PARENT)
+    return lt, _subset_variants(lt)
 
 
 def _guarded_variants(t1, t2, edge_limit, what):
@@ -455,23 +429,23 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
 
     Once a witness is found, the inner walk also skips, before building the
     quotient, every pair whose lower bound c1 + c2 + |(L1 - c1) - (L2 - c2)|
-    reaches `best`, L being a tree's total edge length. A quotient keeps
-    every surviving length, so its total is L - c, and an isomorphism costs
-    at least the difference of the totals; the margin covers the rounding
-    of these sums. A skip rests on its own pair's bound alone, so it is a
+    reaches `best`, L being a tree's total edge length (its non-root labels
+    summed in dict order). A quotient keeps every surviving length, so its
+    total is L - c, and an isomorphism costs at least the difference of the
+    totals; the margin covers the rounding of these sums. A skip rests on its own pair's bound alone, so it is a
     `continue`, not a stop (docs/decisions.md section 11).
     """
-    (et1, variants1), (et2, variants2) = _guarded_variants(
+    (lt1, variants1), (lt2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation enumeration"
     )
-    len1, len2 = et1.total_length(), et2.total_length()
+    len1, len2 = (sum(x for x in lt.labels.values() if x is not BLANK) for lt in (lt1, lt2))
     margin = TOLERANCE * (1.0 + len1 + len2)
     best = math.inf  # no stop or skip fires while it is
     for item1 in variants1:
         c1 = item1[0]
         if c1 >= best - _EPS:
             break
-        q1, s1 = _shaped(et1, item1)
+        q1, s1 = _shaped(lt1, item1)
         shape = s1[q1.root]
         rest1 = len1 - c1
         for item2 in variants2:
@@ -480,7 +454,7 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
                 break
             if c1 + c2 + abs(rest1 - (len2 - c2)) - margin >= best - _EPS:
                 continue
-            q2, s2 = _shaped(et2, item2)
+            q2, s2 = _shaped(lt2, item2)
             if s2[q2.root] != shape:
                 continue
             total = c1 + c2 + _iso(q1, s1, q2, s2, _length_diff)[0]
@@ -504,25 +478,25 @@ def deform_witness_search(
     and an isomorphism of their quotients (docs/decisions.md section 2).
     Only the quotients of usable delete sets are built.
     """
-    (et1, variants1), (et2, variants2) = _guarded_variants(
+    (lt1, variants1), (lt2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation witness search"
     )
     cap = max_op_cost + TOLERANCE
 
-    def usable(et, variants):
+    def usable(lt, variants):
         return [
             item
             for item in variants
             if len(item[1]) <= max_ops
-            and all(et.length[v] <= cap for v in item[1])
+            and all(lt.labels[v] <= cap for v in item[1])
         ]
 
     buckets2 = {}
-    for item in usable(et2, variants2):
-        q2, s2 = _shaped(et2, item)
+    for item in usable(lt2, variants2):
+        q2, s2 = _shaped(lt2, item)
         buckets2.setdefault(s2[q2.root], []).append((len(item[1]), q2, s2))
-    for item in usable(et1, variants1):
-        q1, s1 = _shaped(et1, item)
+    for item in usable(lt1, variants1):
+        q1, s1 = _shaped(lt1, item)
         for n2, q2, s2 in buckets2.get(s1[q1.root], ()):
             budget = max_ops - len(item[1]) - n2
             if budget >= 0 and _qualifying_iso(q1, s1, q2, s2, budget, cap) is not None:
@@ -530,7 +504,7 @@ def deform_witness_search(
     return False
 
 
-def _qualifying_iso(q1: EdgeTree, shapes1, q2: EdgeTree, shapes2, max_relabels: int, cap: float):
+def _qualifying_iso(q1: LabeledTree, shapes1, q2: LabeledTree, shapes2, max_relabels: int, cap: float):
     """The isomorphism with the fewest relabels, if it needs at most
     max_relabels, none above cap; otherwise None. An edge pair counts 0
     within TOLERANCE, 1 within cap, and above cap more than max_relabels
@@ -554,7 +528,8 @@ def _qualifying_iso(q1: EdgeTree, shapes1, q2: EdgeTree, shapes2, max_relabels: 
 class EditOp:
     """One edit operation; an edit sequence is a tuple of them. The edge
     kinds and `split` describe the deformation operations, which
-    tests/helpers.py builds and replays on edge trees."""
+    tests/helpers.py builds and replays on trees labeled by distance to the
+    parent."""
 
     kind: str  # node_delete | node_insert | node_relabel | edge_delete | edge_insert | edge_relabel
     node: object
@@ -610,17 +585,7 @@ def _apply_node_op(lt: LabeledTree, op: EditOp) -> LabeledTree:
             parent[c] = v
     else:
         raise ValueError(f"unknown node op {op.kind!r}")
-    ch = {u: [] for u in parent}
-    for u, p in parent.items():
-        if p is not None:
-            ch[p].append(u)
-    return LabeledTree(
-        lt.scheme,
-        lt.root,
-        parent,
-        labels,
-        {u: tuple(sorted(c, key=_id_key)) for u, c in ch.items()},
-    )
+    return _by_id(lt.scheme, lt.root, parent, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +660,8 @@ def mapping_to_sequence(l1, l2, mapping) -> tuple:
 
 
 def _depths(lt) -> dict:
-    depth = {lt.root: 0}
-    stack = [lt.root]
-    while stack:
-        v = stack.pop()
-        for c in lt.children[v]:
-            depth[c] = depth[v] + 1
-            stack.append(c)
+    depth = {}
+    for v in _order(lt):
+        p = lt.parent[v]
+        depth[v] = 0 if p is None else depth[p] + 1
     return depth

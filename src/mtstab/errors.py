@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Grouped by CLI exit code: ValidationError subclasses map to exit code 2,
-SizeGuardError to exit code 3, plain I/O failures (OSError, json errors)
-to exit code 1. PoolWorkerError, a pool child lost, is left uncaught with
-its traceback.
+SizeGuardError to exit code 3, plain I/O failures (OSError) to exit code 1;
+a field file that is not JSON is a ValidationError. PoolWorkerError, a pool
+child lost, is left uncaught with its traceback.
 
 Every type pickles: a class whose constructor takes other arguments than
 its message rebuilds itself from them in __reduce__, so an error raised in

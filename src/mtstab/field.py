@@ -200,13 +200,15 @@ def _number(x) -> float:
 
 def load_field(path: str) -> ScalarField:
     """The field of a JSON file (see field_from_dict). A file that is not
-    UTF-8, or JSON nested too deeply for the parser, raises
+    UTF-8, not JSON, or JSON nested too deeply for the parser, raises
     ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except UnicodeDecodeError as e:
             raise ValidationError(f"field file is not UTF-8: {e}") from e
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"field file is not JSON: {e}") from e
         except RecursionError as e:
             raise ValidationError("field JSON is nested too deeply") from e
     return field_from_dict(data)

@@ -23,28 +23,32 @@ from scipy.optimize import linear_sum_assignment
 from mtstab.editcore import (
     _EPS,
     BRUTE_FORCE_NODE_LIMIT,
-    EdgeTree,
     EditMapping,
     EditOp,
     _ancestry,
     _better,
+    _by_id,
     _collapse_costs,
     _iso,
     _length_diff,
+    _order,
     _pairs_key,
     _qualifying_iso,
+    _shapes,
     contract,
     cost_model_for,
-    edge_tree_of,
 )
 from mtstab.errors import InapplicableOperationError, SizeGuardError, ValidationError
 from mtstab.field import TOLERANCE, ScalarField, build_domain, build_grid_domain, validate_field
 from mtstab.mergetree import (
     BLANK,
+    NODE_DIST_TO_PARENT,
     AbstractMergeTree,
+    LabeledTree,
     _check_abstract_invariants,
     _id_key,
     abstract_merge_tree,
+    label_for_scheme,
     merge_tree_of,
 )
 from mtstab.perturb import apply_perturbation
@@ -111,14 +115,22 @@ def random_abstract_tree(rng: random.Random, max_edges=6):
             return t
 
 
-def suite_tree_pairs(seed, trials, grid_size):
-    """The merge trees of each trial of run_stability_suite(seed, trials,
-    grid_size), drawn as the suite draws them."""
+def suite_trials(seed, trials, grid_size):
+    """(merge tree, perturbed merge tree, perturbation extent) of each trial
+    of run_stability_suite(seed, trials, grid_size), drawn as the suite
+    draws them."""
     for i in range(trials):
         rng = random.Random(seed * 1_000_003 + i)
         f = random_grid_field(rng, grid_size, grid_size)
-        f2 = apply_perturbation(f, random_minimal_perturbation(rng, f))
-        yield merge_tree_of(f), merge_tree_of(f2)
+        p = random_minimal_perturbation(rng, f)
+        yield merge_tree_of(f), merge_tree_of(apply_perturbation(f, p)), p.extent
+
+
+def suite_tree_pairs(seed, trials, grid_size):
+    """The merge trees of each trial of run_stability_suite(seed, trials,
+    grid_size), drawn as the suite draws them."""
+    for t1, t2, _ in suite_trials(seed, trials, grid_size):
+        yield t1, t2
 
 
 def finite_tree_pairs(seed, trials, grid_size, eps):
@@ -247,36 +259,42 @@ def labeled_canonical(lt):
     return key(lt.root)
 
 
-def edge_canonical(et: EdgeTree):
-    def key(v):
-        own = round(et.length[v], 9) if et.parent[v] is not None else None
-        return (own, tuple(sorted(key(c) for c in et.children[v])))
+def length_tree(parent: dict, length: dict, root) -> LabeledTree:
+    """The tree of `parent` labeled by distance to the parent, `length`
+    holding each non-root node's; children sorted by id, as
+    editcore.contract sorts them."""
+    labels = {v: BLANK if p is None else float(length[v]) for v, p in parent.items()}
+    return _by_id(NODE_DIST_TO_PARENT, root, dict(parent), labels)
 
-    return key(et.root)
+
+def edges_of(lt: LabeledTree):
+    """The non-root nodes of lt, each standing for its parent edge."""
+    return [v for v, p in lt.parent.items() if p is not None]
 
 
 # ---------------------------------------------------------------------------
 # Deformation edit operations: the top-down deletion replay and witnesses
 # ---------------------------------------------------------------------------
 
-def apply_edge_op(et: EdgeTree, op: EditOp) -> EdgeTree:
-    """The edge tree that one deformation operation leaves, a new EdgeTree;
-    raises KeyError or ValueError when op does not apply. A delete moves the
-    edge's children to its parent and then prunes every node left regular,
-    merging its edge into its child's (lengths sum). An insert with a split
-    first cuts an existing edge in two at a new inner node."""
-    parent, length = dict(et.parent), dict(et.length)
+def apply_edge_op(lt: LabeledTree, op: EditOp) -> LabeledTree:
+    """The tree, labeled by distance to the parent, that one deformation
+    operation leaves, a new LabeledTree; raises KeyError or ValueError when
+    op does not apply. A delete moves the edge's children to its parent and
+    then prunes every node left regular, merging its edge into its child's
+    (lengths sum). An insert with a split first cuts an existing edge in two
+    at a new inner node."""
+    parent, length = dict(lt.parent), dict(lt.labels)
     if op.kind == "edge_relabel":
-        if op.node not in length:
+        if parent.get(op.node) is None:
             raise KeyError(f"no edge below {op.node!r}")
         length[op.node] = float(op.label)
     elif op.kind == "edge_delete":
         v = op.node
-        if v not in length:
+        if parent.get(v) is None:
             raise KeyError(f"no edge below {v!r}")
         if abs(length[v] - op.cost) > TOLERANCE:
             raise ValueError(f"recorded cost {op.cost} does not match current length {length[v]}")
-        for c in et.children[v]:
+        for c in lt.children[v]:
             parent[c] = parent[v]
         del parent[v], length[v]
         _prune_regular(parent, length)
@@ -287,7 +305,7 @@ def apply_edge_op(et: EdgeTree, op: EditOp) -> EdgeTree:
         attach = op.parent
         if op.split is not None:
             child_edge, inner, upper, lower = op.split
-            if child_edge not in length:
+            if parent.get(child_edge) is None:
                 raise KeyError(f"no edge below {child_edge!r} to split")
             if inner in parent:
                 raise ValueError(f"node {inner!r} already present")
@@ -306,14 +324,14 @@ def apply_edge_op(et: EdgeTree, op: EditOp) -> EdgeTree:
             parent[c] = v
     else:
         raise ValueError(f"unknown edge op {op.kind!r}")
-    return EdgeTree(parent, length, et.root)
+    return _by_id(NODE_DIST_TO_PARENT, lt.root, parent, length)
 
 
 def _prune_regular(parent, length):
     """Fold every non-root node with exactly one child into that child, in
     the order of the parent map; the child keeps its id and its edge takes
-    both lengths. A fold changes no node's child count, so one pass finds
-    every regular node."""
+    both lengths (`length` maps each node to its label). A fold changes no
+    node's child count, so one pass finds every regular node."""
     kids = {}
     for v, p in parent.items():
         kids.setdefault(p, []).append(v)
@@ -330,11 +348,14 @@ def _prune_regular(parent, length):
             only[p] = c
 
 
-def check_edge_sequence(tree, sequence) -> EdgeTree:
+def check_edge_sequence(tree, sequence) -> LabeledTree:
     """Apply a sequence of deformation operations, a tuple of EditOp, to a
-    merge tree (converted by edge_tree_of) or an edge tree; raises
-    InapplicableOperationError with the offending step index."""
-    current = edge_tree_of(tree) if isinstance(tree, AbstractMergeTree) else tree
+    merge tree (its NODE_DIST_TO_PARENT labeling) or a tree labeled by
+    distance to the parent; raises InapplicableOperationError with the
+    offending step index."""
+    current = (
+        label_for_scheme(tree, NODE_DIST_TO_PARENT) if isinstance(tree, AbstractMergeTree) else tree
+    )
     for i, op in enumerate(sequence):
         try:
             current = apply_edge_op(current, op)
@@ -343,7 +364,7 @@ def check_edge_sequence(tree, sequence) -> EdgeTree:
     return current
 
 
-def delete_phase_ops(et: EdgeTree, deleted):
+def delete_phase_ops(lt: LabeledTree, deleted):
     """(steps, resulting tree) of the top-down deletion of `deleted`, the
     operational replay of a delete phase. A step is (op, the edge's length
     before op, parent, children, split). For an edge_delete, parent and
@@ -354,16 +375,16 @@ def delete_phase_ops(et: EdgeTree, deleted):
     pending deletion turns into an equal-cost relabel of the merged edge.
     """
     deleted = set(deleted)
-    if et.root in deleted:
+    if lt.root in deleted:
         raise ValidationError("the root has no parent edge to delete")
-    depth = {et.root: 0}
-    for v in et.order[1:]:
-        depth[v] = depth[et.parent[v]] + 1
-    sim = et
+    depth = {lt.root: 0}
+    for v in _order(lt)[1:]:
+        depth[v] = depth[lt.parent[v]] + 1
+    sim = lt
     steps = []
     for v in sorted(deleted, key=lambda u: (depth[u], _id_key(u))):
-        planned = et.length[v]
-        cur = sim.length[v]
+        planned = lt.labels[v]
+        cur = sim.labels[v]
         if abs(cur - planned) > TOLERANCE:
             # an automatic prune folded an ancestor edge into v; shaving off
             # v's own length removes exactly the planned material
@@ -376,25 +397,25 @@ def delete_phase_ops(et: EdgeTree, deleted):
                 after = [c for c in sim.children[parent] if c != v] + list(children)
                 if len(after) == 1:
                     (merged,) = after
-                    split = (merged, parent, sim.length[merged], sim.length[parent])
+                    split = (merged, parent, sim.labels[merged], sim.labels[parent])
             op = EditOp("edge_delete", v, cur)
             steps.append((op, cur, parent, children, split))
         sim = apply_edge_op(sim, op)
     return steps, sim
 
 
-def replay_contract(et: EdgeTree, deleted) -> EdgeTree:
+def replay_contract(lt: LabeledTree, deleted) -> LabeledTree:
     """Oracle of editcore.contract: the tree the top-down deletion replay
     of `deleted` leaves, with the node ids an actual edit sequence gives.
     Same shape and lengths as contract's, node ids may differ."""
-    return delete_phase_ops(et, deleted)[1]
+    return delete_phase_ops(lt, deleted)[1]
 
 
 @dataclass(frozen=True)
 class DeformWitness:
     """A deformation plan: the two delete sets and the isomorphism of their
-    quotients. iso_pairs name the nodes of replay_contract(et1, deleted1)
-    and replay_contract(et2, deleted2), so deform_sequence rebuilds both
+    quotients. iso_pairs name the nodes of replay_contract(lt1, deleted1)
+    and replay_contract(lt2, deleted2), so deform_sequence rebuilds both
     quotients from the delete sets."""
 
     deleted1: frozenset
@@ -406,16 +427,16 @@ def deform_sequence(t1, t2, witness: DeformWitness) -> tuple:
     """The normalized sequence of a deformation witness, a tuple of EditOp:
     T1's delete phase, the relabels of the isomorphism, then T2's delete
     phase run backwards, each step inverted into an insert or relabel."""
-    steps1, q1 = delete_phase_ops(edge_tree_of(t1), witness.deleted1)
-    steps2, q2 = delete_phase_ops(edge_tree_of(t2), witness.deleted2)
+    steps1, q1 = delete_phase_ops(label_for_scheme(t1, NODE_DIST_TO_PARENT), witness.deleted1)
+    steps2, q2 = delete_phase_ops(label_for_scheme(t2, NODE_DIST_TO_PARENT), witness.deleted2)
     ops = [step[0] for step in steps1]
     to_current = {b: a for a, b in witness.iso_pairs}
     for a, b in sorted(witness.iso_pairs, key=lambda p: (_id_key(p[0]), _id_key(p[1]))):
         if q1.parent[a] is None:
             continue
-        if abs(q1.length[a] - q2.length[b]) > TOLERANCE:
+        if abs(q1.labels[a] - q2.labels[b]) > TOLERANCE:
             ops.append(
-                EditOp("edge_relabel", a, abs(q1.length[a] - q2.length[b]), label=q2.length[b])
+                EditOp("edge_relabel", a, abs(q1.labels[a] - q2.labels[b]), label=q2.labels[b])
             )
     existing = set(q1.parent)
     fresh = {}
@@ -449,26 +470,26 @@ def deform_sequence(t1, t2, witness: DeformWitness) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: Dijkstra over canonicalized edge trees
+# Independent oracle: Dijkstra over canonicalized length-labeled trees
 # ---------------------------------------------------------------------------
 
-def _frontier_moves(et: EdgeTree, labels, one_degree, counter):
+def _frontier_moves(lt: LabeledTree, labels, one_degree, counter):
     """All applicable single operations with their costs and results."""
     moves = []
 
     def emit(op, cost):
-        moves.append((cost, apply_edge_op(et, op)))
-    for v in list(et.length):
-        if one_degree and et.children[v]:
+        moves.append((cost, apply_edge_op(lt, op)))
+    for v in edges_of(lt):
+        if one_degree and lt.children[v]:
             continue
-        emit(EditOp("edge_delete", v, et.length[v]), et.length[v])
-    for v in list(et.length):
+        emit(EditOp("edge_delete", v, lt.labels[v]), lt.labels[v])
+    for v in edges_of(lt):
         for t in labels:
-            if abs(t - et.length[v]) > 1e-9:
-                emit(EditOp("edge_relabel", v, abs(t - et.length[v]), label=t), abs(t - et.length[v]))
+            if abs(t - lt.labels[v]) > 1e-9:
+                emit(EditOp("edge_relabel", v, abs(t - lt.labels[v]), label=t), abs(t - lt.labels[v]))
     for ell in labels:
-        for p in list(et.parent):
-            kids = et.children[p]
+        for p in list(lt.parent):
+            kids = lt.children[p]
             subsets = [()] if one_degree else [
                 tuple(s) for r in range(len(kids) + 1) for s in itertools.combinations(kids, r)
             ]
@@ -478,8 +499,8 @@ def _frontier_moves(et: EdgeTree, labels, one_degree, counter):
                     EditOp("edge_insert", name, ell, label=ell, parent=p, moved_children=moved),
                     ell,
                 )
-        for e in list(et.length):  # split inserts
-            total = et.length[e]
+        for e in edges_of(lt):  # split inserts
+            total = lt.labels[e]
             for lower in labels:
                 if lower <= 1e-9 or lower >= total - 1e-9:
                     continue
@@ -500,17 +521,17 @@ def _frontier_moves(et: EdgeTree, labels, one_degree, counter):
     return moves
 
 
-def _candidate_labels(et1: EdgeTree, et2: EdgeTree):
+def _candidate_labels(lt1: LabeledTree, lt2: LabeledTree):
     """All downward path sums of both trees (achievable merged lengths)."""
     out = set()
-    for et in (et1, et2):
-        for v in et.length:
+    for lt in (lt1, lt2):
+        for v in edges_of(lt):
             total = 0.0
             cur = v
-            while et.parent[cur] is not None:
-                total += et.length[cur]
+            while lt.parent[cur] is not None:
+                total += lt.labels[cur]
                 out.add(round(total, 9))
-                cur = et.parent[cur]
+                cur = lt.parent[cur]
     return sorted(out)
 
 
@@ -524,29 +545,31 @@ def deform_sequence_search(t1, t2, one_degree=False, *, cost_cap, max_extra_node
     cost_cap is required: the search expands every state cheaper than the
     optimum, and without a cap it did not finish within 300 s on the 6-node
     fig8 pair, whose capped search at 0.2 returns inf in seconds."""
-    et1 = edge_tree_of(t1) if not isinstance(t1, EdgeTree) else t1
-    et2 = edge_tree_of(t2) if not isinstance(t2, EdgeTree) else t2
-    labels = _candidate_labels(et1, et2)
-    goal = edge_canonical(et2)
-    max_nodes = max(len(et1.parent), len(et2.parent)) + max_extra_nodes
-    dist = {edge_canonical(et1): 0.0}
-    heap = [(0.0, 0, et1)]
+    lt1, lt2 = (
+        t if isinstance(t, LabeledTree) else label_for_scheme(t, NODE_DIST_TO_PARENT)
+        for t in (t1, t2)
+    )
+    labels = _candidate_labels(lt1, lt2)
+    goal = labeled_canonical(lt2)
+    max_nodes = max(len(lt1.parent), len(lt2.parent)) + max_extra_nodes
+    dist = {labeled_canonical(lt1): 0.0}
+    heap = [(0.0, 0, lt1)]
     counter = itertools.count(1)
     names = itertools.count()
     while heap:
-        d, _, et = heapq.heappop(heap)
-        key = edge_canonical(et)
+        d, _, lt = heapq.heappop(heap)
+        key = labeled_canonical(lt)
         if key == goal:
             return d
         if d > dist.get(key, float("inf")) + 1e-12:
             continue
-        for cost, nxt in _frontier_moves(et, labels, one_degree, names):
+        for cost, nxt in _frontier_moves(lt, labels, one_degree, names):
             nd = d + cost
             if nd > cost_cap + 1e-9:
                 continue
             if len(nxt.parent) > max_nodes:
                 continue
-            k = edge_canonical(nxt)
+            k = labeled_canonical(nxt)
             if nd < dist.get(k, float("inf")) - 1e-12:
                 dist[k] = nd
                 heapq.heappush(heap, (nd, next(counter), nxt))
@@ -889,18 +912,18 @@ def ordered_one_degree_dp_all_pairs(l1, l2, cost) -> float:
 # Eager oracles of the deformation searches: every quotient built up front
 # ---------------------------------------------------------------------------
 
-def eager_subset_variants(et: EdgeTree):
-    """(cost, delete set, quotient, quotient's shapes() map) for every delete
+def eager_subset_variants(lt: LabeledTree):
+    """(cost, delete set, quotient, quotient's _shapes map) for every delete
     set, sorted by cost, then by the sorted ids of the set; each cost summed
     in id order and each quotient built before any search starts."""
-    edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
+    edges = sorted((v for v in lt.nodes() if lt.parent[v] is not None), key=_id_key)
     out = []
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(edges, r):
             subset = frozenset(combo)
-            cost = sum(et.length[v] for v in combo)
-            q = contract(et, subset)
-            out.append((cost, subset, q, q.shapes()))
+            cost = sum(lt.labels[v] for v in combo)
+            q = contract(lt, subset)
+            out.append((cost, subset, q, _shapes(q)))
     out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))
     return out
 
@@ -912,21 +935,21 @@ def _by_root_shape(variants):
     return buckets
 
 
-def path_variants(et: EdgeTree):
-    """The entries of eager_subset_variants(et) whose delete set is closed
+def path_variants(lt: LabeledTree):
+    """The entries of eager_subset_variants(lt) whose delete set is closed
     under descendants (iterated leaf-edge deletions), delta_P's delete
     sets, in the same order. Built from the unions of whole subtrees, so a
     16-edge tree does not build 2^16 quotients."""
     below, closed = {}, {}  # edges under v; descendant-closed sets of them
-    for v in reversed(et.order):
-        below[v] = frozenset().union(*({c} | below[c] for c in et.children[v]))
-        options = [closed[c] + [below[c] | {c}] for c in et.children[v]]
+    for v in reversed(_order(lt)):
+        below[v] = frozenset().union(*({c} | below[c] for c in lt.children[v]))
+        options = [closed[c] + [below[c] | {c}] for c in lt.children[v]]
         closed[v] = [frozenset().union(*combo) for combo in itertools.product(*options)]
     out = []
-    for subset in closed[et.root]:
+    for subset in closed[lt.root]:
         ids = sorted(subset, key=_id_key)
-        q = contract(et, subset)
-        out.append((sum(et.length[v] for v in ids), subset, q, q.shapes()))
+        q = contract(lt, subset)
+        out.append((sum(lt.labels[v] for v in ids), subset, q, _shapes(q)))
     out.sort(key=lambda item: (item[0], tuple(sorted(map(_id_key, item[1])))))
     return out
 
@@ -934,13 +957,13 @@ def path_variants(et: EdgeTree):
 def path_brute_force(t1, t2):
     """delta_P's oracle: the walk of eager_deform_brute_force over the
     descendant-closed delete sets of both merge trees, no size guard."""
-    et1, et2 = edge_tree_of(t1), edge_tree_of(t2)
-    return eager_deform_brute_force(et1, path_variants(et1), et2, path_variants(et2))
+    lt1, lt2 = (label_for_scheme(t, NODE_DIST_TO_PARENT) for t in (t1, t2))
+    return eager_deform_brute_force(lt1, path_variants(lt1), lt2, path_variants(lt2))
 
 
-def eager_deform_brute_force(et1, variants1, et2, variants2, want_witness=False):
-    """Oracle of editcore.deform_brute_force on two edge trees and their
-    eager_subset_variants: the second tree's variants bucketed by root
+def eager_deform_brute_force(lt1, variants1, lt2, variants2, want_witness=False):
+    """Oracle of editcore.deform_brute_force on two length-labeled trees and
+    their eager_subset_variants: the second tree's variants bucketed by root
     shape, each bucket walked in cost order. With want_witness, also the
     DeformWitness of the least cost, named on the replay quotients that
     deform_sequence rebuilds."""
@@ -960,33 +983,33 @@ def eager_deform_brute_force(et1, variants1, et2, variants2, want_witness=False)
     if not want_witness:
         return best
     d1, d2 = win
-    q1, q2 = replay_contract(et1, d1), replay_contract(et2, d2)
-    pairs = _iso(q1, q1.shapes(), q2, q2.shapes(), _length_diff)[1]
+    q1, q2 = replay_contract(lt1, d1), replay_contract(lt2, d2)
+    pairs = _iso(q1, _shapes(q1), q2, _shapes(q2), _length_diff)[1]
     return best, DeformWitness(d1, d2, tuple(pairs))
 
 
-def eager_deform_witness_search(et1, variants1, et2, variants2, max_ops, max_op_cost):
-    """Oracle of editcore.deform_witness_search on two edge trees: the first
-    qualifying plan as a DeformWitness, or None. The variants are lists in
+def eager_deform_witness_search(lt1, variants1, lt2, variants2, max_ops, max_op_cost):
+    """Oracle of editcore.deform_witness_search on two length-labeled trees:
+    the first qualifying plan as a DeformWitness, or None. The variants are lists in
     cost order whose entries hold a delete set second, those of
     eager_subset_variants or of editcore._variants_of. Each usable delete set
     gets its replay quotient, and the second tree's are bucketed by root
     shape, so the witness names the nodes deform_sequence rebuilds."""
     cap = max_op_cost + TOLERANCE
 
-    def usable(et, variants):
+    def usable(lt, variants):
         out = []
         for item in variants:
             d = item[1]
-            if len(d) <= max_ops and all(et.length[v] <= cap for v in d):
-                q = replay_contract(et, d)
-                out.append((d, q, q.shapes()))
+            if len(d) <= max_ops and all(lt.labels[v] <= cap for v in d):
+                q = replay_contract(lt, d)
+                out.append((d, q, _shapes(q)))
         return out
 
     buckets2 = {}
-    for d2, q2, s2 in usable(et2, variants2):
+    for d2, q2, s2 in usable(lt2, variants2):
         buckets2.setdefault(s2[q2.root], []).append((d2, q2, s2))
-    for d1, q1, s1 in usable(et1, variants1):
+    for d1, q1, s1 in usable(lt1, variants1):
         for d2, q2, s2 in buckets2.get(s1[q1.root], ()):
             budget = max_ops - len(d1) - len(d2)
             iso = None if budget < 0 else _qualifying_iso(q1, s1, q2, s2, budget, cap)

@@ -28,7 +28,7 @@ from helpers import (
     deform_sequence,
     deform_sequence_search,
     eager_deform_witness_search,
-    edge_canonical,
+    labeled_canonical,
     random_abstract_tree,
     selkow_brute_force,
 )
@@ -46,7 +46,7 @@ from mtstab.distances import (
     delta_x,
     tree_distance,
 )
-from mtstab.editcore import deform_witness_search, edge_tree_of
+from mtstab.editcore import deform_witness_search
 from mtstab.field import field_from_dict, validate_field
 from mtstab.mergetree import (
     build_bdt,
@@ -238,7 +238,8 @@ def _swap_witness_ok(failure) -> bool:
     return (
         len(seq) <= deg + 2
         and all(op.cost <= extent + TOL for op in seq)
-        and edge_canonical(check_edge_sequence(t1, seq)) == edge_canonical(edge_tree_of(t2))
+        and labeled_canonical(check_edge_sequence(t1, seq))
+        == labeled_canonical(label_for_scheme(t2, mt.NODE_DIST_TO_PARENT))
     )
 
 

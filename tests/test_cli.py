@@ -13,8 +13,16 @@ from mtstab import cli, pool
 from mtstab.cli import main, matrix_from_csv, matrix_to_csv
 from mtstab.distances import metric_from_string, tree_distance
 from mtstab.errors import DuplicateValueError
-from mtstab.field import dump_field, load_field, validate_field, build_domain, build_grid_domain
+from mtstab.field import (
+    build_domain,
+    build_grid_domain,
+    dump_field,
+    field_from_dict,
+    load_field,
+    validate_field,
+)
 from mtstab.mergetree import merge_tree_of
+from mtstab.perturb import apply_perturbation, enumerate_minimal_perturbations
 from mtstab.stability import CounterexampleFamily, counterexample_fields
 
 
@@ -96,6 +104,7 @@ MALFORMED_FIELDS = {
 UNREADABLE_FIELDS = {
     "not-utf-8": b'\xff\xfe{"grid": 1}',
     "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "not-json": b'{"grid": ',
 }
 
 
@@ -108,7 +117,7 @@ UNREADABLE_FIELDS = {
 def test_malformed_field_json_exits_2(command, payload, tmp_path, capsys):
     """A field file of the wrong form, or one the JSON parser cannot read,
     is a validation error: one error line and exit 2, from build-tree and
-    from matrix alike."""
+    from matrix alike; matrix names the file."""
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload)
     if command == "matrix":
@@ -119,6 +128,8 @@ def test_malformed_field_json_exits_2(command, payload, tmp_path, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if command == "matrix":
+        assert captured.err.startswith(f"error: {bad}: ")
     assert not captured.out
 
 
@@ -425,6 +436,36 @@ def test_bad_arguments_exit_2(argv, grid_file, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_perturb_apply_writes_the_perturbed_field(to_file, grid_file, tmp_path, capsys):
+    """--apply i writes the field the i-th candidate leaves, as JSON on
+    stdout or, with --out, to that file and nothing on stdout."""
+    f = load_field(grid_file)
+    want = apply_perturbation(f, enumerate_minimal_perturbations(f, 1)[0])
+    argv = ["perturb", "--field", grid_file, "--vertex", "1", "--apply", "0"]
+    out = tmp_path / "applied.json"
+    if to_file:
+        argv += ["--out", str(out)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    if to_file:
+        assert not captured.out
+        got = load_field(str(out))
+    else:
+        got = field_from_dict(json.loads(captured.out))
+    assert got.values == want.values and got.domain.edges == want.domain.edges
+
+
+@pytest.mark.parametrize("members", [0, 1])
+def test_matrix_on_fewer_than_two_fields_exits_1(members, tmp_path, capsys):
+    for i in range(members):
+        dump_field(validate_field(build_grid_domain(2, 2), [0, 3, 1, 2]), str(tmp_path / f"{i}.json"))
+    assert main(["matrix", str(tmp_path), "--metric", "w"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: need at least 2 field files in {tmp_path}\n"
+    assert not captured.out
 
 
 def test_counterexample_command(capsys):

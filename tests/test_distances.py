@@ -48,8 +48,8 @@ from mtstab.distances import (
     tree_distance,
 )
 from mtstab.editcore import ABS_DIFF, WASSERSTEIN_POINT, cost_model_for
-from mtstab.errors import SizeGuardError
-from mtstab.field import apply_value_change, validate_field
+from mtstab.errors import SizeGuardError, ValidationError
+from mtstab.field import apply_value_change, build_grid_domain, validate_field
 from mtstab.mergetree import (
     BLANK,
     LabeledTree,
@@ -65,6 +65,7 @@ from mtstab.stability import (
     counterexample,
     random_grid_field,
     random_minimal_perturbation,
+    run_finite_stability,
 )
 
 ALL_METRICS = tuple(MetricId)
@@ -717,13 +718,13 @@ def test_collapse_costs_are_summed_once_per_tree_and_side(monkeypatch):
     OBDT meets at least one. Deleting and inserting cost the same, so a
     tree on both sides is summed once too."""
     builds = collections.Counter()
-    postorder = editcore._postorder
+    walk = editcore._parents_first
 
     def counting(lt):
         builds[id(lt)] += 1
-        return postorder(lt)
+        return walk(lt)
 
-    monkeypatch.setattr(editcore, "_postorder", counting)
+    monkeypatch.setattr(editcore, "_parents_first", counting)
     t1, t2 = counterexample(CounterexampleFamily.HORIZONTAL_FIG8, 10.0, 0.1)
     n1, n2 = len(list(_all_decompositions(t1))), len(list(_all_decompositions(t2)))
     assert n1 > 1 and n2 > 1
@@ -756,3 +757,31 @@ def test_delta_b_stops_at_the_first_bound_that_reaches_the_least_value(monkeypat
     runs.clear()
     assert delta_b(t1, t1) == 0.0
     assert len(runs) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_float_overflow_raises_a_typed_error_naming_its_source():
+    """Two 3x3 fields of values in +-8e307: s and p meet an assignment block
+    whose costs overflow, which the solver cannot match, and l and g sum to
+    inf. Each raises ValidationError, the block's or the metric's; the
+    other four metrics stay finite."""
+    rng = random.Random(1)
+    dom = build_grid_domain(3, 3)
+    f1, f2 = (validate_field(dom, [rng.uniform(-8e307, 8e307) for _ in range(9)]) for _ in "ab")
+    for m in (MetricId.S, MetricId.P):
+        with pytest.raises(ValidationError, match="assignment block's costs overflow"):
+            compute(m, f1, f2)
+    for m in (MetricId.L, MetricId.G):
+        with pytest.raises(ValidationError, match=f"delta_{m.value} overflows a float"):
+            compute(m, f1, f2)
+    for m in (MetricId.W, MetricId.X, MetricId.E, MetricId.B):
+        assert math.isfinite(compute(m, f1, f2))
+
+
+@pytest.mark.parametrize("metric", [MetricId.P, MetricId.E])
+def test_finite_stability_on_overflowing_noise_raises_a_typed_error(metric):
+    """eps 8.9e307 on 3x3 fields: p's assignment blocks overflow and e's
+    value is inf; the suite raises ValidationError, not scipy's ValueError
+    nor an inf distance."""
+    with pytest.raises(ValidationError, match="overflow"):
+        run_finite_stability(0, 10, 3, 8.9e307, metrics=(metric,))

@@ -1,10 +1,12 @@
 import gc
 import itertools
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +20,16 @@ from helpers import (
     eager_deform_brute_force,
     eager_deform_witness_search,
     eager_subset_variants,
-    edge_canonical,
+    edges_of,
     labeled_canonical,
+    length_tree,
     path_variants,
     random_abstract_tree,
     random_field,
     random_tiny_tree,
     replay_contract,
     selkow_brute_force,
+    suite_trials,
     zhang_brute_force,
 )
 from mtstab import editcore
@@ -35,7 +39,6 @@ from mtstab.editcore import (
     ABS_DIFF,
     WASSERSTEIN_POINT,
     CostModel,
-    EdgeTree,
     EditMapping,
     EditOp,
     brute_force_distance,
@@ -45,7 +48,6 @@ from mtstab.editcore import (
     deform_witness_search,
     _qualifying_iso,
     _subset_variants,
-    edge_tree_of,
     mapping_to_sequence,
 )
 from mtstab.errors import InapplicableOperationError, SizeGuardError, ValidationError
@@ -187,7 +189,7 @@ def test_brute_force_size_guard():
 
 def fig3_left():
     # A root; B(3); C(2)@B; D(4)@C; E(2)@C; F(5)@B  -- edge lengths
-    return EdgeTree(
+    return length_tree(
         {"A": None, "B": "A", "C": "B", "D": "C", "E": "C", "F": "B"},
         {"B": 3, "C": 2, "D": 4, "E": 2, "F": 5},
         "A",
@@ -195,7 +197,7 @@ def fig3_left():
 
 
 def fig3_right():
-    return EdgeTree(
+    return length_tree(
         {"A": None, "B": "A", "D": "B", "C": "B", "E": "C", "F": "C"},
         {"B": 2, "D": 6, "C": 3, "E": 1.5, "F": 2},
         "A",
@@ -213,20 +215,20 @@ def test_deformation_three_step_sequence():
     )
     assert sum(op.cost for op in seq) == pytest.approx(4.5)  # 2 + 1 + 1.5
     result = check_edge_sequence(fig3_left(), seq)
-    assert edge_canonical(result) == edge_canonical(fig3_right())
+    assert labeled_canonical(result) == labeled_canonical(fig3_right())
 
 
 def test_delete_with_prune_merges_labels():
-    et = fig3_left()
-    out = check_edge_sequence(et, (EditOp("edge_delete", "E", 2.0),))
+    lt = fig3_left()
+    out = check_edge_sequence(lt, (EditOp("edge_delete", "E", 2.0),))
     # C became regular: (D,C)+(C,B) merged into a length-6 edge
-    assert sorted(round(v, 6) for v in out.length.values()) == [3.0, 5.0, 6.0]
+    assert sorted(round(out.labels[v], 6) for v in edges_of(out)) == [3.0, 5.0, 6.0]
 
 
 def test_empty_sequence_identity():
-    et = fig3_left()
-    out = check_edge_sequence(et, ())
-    assert edge_canonical(out) == edge_canonical(et)
+    lt = fig3_left()
+    out = check_edge_sequence(lt, ())
+    assert labeled_canonical(out) == labeled_canonical(lt)
 
 
 def test_inapplicable_operation_reports_step():
@@ -273,16 +275,15 @@ def test_deform_size_guard():
 def test_contract_operational_semantics():
     # deleting both leaves of a cherry keeps their parent as a leaf edge,
     # in the direct quotient and in the deletion replay
-    et = EdgeTree(
+    lt = length_tree(
         {"r": None, "p": "r", "c": "p", "d": "p"},
         {"p": 1.0, "c": 2.0, "d": 3.0},
         "r",
     )
-    for q in (contract(et, {"c", "d"}), replay_contract(et, {"c", "d"})):
-        assert q.edge_count() == 1
-        assert list(q.length.values()) == [pytest.approx(1.0)]
+    for q in (contract(lt, {"c", "d"}), replay_contract(lt, {"c", "d"})):
+        assert [q.labels[v] for v in edges_of(q)] == [pytest.approx(1.0)]
     with pytest.raises(ValidationError):
-        contract(et, {"r"})
+        contract(lt, {"r"})
 
 
 def test_deform_matches_sequence_search_free_and_one_degree():
@@ -342,12 +343,12 @@ def test_direct_quotient_matches_contract_on_every_delete_set():
     """contract, the direct quotient, has the shape and lengths of the
     top-down deletion replay on every delete set."""
     for t in grid_trees(12, 30):
-        et = edge_tree_of(t)
-        edges = [v for v in et.nodes() if et.parent[v] is not None]
+        lt = labeled(t)
+        edges = [v for v in lt.nodes() if lt.parent[v] is not None]
         for r in range(len(edges) + 1):
             for combo in itertools.combinations(edges, r):
-                q = contract(et, frozenset(combo))
-                assert edge_canonical(q) == edge_canonical(replay_contract(et, combo)), combo
+                q = contract(lt, frozenset(combo))
+                assert labeled_canonical(q) == labeled_canonical(replay_contract(lt, combo)), combo
 
 
 def test_path_variants_are_the_leaf_deletion_sets_in_order():
@@ -355,15 +356,15 @@ def test_path_variants_are_the_leaf_deletion_sets_in_order():
     reachable by iterated leaf-edge deletions, sorted as delta_E's list
     sorts them, with the costs of its entries."""
     for t in grid_trees(13, 20):
-        et = edge_tree_of(t)
+        lt = labeled(t)
         reach, frontier = {frozenset()}, [frozenset()]
         while frontier:
             grown = []
             for d in frontier:
-                for v in et.nodes():
-                    if et.parent[v] is None or v in d:
+                for v in lt.nodes():
+                    if lt.parent[v] is None or v in d:
                         continue
-                    if all(c in d for c in et.children[v]):
+                    if all(c in d for c in lt.children[v]):
                         bigger = d | {v}
                         if bigger not in reach:
                             reach.add(bigger)
@@ -371,13 +372,13 @@ def test_path_variants_are_the_leaf_deletion_sets_in_order():
             frontier = grown
         expected = sorted(
             reach,
-            key=lambda d: (sum(et.length[v] for v in d), tuple(sorted(map(_id_key, d)))),
+            key=lambda d: (sum(lt.labels[v] for v in d), tuple(sorted(map(_id_key, d)))),
         )
-        got = [item[1] for item in path_variants(et)]
+        got = [item[1] for item in path_variants(lt)]
         assert got == expected
-        closed = [(c, d) for c, d, _, _ in eager_subset_variants(et)
-                  if all(k in d for v in d for k in et.children[v])]
-        assert [(c, d) for c, d, _, _ in path_variants(et)] == closed
+        closed = [(c, d) for c, d, _, _ in eager_subset_variants(lt)
+                  if all(k in d for v in d for k in lt.children[v])]
+        assert [(c, d) for c, d, _, _ in path_variants(lt)] == closed
 
 
 #: (parent, value) of hand-built trees with string ids and edges of length 1
@@ -423,17 +424,17 @@ def test_subset_variants_are_the_combinations_summed_in_edge_order():
     trees = grid_trees(21, 20, max_edges=9)
     trees += [abstract_merge_tree(p, v) for p, v in (*TIED_TREES, *HASH_ORDER_PAIR)]
     for t in trees:
-        et = edge_tree_of(t)
-        edges = sorted((v for v in et.nodes() if et.parent[v] is not None), key=_id_key)
+        lt = labeled(t)
+        edges = sorted((v for v in lt.nodes() if lt.parent[v] is not None), key=_id_key)
         want = sorted(
             (
-                (sum(et.length[v] for v in combo), frozenset(combo), tuple(map(_id_key, combo)))
+                (sum(lt.labels[v] for v in combo), frozenset(combo), tuple(map(_id_key, combo)))
                 for r in range(len(edges) + 1)
                 for combo in itertools.combinations(edges, r)
             ),
             key=lambda entry: (entry[0], entry[2]),
         )
-        got = _subset_variants(et)
+        got = _subset_variants(lt)
         assert [(type(c), float(c).hex(), d) for c, d, _ in got] == [
             (type(c), float(c).hex(), d) for c, d, _ in want
         ]
@@ -499,29 +500,29 @@ def test_memoized_variants_give_the_fresh_results():
 
 def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
     """Quotients are built when a search first reaches their delete set and
-    kept with it: on a fresh pair, shapes() runs at most once per delete set
+    kept with it: on a fresh pair, _shapes runs at most once per delete set
     of either tree, over delta_E and the witness search together,
     and never inside _iso. delta_E stops before it reaches every set, so it
-    calls shapes() fewer times than there are delete sets."""
-    quotient, shapes, iso = editcore.contract, EdgeTree.shapes, editcore._iso
-    made = {}  # id of a quotient -> (the quotient, id of its edge tree, delete set)
+    calls _shapes fewer times than there are delete sets."""
+    quotient, shapes, iso = editcore.contract, editcore._shapes, editcore._iso
+    made = {}  # id of a quotient -> (the quotient, id of its base tree, delete set)
     per_set = {}
     calls = {"other": 0, "in_iso": 0}
     inside = [False]
 
-    def tagged_quotient(et, deleted):
-        q = quotient(et, deleted)
-        made[id(q)] = (q, id(et), deleted)
+    def tagged_quotient(lt, deleted):
+        q = quotient(lt, deleted)
+        made[id(q)] = (q, id(lt), deleted)
         return q
 
-    def counted_shapes(self):
+    def counted_shapes(q):
         calls["in_iso"] += inside[0]
-        if id(self) in made:
-            key = made[id(self)][1:]
+        if id(q) in made:
+            key = made[id(q)][1:]
             per_set[key] = per_set.get(key, 0) + 1
         else:
             calls["other"] += 1
-        return shapes(self)
+        return shapes(q)
 
     def flagged_iso(*args):
         inside[0] = True
@@ -531,7 +532,7 @@ def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(editcore, "contract", tagged_quotient)
-    monkeypatch.setattr(EdgeTree, "shapes", counted_shapes)
+    monkeypatch.setattr(editcore, "_shapes", counted_shapes)
     monkeypatch.setattr(editcore, "_iso", flagged_iso)
     t1, t2 = grid_trees(15, 2)
     deform_brute_force(t1, t2)
@@ -558,8 +559,8 @@ def test_deform_length_bound_skips_isomorphisms_the_eager_oracle_runs(monkeypatc
     monkeypatch.setattr(editcore, "_iso", counting("lazy", editcore._iso))
     monkeypatch.setattr(helpers, "_iso", counting("eager", helpers._iso))
     t1, t2 = grid_trees(15, 2)
-    et1, et2 = edge_tree_of(t1), edge_tree_of(t2)
-    want = eager_deform_brute_force(et1, eager_subset_variants(et1), et2, eager_subset_variants(et2))
+    lt1, lt2 = labeled(t1), labeled(t2)
+    want = eager_deform_brute_force(lt1, eager_subset_variants(lt1), lt2, eager_subset_variants(lt2))
     assert deform_brute_force(t1, t2).hex() == want.hex()
     assert 0 < calls["lazy"] < calls["eager"]
 
@@ -568,7 +569,7 @@ def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled):
     """delta_E and the witness search on t1, t2 equal the eager oracles'
     bit for bit, and every quotient the lazy searches built equals the
     eager one of its delete set. `filled` counts [built entries, entries]."""
-    eager = [(et, eager_subset_variants(et)) for et in (edge_tree_of(t1), edge_tree_of(t2))]
+    eager = [(lt, eager_subset_variants(lt)) for lt in (labeled(t1), labeled(t2))]
     oracle_args = (*eager[0], *eager[1])
     assert deform_brute_force(t1, t2).hex() == eager_deform_brute_force(*oracle_args).hex()
     got_w = deform_witness_search(t1, t2, max_ops, max_op_cost)
@@ -584,8 +585,34 @@ def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled):
             filled[1] += 1
             if built is not None:
                 filled[0] += 1
-                assert edge_canonical(built[0]) == edge_canonical(q)
+                assert labeled_canonical(built[0]) == labeled_canonical(q)
                 assert built[1] == shapes
+
+
+DEFORM_HEX = Path(__file__).parent / "data" / "deform_hex.json"
+
+
+def _guarded(search):
+    try:
+        return search()
+    except SizeGuardError:
+        return "skipped"
+
+
+def test_deform_values_and_verdicts_match_the_recorded_bits():
+    """delta_E's .hex() and the witness search's verdict at deg(T_f) and the
+    perturbation's extent, on the seed-42 4x4 and seed-5 5x5 suite pairs,
+    equal tests/data/deform_hex.json ("skipped" where a size guard fires).
+    The file was recorded before delta_E and the witness search moved onto
+    the labeled tree of delta_L, so it pins their bits independently of the
+    oracles in tests/helpers.py."""
+    for suite in json.loads(DEFORM_HEX.read_text()):
+        got = []
+        for t1, t2, extent in suite_trials(suite["seed"], suite["trials"], suite["grid_size"]):
+            e = _guarded(lambda: deform_brute_force(t1, t2).hex())
+            w = _guarded(lambda: deform_witness_search(t1, t2, stability_degree(t1), extent))
+            got.append([e, w])
+        assert got == suite["pairs"], suite["seed"]
 
 
 def test_lazy_quotients_match_the_eager_oracle_on_random_pairs():
@@ -632,9 +659,9 @@ def test_iso_leaves_no_cyclic_garbage():
         {"r": None, "s": "r", "a": "s", "b": "s", "t": "s", "c": "t", "d": "t"},
         {"r": 0.0, "s": 1.0, "a": 2.5, "b": 3.0, "t": 2.0, "c": 3.5, "d": 4.0},
     )
-    q1 = edge_tree_of(t)
-    q2 = EdgeTree(q1.parent, {v: 2.0 * x for v, x in q1.length.items()}, q1.root)
-    s1, s2 = q1.shapes(), q2.shapes()
+    q1 = labeled(t)
+    q2 = length_tree(q1.parent, {v: 2.0 * q1.labels[v] for v in edges_of(q1)}, q1.root)
+    s1, s2 = editcore._shapes(q1), editcore._shapes(q2)
     # the first call imports the assignment solver, and that import leaves
     # cyclic garbage of its own: count only the calls after it
     editcore._iso(q1, s1, q2, s2, editcore._length_diff)
@@ -664,11 +691,11 @@ def test_tai_search_leaves_no_cyclic_garbage():
 
 
 def test_shape_of_a_2000_level_chain():
-    """shapes() fills its shapes bottom-up, so depth is no RecursionError."""
+    """_shapes fills its shapes bottom-up, so depth is no RecursionError."""
     depth = 2000
     parent = {0: None, **{v: v - 1 for v in range(1, depth + 1)}}
-    et = EdgeTree(parent, {v: 1.0 for v in range(1, depth + 1)}, 0)
-    shape = et.shapes()[et.root]
+    lt = length_tree(parent, {v: 1.0 for v in range(1, depth + 1)}, 0)
+    shape = editcore._shapes(lt)[lt.root]
     for _ in range(depth):
         (shape,) = shape
     assert shape == ()
@@ -716,11 +743,54 @@ def test_mapping_to_sequence_random_round_trip():
             assert labeled_canonical(out) == labeled_canonical(l2)
 
 
+def cherry():
+    """r - s with the leaves m and n, labeled by distance to the parent."""
+    return labeled(abstract_merge_tree(
+        {"r": None, "s": "r", "m": "s", "n": "s"}, {"r": 0.0, "s": 1.0, "m": 3.0, "n": 2.0},
+    ))
+
+
+@pytest.mark.parametrize("op, reason", [
+    (EditOp("node_relabel", "z", 1.0, label=1.0), "no node 'z'"),
+    (EditOp("node_delete", "z", 1.0), "no node 'z'"),
+    (EditOp("node_delete", "r", 0.0), "cannot delete the root"),
+    (EditOp("node_insert", "m", 1.0, label=1.0, parent="s"), "node 'm' already present"),
+    (EditOp("node_insert", "x", 1.0, label=1.0, parent="z"), "no attach node 'z'"),
+    (EditOp("node_insert", "x", 1.0, label=1.0, parent="r", moved_children=("m",)),
+     "'m' is not a child of 'r'"),
+    (EditOp("edge_delete", "m", 2.0), "unknown node op 'edge_delete'"),
+], ids=["relabel-missing", "delete-missing", "delete-root", "insert-present",
+        "insert-no-attach", "insert-foreign-child", "edge-op"])
+def test_check_sequence_names_the_inapplicable_step(op, reason):
+    """Each way a node operation fails to apply raises
+    InapplicableOperationError with the index of the failing step, here
+    the second, after a relabel that applies."""
+    seq = (EditOp("node_relabel", "m", 0.5, label=1.5), op)
+    with pytest.raises(InapplicableOperationError) as err:
+        check_sequence(cherry(), seq)
+    assert err.value.step_index == 1 and reason in err.value.reason
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([("r", "r"), ("m", "m"), ("n", "m")], "mapping is not one-to-one"),
+    ([("r", "r"), ("m", "m"), ("m", "n")], "mapping is not one-to-one"),
+    ([("r", "r"), ("z", "m")], "mapping pair ('z', 'm') references unknown nodes"),
+    ([("r", "r"), ("m", "z")], "mapping pair ('m', 'z') references unknown nodes"),
+    ([("m", "m")], "mapping must match the roots"),
+    ([("r", "s"), ("s", "r")], "mapping must match the roots"),
+])
+def test_mapping_to_sequence_rejects_a_bad_mapping(pairs, message):
+    lt = cherry()
+    with pytest.raises(ValidationError) as err:
+        mapping_to_sequence(lt, lt, EditMapping.of(pairs))
+    assert str(err.value) == message
+
+
 def eager_witness(t1, t2):
     """delta_E's value and DeformWitness, from the eager oracle."""
-    et1, et2 = edge_tree_of(t1), edge_tree_of(t2)
+    lt1, lt2 = labeled(t1), labeled(t2)
     return eager_deform_brute_force(
-        et1, eager_subset_variants(et1), et2, eager_subset_variants(et2), want_witness=True
+        lt1, eager_subset_variants(lt1), lt2, eager_subset_variants(lt2), want_witness=True
     )
 
 
@@ -733,7 +803,7 @@ def test_deform_witness_sequence_round_trip():
         seq = deform_sequence(t1, t2, witness)
         assert sum(op.cost for op in seq) == pytest.approx(cost, abs=1e-9)
         out = check_edge_sequence(t1, seq)
-        assert edge_canonical(out) == edge_canonical(edge_tree_of(t2))
+        assert labeled_canonical(out) == labeled_canonical(labeled(t2))
 
 
 def test_deform_fig7_witness_single_insert():
@@ -755,9 +825,9 @@ def test_witness_search_finds_bounded_witness():
         {"r": 0.0, "s": 1.2, "m": 3.0, "n": 2.0},
     )
     assert deform_witness_search(t1, t2, max_ops=3, max_op_cost=0.2) is True
-    et1, et2 = edge_tree_of(t1), edge_tree_of(t2)
+    lt1, lt2 = labeled(t1), labeled(t2)
     w = eager_deform_witness_search(
-        et1, eager_subset_variants(et1), et2, eager_subset_variants(et2), 3, 0.2
+        lt1, eager_subset_variants(lt1), lt2, eager_subset_variants(lt2), 3, 0.2
     )
     seq = deform_sequence(t1, t2, w)
     assert len(seq) <= 3 and max(op.cost for op in seq) <= 0.2 + 1e-9
@@ -767,9 +837,9 @@ def test_qualifying_iso_rejects_a_relabel_above_cap():
     """One edge whose lengths differ by 1.0: above cap, no budget of
     relabels lets it through; with cap above the difference it is the one
     relabel of the identity."""
-    q1 = EdgeTree({"r": None, "a": "r"}, {"a": 1.0}, "r")
-    q2 = EdgeTree({"r": None, "b": "r"}, {"b": 2.0}, "r")
-    s1, s2 = q1.shapes(), q2.shapes()
+    q1 = length_tree({"r": None, "a": "r"}, {"a": 1.0}, "r")
+    q2 = length_tree({"r": None, "b": "r"}, {"b": 2.0}, "r")
+    s1, s2 = editcore._shapes(q1), editcore._shapes(q2)
     assert _qualifying_iso(q1, s1, q2, s2, 5, 0.5) is None
     assert _qualifying_iso(q1, s1, q2, s2, 5, 1.5) == [("r", "r"), ("a", "b")]
     assert _qualifying_iso(q1, s1, q2, s2, 0, 1.5) is None

@@ -108,6 +108,15 @@ def test_bad_edge_lists_raise_the_first_bad_edges_error(n, edges, error, message
     assert type(caught.value) is error and str(caught.value) == message
 
 
+@pytest.mark.parametrize("ids, bad", [([0, 2], 2), ([1, 0, 3], 3), ([0, 0], 0), ([-1, 0], -1)],
+                         ids=["gap", "past-the-end", "repeated", "negative"])
+def test_field_from_dict_needs_dense_vertex_ids(ids, bad):
+    vertices = [{"id": i, "value": float(k)} for k, i in enumerate(ids)]
+    edges = [[k, k + 1] for k in range(len(ids) - 1)]
+    with pytest.raises(ValidationError, match=f"^vertex ids must be dense 0-based, got {bad}$"):
+        field_from_dict({"vertices": vertices, "edges": edges})
+
+
 def test_a_disconnected_domain_made_directly_raises():
     with pytest.raises(DisconnectedDomainError, match="^domain 1-skeleton is not connected$"):
         validate_field(Domain1Skeleton(2, (), ((), ())), [0.0, 1.0])

@@ -216,6 +216,60 @@ def test_label_scheme_mismatch():
         label_for_scheme(figure_tree(), mt.BDT_BIRTH_DEATH)
 
 
+@pytest.mark.parametrize("on, scheme, message", [
+    ("tree", mt.BDT_BIRTH_DEATH, "unknown scheme 'bdt_birth_death'"),
+    ("bdt", mt.NODE_DIST_TO_PARENT, "node_dist_to_parent needs a merge tree"),
+    ("bdt", mt.BRANCH_LABEL_ON_NODES, "branch_label_on_nodes needs an abstract merge tree"),
+])
+def test_label_for_scheme_names_the_scheme_it_cannot_build(on, scheme, message):
+    """A BDT scheme is not among the merge tree schemes, and the merge tree
+    schemes need a merge tree."""
+    t = figure_tree()
+    obj = t if on == "tree" else build_bdt(persistence_branch_decomposition(t))
+    with pytest.raises(SchemeMismatchError) as err:
+        label_for_scheme(obj, scheme)
+    assert str(err.value) == message
+
+
+#: (parent, value, root) of a tree AbstractMergeTree refuses, and the start
+#: of its error message.
+BAD_TREES = {
+    "root-with-parent": ({"r": "s", "s": None}, {"r": 0.0, "s": 1.0}, "r",
+                         "root must be a node without parent"),
+    "root-unknown": ({"r": None}, {"r": 0.0}, "z", "root must be a node without parent"),
+    "node-sets-differ": ({"r": None, "a": "r"}, {"r": 0.0, "b": 1.0}, "r",
+                         "parent and value maps disagree"),
+    "unknown-parent": ({"r": None, "a": "z"}, {"r": 0.0, "a": 1.0}, "r",
+                       "unknown parent 'z' of node 'a'"),
+    "parent-not-below": ({"r": None, "a": "r"}, {"r": 1.0, "a": 1.0}, "r",
+                         "parent 'r' (1.0) not below child 'a' (1.0)"),
+    "unreached": ({"r": None, "a": "r", "b": None}, {"r": 0.0, "a": 1.0, "b": 2.0}, "r",
+                  "tree is not connected to the root"),
+}
+
+
+@pytest.mark.parametrize("parent, value, root, message", BAD_TREES.values(), ids=BAD_TREES)
+def test_abstract_merge_tree_rejects_a_bad_tree(parent, value, root, message):
+    with pytest.raises(ValidationError) as err:
+        mt.AbstractMergeTree(parent, value, root)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("parent, value, error, message", [
+    ({"r": None, "a": "r", "b": None}, {"r": 0.0, "a": 1.0, "b": 2.0}, ValidationError,
+     "expected exactly one root, got ['r', 'b']"),
+    ({"r": "a", "a": "r"}, {"r": 0.0, "a": 1.0}, ValidationError, "expected exactly one root, got []"),
+    ({"r": None, "a": "r", "b": "r"}, {"r": 0.0, "a": 1.0, "b": 2.0}, AbstractInvariantError,
+     "root has 2 children, expected 1"),
+    ({"r": None, "s": "r", "a": "s"}, {"r": 0.0, "s": 1.0, "a": 2.0}, AbstractInvariantError,
+     "regular node 's' left in abstract tree"),
+], ids=["two-roots", "no-root", "root-with-two-children", "regular-node"])
+def test_abstract_merge_tree_needs_one_root_and_no_regular_node(parent, value, error, message):
+    with pytest.raises(error) as err:
+        abstract_merge_tree(parent, value)
+    assert str(err.value).startswith(message)
+
+
 def test_tree_inclusion_identity_and_values():
     t = figure_tree()
     assert tree_included_up_to_iso(t, t)

@@ -10,12 +10,12 @@ from helpers import (
     check_edge_sequence,
     deform_sequence,
     eager_deform_witness_search,
-    edge_canonical,
+    labeled_canonical,
 )
 from mtstab import editcore, pool, stability
 from mtstab import mergetree as mt
 from mtstab.distances import DEFAULT_GUARDS, Guards, MetricId, tree_distance
-from mtstab.editcore import deform_witness_search, edge_tree_of
+from mtstab.editcore import deform_witness_search
 from mtstab.errors import DuplicateValueError, ValidationError
 from mtstab.field import TOLERANCE, apply_value_change, build_domain, validate_field
 from mtstab.mergetree import label_for_scheme, merge_tree_of
@@ -42,6 +42,14 @@ FAMS = CounterexampleFamily
 def test_counterexample_parameter_error():
     with pytest.raises(ValidationError):
         counterexample(FAMS.HORIZONTAL_FIG8, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("build", [counterexample, counterexample_fields])
+@pytest.mark.parametrize("x, eps", [(0.1, 0.1), (0.2, 0.1), (1.0, 0.0), (1.0, -0.1)])
+def test_counterexample_trees_and_fields_need_x_above_twice_eps(build, x, eps):
+    """Both the trees and the fields of a family need x > 2 * eps > 0."""
+    with pytest.raises(ValidationError, match=r"need x > 2\*eps > 0"):
+        build(FAMS.HORIZONTAL_FIG8, x, eps)
 
 
 def test_counterexample_fig8_values():
@@ -273,7 +281,8 @@ def test_every_witness_the_search_finds_replays_within_its_limits(seed):
         assert len(seq) <= deg, i
         assert all(op.cost <= p.extent + TOLERANCE for op in seq), i
         out = check_edge_sequence(t1, seq)
-        assert edge_canonical(out) == edge_canonical(edge_tree_of(t2)), i
+        want = label_for_scheme(t2, mt.NODE_DIST_TO_PARENT)
+        assert labeled_canonical(out) == labeled_canonical(want), i
     assert found >= 190 and with_deletions > 0
 
 
@@ -413,6 +422,32 @@ def test_failure_records_and_informational_counts(monkeypatch, one_cpu):
     assert all(set(r) == {"trial", "distance", "bound", "witness"} for r in records)
     assert all(r["distance"] == 1e9 and set(r["witness"]) == {"field_a", "field_b"}
                for r in records)
+
+
+CLAIMED_W = next(c for c in ChangeClass if c in STABILITY_MATRIX[MetricId.W])
+UNCLAIMED_W = next(c for c in ChangeClass if c not in STABILITY_MATRIX[MetricId.W])
+
+
+@pytest.mark.parametrize("cls, outcomes, cell", [
+    (CLAIMED_W, ["passed", "passed"], "2/2 pass"),
+    (CLAIMED_W, ["passed", "skipped", {"trial": 2}], "1/2 pass (1 FAIL)"),
+    (UNCLAIMED_W, ["informational"] * 3, "3 info"),
+    (CLAIMED_W, [], "-"),
+], ids=["pass", "fail", "info", "empty"])
+def test_summary_table_cells(cls, outcomes, cell):
+    """A claimed cell counts passes over the trials that ran and names its
+    failures, an unclaimed one counts informational trials, an empty one
+    is a dash; every other class of the row is a dash too."""
+    stats = CellStats()
+    for outcome in outcomes:
+        stats.count(outcome)
+    report = stability.SuiteReport(
+        0, len(outcomes), 3, (MetricId.W,), {(MetricId.W, cls): stats}, CellStats()
+    )
+    head, row = report.summary_table().split("\n")
+    cells = [row[8 + 26 * k: 8 + 26 * (k + 1)].strip() for k in range(len(ChangeClass))]
+    assert row.startswith("w ") and head.startswith("metric")
+    assert cells == [cell if c is cls else "-" for c in ChangeClass]
 
 
 def test_suite_zero_trials_empty():
