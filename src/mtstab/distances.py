@@ -28,6 +28,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,6 +89,13 @@ DEFAULT_GUARDS = Guards()
 #: 19.8 against 19.5 µs at 16 and 8.3 against 2.3 ms at 400
 #: (docs/decisions.md §3).
 _LIST_BLOCK_MAX = 14
+
+
+#: A node pair whose sides both have at least this many children (x: child
+#: groups) computes its child cost matrix, and x's alignment, on float64
+#: arrays in mtstab.widepairs, with the row loop's floats; below it the
+#: Python rows are faster (docs/decisions.md §15).
+_WIDE_PAIR_MIN = 64
 
 
 #: numpy adds fewer than 8 values one after another and, from 8 on, keeps 8
@@ -174,36 +182,69 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
             return sums[0]
     import numpy as np
 
+    size = n1 + n2
+    if size > _LIST_BLOCK_MAX:
+        mat = np.empty((size, size))
+        mat[:n1, :n2] = cost_rows
+        return _augmented_min(mat, del_costs, ins_costs)
     # rows are non-empty (n2 >= 1) and no cell is below +0.0 or NaN, so big
     # exceeds every assignment that avoids it (docs/decisions.md §3)
     big = sum(map(max, cost_rows)) + sum(del_costs) + sum(ins_costs) + 1.0
-    size = n1 + n2
-    if size <= _LIST_BLOCK_MAX:
-        fill1, fill2, zeros = [big] * n1, [big] * n2, [0.0] * n1
-        block = []
-        for i, (r, d) in enumerate(zip(cost_rows, del_costs)):
-            row = [*r, *fill1]
-            row[n2 + i] = d
-            block.append(row)
-        for j, c in enumerate(ins_costs):
-            row = fill2 + zeros
-            row[j] = c
-            block.append(row)
-        mat = np.array(block, dtype=float)
-    else:
-        mat = np.full((size, size), big)
-        mat[:n1, :n2] = cost_rows
-        mat[n1:, n2:] = 0.0
-        diag1, diag2 = np.arange(n1), np.arange(n2)
-        mat[diag1, n2 + diag1] = del_costs
-        mat[n1 + diag2, diag2] = ins_costs
+    fill1, fill2, zeros = [big] * n1, [big] * n2, [0.0] * n1
+    block = []
+    for i, (r, d) in enumerate(zip(cost_rows, del_costs)):
+        row = [*r, *fill1]
+        row[n2 + i] = d
+        block.append(row)
+    for j, c in enumerate(ins_costs):
+        row = fill2 + zeros
+        row[j] = c
+        block.append(row)
+    return _solved(np.array(block, dtype=float), big)
+
+
+def _augmented_min(mat, del_costs, ins_costs):
+    """_assignment_min of the n1 x n2 cost block in the top left corner of
+    mat, the (n1 + n2)-square float64 matrix the solver takes. The rest of
+    mat is filled here: `big` (the same float as the row maxima summed in
+    Python), the deletions and insertions on their diagonals and zeros
+    bottom right, the bytes np.full(big) and its overwrites gave."""
+    import numpy as np
+
+    n1, n2 = len(del_costs), len(ins_costs)
+    big = sum(mat[:n1, :n2].max(axis=1).tolist()) + sum(del_costs) + sum(ins_costs) + 1.0
+    mat[:n1, n2:] = big
+    mat[n1:, :n2] = big
+    mat[n1:, n2:] = 0.0
+    diag1, diag2 = np.arange(n1), np.arange(n2)
+    mat[diag1, n2 + diag1] = del_costs
+    mat[n1 + diag2, diag2] = ins_costs
+    return _solved(mat, big)
+
+
+#: The solution of an n-row augmented matrix is n cells, each at most
+#: `big`; while n * big is at most this, numpy sums them without overflow:
+#: its pairwise sum rounds a sum of non-negative floats up by far less
+#: than a factor of 2.
+_SUM_SAFE = sys.float_info.max / 2
+
+
+def _solved(mat, big) -> float:
+    """The solver's value of an augmented matrix. A block whose costs
+    overflow sums to inf without numpy's overflow warning; tree_distance
+    names the metric that met it."""
     try:
         rows, cols = linear_sum_assignment(mat)
     except ValueError as exc:
         # only an overflowed block fails: big is then inf, and the solver
         # finds no matching of finite cells or meets a NaN
         raise ValidationError(f"an assignment block's costs overflow a float: {exc}") from exc
-    return float(mat[rows, cols].sum())
+    if big * len(mat) <= _SUM_SAFE:
+        return float(mat[rows, cols].sum())
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        return float(mat[rows, cols].sum())
 
 
 def _pair_order(l1: LabeledTree, l2: LabeledTree):
@@ -286,6 +327,12 @@ def one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     for v, w in reversed(_pair_order(l1, l2)):
         lab1, dels, inner1, leaves1, _, _ = views1[v]
         lab2, inss, inner2, _, _, _ = views2[w]
+        if len(lab1) >= _WIDE_PAIR_MIN and len(lab2) >= _WIDE_PAIR_MIN:
+            from . import widepairs
+
+            memo[v, w] = relabel(labels1[v], labels2[w]) + widepairs.assignment_min(
+                views1[v], views2[w], memo, cost)
+            continue
         # a pair with a leaf adds the one rest term the DP would add
         # (docs/decisions.md §8); a pair of inner nodes reads the memo
         rows = relabel_rows(lab1, lab2)
@@ -317,6 +364,12 @@ def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     for v, w in reversed(_pair_order(l1, l2)):
         lab1, _, inner1, leaves1, spans1, d1 = views1[v]
         lab2, _, inner2, _, spans2, d2 = views2[w]
+        if len(spans1) >= _WIDE_PAIR_MIN and len(spans2) >= _WIDE_PAIR_MIN:
+            from . import widepairs
+
+            memo[v, w] = relabel(labels1[v], labels2[w]) + widepairs.alignment(
+                views1[v], views2[w], memo, cost)
+            continue
         rows = relabel_rows(lab1, lab2)
         for i in leaves1:
             row = rows[i]
@@ -584,8 +637,12 @@ _TREE_METRICS = {
 def tree_distance(metric: MetricId, t1, t2, guards=DEFAULT_GUARDS) -> float:
     """metric's distance between two merge trees. A value that is not
     finite, a float overflow on trees of huge values, raises
-    ValidationError naming the metric."""
-    d = _TREE_METRICS[metric](t1, t2, guards)
+    ValidationError naming the metric, and so does an error of the
+    computation, such as an assignment block whose costs overflow."""
+    try:
+        d = _TREE_METRICS[metric](t1, t2, guards)
+    except ValidationError as exc:
+        raise ValidationError(f"delta_{metric.value}: {exc}") from exc
     if not math.isfinite(d):
         raise ValidationError(f"delta_{metric.value} overflows a float: {d}")
     return d

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import (
     InapplicableOperationError,
@@ -84,6 +85,26 @@ class CostModel:
             return [[abs(a - b) for b in labels_b] for a in labels_a]
         hypot = math.hypot
         return [[hypot(a0 - b0, a1 - b1) for b0, b1 in labels_b] for a0, a1 in labels_a]
+
+    def relabel_block(self, labels_a, labels_b, out):
+        """relabel_rows written into out, a float64 array of len(labels_a)
+        rows and len(labels_b) columns, and returned; the same floats.
+        numpy's |a - b| is Python's, and math.dist(a, b) runs CPython's
+        vector_norm on the same |a0 - b0| and |a1 - b1| as math.hypot(a0 -
+        b0, a1 - b1) (docs/decisions.md §15). A difference of huge labels
+        overflows to inf, as in Python: call it under np.errstate."""
+        import numpy as np
+
+        if self.kind == "scalar":
+            if BLANK in labels_a or BLANK in labels_b:
+                out[:] = self.relabel_rows(labels_a, labels_b)
+            else:
+                np.abs(np.subtract.outer(labels_a, labels_b, out=out), out=out)
+            return out
+        n2, dist = len(labels_b), math.dist
+        for i, a in enumerate(labels_a):
+            out[i] = np.fromiter(map(dist, repeat(a, n2), labels_b), float, n2)
+        return out
 
     def delete(self, a) -> float:
         if self.kind == "scalar":

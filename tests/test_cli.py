@@ -336,6 +336,23 @@ def test_matrix_lists_every_bad_member_with_its_path(cpus, request, tmp_path, ca
     assert not captured.out
 
 
+def test_matrix_overflow_prints_one_error_line_and_no_warning(tmp_path):
+    """Two 3x3 fields of values in +-8e307, whose l distance overflows to
+    inf in the solver's sum: `mtstab matrix --metric l` prints one error
+    line naming the metric and exits 2; numpy's overflow warning, which
+    the sum used to print first, does not appear."""
+    rng = random.Random(1)
+    dom = build_grid_domain(3, 3)
+    for name in "ab":
+        values = [rng.uniform(-8e307, 8e307) for _ in range(9)]
+        dump_field(validate_field(dom, values), str(tmp_path / f"{name}.json"))
+    src = os.path.dirname(os.path.dirname(mtstab.__file__))
+    run = subprocess.run([sys.executable, "-m", "mtstab.cli", "matrix", str(tmp_path), "--metric", "l"],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == ["error: delta_l overflows a float: inf"]
+
+
 #: `mtstab matrix --out-json` for w, x and l on golden_ensemble, recorded
 #: before _assignment_min built its small blocks from lists.
 MATRIX_GOLDEN = Path(__file__).parent / "data" / "matrix_golden.json"

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from helpers import (
     suite_tree_pairs,
     zhang_brute_force,
 )
-from mtstab import distances, editcore
+from mtstab import distances, editcore, widepairs
 from mtstab import mergetree as mt
 from mtstab.distances import (
     DEFAULT_GUARDS,
@@ -257,8 +258,10 @@ def test_one_degree_dps_on_1200_level_trees():
 def test_assignment_min_1x1_is_the_solver_value():
     """The 1x1 closed form returns exactly what the solver returns on the
     2x2 matrix it replaces, on random triples and on near-ties c = d + i,
-    one ulp either side of it."""
+    one ulp either side of it; so does its array form, which the wide
+    pairs of the ordered DP take for every group pair at once."""
     rng = random.Random(59)
+    triples, solved = [], []
     for k in range(4000):
         scale = 10 ** rng.uniform(-3, 3)
         d = rng.uniform(0.0, scale) if k % 7 else 0.0
@@ -267,7 +270,11 @@ def test_assignment_min_1x1_is_the_solver_value():
              math.nextafter(d + i, math.inf), math.nextafter(d + i, 0.0))[k % 4]
         mat = np.array([[c, d], [i, 0.0]])
         rows, cols = linear_sum_assignment(mat)
-        assert _assignment_min([[c]], [d], [i]) == float(mat[rows, cols].sum())
+        solved.append(float(mat[rows, cols].sum()))
+        assert _assignment_min([[c]], [d], [i]) == solved[-1]
+        triples.append((c, d, i))
+    c, d, i = (np.array(column) for column in zip(*triples))
+    assert [v.hex() for v in widepairs.one_by_one(c, d, i).tolist()] == [v.hex() for v in solved]
 
 
 def _assignment_block(rng, n1, n2, kind):
@@ -317,7 +324,7 @@ def test_assignment_min_builds_the_in_place_matrix_bytes(monkeypatch, kind):
     """Every shape with n1 + n2 from 2 to threshold + 4 returns the
     reference value bit for bit. The 1x1 block makes no solver call; every
     other one makes none or hands the solver the bytes of the in-place
-    matrix, from lists below the threshold and from np.full above it. Ties
+    matrix, from lists below the threshold and in place above it. Ties
     and near ties reach the solver in the shapes the closed forms cover
     too."""
     seen = _solver_calls(monkeypatch)
@@ -529,6 +536,73 @@ def test_dps_match_the_all_pairs_oracles_on_hand_built_trees():
                     if not scalar:
                         assert (ordered_one_degree_dp(a, b, cost).hex()
                                 == ordered_one_degree_dp_all_pairs(a, b, cost).hex())
+
+
+def _wide_labeled_tree(rng, kind, scalar):
+    """A random labeled tree whose root has 8 to 40 children, some of them
+    inner, in child groups of 1 to 3, or, for kind "childless", a single
+    node. Labels by kind: spread over magnitudes, small integers (exact
+    ties), one value nudged by at most one ulp (near ties), or values in
+    +-8e307, whose costs overflow."""
+    if kind == "childless":
+        return random_labeled_tree(rng, [], scalar)
+    k = rng.randint(8, 40)
+    parents = [0] * k + [rng.randrange(1, k + 1 + v) for v in range(rng.randint(0, 2 * k))]
+    lt = random_labeled_tree(rng, parents, scalar)
+
+    def value():
+        if kind == "ties":
+            return float(rng.randint(0, 3))
+        if kind == "near ties":
+            return math.nextafter(1.5, rng.choice((0.0, 1.5, math.inf)))
+        if kind == "huge":
+            return rng.uniform(-8e307, 8e307)
+        return rng.uniform(0.1, 1.0) * 10 ** rng.randint(-3, 2)
+
+    if kind != "spread":
+        labels = {v: lab if lab is BLANK else value() if scalar else (value(), value())
+                  for v, lab in lt.labels.items()}
+        lt = LabeledTree(lt.scheme, lt.root, lt.parent, labels, lt.children, lt.groups)
+    return lt
+
+
+def _outcome(dp, l1, l2, cost):
+    """The DP's value as .hex(), or the message of the error it raises."""
+    try:
+        return dp(l1, l2, cost).hex()
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@pytest.mark.parametrize("kind", ["spread", "ties", "near ties", "huge"])
+def test_wide_pairs_give_the_row_loop_bits(monkeypatch, kind):
+    """The wide-pair path of the one-degree DPs keeps the row loop's bits
+    (docs/decisions.md §15): with the threshold at 1 every pair with
+    children on both sides takes it, and with a threshold no tree reaches
+    none does; w, x and l give the same .hex(), or the same error, both
+    ways round. Trees have inner children and multi-child groups, and each
+    is also compared with a single node."""
+    wide_calls = []
+    real_child_rows = widepairs.child_rows
+    monkeypatch.setattr(widepairs, "child_rows", lambda *a: wide_calls.append(1) or real_child_rows(*a))
+    rng = random.Random(83)
+    for k in range(24):
+        scalar = k % 2 == 1
+        cost = ABS_DIFF if scalar else WASSERSTEIN_POINT
+        t1, t2 = (_wide_labeled_tree(rng, kind, scalar) for _ in "ab")
+        single = _wide_labeled_tree(rng, "childless", scalar)
+        dps = [one_degree_dp] if scalar else [one_degree_dp, ordered_one_degree_dp]
+        for dp in dps:
+            for a, b in ((t1, t2), (t2, t1), (t1, single), (single, t2)):
+                outcomes = []
+                for threshold in (1, 10 ** 9):
+                    monkeypatch.setattr(distances, "_WIDE_PAIR_MIN", threshold)
+                    wide_calls.clear()
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        outcomes.append(_outcome(dp, a, b, cost))
+                    assert bool(wide_calls) == (threshold == 1 and single not in (a, b))
+                assert outcomes[0] == outcomes[1]
 
 
 def test_pair_order_lists_only_inner_pairs():
@@ -759,17 +833,18 @@ def test_delta_b_stops_at_the_first_bound_that_reaches_the_least_value(monkeypat
     assert len(runs) == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_float_overflow_raises_a_typed_error_naming_its_source():
     """Two 3x3 fields of values in +-8e307: s and p meet an assignment block
     whose costs overflow, which the solver cannot match, and l and g sum to
-    inf. Each raises ValidationError, the block's or the metric's; the
-    other four metrics stay finite."""
+    inf. Each raises ValidationError naming the metric, and the block's
+    error says what overflowed; the other four metrics stay finite. No
+    numpy warning is raised on the way."""
     rng = random.Random(1)
     dom = build_grid_domain(3, 3)
     f1, f2 = (validate_field(dom, [rng.uniform(-8e307, 8e307) for _ in range(9)]) for _ in "ab")
     for m in (MetricId.S, MetricId.P):
-        with pytest.raises(ValidationError, match="assignment block's costs overflow"):
+        with pytest.raises(ValidationError, match=f"^delta_{m.value}: an assignment block's costs overflow"):
             compute(m, f1, f2)
     for m in (MetricId.L, MetricId.G):
         with pytest.raises(ValidationError, match=f"delta_{m.value} overflows a float"):

@@ -4,10 +4,12 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,54 @@ def test_relabel_rows_is_relabel_cell_by_cell():
             rows = cost.relabel_rows(la, lb)
             assert [[c.hex() for c in row] for row in rows] == [
                 [cost.relabel(a, b).hex() for b in lb] for a in la
+            ]
+
+
+def _extreme_floats(rng, k):
+    """k floats: random bit patterns (NaN excluded), signed zeros,
+    subnormals, the largest finite floats and infinities."""
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 8e307, -8e307, math.inf, -math.inf, 1.0, -1.0]
+    out = []
+    while len(out) < k:
+        x = rng.choice(special) if rng.random() < 0.3 else struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if not math.isnan(x):
+            out.append(x)
+    return out
+
+
+def test_math_dist_is_the_hypot_of_the_differences():
+    """relabel_block's birth-death cells call math.dist(a, b) where relabel
+    calls math.hypot(a0 - b0, a1 - b1): the same floats, bit for bit, on
+    extreme labels (docs/decisions.md §15)."""
+    rng = random.Random(97)
+    for _ in range(20000):
+        a0, a1, b0, b1 = _extreme_floats(rng, 4)
+        assert math.dist((a0, a1), (b0, b1)).hex() == math.hypot(a0 - b0, a1 - b1).hex()
+
+
+def test_relabel_block_is_relabel_rows():
+    """The array form of the wide node pairs holds relabel_rows' floats,
+    bit for bit, on spread and extreme labels, blank scalar labels
+    included."""
+    rng = random.Random(98)
+    for k in range(200):
+        n1, n2 = rng.randint(1, 9), rng.randint(1, 9)
+        if k % 2:
+            scalars = _extreme_floats(rng, n1 + n2)
+            points = [tuple(_extreme_floats(rng, 2)) for _ in range(n1 + n2)]
+        else:
+            scalars = [rng.uniform(-10, 10) * 10 ** rng.randint(-6, 3) for _ in range(n1 + n2)]
+            points = [tuple(rng.uniform(-10, 10) * 10 ** rng.randint(-6, 3) for _ in range(2))
+                      for _ in range(n1 + n2)]
+        if k % 5 == 0:
+            scalars[rng.randrange(n1 + n2)] = mt.BLANK
+        for cost, labels in ((ABS_DIFF, scalars), (WASSERSTEIN_POINT, points)):
+            la, lb = labels[:n1], labels[n1:]
+            with np.errstate(all="ignore"):
+                block = cost.relabel_block(la, lb, np.empty((n1, n2)))
+            assert [[c.hex() for c in row] for row in block.tolist()] == [
+                [c.hex() for c in row] for row in cost.relabel_rows(la, lb)
             ]
 
 
