@@ -158,14 +158,15 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
     (docs/decisions.md §3). A 1x1 block [[c]] makes the solver's own
     comparisons on its 2x2 matrix [[c, d], [i, 0.0]]: c <= d, then
     c - d < i. A 2x2 block, or one with one row or one column and
-    n1 + n2 <= _FOLD_SUM_MAX, returns its least matching sum when every
-    other one lies more than TOLERANCE * (1 + the block's sum) above it:
-    the solver then takes the same cells and numpy sums them in the same
-    order. Every other block goes to the solver as the augmented
-    (n1 + n2)-square matrix: costs top left, deletions on the top right
-    diagonal, insertions on the bottom left one, zeros bottom right and
-    `big` everywhere else. Small ones are built from lists, large ones in
-    place; both give the same bytes.
+    n1 + n2 <= _FOLD_SUM_MAX, returns its least matching sum, if finite,
+    when every other one is the same float or lies more than TOLERANCE *
+    (1 + the block's sum) above it: the solver then takes the cells of one
+    of the least matchings and numpy sums them in the same order, to that
+    float whichever it takes. Every other block goes to the solver as the
+    augmented (n1 + n2)-square matrix: costs top left, deletions on the
+    top right diagonal, insertions on the bottom left one, zeros bottom
+    right and `big` everywhere else. Small ones are built from lists,
+    large ones in place; both give the same bytes.
     """
     n1, n2 = len(del_costs), len(ins_costs)
     if n1 == 0:
@@ -178,8 +179,10 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
     if n1 == n2 == 2 or ((n1 == 1 or n2 == 1) and n1 + n2 <= _FOLD_SUM_MAX):
         sums, total = _matching_sums(cost_rows, del_costs, ins_costs)
         sums.sort()
-        if sums[1] > sums[0] + TOLERANCE * (1.0 + total):
-            return sums[0]
+        least = sums[0]
+        above = sums[sums.count(least):]  # exact ties of the least left out
+        if least < math.inf and (not above or above[0] > least + TOLERANCE * (1.0 + total)):
+            return least
     import numpy as np
 
     size = n1 + n2

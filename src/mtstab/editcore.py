@@ -11,6 +11,7 @@ independent sequence search in the test suite.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -39,14 +40,36 @@ _EPS = 1e-12
 _solve = None
 
 
-def linear_sum_assignment(cost_matrix):
-    """scipy.optimize.linear_sum_assignment, imported and bound when first
-    called: scipy and numpy would otherwise take most of the time of
-    `import mtstab.cli`."""
+def _solver():
+    """scipy's compiled linear_sum_assignment, loaded on first use from its
+    own extension module, scipy/optimize/_lsap, without running
+    scipy.optimize's __init__ (docs/decisions.md §16). It is the function
+    scipy.optimize exports, so every distance keeps its bits; where no such
+    file exists, it is taken from scipy.optimize."""
     global _solve
     if _solve is None:
-        from scipy.optimize import linear_sum_assignment as _solve
-    return _solve(cost_matrix)
+        from importlib.machinery import EXTENSION_SUFFIXES
+        from importlib.util import find_spec, module_from_spec, spec_from_file_location
+
+        scipy = find_spec("scipy")
+        paths = [os.path.join(d, "optimize", "_lsap" + suffix)
+                 for d in (scipy.submodule_search_locations if scipy else ())
+                 for suffix in EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            from scipy.optimize import linear_sum_assignment as _solve
+        else:
+            spec = spec_from_file_location("scipy.optimize._lsap", path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            _solve = module.linear_sum_assignment
+    return _solve
+
+
+def linear_sum_assignment(cost_matrix):
+    """The assignment solver of every distance, _solver()'s function: numpy
+    and the solver load on the first call, not by `import mtstab.cli`."""
+    return (_solve or _solver())(cost_matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,10 @@ def map_in_order(fn, items) -> list:
     import multiprocessing
     import pickle
 
-    # imported once here, not once per child on its first solve
-    import scipy.optimize  # noqa: F401
+    from .editcore import _solver
+
+    # loaded once here, not once per child on its first solve
+    _solver()
 
     counter = multiprocessing.get_context("fork").Value("q", 0)
     _job = fn

@@ -571,9 +571,11 @@ def test_stability_run_refuses_a_repeated_metric(mode, tmp_path, capsys):
 
 
 def test_import_cli_loads_neither_numpy_nor_scipy():
-    """The assignment solver is imported on first use, and the matrix
-    command's process pool when it starts, so every command that needs
-    neither starts without paying for them."""
+    """The assignment solver, and numpy with it, is loaded on first use
+    or when the fork pool starts, and the pool's modules when it starts,
+    so every command that needs neither starts without paying for them.
+    scipy.optimize is not imported even then
+    (test_solver_loads_without_scipy_optimize)."""
     src = os.path.dirname(os.path.dirname(mtstab.__file__))
     lazy = "{'numpy', 'scipy', 'multiprocessing', 'concurrent.futures'}"
     code = f"import sys, mtstab.cli; print(sorted({lazy} & set(sys.modules)))"

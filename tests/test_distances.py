@@ -50,7 +50,7 @@ from mtstab.distances import (
 )
 from mtstab.editcore import ABS_DIFF, WASSERSTEIN_POINT, cost_model_for
 from mtstab.errors import SizeGuardError, ValidationError
-from mtstab.field import apply_value_change, build_grid_domain, validate_field
+from mtstab.field import TOLERANCE, apply_value_change, build_grid_domain, validate_field
 from mtstab.mergetree import (
     BLANK,
     LabeledTree,
@@ -279,8 +279,10 @@ def test_assignment_min_1x1_is_the_solver_value():
 
 def _assignment_block(rng, n1, n2, kind):
     """A cost block with its deletion and insertion costs: values spread
-    over 1e-3 to 1e2, rows of zeros, one value everywhere, or entries one
-    ulp either side of their row's deletion plus a column's insertion."""
+    over 1e-3 to 1e2, rows of zeros, one value everywhere with half of it
+    on every deletion and insertion (a float of 20 significant bits, so
+    every matching sums to the same float), or entries one ulp either side
+    of their row's deletion plus a column's insertion."""
     spread = lambda: 10 ** rng.uniform(-3, 2)
     dels = [spread() for _ in range(n1)]
     inss = [spread() for _ in range(n2)]
@@ -290,7 +292,7 @@ def _assignment_block(rng, n1, n2, kind):
             rows[r] = [0.0] * n2
             dels[r] = 0.0
     elif kind == "ties":
-        tie = spread()
+        tie = math.ldexp(rng.randint(2**19, 2**20), rng.randint(-30, 0))
         rows = [[tie] * n2 for _ in range(n1)]
         dels, inss = [tie / 2] * n1, [tie / 2] * n2
     elif kind == "near ties":
@@ -319,16 +321,37 @@ def _closed_form_shape(n1, n2):
     )
 
 
+def _solver_is_certain(rows, dels, inss):
+    """Whether the closed forms answer a block of their shapes: numpy sums
+    the cells each partial matching takes in the augmented matrix, in row
+    order; the least sum is finite and every other one is the same float
+    or lies more than TOLERANCE * (1 + the block's sum) above it."""
+    n1, n2 = len(dels), len(inss)
+    sums = []
+    for k in range(min(n1, n2) + 1):
+        for matched in itertools.combinations(range(n1), k):
+            for cols in itertools.permutations(range(n2), k):
+                to = dict(zip(matched, cols))
+                cells = [rows[i][to[i]] if i in to else dels[i] for i in range(n1)]
+                cells += [0.0 if j in cols else inss[j] for j in range(n2)]
+                sums.append(float(np.array(cells).sum()))
+    least = min(sums)
+    margin = least + TOLERANCE * (1.0 + sum(map(sum, rows)) + sum(dels) + sum(inss))
+    return least < math.inf and all(s == least or s > margin for s in sums)
+
+
 @pytest.mark.parametrize("kind", ["spread", "zero rows", "ties", "near ties"])
 def test_assignment_min_builds_the_in_place_matrix_bytes(monkeypatch, kind):
     """Every shape with n1 + n2 from 2 to threshold + 4 returns the
     reference value bit for bit. The 1x1 block makes no solver call; every
     other one makes none or hands the solver the bytes of the in-place
-    matrix, from lists below the threshold and in place above it. Ties
-    and near ties reach the solver in the shapes the closed forms cover
-    too."""
+    matrix, from lists below the threshold and in place above it. In the
+    shapes the closed forms cover, a block makes no solver call exactly
+    when the solver's value is certain: exact ties make none, and near
+    ties reach the solver unless their matchings sum to one float."""
     seen = _solver_calls(monkeypatch)
     rng = random.Random(1818)
+    calls_in_closed_form_shapes = 0
     for size in range(2, distances._LIST_BLOCK_MAX + 5):
         for n1 in range(1, size):
             n2 = size - n1
@@ -341,10 +364,14 @@ def test_assignment_min_builds_the_in_place_matrix_bytes(monkeypatch, kind):
                     assert seen == []
                     continue
                 solved = [assignment_matrix_reference(rows, dels, inss).tobytes()]
-                if kind in ("ties", "near ties") or not _closed_form_shape(n1, n2):
+                if not _closed_form_shape(n1, n2):
                     assert seen == solved
-                else:
-                    assert seen in ([], solved)
+                    continue
+                certain = _solver_is_certain(rows, dels, inss)
+                assert certain or kind != "ties"
+                assert seen == ([] if certain else solved)
+                calls_in_closed_form_shapes += len(seen)
+    assert (calls_in_closed_form_shapes > 0) == (kind == "near ties")
 
 
 def _small_block(rng, n1, n2, kind):

@@ -712,7 +712,7 @@ def test_iso_leaves_no_cyclic_garbage():
     q1 = labeled(t)
     q2 = length_tree(q1.parent, {v: 2.0 * q1.labels[v] for v in edges_of(q1)}, q1.root)
     s1, s2 = editcore._shapes(q1), editcore._shapes(q2)
-    # the first call imports the assignment solver, and that import leaves
+    # the first call loads the assignment solver, and that load leaves
     # cyclic garbage of its own: count only the calls after it
     editcore._iso(q1, s1, q2, s2, editcore._length_diff)
     gc.collect()
@@ -893,3 +893,89 @@ def test_qualifying_iso_rejects_a_relabel_above_cap():
     assert _qualifying_iso(q1, s1, q2, s2, 5, 0.5) is None
     assert _qualifying_iso(q1, s1, q2, s2, 5, 1.5) == [("r", "r"), ("a", "b")]
     assert _qualifying_iso(q1, s1, q2, s2, 0, 1.5) is None
+
+
+# ---------------------------------------------------------------------------
+# The assignment solver, loaded without scipy.optimize
+# ---------------------------------------------------------------------------
+
+#: Each route to the solver, in a fresh process: a classification whose
+#: merge-tree inclusion matches two children in mergetree._covers, w on
+#: BDTs whose roots have 2 and 3 children (a 2x3 block, which always goes
+#: to the solver), and a stability suite on two CPUs, whose pool loads the
+#: solver before it forks. Each route must load it itself: the slot is
+#: emptied after each.
+SOLVER_ROUTES = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from mtstab import editcore
+from mtstab.distances import MetricId, tree_distance
+from mtstab.field import build_domain, validate_field
+from mtstab.mergetree import merge_tree_of
+from mtstab.perturb import classify_change_detailed
+from mtstab.stability import run_stability_suite
+
+def path_field(values):
+    edges = [(i, i + 1) for i in range(len(values) - 1)]
+    return validate_field(build_domain(len(values), edges), values)
+
+def loaded():
+    was = editcore._solve is not None
+    editcore._solve = None
+    return was
+
+classify_change_detailed(path_field([0.0, 5.0, 1.0, 6.0, 2.0]), path_field([0.0, 5.0, 1.5, 6.0, 2.0]))
+routes = [loaded()]
+tree_distance(MetricId.W, merge_tree_of(path_field([0.0, 5.0, 1.0, 6.0, 2.0, 7.0, 3.0])),
+              merge_tree_of(path_field([0.0, 5.0, 1.0, 6.0, 2.0, 7.0, 3.0, 8.0, 4.0])))
+routes.append(loaded())
+run_stability_suite(0, 4, 3)
+routes.append(loaded())
+print(routes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _run_fresh(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(editcore.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout.strip()
+
+
+def test_solver_loads_without_scipy_optimize():
+    """The DPs, the classifier's matching and the pool each load the solver
+    through editcore._solver, and the only module of scipy in the process
+    is then the solver's own: scipy.optimize is not imported."""
+    assert _run_fresh(SOLVER_ROUTES) == "[True, True, True] ['scipy.optimize._lsap']"
+
+
+def test_loaded_solver_is_the_public_one():
+    """On the pinned build scipy.optimize exports the extension module's
+    function, so the loaded one is that same function, and it returns the
+    rows and columns of the public one on random, tied and list inputs."""
+    import scipy.optimize
+
+    public = scipy.optimize.linear_sum_assignment
+    assert public.__module__ == "scipy.optimize._lsap"
+    assert editcore._solver() is public
+    rng = np.random.default_rng(16)
+    mats = [rng.random((n1, n2)) for n1, n2 in ((1, 1), (3, 3), (4, 7), (9, 5), (30, 30))]
+    mats += [np.full((4, 4), 0.5), np.eye(5), np.zeros((3, 6))]
+    mats += [[[0, 1, 1], [1, 0, 1]], [[2.0, 2.0], [2.0, 2.0], [1.0, 3.0]]]
+    for mat in mats:
+        got, want = editcore._solver()(mat), public(mat)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+def test_solver_falls_back_to_scipy_optimize():
+    """Where scipy/optimize holds no _lsap file of any extension suffix,
+    the solver is scipy.optimize's own, imported."""
+    code = (
+        "import importlib.machinery, sys\n"
+        "importlib.machinery.EXTENSION_SUFFIXES = ['.no-such-suffix']\n"
+        "from mtstab import editcore\n"
+        "solve = editcore._solver()\n"
+        "imported = 'scipy.optimize' in sys.modules\n"
+        "import scipy.optimize\n"
+        "print(imported, solve is scipy.optimize.linear_sum_assignment)\n"
+    )
+    assert _run_fresh(code) == "True True"
