@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainMismatchError, NotMinimalError, UnknownVertexError, ValidationError
-from .field import ScalarField, apply_value_change, build_domain, validate_field
+from .field import ScalarField, apply_value_change
 from .mergetree import (
     bdt_included_up_to_iso,
     build_bdt,
@@ -189,147 +189,6 @@ def classify_change_detailed(f: ScalarField, f2: ScalarField) -> Classification:
         )
         return Classification(cls, p, tree_inc, obdt_inc, bdt_inc)
     return Classification(cls, p, tree_inc, obdt_inc, None)
-
-
-# ---------------------------------------------------------------------------
-# Scenario suite: one constructed instance per named perturbation case
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    field: ScalarField
-    perturbed: ScalarField
-    expected: ChangeClass
-    distance_zero: bool = False  # tree and labels unchanged: all metrics 0
-
-
-def _field(n, edges, values) -> ScalarField:
-    return validate_field(build_domain(n, edges), values)
-
-
-def _scenario(name, n, edges, values, vertex, new_value, expected, distance_zero=False):
-    f = _field(n, edges, values)
-    f2 = apply_value_change(f, vertex, new_value)
-    check_minimal(f, f2)
-    return Scenario(name, f, f2, expected, distance_zero)
-
-
-def scenario_suite() -> list[Scenario]:
-    """Hand-built fields realizing every named case of the perturbation
-    case distinction that yields a well-defined class.
-
-    Vertex 1 is the perturbed vertex x in the pass-a-neighbor cases; the
-    layouts control which components stay adjacent to x after the move.
-    """
-    path3 = [(0, 1), (1, 2)]
-    path4 = [(0, 1), (1, 2), (2, 3)]
-    s = []
-    # perturbations without any transposition
-    s.append(_scenario("regular_moves", 3, path3, [0, 1, 2], 1, 1.5,
-                       ChangeClass.SIMPLE_CHANGE, distance_zero=True))
-    s.append(_scenario("minimum_moves", 3, path3, [0, 1, 2], 0, 0.5,
-                       ChangeClass.SIMPLE_CHANGE))
-    s.append(_scenario("saddle_moves", 4, [(0, 1), (1, 2), (1, 3)], [0, 1, 3, 4], 1, 1.5,
-                       ChangeClass.SIMPLE_CHANGE))
-    s.append(_scenario("maximum_moves", 3, path3, [0, 1, 2], 2, 3.0,
-                       ChangeClass.SIMPLE_CHANGE))
-    # transpositions of non-neighbors (in the augmented tree)
-    s.append(_scenario("regular_passes_nonneighbor", 5,
-                       [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)],
-                       [0, 1, 2, 3, 4], 2, 3.5,
-                       ChangeClass.SIMPLE_CHANGE, distance_zero=True))
-    s.append(_scenario("saddle_passes_nonneighbor", 8,
-                       [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)],
-                       [0, 0.5, 1.0, 1.1, 2, 3, 4, 5], 2, 1.15,
-                       ChangeClass.SIMPLE_CHANGE))
-    s.append(_scenario("maximum_passes_maximum_parent_branch", 6,
-                       [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
-                       [0, 4.1, 1, 4.0, 2, 3], 3, 4.2,
-                       ChangeClass.VERTICAL_SWAP))
-    s.append(_scenario("maximum_passes_maximum_sibling_branch", 6,
-                       [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)],
-                       [0, 0.5, 2, 1, 2.1, 4], 2, 2.15,
-                       ChangeClass.SIMPLE_CHANGE))
-    s.append(_scenario("maximum_passes_regular_nonneighbor", 5,
-                       [(0, 1), (1, 2), (0, 3), (3, 4), (1, 3)],
-                       [0, 1, 1.4, 1.5, 3], 2, 1.7,
-                       ChangeClass.SIMPLE_CHANGE))
-    # minimum passes its neighbor
-    s.append(_scenario("minimum_passes_neighbor", 3, [(0, 1), (1, 2), (0, 2)],
-                       [0, 1, 2], 0, 1.5,
-                       ChangeClass.SIMPLE_CHANGE))
-    # regular vertex passes a neighbor
-    s.append(_scenario("regular_passes_regular_child_stays", 4, path4,
-                       [0, 1, 2, 3], 1, 2.5,
-                       ChangeClass.EDGE_SPLIT))
-    s.append(_scenario("regular_passes_regular_child_moves", 4,
-                       path4 + [(1, 3)], [0, 1, 2, 3], 1, 2.5,
-                       ChangeClass.SIMPLE_CHANGE, distance_zero=True))
-    s.append(_scenario("regular_passes_maximum", 3, path3, [0, 1, 2], 1, 2.5,
-                       ChangeClass.SIMPLE_CHANGE))
-    s.append(_scenario("regular_passes_saddle_all_children", 5,
-                       [(0, 1), (1, 2), (2, 3), (2, 4), (1, 3), (1, 4)],
-                       [0, 1, 2, 3, 4], 1, 2.5,
-                       ChangeClass.SIMPLE_CHANGE))
-    s.append(_scenario("regular_passes_saddle_no_children", 5,
-                       [(0, 1), (1, 2), (2, 3), (2, 4)],
-                       [0, 1, 2, 3, 4], 1, 2.5,
-                       ChangeClass.SIMPLE_CHANGE))
-    s.append(_scenario("regular_passes_saddle_one_child", 5,
-                       [(0, 1), (1, 2), (2, 3), (2, 4), (1, 3)],
-                       [0, 1, 2, 3, 4], 1, 2.5,
-                       ChangeClass.SIMPLE_CHANGE, distance_zero=True))
-    s.append(_scenario("regular_passes_saddle_some_children", 6,
-                       [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (1, 3), (1, 4)],
-                       [0, 1, 2, 3, 4, 5], 1, 2.5,
-                       ChangeClass.UNORDERED_HORIZONTAL_SWAP))
-    s.append(_scenario("regular_passes_saddle_some_children_ordered", 6,
-                       [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (1, 3), (1, 4)],
-                       [0, 1, 2, 5, 4, 3], 1, 2.5,
-                       ChangeClass.ORDERED_HORIZONTAL_SWAP))
-    # saddle vertex passes a neighbor
-    s.append(_scenario("saddle_passes_regular_child_stays_ordered", 6,
-                       [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5)],
-                       [0, 1, 1.5, 3, 4, 5], 1, 1.7,
-                       ChangeClass.ORDERED_HORIZONTAL_SWAP))
-    s.append(_scenario("saddle_passes_regular_child_stays_unordered", 6,
-                       [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5)],
-                       [0, 1, 1.5, 5, 3, 4], 1, 1.7,
-                       ChangeClass.UNORDERED_HORIZONTAL_SWAP))
-    s.append(_scenario("saddle_passes_regular_one_child_left", 5,
-                       [(0, 1), (1, 2), (2, 3), (1, 4)],
-                       [0, 1, 1.5, 3, 4], 1, 1.7,
-                       ChangeClass.SIMPLE_CHANGE))
-    s.append(_scenario("saddle_passes_regular_child_moves", 5,
-                       [(0, 1), (1, 2), (2, 3), (1, 3), (1, 4)],
-                       [0, 1, 1.5, 3, 4], 1, 1.7,
-                       ChangeClass.SIMPLE_CHANGE))
-    s.append(_scenario("saddle_passes_maximum_two_children_left", 5,
-                       [(0, 1), (1, 2), (1, 3), (1, 4)],
-                       [0, 1, 1.5, 3, 4], 1, 2.0,
-                       ChangeClass.SIMPLE_CHANGE))
-    s.append(_scenario("saddle_passes_maximum_one_child_left", 4,
-                       [(0, 1), (1, 2), (1, 3)],
-                       [0, 1, 1.5, 3], 1, 2.0,
-                       ChangeClass.EDGE_SPLIT))
-    s.append(_scenario("saddle_passes_saddle_all_move", 6,
-                       [(0, 1), (1, 2), (2, 3), (2, 4), (1, 3), (1, 4), (1, 5)],
-                       [0, 1, 2, 5, 6, 7], 1, 2.2,
-                       ChangeClass.UNORDERED_HORIZONTAL_SWAP))
-    s.append(_scenario("saddle_passes_saddle_all_move_ordered", 6,
-                       [(0, 1), (1, 2), (2, 3), (2, 4), (1, 3), (1, 4), (1, 5)],
-                       [0, 1, 2, 5, 7, 6], 1, 2.2,
-                       ChangeClass.ORDERED_HORIZONTAL_SWAP))
-    s.append(_scenario("saddle_passes_saddle_some_stay", 7,
-                       [(0, 1), (1, 2), (2, 3), (2, 4), (1, 5), (1, 6)],
-                       [0, 1, 2, 5, 6, 7, 8], 1, 2.2,
-                       ChangeClass.UNORDERED_HORIZONTAL_SWAP))
-    s.append(_scenario("saddle_passes_saddle_all_stay", 6,
-                       [(0, 1), (1, 2), (2, 3), (2, 4), (1, 5)],
-                       [0, 1, 2, 5, 6, 7], 1, 2.2,
-                       ChangeClass.UNORDERED_HORIZONTAL_SWAP))
-    return s
 
 
 # ---------------------------------------------------------------------------

@@ -156,11 +156,26 @@ class CounterexampleFamily(Enum):
     VERTICAL_FIG10 = "fig10"
 
 
+def _check_scale(x: float, eps: float) -> None:
+    """The families need x > 2 * eps > 0, and every value the perturbation
+    moves must stay a float distinct from its partner: x +- eps from x,
+    2x +- eps / 2 (the fields' fig7 jitter, which also covers the trees'
+    2x + eps) from 2x, and 4x +- eps from 4x. An eps that vanishes against
+    x would give two identical trees or a field with a repeated value."""
+    if not (
+        x > 2 * eps > 0
+        and all(s * x - d < s * x < s * x + d for s, d in ((1, eps), (2, eps / 2), (4, eps)))
+    ):
+        raise ValidationError(
+            f"need x > 2*eps > 0 with x +- eps, 2x +- eps/2 and 4x +- eps distinct "
+            f"floats from x, 2x and 4x, got x={x}, eps={eps}"
+        )
+
+
 def counterexample(family: CounterexampleFamily, x: float, eps: float):
     """The two abstract merge trees of the named instability family,
     instantiated at scale x and perturbation parameter eps."""
-    if not (x > 2 * eps > 0):
-        raise ValidationError(f"need x > 2*eps > 0, got x={x}, eps={eps}")
+    _check_scale(x, eps)
     if family is CounterexampleFamily.EDGE_SPLIT_FIG7:
         t1 = abstract_merge_tree(
             {"A": None, "B": "A", "C": "B", "E": "B", "D": "E", "F": "E"},
@@ -200,8 +215,7 @@ def counterexample_fields(family: CounterexampleFamily, x: float, eps: float):
     the CLI: the pair differs by a minimal vertex perturbation whose merge
     trees reproduce the family's shape (one leaf value is jittered where the
     figure reuses a value, which would break injectivity)."""
-    if not (x > 2 * eps > 0):
-        raise ValidationError(f"need x > 2*eps > 0, got x={x}, eps={eps}")
+    _check_scale(x, eps)
     if family is CounterexampleFamily.EDGE_SPLIT_FIG7:
         # path a - c - b - d - e - f; moving f past e splits the edge (d, b)
         dom = build_domain(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
@@ -231,7 +245,10 @@ def instability_growth(family, metric: MetricId, x_values, eps: float, guards=DE
 
 
 def linear_growth_ok(rows) -> bool:
-    """Doubling x should double the distance, within 10%."""
+    """Doubling x should double the distance, within 10%. Fewer than two
+    rows, or a distance that is not positive, shows no growth."""
+    if len(rows) < 2 or not all(d > 0 for _, d in rows):
+        return False
     ok = True
     for (x1, d1), (x2, d2) in zip(rows, rows[1:]):
         expect = d1 * (x2 / x1)

@@ -30,6 +30,7 @@ from helpers import (
     eager_deform_witness_search,
     labeled_canonical,
     random_abstract_tree,
+    scenario_suite,
     selkow_brute_force,
 )
 from mtstab import editcore
@@ -59,7 +60,6 @@ from mtstab.perturb import (
     ChangeClass,
     classify_change,
     classify_change_detailed,
-    scenario_suite,
 )
 from mtstab.stability import (
     STABILITY_MATRIX,

@@ -948,6 +948,24 @@ def test_solver_loads_without_scipy_optimize():
     assert _run_fresh(SOLVER_ROUTES) == "[True, True, True] ['scipy.optimize._lsap']"
 
 
+def test_import_mtstab_loads_no_submodule():
+    """The package root holds only __version__, so importing it loads no
+    mtstab module, and mtstab.cli still loads every module a command needs
+    (widepairs only on its first wide node pair)."""
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('mtstab.'))\n"
+        "import mtstab\n"
+        "root = loaded()\n"
+        "import mtstab.cli\n"
+        "print(root, loaded())\n"
+    )
+    modules = ["cli", "distances", "editcore", "errors", "field", "mergetree", "perturb", "pool",
+               "stability"]
+    assert _run_fresh(code) == f"[] {['mtstab.' + m for m in modules]}"
+
+
 def test_loaded_solver_is_the_public_one():
     """On the pinned build scipy.optimize exports the extension module's
     function, so the loaded one is that same function, and it returns the

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import build_augmented, embed_backtracking, random_field, staircase_field
+from helpers import build_augmented, embed_backtracking, random_field, scenario_suite, staircase_field
 from mtstab import mergetree
 from mtstab.distances import MetricId, tree_distance
 from mtstab.errors import DomainMismatchError, NotMinimalError, ValidationError
@@ -17,7 +17,6 @@ from mtstab.perturb import (
     classify_change_detailed,
     decompose_perturbation,
     enumerate_minimal_perturbations,
-    scenario_suite,
 )
 
 

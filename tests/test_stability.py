@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import weakref
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     deform_sequence,
     eager_deform_witness_search,
     labeled_canonical,
+    scenario_suite,
 )
 from mtstab import editcore, pool, stability
 from mtstab import mergetree as mt
@@ -50,6 +52,17 @@ def test_counterexample_trees_and_fields_need_x_above_twice_eps(build, x, eps):
     """Both the trees and the fields of a family need x > 2 * eps > 0."""
     with pytest.raises(ValidationError, match=r"need x > 2\*eps > 0"):
         build(FAMS.HORIZONTAL_FIG8, x, eps)
+
+
+@pytest.mark.parametrize("build", [counterexample, counterexample_fields])
+@pytest.mark.parametrize("family", list(FAMS), ids=lambda family: family.value)
+@pytest.mark.parametrize("x, eps", [(1e17, 1.0), (10.0, 1e-320), (1e308, 1.0)])
+def test_counterexample_refuses_an_eps_that_vanishes_against_x(build, family, x, eps):
+    """x +- eps, 2x +- eps / 2 and 4x +- eps must stay floats distinct from
+    x, 2x and 4x (4x overflows at 1e308): otherwise the trees coincide or a
+    field repeats a value, so one ValidationError names x and eps."""
+    with pytest.raises(ValidationError, match=re.escape(f"got x={x}, eps={eps}") + "$"):
+        build(family, x, eps)
 
 
 def test_counterexample_fig8_values():
@@ -114,6 +127,8 @@ def test_growth_tables():
     assert linear_growth_ok(rows)
     control = instability_growth(FAMS.EDGE_SPLIT_FIG7, MetricId.E, [10.0, 20.0], 0.1)
     assert control[0][1] == pytest.approx(control[1][1], abs=1e-9)
+    for flat in ([(1e17, 0.0), (2e17, 0.0)], [(10.0, 1.0)], []):
+        assert not linear_growth_ok(flat)
 
 
 def test_suite_deterministic():
@@ -485,7 +500,6 @@ def test_ordered_horizontal_swap_separates_w_from_x():
     Wasserstein distance stays within its bound while the ordered variant
     pays for the flipped attachment order."""
     from mtstab.distances import delta_w, delta_x
-    from mtstab.perturb import check_minimal, scenario_suite
 
     seen = 0
     for sc in scenario_suite():
