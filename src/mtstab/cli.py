@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import perturb, stability
 from .distances import Guards, metric_from_string, tree_distance
@@ -167,17 +168,7 @@ def cmd_classify(args) -> int:
 def cmd_perturb(args) -> int:
     f = load_field(args.field)
     candidates = perturb.enumerate_minimal_perturbations(f, args.vertex)
-    out = [
-        {
-            "vertex": p.vertex,
-            "old_value": p.old_value,
-            "new_value": p.new_value,
-            "extent": p.extent,
-            "swap_partner": p.swap_partner,
-            "direction": p.direction,
-        }
-        for p in candidates
-    ]
+    out = [{**asdict(p), "extent": p.extent} for p in candidates]
     if args.apply is not None:
         if not 0 <= args.apply < len(candidates):
             raise ValidationError(f"--apply must be in 0..{len(candidates) - 1}")
@@ -199,15 +190,14 @@ def cmd_stability_run(args) -> int:
         report = stability.run_finite_stability(
             args.seed, args.trials, args.grid, args.eps, metrics, guards
         )
-        payload = report.to_dict()
         ok = report.all_pass()
     else:
         report = stability.run_stability_suite(
             args.seed, args.trials, args.grid, metrics, guards
         )
-        payload = report.to_dict()
         ok = report.all_claimed_pass()
         print(report.summary_table(), file=sys.stderr)
+    payload = report.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

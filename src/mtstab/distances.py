@@ -75,6 +75,12 @@ class Guards:
     deform_edges: int = DEFORM_EDGE_LIMIT        # e subset enumeration
     branch_edges: int = 8                        # b decomposition enumeration
 
+    def __post_init__(self):
+        # a negative limit would skip every check of its metric as over size
+        for name, limit in vars(self).items():
+            if limit < 0:
+                raise ValidationError(f"guard {name} must be at least 0, got {limit}")
+
 
 DEFAULT_GUARDS = Guards()
 

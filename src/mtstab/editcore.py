@@ -112,17 +112,14 @@ class CostModel:
     def relabel_block(self, labels_a, labels_b, out):
         """relabel_rows written into out, a float64 array of len(labels_a)
         rows and len(labels_b) columns, and returned; the same floats.
-        numpy's |a - b| is Python's, and math.dist(a, b) runs CPython's
-        vector_norm on the same |a0 - b0| and |a1 - b1| as math.hypot(a0 -
-        b0, a1 - b1) (docs/decisions.md §15). A difference of huge labels
-        overflows to inf, as in Python: call it under np.errstate."""
+        Scalar blocks take relabel_rows' own rows; birth-death rows run
+        math.dist(a, b), which runs CPython's vector_norm on the same
+        |a0 - b0| and |a1 - b1| as math.hypot(a0 - b0, a1 - b1)
+        (docs/decisions.md §15)."""
         import numpy as np
 
         if self.kind == "scalar":
-            if BLANK in labels_a or BLANK in labels_b:
-                out[:] = self.relabel_rows(labels_a, labels_b)
-            else:
-                np.abs(np.subtract.outer(labels_a, labels_b, out=out), out=out)
+            out[:] = self.relabel_rows(labels_a, labels_b)
             return out
         n2, dist = len(labels_b), math.dist
         for i, a in enumerate(labels_a):

@@ -41,9 +41,6 @@ class Domain1Skeleton:
         if not _connected(self):
             raise DisconnectedDomainError("domain 1-skeleton is not connected")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
 
 def build_domain(vertex_count: int, edges) -> Domain1Skeleton:
     """Validate and normalize an edge list into a Domain1Skeleton."""
@@ -174,6 +171,9 @@ def field_from_dict(data: dict) -> ScalarField:
     except (TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"malformed field JSON: {e}") from e
     if edges is None:
+        if rows >= 2 and cols >= 2 and rows * cols != len(values):
+            # before the build: a small payload may claim a huge grid
+            raise LengthMismatchError(f"{len(values)} values for {rows * cols} vertices")
         return validate_field(build_grid_domain(rows, cols), values)
     n = len(verts)
     values = [None] * n

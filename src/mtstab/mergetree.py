@@ -89,13 +89,6 @@ class AbstractMergeTree:
     def edge_count(self) -> int:
         return len(self.value) - 1
 
-    def max_undirected_degree(self) -> int:
-        """Maximum number of incident tree edges over all nodes."""
-        return max(
-            len(self._children[v]) + (0 if self.parent[v] is None else 1)
-            for v in self.value
-        )
-
 
 def _build_merge_tree(field: ScalarField) -> AbstractMergeTree:
     """Descending sweep with union-find over superlevel components (Carr,

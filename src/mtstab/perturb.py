@@ -65,9 +65,11 @@ def _same_domain(f: ScalarField, f2: ScalarField) -> bool:
 def check_minimal(f: ScalarField, f2: ScalarField) -> MinimalPerturbation:
     """Verify the two fields differ by a minimal vertex perturbation.
 
-    Exactly one vertex value may differ, and the value orders must either
-    agree or differ by one adjacent transposition. The identity (no change)
-    counts as the degenerate extent-0 case.
+    Exactly one vertex value may differ, and it may cross at most one other
+    value: the vertex's rank moves by the number of values it passes, and
+    each of those moves by one, so one crossed value is one adjacent
+    transposition of the value order. The identity (no change) counts as
+    the degenerate extent-0 case.
     """
     if not _same_domain(f, f2):
         raise DomainMismatchError("fields live on different domains")
@@ -77,20 +79,13 @@ def check_minimal(f: ScalarField, f2: ScalarField) -> MinimalPerturbation:
     if len(diffs) > 1:
         raise NotMinimalError(f"{len(diffs)} vertex values differ: {diffs}")
     (x,) = diffs
-    order1 = sorted(range(f.vertex_count), key=f.values.__getitem__)
-    order2 = sorted(range(f.vertex_count), key=f2.values.__getitem__)
-    rank1 = {v: i for i, v in enumerate(order1)}
-    rank2 = {v: i for i, v in enumerate(order2)}
-    moved = [v for v in range(f.vertex_count) if rank1[v] != rank2[v]]
-    direction = "up" if f2.values[x] > f.values[x] else "down"
-    if not moved:
-        return MinimalPerturbation(x, f.values[x], f2.values[x], None, direction)
-    if len(moved) != 2 or x not in moved:
-        raise NotMinimalError(f"vertex order changed at {moved}, not one transposition")
-    y = moved[0] if moved[1] == x else moved[1]
-    if abs(rank1[x] - rank1[y]) != 1 or rank1[x] != rank2[y] or rank1[y] != rank2[x]:
-        raise NotMinimalError(f"vertices {x} and {y} do not swap adjacent ranks")
-    return MinimalPerturbation(x, f.values[x], f2.values[x], y, direction)
+    old, new = f.values[x], f2.values[x]
+    lo, hi = min(old, new), max(old, new)
+    crossed = [v for v, value in enumerate(f.values) if lo < value < hi]
+    if len(crossed) > 1:
+        raise NotMinimalError(f"vertex {x} crosses the values of vertices {crossed}, not one")
+    partner = crossed[0] if crossed else None
+    return MinimalPerturbation(x, old, new, partner, "up" if new > old else "down")
 
 
 def enumerate_minimal_perturbations(field: ScalarField, vertex: int) -> list[MinimalPerturbation]:
@@ -225,23 +220,22 @@ def decompose_perturbation(f: ScalarField, f2: ScalarField) -> PerturbationSeque
 
     n = f.vertex_count
     target_rank = {v: i for i, v in enumerate(sorted(range(n), key=f2.values.__getitem__))}
-    # phase one: adjacent transpositions toward the target order
-    while True:
-        order = sorted(range(n), key=current.values.__getitem__)
-        swap = None
-        for a, b in zip(order, order[1:]):
-            if target_rank[a] > target_rank[b]:
-                swap = (a, b)
-                break
-        if swap is None:
-            break
-        a, b = swap
-        pos = order.index(b)
-        above = current.values[order[pos + 1]] if pos + 1 < n else None
+    # phase one: adjacent transpositions toward the target order. Landing a
+    # just above b swaps the two in `order` and changes only the pairs at
+    # k - 1, k and k + 1; none below k is inverted, so the scan resumes at
+    # k - 1.
+    order = sorted(range(n), key=f.values.__getitem__)
+    k = 0
+    while k < n - 1:
+        a, b = order[k], order[k + 1]
+        if target_rank[a] < target_rank[b]:
+            k += 1
+            continue
         vb = current.values[b]
-        push(a, (vb + above) / 2 if above is not None else vb + 1.0)
+        push(a, (vb + current.values[order[k + 2]]) / 2 if k + 2 < n else vb + 1.0)
+        order[k], order[k + 1] = b, a
+        k = max(k - 1, 0)
     # phase two: value adjustment, crossing-free
-    order = sorted(range(n), key=current.values.__getitem__)
     for v in order:  # down-movers bottom-up
         if f2.values[v] < current.values[v]:
             push(v, f2.values[v])

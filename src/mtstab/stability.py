@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from enum import Enum
 from functools import partial
 
@@ -79,7 +79,7 @@ STABILITY_MATRIX = {
 
 def stability_degree(tree: AbstractMergeTree) -> int:
     """The multiplier in the stability bounds: max incident tree edges."""
-    return tree.max_undirected_degree()
+    return max(tree.child_count(v) + (tree.parent[v] is not None) for v in tree.value)
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,9 @@ class BoundReport:
     witness: dict | None = None
 
     def to_dict(self):
-        return {
-            "metric": self.metric.value,
-            "class": self.change_class.value,
-            "extent": self.extent,
-            "degree": self.degree,
-            "degree_g": self.degree_g,
-            "distance": self.distance,
-            "bound": self.bound,
-            "claimed": self.claimed,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "witness": self.witness,
-        }
+        row = asdict(self)
+        del row["metric"]
+        return {"metric": self.metric.value, "class": row.pop("change_class").value, **row}
 
 
 def check_bound(f: ScalarField, f2: ScalarField, metric: MetricId, guards=DEFAULT_GUARDS) -> BoundReport:
@@ -302,14 +292,7 @@ class CellStats:
             self.failures.append(outcome)
 
     def to_dict(self):
-        return {
-            "trials": self.trials,
-            "passed": self.passed,
-            "failed": self.failed,
-            "skipped": self.skipped,
-            "informational": self.informational,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 @dataclass

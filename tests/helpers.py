@@ -1,5 +1,6 @@
 """Shared test utilities: random generators, the hand-built scenario suite of
-named perturbation cases, canonical tree comparison, a superlevel-set
+named perturbation cases, the rank-based minimality check and re-sorting
+decomposition that are perturb's oracles, canonical tree comparison, a superlevel-set
 oracle and the two-pass augmented-tree builder for merge tree
 construction, the deformation edit operations with the top-down deletion
 replay that is editcore.contract's oracle and the witness sequences built
@@ -39,7 +40,13 @@ from mtstab.editcore import (
     contract,
     cost_model_for,
 )
-from mtstab.errors import InapplicableOperationError, SizeGuardError, ValidationError
+from mtstab.errors import (
+    DomainMismatchError,
+    InapplicableOperationError,
+    NotMinimalError,
+    SizeGuardError,
+    ValidationError,
+)
 from mtstab.field import (
     TOLERANCE,
     ScalarField,
@@ -59,7 +66,13 @@ from mtstab.mergetree import (
     label_for_scheme,
     merge_tree_of,
 )
-from mtstab.perturb import ChangeClass, apply_perturbation, check_minimal
+from mtstab.perturb import (
+    ChangeClass,
+    MinimalPerturbation,
+    PerturbationSequence,
+    apply_perturbation,
+    check_minimal,
+)
 from mtstab.stability import random_grid_field, random_minimal_perturbation
 
 
@@ -305,6 +318,70 @@ def scenario_suite() -> list[Scenario]:
                        [0, 1, 2, 5, 6, 7], 1, 2.2,
                        ChangeClass.UNORDERED_HORIZONTAL_SWAP))
     return s
+
+
+def check_minimal_by_ranks(f: ScalarField, f2: ScalarField) -> MinimalPerturbation:
+    """Oracle for perturb.check_minimal: sort both fields and compare the
+    rank of every vertex. The one changed vertex and at most one other may
+    change rank, and then they swap adjacent ranks."""
+    if f.domain.vertex_count != f2.domain.vertex_count or f.domain.edges != f2.domain.edges:
+        raise DomainMismatchError("fields live on different domains")
+    diffs = [v for v in range(f.vertex_count) if f.values[v] != f2.values[v]]
+    if not diffs:
+        return MinimalPerturbation(None, None, None, None, "none")
+    if len(diffs) > 1:
+        raise NotMinimalError(f"{len(diffs)} vertex values differ: {diffs}")
+    (x,) = diffs
+    order1 = sorted(range(f.vertex_count), key=f.values.__getitem__)
+    order2 = sorted(range(f.vertex_count), key=f2.values.__getitem__)
+    rank1 = {v: i for i, v in enumerate(order1)}
+    rank2 = {v: i for i, v in enumerate(order2)}
+    moved = [v for v in range(f.vertex_count) if rank1[v] != rank2[v]]
+    direction = "up" if f2.values[x] > f.values[x] else "down"
+    if not moved:
+        return MinimalPerturbation(x, f.values[x], f2.values[x], None, direction)
+    if len(moved) != 2 or x not in moved:
+        raise NotMinimalError(f"vertex order changed at {moved}, not one transposition")
+    y = moved[0] if moved[1] == x else moved[1]
+    if abs(rank1[x] - rank1[y]) != 1 or rank1[x] != rank2[y] or rank1[y] != rank2[x]:
+        raise NotMinimalError(f"vertices {x} and {y} do not swap adjacent ranks")
+    return MinimalPerturbation(x, f.values[x], f2.values[x], y, direction)
+
+
+def decompose_by_resorting(f: ScalarField, f2: ScalarField) -> PerturbationSequence:
+    """Oracle for perturb.decompose_perturbation: phase one re-sorts the
+    field after every swap and swaps the lowest inverted adjacent pair, and
+    every step is checked by check_minimal_by_ranks."""
+    if f.domain.vertex_count != f2.domain.vertex_count or f.domain.edges != f2.domain.edges:
+        raise DomainMismatchError("fields live on different domains")
+    fields, steps = [f], []
+
+    def push(vertex, new_value):
+        nxt = apply_value_change(fields[-1], vertex, new_value)
+        steps.append(check_minimal_by_ranks(fields[-1], nxt))
+        fields.append(nxt)
+
+    n = f.vertex_count
+    target_rank = {v: i for i, v in enumerate(sorted(range(n), key=f2.values.__getitem__))}
+    while True:
+        values = fields[-1].values
+        order = sorted(range(n), key=values.__getitem__)
+        swap = next(((a, b) for a, b in zip(order, order[1:]) if target_rank[a] > target_rank[b]), None)
+        if swap is None:
+            break
+        a, b = swap
+        pos = order.index(b)
+        push(a, (values[b] + values[order[pos + 1]]) / 2 if pos + 1 < n else values[b] + 1.0)
+    order = sorted(range(n), key=fields[-1].values.__getitem__)
+    for v in order:
+        if f2.values[v] < fields[-1].values[v]:
+            push(v, f2.values[v])
+    for v in reversed(order):
+        if f2.values[v] > fields[-1].values[v]:
+            push(v, f2.values[v])
+    if fields[-1].values != f2.values:
+        raise NotMinimalError("decomposition failed to reach the target field")
+    return PerturbationSequence(tuple(fields), tuple(steps))
 
 
 def superlevel_components(field, threshold):

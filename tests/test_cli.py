@@ -195,6 +195,22 @@ def test_matrix_guard_skip_marked(tmp_path):
     assert payload["status"][0][1] == "guard-skipped"
 
 
+@pytest.mark.parametrize("argv", [
+    ["stability-run", "--metrics", "b", "--branch-guard", "-1", "--trials", "3"],
+    ["matrix", "{dir}", "--metric", "e", "--deform-guard", "-1"],
+])
+def test_a_negative_guard_exits_2(argv, tmp_path, capsys):
+    """A negative guard is refused before any check runs, with an error
+    line naming it, not a run whose every check is guard-skipped."""
+    f = validate_field(build_grid_domain(3, 3), [0, 5, 1, 7, 2, 8, 3, 6, 4])
+    dump_field(f, str(tmp_path / "a.json"))
+    dump_field(f, str(tmp_path / "b.json"))
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: guard ") and "got -1" in captured.err
+    assert not captured.out
+
+
 @pytest.fixture
 def ensemble(tmp_path):
     """Five independent 5x5 fields, so the matrix has ten pairs."""
@@ -415,6 +431,8 @@ def test_perturb_command(grid_file, capsys):
     assert main(["perturb", "--field", grid_file, "--vertex", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert all(entry["vertex"] == 1 for entry in out)
+    assert all(set(entry) == {"vertex", "old_value", "new_value", "swap_partner", "direction",
+                              "extent"} for entry in out)
 
 
 def test_perturb_between_adjacent_floats_exits_2(tmp_path, capsys):

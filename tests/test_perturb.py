@@ -3,10 +3,18 @@ import random
 
 import pytest
 
-from helpers import build_augmented, embed_backtracking, random_field, scenario_suite, staircase_field
+from helpers import (
+    build_augmented,
+    check_minimal_by_ranks,
+    decompose_by_resorting,
+    embed_backtracking,
+    random_field,
+    scenario_suite,
+    staircase_field,
+)
 from mtstab import mergetree
 from mtstab.distances import MetricId, tree_distance
-from mtstab.errors import DomainMismatchError, NotMinimalError, ValidationError
+from mtstab.errors import DomainMismatchError, DuplicateValueError, NotMinimalError, ValidationError
 from mtstab.field import apply_value_change, build_domain, build_grid_domain, validate_field
 from mtstab.mergetree import build_bdt, merge_tree_of, persistence_branch_decomposition
 from mtstab.perturb import (
@@ -18,6 +26,7 @@ from mtstab.perturb import (
     decompose_perturbation,
     enumerate_minimal_perturbations,
 )
+from mtstab.stability import random_grid_field
 
 
 def path_field(values):
@@ -115,6 +124,86 @@ def test_check_minimal_identity():
     f = path_field([0, 1, 2])
     p = check_minimal(f, f)
     assert p.vertex is None and p.extent == 0.0
+
+
+def _outcome(fn, f, f2):
+    """fn(f, f2), or the type of the ValidationError it raised."""
+    try:
+        return fn(f, f2)
+    except ValidationError as e:
+        return type(e)
+
+
+def test_check_minimal_matches_the_rank_oracle():
+    """check_minimal, which counts the values the moved vertex crosses,
+    returns the rank oracle's vertex, values, partner and direction, or
+    raises its error type: on moves of one vertex into gaps of the value
+    order near it and far from it, on two changed values, and on the
+    identity."""
+    rng = random.Random(71)
+    results = []
+    for rows, cols in [(2, 2), (3, 3), (4, 4), (6, 6), (8, 8)] * 50:
+        f = random_field(rng, rows, cols)
+        n = f.vertex_count
+        ranked = sorted(f.values)
+        x = rng.randrange(n)
+        pairs = [(f, f)]
+        for gap in (rng.randrange(n + 1), ranked.index(f.values[x]) + rng.choice((-1, 1, 2))):
+            gap = min(max(gap, 0), n)
+            lo = ranked[gap - 1] if gap else ranked[0] - 1.0
+            hi = ranked[gap] if gap < n else ranked[-1] + 1.0
+            pairs.append((f, apply_value_change(f, x, (lo + hi) / 2)))
+        values = list(f.values)
+        values[x] += 0.25
+        values[(x + 1) % n] -= 0.25
+        if len(set(values)) == n:
+            pairs.append((f, validate_field(f.domain, values)))
+        for a, b in pairs:
+            got = _outcome(check_minimal, a, b)
+            assert got == _outcome(check_minimal_by_ranks, a, b)
+            results.append(got)
+    assert len(results) >= 1000
+    kinds = {r if isinstance(r, type) else r.swap_partner is not None for r in results}
+    assert kinds == {NotMinimalError, True, False}
+
+
+def test_decompose_matches_the_resorting_oracle():
+    """decompose_perturbation, which swaps in one value order kept through
+    phase one, returns the re-sorting oracle's fields and steps, or raises
+    its error type, on grids up to 8x8 and eps up to 2.0."""
+    rng = random.Random(72)
+    outcomes = []
+    for grid, count in ((3, 30), (4, 20), (6, 8), (8, 4)):
+        for eps in (0.05, 0.5, 2.0):
+            for _ in range(count):
+                f = random_grid_field(rng, grid, grid)
+                values = [v + rng.uniform(-eps, eps) for v in f.values]
+                if len(set(values)) < len(values):
+                    continue
+                f2 = validate_field(f.domain, values)
+                got = _outcome(decompose_perturbation, f, f2)
+                assert got == _outcome(decompose_by_resorting, f, f2)
+                outcomes.append(got)
+    assert len(outcomes) >= 180
+    assert DuplicateValueError in outcomes
+    assert sum(len(o.steps) for o in outcomes if not isinstance(o, type)) > 10_000
+
+
+@pytest.mark.xfail(raises=DuplicateValueError, strict=True, reason=(
+    "phase one lands each vertex that crosses b at the midpoint just above "
+    "b, so the gap above b halves with every crossing until the midpoint "
+    "rounds onto an endpoint (ROADMAP item 2)"))
+def test_decompose_the_finite_suites_8x8_eps_2_trial_2():
+    """Trial 2 of `stability-run --mode finite --grid 8 --eps 2` at seed 0,
+    built as the finite suite builds it."""
+    rng = random.Random(2)
+    f = random_grid_field(rng, 8, 8)
+    while True:
+        values = [v + rng.uniform(-2.0, 2.0) for v in f.values]
+        if len(set(values)) == len(values):
+            break
+    f2 = validate_field(f.domain, values)
+    assert decompose_perturbation(f, f2).fields[-1].values == f2.values
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,11 @@ def test_check_bound_identity():
     f = validate_field(build_domain(3, [(0, 1), (1, 2)]), [0, 1, 2])
     rep = check_bound(f, f, MetricId.E)
     assert rep.passed and rep.distance == 0.0 and rep.bound == 0.0
+    assert rep.to_dict() == {
+        "metric": "e", "class": "SimpleChange", "extent": 0.0, "degree": 1, "degree_g": 1,
+        "distance": 0.0, "bound": 0.0, "claimed": True, "passed": True, "skipped": False,
+        "witness": None,
+    }
 
 
 def test_growth_tables():
