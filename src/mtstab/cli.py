@@ -107,27 +107,23 @@ def cmd_matrix(args) -> int:
     names = [os.path.basename(path) for path in files]
     n = len(trees)
     values = [[0.0 if i == j else None for j in range(n)] for i in range(n)]
-    status = [["ok" if i == j else "pending" for j in range(n)] for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def cell(pair):
-        """(distance, "ok"), or (None, "guard-skipped") when a size guard
-        refuses the pair."""
+        """The distance, or None when a size guard refuses the pair."""
         try:
-            return tree_distance(metric, trees[pair[0]], trees[pair[1]], guards), "ok"
+            return tree_distance(metric, trees[pair[0]], trees[pair[1]], guards)
         except SizeGuardError:
-            return None, "guard-skipped"
+            return None
 
-    cells = map_in_order(cell, pairs)
-    for (i, j), (d, st) in zip(pairs, cells):
+    for (i, j), d in zip(pairs, map_in_order(cell, pairs)):
         values[i][j] = values[j][i] = d
-        status[i][j] = status[j][i] = st
     csv_text = matrix_to_csv(names, values)
     payload = {
         "metric": metric.value,
         "members": names,
         "values": values,
-        "status": status,
+        "status": [["guard-skipped" if d is None else "ok" for d in row] for row in values],
     }
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
@@ -138,9 +134,7 @@ def cmd_matrix(args) -> int:
         with open(args.out_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if any("guard-skipped" in row for row in status):
-        return 3
-    return 0
+    return 3 if any(None in row for row in values) else 0
 
 
 def cmd_classify(args) -> int:

@@ -317,6 +317,26 @@ def _child_views(lt: LabeledTree, groups, collapse):
     return views
 
 
+def _child_rows(view1, view2, memo, relabel_rows):
+    """A narrow pair's child cost matrix as rows: the relabel costs, each
+    inner column's rest added on the leaf rows (a pair with a leaf adds the
+    DP's one rest term, docs/decisions.md §8), each inner row's rest added
+    along its row, then the memo over the inner x inner cells. The list
+    twin of widepairs.child_rows."""
+    lab1, _, inner1, leaves1, _, _ = view1
+    lab2, _, inner2, _, _, _ = view2
+    rows = relabel_rows(lab1, lab2)
+    for i in leaves1:
+        row = rows[i]
+        for j, _, r in inner2:
+            row[j] += r
+    for i, a, r in inner1:
+        rows[i] = row = [c + r for c in rows[i]]
+        for j, b, _ in inner2:
+            row[j] = memo[a, b]
+    return rows
+
+
 def one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     """Classic one-degree (constrained) edit distance on unordered labeled
     trees: roots map to roots, children are matched by optimal assignment,
@@ -334,25 +354,15 @@ def one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     relabel, relabel_rows = cost.relabel, cost.relabel_rows
     memo = {}
     for v, w in reversed(_pair_order(l1, l2)):
-        lab1, dels, inner1, leaves1, _, _ = views1[v]
-        lab2, inss, inner2, _, _, _ = views2[w]
-        if len(lab1) >= _WIDE_PAIR_MIN and len(lab2) >= _WIDE_PAIR_MIN:
+        view1, view2 = views1[v], views2[w]
+        dels, inss = view1[1], view2[1]
+        if len(dels) >= _WIDE_PAIR_MIN and len(inss) >= _WIDE_PAIR_MIN:
             from . import widepairs
 
             memo[v, w] = relabel(labels1[v], labels2[w]) + widepairs.assignment_min(
-                views1[v], views2[w], memo, cost)
+                view1, view2, memo, cost)
             continue
-        # a pair with a leaf adds the one rest term the DP would add
-        # (docs/decisions.md §8); a pair of inner nodes reads the memo
-        rows = relabel_rows(lab1, lab2)
-        for i in leaves1:
-            row = rows[i]
-            for j, _, r in inner2:
-                row[j] += r
-        for i, a, r in inner1:
-            rows[i] = row = [c + r for c in rows[i]]
-            for j, b, _ in inner2:
-                row[j] = memo[a, b]
+        rows = _child_rows(view1, view2, memo, relabel_rows)
         memo[v, w] = relabel(labels1[v], labels2[w]) + _assignment_min(rows, dels, inss)
     return memo[l1.root, l2.root]
 
@@ -371,23 +381,16 @@ def ordered_one_degree_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     relabel, relabel_rows = cost.relabel, cost.relabel_rows
     memo = {}
     for v, w in reversed(_pair_order(l1, l2)):
-        lab1, _, inner1, leaves1, spans1, d1 = views1[v]
-        lab2, _, inner2, _, spans2, d2 = views2[w]
+        view1, view2 = views1[v], views2[w]
+        spans1, d1 = view1[4:]
+        spans2, d2 = view2[4:]
         if len(spans1) >= _WIDE_PAIR_MIN and len(spans2) >= _WIDE_PAIR_MIN:
             from . import widepairs
 
             memo[v, w] = relabel(labels1[v], labels2[w]) + widepairs.alignment(
-                views1[v], views2[w], memo, cost)
+                view1, view2, memo, cost)
             continue
-        rows = relabel_rows(lab1, lab2)
-        for i in leaves1:
-            row = rows[i]
-            for j, _, r in inner2:
-                row[j] += r
-        for i, a, r in inner1:
-            rows[i] = row = [c + r for c in rows[i]]
-            for j, b, _ in inner2:
-                row[j] = memo[a, b]
+        rows = _child_rows(view1, view2, memo, relabel_rows)
         # align[i][j], filled row by row from its three neighbours
         prev = list(itertools.accumulate(d2, initial=0.0))
         for (top, bottom, dels), drop in zip(spans1, d1):

@@ -9,6 +9,7 @@ minimum and leaves are maxima.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import AbstractInvariantError, SchemeMismatchError, ValidationError
@@ -197,7 +198,8 @@ class BranchDecomposition:
 
 
 def decomposition_from_choice(tree: AbstractMergeTree, choice: dict) -> BranchDecomposition:
-    """Branch decomposition induced by one continuation child per internal node."""
+    """Branch decomposition induced by one continuation child per internal
+    node, in the branch order that BDTs read (docs/decisions.md section 10)."""
     branches = []
     containing = {}
     main = None
@@ -294,7 +296,8 @@ class LabeledTree:
 @_memoized
 def build_bdt(bd: BranchDecomposition) -> LabeledTree:
     """Branch decomposition tree: a labeled tree over the branches of bd,
-    each labeled by its (birth, death) pair; parenthood is nesting."""
+    each labeled by its (birth, death) pair; parenthood is nesting. Nodes
+    and each child list keep bd's branch order (docs/decisions.md section 10)."""
     parent = {}
     children = {b: [] for b in bd.branches}
     for b in bd.branches:
@@ -303,26 +306,21 @@ def build_bdt(bd: BranchDecomposition) -> LabeledTree:
         if p is not None:
             children[p].append(b)
     labels = {b: (b.birth, b.death) for b in bd.branches}
-    ordered = {b: tuple(sorted(c, key=_branch_order)) for b, c in children.items()}
+    ordered = {b: tuple(c) for b, c in children.items()}
     return LabeledTree(BDT_BIRTH_DEATH, bd.main, parent, labels, ordered)
 
 
 @_memoized
 def build_obdt(bd: BranchDecomposition) -> LabeledTree:
     """The BDT of bd plus, per branch, child groups ordered by attachment
-    along the branch. Children attached at the same saddle share a group and
-    stay incomparable. Shares the BDT's maps."""
+    along the branch: the runs of children attached at one saddle, which
+    share a group and stay incomparable (docs/decisions.md section 10).
+    Shares the BDT's maps."""
     bdt = build_bdt(bd)
-    groups = {}
-    for b in bd.branches:
-        pos = {v: i for i, v in enumerate(b.nodes)}
-        by_attach = {}
-        for c in bdt.children[b]:
-            by_attach.setdefault(pos[c.start], []).append(c)
-        groups[b] = tuple(
-            tuple(sorted(by_attach[i], key=lambda a: (a.birth, str(a.leaf))))
-            for i in sorted(by_attach)
-        )
+    groups = {
+        b: tuple(tuple(run) for _, run in itertools.groupby(cs, key=lambda c: c.start))
+        for b, cs in bdt.children.items()
+    }
     return LabeledTree(OBDT_BIRTH_DEATH, bdt.root, bdt.parent, bdt.labels, bdt.children, groups)
 
 
@@ -460,7 +458,7 @@ def tree_to_dict(tree: AbstractMergeTree) -> dict:
 
 def bdt_to_dict(bdt: LabeledTree) -> dict:
     out = []
-    for b in sorted(bdt.nodes(), key=_branch_order):
+    for b in bdt.nodes():
         entry = {
             "branch": b.name,
             "birth": b.birth,

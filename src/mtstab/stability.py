@@ -325,25 +325,29 @@ class SuiteReport:
         }
 
     def summary_table(self) -> str:
-        classes = list(ChangeClass)
-        lines = []
-        head = "metric".ljust(8) + "".join(c.value.rjust(26) for c in classes)
-        lines.append(head)
+        """One row per metric, one column per change class; a cell with
+        trials names its guard skips, one without is a dash."""
+        table = [["metric", *(c.value for c in ChangeClass)]]
         for m in self.metrics:
-            row = [m.value.ljust(8)]
-            for c in classes:
+            row = [m.value]
+            for c in ChangeClass:
                 s = self.cells.get((m, c))
                 if s is None or s.trials == 0:
-                    cell = "-"
-                elif c in STABILITY_MATRIX[m]:
+                    row.append("-")
+                    continue
+                if c in STABILITY_MATRIX[m]:
                     cell = f"{s.passed}/{s.trials - s.skipped} pass"
                     if s.failed:
                         cell += f" ({s.failed} FAIL)"
                 else:
                     cell = f"{s.informational} info"
-                row.append(cell.rjust(26))
-            lines.append("".join(row))
-        return "\n".join(lines)
+                if s.skipped:
+                    cell += f" ({s.skipped} skip)"
+                row.append(cell)
+            table.append(row)
+        width = max(26, 2 + max(len(cell) for row in table for cell in row[1:]))
+        return "\n".join(row[0].ljust(8) + "".join(c.rjust(width) for c in row[1:])
+                         for row in table)
 
 
 #: Discrepancy recorded verbatim in every suite report header: the theorem

@@ -2,7 +2,7 @@
 
 A node pair whose sides both have at least distances._WIDE_PAIR_MIN
 children (x: child groups), as at the root of a caterpillar's BDT, is
-computed here instead of in the DPs' row loops, with the same floats
+computed here instead of in the DPs' row loop, with the same floats
 (docs/decisions.md §15). The DPs import this module, and numpy with it, on
 their first wide pair, so a run that meets none neither compiles nor loads
 it.
@@ -21,8 +21,8 @@ def child_rows(view1, view2, memo, cost, out):
     """The child cost matrix of a wide pair, written into the float64 array
     out: the relabel costs, each inner column's rest added on the leaf
     rows, each inner row's rest added along its row, then the memo written
-    over the inner x inner cells. The row loop's adds, a block at a time;
-    call it under np.errstate."""
+    over the inner x inner cells. The array twin of distances._child_rows,
+    a block at a time; call it under np.errstate."""
     lab1, _, inner1, leaves1, _, _ = view1
     lab2, _, inner2, _, _, _ = view2
     cost.relabel_block(lab1, lab2, out)

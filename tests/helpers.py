@@ -1,15 +1,16 @@
 """Shared test utilities: random generators, the hand-built scenario suite of
 named perturbation cases, the rank-based minimality check and re-sorting
-decomposition that are perturb's oracles, canonical tree comparison, a superlevel-set
-oracle and the two-pass augmented-tree builder for merge tree
-construction, the deformation edit operations with the top-down deletion
-replay that is editcore.contract's oracle and the witness sequences built
-from it, an independent sequence-search oracle for the deformation
-distances, a backtracking oracle for subtree inclusion, the enumerative
-Selkow search and all-pairs oracles for the one-degree DPs, which solve
-their child blocks on the in-place assignment matrix, the constrained
-branch and bound for the constrained DP, and eager oracles for the
-deformation searches."""
+decomposition that are perturb's oracles, the sorting BDT and OBDT builders
+and BDT dump that are the oracles of mergetree's branch order, canonical
+tree comparison, a superlevel-set oracle and the two-pass augmented-tree
+builder for merge tree construction, the deformation edit operations with
+the top-down deletion replay that is editcore.contract's oracle and the
+witness sequences built from it, an independent sequence-search oracle
+for the deformation distances, a backtracking oracle for subtree
+inclusion, the enumerative Selkow search and all-pairs oracles for the
+one-degree DPs, which solve their child blocks on the in-place assignment
+matrix, the constrained branch and bound for the constrained DP, and
+eager oracles for the deformation searches."""
 
 from __future__ import annotations
 
@@ -56,9 +57,12 @@ from mtstab.field import (
     validate_field,
 )
 from mtstab.mergetree import (
+    BDT_BIRTH_DEATH,
     BLANK,
     NODE_DIST_TO_PARENT,
+    OBDT_BIRTH_DEATH,
     AbstractMergeTree,
+    BranchDecomposition,
     LabeledTree,
     _check_abstract_invariants,
     _id_key,
@@ -467,6 +471,60 @@ def prune_to_abstract(aug: AugmentedMergeTree) -> AbstractMergeTree:
     tree = AbstractMergeTree(parent, {v: aug.value[v] for v in keep}, aug.root)
     _check_abstract_invariants(tree)
     return tree
+
+
+def _sorting_key(b):
+    return (b.death, b.birth, str(b.leaf))
+
+
+def build_bdt_by_sorting(bd: BranchDecomposition) -> LabeledTree:
+    """Oracle for mergetree.build_bdt: each branch's children sorted by
+    (death, birth, leaf) instead of read in bd's branch order."""
+    parent = {}
+    children = {b: [] for b in bd.branches}
+    for b in bd.branches:
+        p = None if b is bd.main else bd.containing[b.start]
+        parent[b] = p
+        if p is not None:
+            children[p].append(b)
+    labels = {b: (b.birth, b.death) for b in bd.branches}
+    ordered = {b: tuple(sorted(c, key=_sorting_key)) for b, c in children.items()}
+    return LabeledTree(BDT_BIRTH_DEATH, bd.main, parent, labels, ordered)
+
+
+def build_obdt_by_position(bd: BranchDecomposition) -> LabeledTree:
+    """Oracle for mergetree.build_obdt: each branch's children grouped by
+    the position of their start on the branch, the groups sorted by that
+    position and each group by (birth, leaf), instead of taken as runs."""
+    bdt = build_bdt_by_sorting(bd)
+    groups = {}
+    for b in bd.branches:
+        pos = {v: i for i, v in enumerate(b.nodes)}
+        by_attach = {}
+        for c in bdt.children[b]:
+            by_attach.setdefault(pos[c.start], []).append(c)
+        groups[b] = tuple(
+            tuple(sorted(by_attach[i], key=lambda a: (a.birth, str(a.leaf))))
+            for i in sorted(by_attach)
+        )
+    return LabeledTree(OBDT_BIRTH_DEATH, bdt.root, bdt.parent, bdt.labels, bdt.children, groups)
+
+
+def bdt_to_dict_by_sorting(bdt: LabeledTree) -> dict:
+    """Oracle for mergetree.bdt_to_dict: the branches sorted by (death,
+    birth, leaf) instead of walked in the BDT's node order."""
+    out = []
+    for b in sorted(bdt.nodes(), key=_sorting_key):
+        entry = {
+            "branch": b.name,
+            "birth": b.birth,
+            "death": b.death,
+            "parent": bdt.parent[b].name if bdt.parent[b] is not None else None,
+        }
+        if bdt.groups is not None:
+            entry["child_order"] = [[c.name for c in grp] for grp in bdt.groups[b]]
+        out.append(entry)
+    return {"root": bdt.root.name, "branches": out}
 
 
 def labeled_canonical(lt):

@@ -450,14 +450,19 @@ UNCLAIMED_W = next(c for c in ChangeClass if c not in STABILITY_MATRIX[MetricId.
 
 @pytest.mark.parametrize("cls, outcomes, cell", [
     (CLAIMED_W, ["passed", "passed"], "2/2 pass"),
-    (CLAIMED_W, ["passed", "skipped", {"trial": 2}], "1/2 pass (1 FAIL)"),
+    (CLAIMED_W, ["passed", "skipped", {"trial": 2}], "1/2 pass (1 FAIL) (1 skip)"),
+    (CLAIMED_W, ["skipped"] * 3, "0/0 pass (3 skip)"),
     (UNCLAIMED_W, ["informational"] * 3, "3 info"),
+    (UNCLAIMED_W, ["informational", "skipped", "skipped"], "1 info (2 skip)"),
     (CLAIMED_W, [], "-"),
-], ids=["pass", "fail", "info", "empty"])
+    (CLAIMED_W, ["passed", {"trial": 1}, "skipped"] * 1000,
+     "1000/2000 pass (1000 FAIL) (1000 skip)"),
+], ids=["pass", "fail", "skipped", "info", "info-skipped", "empty", "wide"])
 def test_summary_table_cells(cls, outcomes, cell):
     """A claimed cell counts passes over the trials that ran and names its
-    failures, an unclaimed one counts informational trials, an empty one
-    is a dash; every other class of the row is a dash too."""
+    failures, an unclaimed one counts informational trials, either names
+    its guard skips, an empty one is a dash; every other class of the row
+    is a dash too. Columns are at least 26 wide and fit the widest cell."""
     stats = CellStats()
     for outcome in outcomes:
         stats.count(outcome)
@@ -465,7 +470,9 @@ def test_summary_table_cells(cls, outcomes, cell):
         0, len(outcomes), 3, (MetricId.W,), {(MetricId.W, cls): stats}, CellStats()
     )
     head, row = report.summary_table().split("\n")
-    cells = [row[8 + 26 * k: 8 + 26 * (k + 1)].strip() for k in range(len(ChangeClass))]
+    width = max(26, len(cell) + 2)
+    assert len(head) == len(row) == 8 + width * len(ChangeClass)
+    cells = [row[8 + width * k: 8 + width * (k + 1)].strip() for k in range(len(ChangeClass))]
     assert row.startswith("w ") and head.startswith("metric")
     assert cells == [cell if c is cls else "-" for c in ChangeClass]
 
