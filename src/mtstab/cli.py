@@ -17,7 +17,7 @@ from dataclasses import asdict
 from . import perturb, stability
 from .distances import Guards, metric_from_string, tree_distance
 from .errors import SizeGuardError, ValidationError
-from .field import dump_field, field_to_dict, load_field
+from .field import _field_text, dump_field, field_to_dict, load_field
 from .mergetree import (
     bdt_to_dict,
     build_bdt,
@@ -171,7 +171,7 @@ def cmd_perturb(args) -> int:
         if args.out:
             dump_field(f2, args.out)
         else:
-            print(json.dumps(field_to_dict(f2), indent=2, sort_keys=True))
+            sys.stdout.write(_field_text(f2))
         return 0
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

@@ -214,7 +214,30 @@ def load_field(path: str) -> ScalarField:
     return field_from_dict(data)
 
 
+def _field_text(field: ScalarField) -> str:
+    """The text of a field file: the json module's encoding of
+    field_to_dict(field) with indent=2 and sort_keys=True, and a newline.
+
+    The schema is fixed, so the layout is written out here rather than by
+    the encoder, whose indented form runs in pure Python
+    (docs/decisions.md section 19). Numbers are formatted as the encoder
+    formats them: int.__repr__ for ids and edge ends, float.__repr__ for
+    values, so a numpy float64 is written as the float it holds.
+    """
+    ir, fr = int.__repr__, float.__repr__
+    edges = ",\n".join([f"    [\n      {ir(u)},\n      {ir(v)}\n    ]"
+                        for u, v in field.domain.edges])
+    vertices = ",\n".join([f'    {{\n      "id": {v},\n      "value": {fr(x)}\n    }}'
+                           for v, x in enumerate(field.values)])
+    return f'{{\n  "edges": {_list_text(edges)},\n  "vertices": {_list_text(vertices)}\n}}\n'
+
+
+def _list_text(items: str) -> str:
+    # the encoder writes an empty list as [] on one line
+    return f"[\n{items}\n  ]" if items else "[]"
+
+
 def dump_field(field: ScalarField, path: str) -> None:
+    text = _field_text(field)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(field_to_dict(field), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

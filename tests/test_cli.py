@@ -493,6 +493,18 @@ def test_perturb_apply_writes_the_perturbed_field(to_file, grid_file, tmp_path, 
     assert got.values == want.values and got.domain.edges == want.domain.edges
 
 
+@pytest.mark.parametrize("source", ["grid", "bdt_pair_a"])
+def test_perturb_apply_prints_the_bytes_it_writes_with_out(source, grid_file, tmp_path, capsys):
+    """Without --out, --apply prints exactly the bytes that --out writes."""
+    path = grid_file if source == "grid" else str(BDT_PAIR / "a.json")
+    argv = ["perturb", "--field", path, "--vertex", "1", "--apply", "0"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "applied.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert printed.encode("utf-8") == out.read_bytes()
+
+
 @pytest.mark.parametrize("members", [0, 1])
 def test_matrix_on_fewer_than_two_fields_exits_1(members, tmp_path, capsys):
     for i in range(members):

@@ -1,3 +1,7 @@
+import json
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,13 +18,17 @@ from mtstab.errors import (
 )
 from mtstab.field import (
     Domain1Skeleton,
+    ScalarField,
     apply_value_change,
     build_domain,
     build_grid_domain,
+    dump_field,
     field_from_dict,
     field_to_dict,
+    load_field,
     validate_field,
 )
+from mtstab.stability import random_grid_field
 
 
 def path_field(values):
@@ -204,3 +212,32 @@ def test_field_json_round_trip(tmp_path):
     assert g.values == f.values and g.domain.edges == f.domain.edges
     grid = field_from_dict({"grid": {"rows": 2, "cols": 2, "values": [0, 1, 2, 3]}})
     assert grid.vertex_count == 4 and len(grid.domain.edges) == 5
+
+
+def _byte_oracle_cases():
+    rng = random.Random(36)
+    for rows, cols in [(2, 2), (2, 5), (3, 3), (4, 4), (6, 3), (8, 8)]:
+        yield pytest.param(random_grid_field(rng, rows, cols), id=f"grid{rows}x{cols}")
+    grid = build_grid_domain(5, 5)
+    wide = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(25)]
+    yield pytest.param(validate_field(grid, wide), id="grid5x5-wide-magnitudes")
+    unsorted = build_domain(4, [(3, 2), (0, 3), (2, 1), (1, 0), (0, 2)])
+    yield pytest.param(validate_field(unsorted, [0.25, -1.5, 3.0, 2.0]), id="unsorted-edges")
+    yield pytest.param(validate_field(build_domain(1, []), [0.5]), id="one-vertex")
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-7]
+    yield pytest.param(path_field(extremes), id="extreme-floats")
+    values = tuple(np.float64(x) for x in (0.1, 2.5, -3.0, 1e16, 1e-7, 7.0))
+    yield pytest.param(ScalarField(build_grid_domain(3, 2), values), id="numpy-values")
+
+
+@pytest.mark.parametrize("f", _byte_oracle_cases())
+def test_dump_field_writes_the_json_encoders_bytes(f, tmp_path):
+    """dump_field writes the bytes of the json module's indent=2,
+    sort_keys=True encoding and a newline, and load_field reads the same
+    field back."""
+    want = json.dumps(field_to_dict(f), indent=2, sort_keys=True) + "\n"
+    assert field._field_text(f) == want
+    path = tmp_path / "field.json"
+    dump_field(f, str(path))
+    assert path.read_bytes() == want.encode("utf-8")
+    assert load_field(str(path)) == f
