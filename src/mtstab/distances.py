@@ -89,11 +89,12 @@ DEFAULT_GUARDS = Guards()
 # One-degree DPs (w, x, l)
 # ---------------------------------------------------------------------------
 
-#: Blocks with n1 + n2 up to this size are built as Python lists and handed
-#: to numpy in one np.array call; larger ones are filled in place. The lists
-#: took 4.1 against 12.6 µs at size 3 and 16.5 against 18.2 µs at 14, but
-#: 19.8 against 19.5 µs at 16 and 8.3 against 2.3 ms at 400
-#: (docs/decisions.md §3).
+#: Blocks with n1 + n2 up to this size are built as Python lists and stay
+#: lists: the solver takes them as they are, and Python sums the chosen
+#: cells. Larger ones are filled in place in a float64 array. Built for
+#: numpy, the lists took 4.1 against 12.6 µs at size 3 and 16.5 against
+#: 18.2 µs at 14, but 19.8 against 19.5 µs at 16 and 8.3 against 2.3 ms at
+#: 400 (docs/decisions.md §3).
 _LIST_BLOCK_MAX = 14
 
 
@@ -171,8 +172,9 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
     float whichever it takes. Every other block goes to the solver as the
     augmented (n1 + n2)-square matrix: costs top left, deletions on the
     top right diagonal, insertions on the bottom left one, zeros bottom
-    right and `big` everywhere else. Small ones are built from lists,
-    large ones in place; both give the same bytes.
+    right and `big` everywhere else. Small ones are built as lists, which
+    the Python solver answers while numpy is not imported, large ones in
+    place; both hold the same floats.
     """
     n1, n2 = len(del_costs), len(ins_costs)
     if n1 == 0:
@@ -189,10 +191,10 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
         above = sums[sums.count(least):]  # exact ties of the least left out
         if least < math.inf and (not above or above[0] > least + TOLERANCE * (1.0 + total)):
             return least
-    import numpy as np
-
     size = n1 + n2
     if size > _LIST_BLOCK_MAX:
+        import numpy as np
+
         mat = np.empty((size, size))
         mat[:n1, :n2] = cost_rows
         return _augmented_min(mat, del_costs, ins_costs)
@@ -209,7 +211,7 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
         row = fill2 + zeros
         row[j] = c
         block.append(row)
-    return _solved(np.array(block, dtype=float), big)
+    return _solved(block, big)
 
 
 def _augmented_min(mat, del_costs, ins_costs):
@@ -239,21 +241,54 @@ _SUM_SAFE = sys.float_info.max / 2
 
 
 def _solved(mat, big) -> float:
-    """The solver's value of an augmented matrix. A block whose costs
-    overflow sums to inf without numpy's overflow warning; tree_distance
-    names the metric that met it."""
+    """The solver's value of an augmented matrix, a list-built block or a
+    float64 array: numpy's sum of the cells it chose, summed by
+    _numpy_order_sum for a list. A block whose costs overflow sums to inf
+    without numpy's overflow warning; tree_distance names the metric that
+    met it."""
     try:
         rows, cols = linear_sum_assignment(mat)
     except ValueError as exc:
         # only an overflowed block fails: big is then inf, and the solver
         # finds no matching of finite cells or meets a NaN
         raise ValidationError(f"an assignment block's costs overflow a float: {exc}") from exc
+    if type(mat) is list:
+        return _numpy_order_sum([mat[r][c] for r, c in zip(rows, cols)])
     if big * len(mat) <= _SUM_SAFE:
         return float(mat[rows, cols].sum())
     import numpy as np
 
     with np.errstate(over="ignore"):
         return float(mat[rows, cols].sum())
+
+
+def _numpy_order_sum(cells) -> float:
+    """float(np.array(cells).sum()) for up to 128 floats, numpy's pairwise
+    block: a left fold from 0.0 below 8 cells; from 8 on, eight partial
+    sums over the cells in strides of 8, combined as ((r0 + r1) + (r2 +
+    r3)) + ((r4 + r5) + (r6 + r7)), then the tail folded on, the whole
+    added to the reduction's initial 0.0 (docs/decisions.md section 3)."""
+    n = len(cells)
+    total = 0.0
+    if n < 8:
+        for x in cells:
+            total += x
+        return total
+    r0, r1, r2, r3, r4, r5, r6, r7 = cells[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += cells[i]
+        r1 += cells[i + 1]
+        r2 += cells[i + 2]
+        r3 += cells[i + 3]
+        r4 += cells[i + 4]
+        r5 += cells[i + 5]
+        r6 += cells[i + 6]
+        r7 += cells[i + 7]
+    part = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in cells[end:]:
+        part += x
+    return total + part
 
 
 def _pair_order(l1: LabeledTree, l2: LabeledTree):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -67,9 +68,89 @@ def _solver():
 
 
 def linear_sum_assignment(cost_matrix):
-    """The assignment solver of every distance, _solver()'s function: numpy
-    and the solver load on the first call, not by `import mtstab.cli`."""
+    """The assignment solver of every distance and of the classifier's
+    matching: (rows, cols) of a least-cost assignment. A list matrix is
+    solved by _solve_in_python while numpy is not imported, so a process
+    whose blocks are all small never loads it; every other matrix goes to
+    _solver()'s compiled function. Both return the same rows and columns
+    (docs/decisions.md sections 16 and 20)."""
+    if type(cost_matrix) is list and "numpy" not in sys.modules:
+        return _solve_in_python(cost_matrix)
     return (_solve or _solver())(cost_matrix)
+
+
+def _solve_in_python(cost):
+    """scipy's rectangular solver, Crouse's shortest augmenting path
+    (IEEE TAES 52(4), 2016), on a list of equal-length rows: the same float
+    operations in the same order, so the same (rows, cols) as lists and
+    the same ValueError for a NaN or -inf entry and for an infeasible
+    matrix (docs/decisions.md section 20)."""
+    if not cost:
+        raise ValueError("expected a matrix (2-D array), got a 1 array")
+    nc = len(cost[0])
+    for row in cost:
+        total = sum(row)  # NaN or -inf whenever the row holds either
+        if (total != total or total == -math.inf) and any(
+                x != x or x == -math.inf for x in row):
+            raise ValueError("matrix contains invalid numeric entries")
+    nr = len(cost)
+    if nc == 0:
+        return [], []
+    transpose = nc < nr
+    if transpose:
+        cost = list(zip(*cost))
+        nr, nc = nc, nr
+    inf = math.inf
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        # the shortest augmenting path from row cur; `remaining` is filled
+        # in reverse, so a constant matrix gives the identity
+        remaining = list(range(nc - 1, -1, -1))
+        left = nc
+        shortest = [inf] * nc
+        rows_seen, cols_seen = [], []
+        min_val, i = 0.0, cur
+        while True:
+            rows_seen.append(i)
+            index, lowest = -1, inf
+            ui, row = u[i], cost[i]
+            for it in range(left):
+                j = remaining[it]
+                r = min_val + row[j] - ui - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                # on an equal cost, an unassigned column ends the path
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            cols_seen.append(j)
+            left -= 1
+            remaining[index] = remaining[left]
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        # the dual variables, then the path's assignments flipped
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        cols = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[j] for j in cols], cols
+    return list(range(nr)), col4row
 
 
 # ---------------------------------------------------------------------------

@@ -435,10 +435,10 @@ def _covers(cs1, cs2, fits) -> bool:
         return False
     if len(cs1) <= 1:
         return all(any(fits.get((a, b), False) for b in cs2) for a in cs1)
-    from .editcore import _solver
+    from .editcore import linear_sum_assignment
 
     miss = [[0 if fits.get((a, b), False) else 1 for b in cs2] for a in cs1]
-    rows, cols = _solver()(miss)
+    rows, cols = linear_sum_assignment(miss)
     return not any(miss[r][c] for r, c in zip(rows, cols))
 
 

@@ -91,10 +91,12 @@ def map_in_order(fn, items) -> list:
     import multiprocessing
     import pickle
 
-    from .editcore import _solver
+    if "numpy" in sys.modules:
+        from .editcore import _solver
 
-    # loaded once here, not once per child on its first solve
-    _solver()
+        # once numpy is imported every solve is compiled: loaded once here,
+        # not once per child on its first solve
+        _solver()
 
     counter = multiprocessing.get_context("fork").Value("q", 0)
     _job = fn

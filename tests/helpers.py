@@ -9,8 +9,9 @@ witness sequences built from it, an independent sequence-search oracle
 for the deformation distances, a backtracking oracle for subtree
 inclusion, the enumerative Selkow search and all-pairs oracles for the
 one-degree DPs, which solve their child blocks on the in-place assignment
-matrix, the constrained branch and bound for the constrained DP, and
-eager oracles for the deformation searches."""
+matrix, a switch between editcore's two assignment solvers, the
+constrained branch and bound for the constrained DP, and eager oracles for
+the deformation searches."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from mtstab import distances, editcore
 from mtstab.editcore import (
     _EPS,
     BRUTE_FORCE_NODE_LIMIT,
@@ -1123,6 +1125,29 @@ def assignment_min_reference(cost_rows, del_costs, ins_costs):
     mat = assignment_matrix_reference(cost_rows, del_costs, ins_costs)
     rows, cols = linear_sum_assignment(mat)
     return float(mat[rows, cols].sum())
+
+
+def solved_both_ways(monkeypatch, fn):
+    """(fn() with every list matrix solved by editcore's Python solver, fn()
+    with every matrix solved by the compiled one, the number of matrices
+    the Python solver answered): the two paths between which
+    editcore.linear_sum_assignment chooses by whether numpy is imported.
+    fn must build its inputs itself, so that no memo carries a value from
+    the first call to the second."""
+    calls = [0]
+
+    def python_first(mat):
+        if type(mat) is list:
+            calls[0] += 1
+            return editcore._solve_in_python(mat)
+        return editcore._solver()(mat)
+
+    results = []
+    for solve in (python_first, editcore._solver()):
+        monkeypatch.setattr(editcore, "linear_sum_assignment", solve)
+        monkeypatch.setattr(distances, "linear_sum_assignment", solve)
+        results.append(fn())
+    return results[0], results[1], calls[0]
 
 
 def all_pair_order(l1, l2):

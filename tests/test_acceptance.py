@@ -18,7 +18,10 @@ derivations recorded in the project decision log (docs/decisions.md):
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,6 +276,40 @@ def test_suite_report_matches_the_recorded_seed_42_report(suite_report):
     depend on the numpy/scipy build (docs/decisions.md section 3)."""
     recorded = (Path(__file__).parent / "data" / "suite_seed42.json").read_text()
     assert json.dumps(suite_report.to_dict(), indent=1, sort_keys=True) + "\n" == recorded
+
+
+#: The pinned suite in a fresh process, on every usable CPU or on one,
+#: plainly or after `import numpy`: its report as the golden test dumps
+#: it, then whether numpy is imported.
+SUITE_IN_A_FRESH_PROCESS = """
+import json, os, sys
+if sys.argv[1] == "numpy":
+    import numpy
+if sys.argv[2] == "one":
+    os.sched_getaffinity = lambda pid: {0}
+from mtstab.distances import MetricId
+from mtstab.stability import run_stability_suite
+report = run_stability_suite(seed=42, trials=200, grid_size=4, metrics=tuple(MetricId))
+print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+@pytest.mark.parametrize("prior", ["none", "numpy"])
+def test_suite_report_keeps_its_bits_whichever_solver_runs(prior, cpus):
+    """Without numpy imported, every assignment of the pinned suite is
+    solved in Python and the process never imports numpy; after `import
+    numpy` the compiled solver answers them. The report is the recorded
+    one byte for byte either way, on every CPU and on one."""
+    src = Path(editcore.__file__).parents[1]
+    run = subprocess.run([sys.executable, "-c", SUITE_IN_A_FRESH_PROCESS, prior, cpus],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    report, imported = run.stdout.rsplit("\n", 2)[:2]
+    recorded = (Path(__file__).parent / "data" / "suite_seed42.json").read_text()
+    assert report + "\n" == recorded
+    assert imported == str(prior == "numpy")
 
 
 # -- 4. classification correctness -------------------------------------------

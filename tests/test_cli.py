@@ -387,12 +387,23 @@ def golden_ensemble(fields_dir):
 
 @pytest.mark.parametrize("metric", ["w", "x", "l"])
 def test_matrix_values_are_the_recorded_bits(tmp_path, metric):
+    """`mtstab matrix` in a fresh process, plainly (small blocks solved in
+    Python) and after `import numpy` (every block on the compiled solver),
+    writes the same bytes, and they hold the recorded values."""
     fields_dir = tmp_path / "fields"
     fields_dir.mkdir()
     golden_ensemble(fields_dir)
-    rc, payload = _run_matrix(fields_dir, tmp_path / "out", metric)
-    assert rc == 0
-    want = json.loads(MATRIX_GOLDEN.read_text())[metric]
+    src = os.path.dirname(os.path.dirname(mtstab.__file__))
+    written = []
+    for prior in ("", "import numpy; "):
+        out = tmp_path / f"{metric}{len(written)}.json"
+        code = (f"{prior}import sys; from mtstab.cli import main; "
+                f"sys.exit(main(['matrix', sys.argv[1], '--metric', '{metric}', '--out-json', sys.argv[2]]))")
+        subprocess.run([sys.executable, "-c", code, str(fields_dir), str(out)], check=True,
+                       capture_output=True, env={**os.environ, "PYTHONPATH": src})
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    payload, want = json.loads(written[0]), json.loads(MATRIX_GOLDEN.read_text())[metric]
     assert payload == want
     hexes = lambda p: [[float.hex(v) for v in row] for row in p["values"]]
     assert hexes(payload) == hexes(want)
@@ -601,11 +612,11 @@ def test_stability_run_refuses_a_repeated_metric(mode, tmp_path, capsys):
 
 
 def test_import_cli_loads_neither_numpy_nor_scipy():
-    """The assignment solver, and numpy with it, is loaded on first use
-    or when the fork pool starts, and the pool's modules when it starts,
-    so every command that needs neither starts without paying for them.
-    scipy.optimize is not imported even then
-    (test_solver_loads_without_scipy_optimize)."""
+    """numpy and the compiled assignment solver are loaded only by a block
+    or node pair that needs arrays, and the pool's modules when it starts,
+    so every command that needs neither starts without paying for them
+    (test_small_solves_import_neither_numpy_nor_scipy). scipy.optimize is
+    not imported even then (test_large_solves_load_only_the_solver_module)."""
     src = os.path.dirname(os.path.dirname(mtstab.__file__))
     lazy = "{'numpy', 'scipy', 'multiprocessing', 'concurrent.futures'}"
     code = f"import sys, mtstab.cli; print(sorted({lazy} & set(sys.modules)))"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import helpers
 from helpers import (
     all_pair_order,
     assignment_matrix_reference,
@@ -303,12 +304,15 @@ def _assignment_block(rng, n1, n2, kind):
 
 
 def _solver_calls(monkeypatch):
-    """Patch the solver of _assignment_min to record the bytes of each
-    matrix it receives; returns the list of records."""
+    """Patch the solver of _assignment_min to record the float64 bytes of
+    each matrix it receives, the bytes the compiled solver converts a list
+    to; returns the list of records. A block of n1 + n2 up to
+    _LIST_BLOCK_MAX must arrive as a list, a larger one as an array."""
     seen = []
 
     def solver(mat):
-        seen.append(mat.tobytes())
+        assert (type(mat) is list) == (len(mat) <= distances._LIST_BLOCK_MAX)
+        seen.append(np.asarray(mat, dtype=float).tobytes())
         return linear_sum_assignment(mat)
 
     monkeypatch.setattr(distances, "linear_sum_assignment", solver)
@@ -421,6 +425,74 @@ def test_small_block_closed_forms_are_the_solver_value(monkeypatch, kind):
             assert got.hex() == assignment_min_reference(rows, dels, inss).hex()
             if kind == "spread":
                 assert seen == []
+
+
+def test_numpy_order_sum_is_numpys_sum():
+    """distances._numpy_order_sum has the bits of float(np.array(a).sum())
+    for every length from 1 to 40: spread and signed values, zeros of both
+    signs, values whose sum overflows and infinities of both signs."""
+    rng = random.Random(128)
+    kinds = [
+        lambda: 10 ** rng.uniform(-3, 3),
+        lambda: rng.uniform(-1.0, 1.0) * 10 ** rng.randint(-3, 3),
+        lambda: rng.choice((0.0, -0.0)),
+        lambda: rng.uniform(-8e307, 8e307),
+        lambda: rng.choice((math.inf, -math.inf, 1.0)),
+    ]
+    for n in range(1, 41):
+        for k in range(250):
+            cells = [kinds[k % len(kinds)]() for _ in range(n)]
+            with np.errstate(all="ignore"):
+                want = float(np.array(cells).sum())
+            assert distances._numpy_order_sum(cells).hex() == want.hex(), cells
+
+
+@pytest.mark.parametrize("kind", ["spread", "zero rows", "ties", "near ties",
+                                  "d + e near ties", "diagonal near ties"])
+def test_assignment_min_has_the_same_bits_on_either_solver(monkeypatch, kind):
+    """Every shape with n1 + n2 from 2 to threshold + 4, and the shapes the
+    closed forms cover with near ties, give the reference value bit for
+    bit whichever solver answers the list-built blocks, the Python one or
+    the compiled one: Python sums the chosen cells in numpy's order."""
+    def values():
+        rng = random.Random(1919)
+        if kind in ("spread", "zero rows", "ties", "near ties"):
+            shapes = [(n1, size - n1) for size in range(2, distances._LIST_BLOCK_MAX + 5)
+                      for n1 in range(1, size)] * 3
+            blocks = [_assignment_block(rng, n1, n2, kind) for n1, n2 in shapes]
+        else:
+            shapes = [(1, k) for k in range(2, 7)] + [(k, 1) for k in range(2, 7)] + [(2, 2)]
+            blocks = [_small_block(rng, n1, n2, kind) for n1, n2 in shapes * 100]
+        return [(_assignment_min(*block).hex(), assignment_min_reference(*block).hex())
+                for block in blocks]
+
+    python, compiled, solved = helpers.solved_both_ways(monkeypatch, values)
+    assert python == compiled and solved > 0
+    assert all(got == want for got, want in python)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_blocks_raise_the_same_errors_on_either_solver(monkeypatch):
+    """The fields of test_float_overflow_raises_a_typed_error_naming_its_source:
+    s and p raise the same ValidationError naming the metric, and l and g
+    the same overflow, whichever solver answers the blocks, and no numpy
+    warning is raised on the way."""
+    def errors():
+        rng = random.Random(1)
+        dom = build_grid_domain(3, 3)
+        f1, f2 = (validate_field(dom, [rng.uniform(-8e307, 8e307) for _ in range(9)]) for _ in "ab")
+        out = []
+        for m in (MetricId.S, MetricId.P, MetricId.L, MetricId.G):
+            with pytest.raises(ValidationError) as info:
+                compute(m, f1, f2)
+            out.append(str(info.value))
+        return out
+
+    python, compiled, solved = helpers.solved_both_ways(monkeypatch, errors)
+    assert python == compiled and solved > 0
+    assert [e.split(":")[0] for e in python] == ["delta_s", "delta_p", "delta_l overflows a float",
+                                                 "delta_g overflows a float"]
+    assert "an assignment block's costs overflow" in python[0]
 
 
 # ---------------------------------------------------------------------------

@@ -896,56 +896,240 @@ def test_qualifying_iso_rejects_a_relabel_above_cap():
 
 
 # ---------------------------------------------------------------------------
-# The assignment solver, loaded without scipy.optimize
+# The assignment solvers: Python while numpy is not imported, else compiled
 # ---------------------------------------------------------------------------
 
-#: Each route to the solver, in a fresh process: a classification whose
+def _twin_matrix(rng, n1, n2, kind):
+    """An n1 x n2 cost matrix as a list of rows: values spread over 1e-3 to
+    1e2, three values repeated (exact ties), one value and its neighbours
+    one ulp either side (near ties), small integers, ints 0 and 1 (the
+    classifier's matchings), inf among finite values (some infeasible),
+    values up to 1.7e308 whose reduced costs overflow, or a block
+    augmented as distances._assignment_min augments it, `big` included."""
+    x = 10 ** rng.uniform(-3, 2)
+    if kind == "augmented":
+        n1 = max(1, min(n1, 13))
+        n2 = max(1, min(n2, 14 - n1))
+        dels = [10 ** rng.uniform(-3, 2) for _ in range(n1)]
+        inss = [10 ** rng.uniform(-3, 2) for _ in range(n2)]
+        rows = [[math.nextafter(d + e, rng.choice((0.0, math.inf))) for e in inss] for d in dels]
+        return helpers.assignment_matrix_reference(rows, dels, inss).tolist()
+    ties = (x, 2 * x, 3 * x)
+    cell = {
+        "spread": lambda: 10 ** rng.uniform(-3, 2),
+        "exact ties": lambda: rng.choice(ties),
+        "near ties": lambda: math.nextafter(x, rng.choice((0.0, x, math.inf))),
+        "integers": lambda: float(rng.randint(0, 4)),
+        "zero one": lambda: rng.randint(0, 1),
+        "inf": lambda: rng.choice((math.inf, x, 10 ** rng.uniform(-3, 2))),
+        "huge": lambda: rng.choice((1e300, rng.random() * 1e300, 1.7e308, 0.0, rng.random())),
+    }[kind]
+    return [[cell() for _ in range(n2)] for _ in range(n1)]
+
+
+TWIN_KINDS = ("spread", "exact ties", "near ties", "integers", "zero one", "inf", "huge", "augmented")
+
+
+def _answer(solve, mat):
+    """(rows, cols) as lists of ints, or the message of the ValueError."""
+    try:
+        rows, cols = solve(mat)
+    except ValueError as exc:
+        return str(exc)
+    return [int(r) for r in rows], [int(c) for c in cols]
+
+
+def test_python_solver_returns_the_compiled_solvers_assignment():
+    """editcore._solve_in_python returns the compiled solver's rows and
+    columns on 21,000 random matrices of 1 to 14 rows and columns, wide
+    and tall, and on every 1 x k and k x 1 shape of each kind: spread
+    values, exact and one-ulp near ties, integer and 0/1 costs, inf and
+    huge entries and augmented blocks. Where the compiled solver raises
+    ValueError, the Python one raises it with the same message."""
+    compiled = editcore._solver()
+    rng = random.Random(2016)
+    shapes = [(rng.randint(1, 14), rng.randint(1, 14)) for _ in range(21000)]
+    shapes += [shape for k in range(1, 15) for shape in ((1, k), (k, 1))] * len(TWIN_KINDS)
+    differ, raised, tall = [], 0, 0
+    for k, (n1, n2) in enumerate(shapes):
+        mat = _twin_matrix(rng, n1, n2, TWIN_KINDS[k % len(TWIN_KINDS)])
+        want = _answer(compiled, mat)
+        if _answer(editcore._solve_in_python, mat) != want:
+            differ.append(mat)
+        raised += isinstance(want, str)
+        tall += len(mat) > len(mat[0])
+    assert len(shapes) >= 20000 and differ == []
+    assert 0 < raised < len(shapes) // 10 and tall > len(shapes) // 3
+
+
+@pytest.mark.parametrize("mat", [
+    [], [[]], [[], []], [[math.nan]], [[-math.inf]], [[math.inf]],
+    [[math.inf, 1.0], [math.inf, 2.0]], [[1.0, math.nan], [math.inf, -math.inf]],
+    [[1.0], [math.nan], [2.0]], [[math.inf], [math.inf]], [[0.0, -math.inf, 1.0]],
+    [[-1e308, -1e308], [1.0, 2.0]],
+])
+def test_python_solver_raises_and_returns_as_the_compiled_one(mat):
+    """Empty matrices, NaN and -inf entries and infeasible matrices give the
+    compiled solver's answer or its ValueError message; a row whose entries
+    sum to -inf without holding -inf is valid."""
+    assert _answer(editcore._solve_in_python, mat) == _answer(editcore._solver(), mat)
+
+
+def _shape_tree(rng, depth):
+    """A random tree shape as a parent map over ints, root 0: up to 4
+    children per node, each a leaf or, above `depth`, a random subtree; a
+    node's children often share a shape, so _iso matches them."""
+    parent = {0: None}
+    stack = [(0, depth)]
+    while stack:
+        v, d = stack.pop()
+        for _ in range(rng.randint(0 if v else 2, 4)):
+            c = len(parent)
+            parent[c] = v
+            if d > 0 and rng.random() < 0.5:
+                stack.append((c, d - 1))
+    return parent
+
+
+def test_iso_is_the_same_on_either_solver(monkeypatch):
+    """_iso returns the same cost bits and node pairs whichever solver
+    answers its sibling matchings, on random same-shape trees with spread
+    lengths, small integer lengths (exact ties) and lengths one ulp apart."""
+    def isos():
+        rng = random.Random(461)
+        out = []
+        for k in range(150):
+            parent = _shape_tree(rng, 3)
+            length = [lambda: 10 ** rng.uniform(-3, 2), lambda: float(rng.randint(0, 3)),
+                      lambda: math.nextafter(1.5, rng.choice((0.0, 1.5, math.inf)))][k % 3]
+            q1, q2 = (length_tree(parent, {v: length() for v in parent if v}, 0) for _ in "ab")
+            cost, pairs = editcore._iso(q1, editcore._shapes(q1), q2, editcore._shapes(q2),
+                                        editcore._length_diff)
+            out.append((cost.hex(), pairs))
+        return out
+
+    python, compiled, solved = helpers.solved_both_ways(monkeypatch, isos)
+    assert python == compiled and solved > 100
+
+
+def test_covers_is_the_same_on_either_solver(monkeypatch):
+    """mergetree._covers answers whether each node of cs1 gets its own
+    node of cs2 that it fits the same way whichever solver matches them,
+    and as a search over every injective choice does, on random fit
+    relations between up to 6 and 6 nodes."""
+    def covers():
+        rng = random.Random(433)
+        out = []
+        for _ in range(3000):
+            cs1, cs2 = list(range(rng.randint(0, 6))), list(range(10, 10 + rng.randint(0, 6)))
+            p = rng.choice((0.2, 0.5, 0.8))
+            fits = {(a, b): rng.random() < p for a in cs1 for b in cs2}
+            out.append((cs1, cs2, fits, mt._covers(cs1, cs2, fits)))
+        return out
+
+    python, compiled, solved = helpers.solved_both_ways(monkeypatch, covers)
+    assert python == compiled and solved > 500
+    for cs1, cs2, fits, got in python:
+        assert got == any(all(fits[a, b] for a, b in zip(cs1, chosen))
+                          for chosen in itertools.permutations(cs2, len(cs1)))
+
+
+#: Each route to an assignment in a fresh process, with the matrices the
+#: Python solver answers counted per route: a classification whose
 #: merge-tree inclusion matches two children in mergetree._covers, w on
-#: BDTs whose roots have 2 and 3 children (a 2x3 block, which always goes
-#: to the solver), and a stability suite on two CPUs, whose pool loads the
-#: solver before it forks. Each route must load it itself: the slot is
-#: emptied after each.
-SOLVER_ROUTES = """
-import os, sys
+#: BDTs whose roots have 2 and 3 children (a 2x3 block, which always
+#: reaches a solver), a 3x3 stability suite on two CPUs, and the classify
+#: and perturb commands on two field files. Afterwards neither numpy nor
+#: scipy is imported.
+SMALL_SOLVES = """
+import contextlib, io, os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
 from mtstab import editcore
+from mtstab.cli import main
 from mtstab.distances import MetricId, tree_distance
-from mtstab.field import build_domain, validate_field
+from mtstab.field import build_domain, dump_field, validate_field
 from mtstab.mergetree import merge_tree_of
 from mtstab.perturb import classify_change_detailed
 from mtstab.stability import run_stability_suite
+
+solved = [0]
+python_solver = editcore._solve_in_python
+
+def counted(mat):
+    solved[0] += 1
+    return python_solver(mat)
+
+editcore._solve_in_python = counted
 
 def path_field(values):
     edges = [(i, i + 1) for i in range(len(values) - 1)]
     return validate_field(build_domain(len(values), edges), values)
 
-def loaded():
-    was = editcore._solve is not None
-    editcore._solve = None
-    return was
+def route():
+    count, solved[0] = solved[0], 0
+    return count > 0
 
-classify_change_detailed(path_field([0.0, 5.0, 1.0, 6.0, 2.0]), path_field([0.0, 5.0, 1.5, 6.0, 2.0]))
-routes = [loaded()]
+a, b = path_field([0.0, 5.0, 1.0, 6.0, 2.0]), path_field([0.0, 5.0, 1.5, 6.0, 2.0])
+classify_change_detailed(a, b)
+routes = [route()]
 tree_distance(MetricId.W, merge_tree_of(path_field([0.0, 5.0, 1.0, 6.0, 2.0, 7.0, 3.0])),
               merge_tree_of(path_field([0.0, 5.0, 1.0, 6.0, 2.0, 7.0, 3.0, 8.0, 4.0])))
-routes.append(loaded())
+routes.append(route())
 run_stability_suite(0, 4, 3)
-routes.append(loaded())
-print(routes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+routes.append(route())
+dump_field(a, sys.argv[1] + "/a.json")
+dump_field(b, sys.argv[1] + "/b.json")
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["classify", "--field-a", sys.argv[1] + "/a.json", "--field-b", sys.argv[1] + "/b.json"])
+    routes.append(route())
+    main(["perturb", "--field", sys.argv[1] + "/a.json", "--vertex", "2"])
+print(routes, sorted({"numpy", "scipy"} & {m.split(".")[0] for m in sys.modules}))
 """
 
 
-def _run_fresh(code: str) -> str:
+def _run_fresh(code: str, *args) -> str:
     src = os.path.dirname(os.path.dirname(editcore.__file__))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src}).stdout.strip()
 
 
-def test_solver_loads_without_scipy_optimize():
-    """The DPs, the classifier's matching and the pool each load the solver
-    through editcore._solver, and the only module of scipy in the process
-    is then the solver's own: scipy.optimize is not imported."""
-    assert _run_fresh(SOLVER_ROUTES) == "[True, True, True] ['scipy.optimize._lsap']"
+def test_small_solves_import_neither_numpy_nor_scipy(tmp_path):
+    """The classifier's matching, the DPs' small blocks, the suite's pool
+    and the classify and perturb commands solve their assignments in
+    Python when numpy is not imported, and leave numpy and scipy out of the
+    process (docs/decisions.md section 16)."""
+    assert _run_fresh(SMALL_SOLVES, str(tmp_path)) == "[True, True, True, True] []"
+
+
+#: A block of n1 + n2 = 15 and a wide node pair (two stars of 64 and 70
+#: leaves), each in a fresh process: both need arrays, so they import
+#: numpy, and the compiled solver answers them.
+LARGE_SOLVES = {
+    "block": "from mtstab.distances import _assignment_min\n"
+             "_assignment_min([[float(i * j % 5) for j in range(8)] for i in range(7)],"
+             " [1.0] * 7, [2.0] * 8)\n",
+    "wide pair": "from mtstab.distances import one_degree_dp\n"
+                 "from mtstab.editcore import ABS_DIFF\n"
+                 "from mtstab.mergetree import BLANK, NODE_DIST_TO_PARENT, LabeledTree\n"
+                 "def star(k, scale):\n"
+                 "    leaves = range(1, k + 1)\n"
+                 "    return LabeledTree(NODE_DIST_TO_PARENT, 0, {0: None, **dict.fromkeys(leaves, 0)},\n"
+                 "                       {0: BLANK, **{v: scale * v for v in leaves}},\n"
+                 "                       {0: tuple(leaves), **{v: () for v in leaves}})\n"
+                 "one_degree_dp(star(64, 1.0), star(70, 1.1), ABS_DIFF)\n",
+}
+
+
+@pytest.mark.parametrize("route", sorted(LARGE_SOLVES))
+def test_large_solves_load_only_the_solver_module(route):
+    """A block over _LIST_BLOCK_MAX and a wide node pair go to the compiled
+    solver, loaded from its own extension module: scipy.optimize._lsap is
+    then the only module of scipy in the process."""
+    code = LARGE_SOLVES[route] + (
+        "import sys\n"
+        "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _run_fresh(code) == "True ['scipy.optimize._lsap']"
 
 
 def test_import_mtstab_loads_no_submodule():
