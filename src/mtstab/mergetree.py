@@ -132,13 +132,46 @@ def _build_merge_tree(field: ScalarField) -> AbstractMergeTree:
 
 def _check_abstract_invariants(tree: AbstractMergeTree) -> None:
     if tree.child_count(tree.root) != 1:
-        raise AbstractInvariantError(
-            f"root has {tree.child_count(tree.root)} children, expected 1 "
-            "(domain superlevel sets disconnect at the global minimum)"
-        )
+        raise _root_error(tree.child_count(tree.root))
     for v in tree.nodes():
         if v != tree.root and tree.child_count(v) == 1:
             raise AbstractInvariantError(f"regular node {v!r} left in abstract tree")
+
+
+def _root_error(children: int) -> AbstractInvariantError:
+    return AbstractInvariantError(
+        f"root has {children} children, expected 1 "
+        "(domain superlevel sets disconnect at the global minimum)"
+    )
+
+
+def check_merge_tree_root(field: ScalarField) -> None:
+    """Raise the AbstractInvariantError that merge_tree_of(field) raises at
+    its root, without building the tree. The root is the global minimum m
+    and every other vertex lies above it, so the root's children are the
+    components of the domain without m; no other node of a field's tree
+    can break an invariant (docs/decisions.md section 21)."""
+    adjacency = field.domain.adjacency
+    m = min(range(field.vertex_count), key=field.values.__getitem__)
+    # flags in a list: a set of more than a few ints has its table allocated
+    # outside Python's small-object allocator, and allocating one per check
+    # raised the suites' peak RSS (docs/decisions.md section 21)
+    seen = [False] * field.vertex_count
+    seen[m] = True
+    children = 0
+    for s in adjacency[m]:
+        if seen[s]:
+            continue
+        children += 1
+        seen[s] = True
+        stack = [s]
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    if children != 1:
+        raise _root_error(children)
 
 
 def abstract_merge_tree(parent: dict, value: dict, root=None) -> AbstractMergeTree:

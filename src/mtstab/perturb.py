@@ -3,8 +3,9 @@
 A minimal vertex perturbation changes exactly one vertex value and swaps it
 with at most one other vertex in the global value order. The classifier
 sorts a field pair into the taxonomy simple change / edge split / vertical
-swap / ordered or unordered horizontal swap via subtree-inclusion tests on
-the merge trees and their (ordered) branch decomposition trees.
+swap / ordered or unordered horizontal swap: a step that crosses no value is
+a simple change, a swap is sorted by subtree-inclusion tests on the merge
+trees and their (ordered) branch decomposition trees.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .mergetree import (
     bdt_included_up_to_iso,
     build_bdt,
     build_obdt,
+    check_merge_tree_root,
     merge_tree_of,
     persistence_branch_decomposition,
     tree_included_up_to_iso,
@@ -155,11 +157,19 @@ def classify_change(f: ScalarField, f2: ScalarField) -> ChangeClass:
 def classify_change_detailed(f: ScalarField, f2: ScalarField) -> Classification:
     """Sort a minimal vertex perturbation into the four-type taxonomy.
 
-    Inclusion tests run up to renaming of the perturbed vertex and its swap
-    partner (they may change identity between the two trees); all other
-    nodes must match in id and value.
+    A step that crosses no value, the identity included, keeps the vertex
+    order, and the merge trees and their branch decompositions read only
+    that order: it is a simple change, and no tree is built for it
+    (docs/decisions.md section 21). A field whose merge tree would be
+    invalid still raises. A swap goes through the inclusion tests, up to
+    renaming of the perturbed vertex and its swap partner (they may change
+    identity between the two trees); all other nodes must match in id and
+    value.
     """
     p = check_minimal(f, f2)
+    if p.swap_partner is None:
+        check_merge_tree_root(f)
+        return Classification(ChangeClass.SIMPLE_CHANGE, p, True, True, None)
     exempt = frozenset(v for v in (p.vertex, p.swap_partner) if v is not None)
     t1, t2 = merge_tree_of(f), merge_tree_of(f2)
     bd1, bd2 = persistence_branch_decomposition(t1), persistence_branch_decomposition(t2)

@@ -567,8 +567,7 @@ def _finite_trial(seed, grid_size, eps, metrics, guards, i):
         for fa, fb in zip(seq.fields, seq.fields[1:])
     )
     classes = set(step_classes)
-    # the classifier built the last step field's tree, which is f2's
-    t1, t2 = merge_tree_of(f), merge_tree_of(seq.fields[-1])
+    t1, t2 = merge_tree_of(f), merge_tree_of(f2)
     tree_bound = (t1.node_count() + t2.node_count()) * 2 * eps
     bdts = [build_bdt(persistence_branch_decomposition(t)) for t in (t1, t2)]
     bdt_bound = sum(b.node_count() for b in bdts) * 2 * eps

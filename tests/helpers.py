@@ -1,6 +1,7 @@
 """Shared test utilities: random generators, the hand-built scenario suite of
-named perturbation cases, the rank-based minimality check and re-sorting
-decomposition that are perturb's oracles, the sorting BDT and OBDT builders
+named perturbation cases, the rank-based minimality check, re-sorting
+decomposition and inclusion-based classifier that are perturb's oracles,
+the sorting BDT and OBDT builders
 and BDT dump that are the oracles of mergetree's branch order, canonical
 tree comparison, a superlevel-set oracle and the two-pass augmented-tree
 builder for merge tree construction, the deformation edit operations with
@@ -69,11 +70,17 @@ from mtstab.mergetree import (
     _check_abstract_invariants,
     _id_key,
     abstract_merge_tree,
+    bdt_included_up_to_iso,
+    build_bdt,
+    build_obdt,
     label_for_scheme,
     merge_tree_of,
+    persistence_branch_decomposition,
+    tree_included_up_to_iso,
 )
 from mtstab.perturb import (
     ChangeClass,
+    Classification,
     MinimalPerturbation,
     PerturbationSequence,
     apply_perturbation,
@@ -92,6 +99,21 @@ def random_field(rng: random.Random, rows=3, cols=3):
 
 def random_path_field(rng: random.Random, n=5):
     dom = build_domain(n, [(i, i + 1) for i in range(n - 1)])
+    while True:
+        values = [rng.random() for _ in range(n)]
+        if len(set(values)) == len(values):
+            return validate_field(dom, values)
+
+
+def random_graph_field(rng: random.Random, n, extra_edges):
+    """Field on a random connected graph from build_domain: a random
+    spanning tree on n vertices plus up to extra_edges further edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(extra_edges):
+        u, v = rng.sample(range(n), 2)
+        if (v, u) not in edges:
+            edges.add((u, v))
+    dom = build_domain(n, edges)
     while True:
         values = [rng.random() for _ in range(n)]
         if len(set(values)) == len(values):
@@ -388,6 +410,38 @@ def decompose_by_resorting(f: ScalarField, f2: ScalarField) -> PerturbationSeque
     if fields[-1].values != f2.values:
         raise NotMinimalError("decomposition failed to reach the target field")
     return PerturbationSequence(tuple(fields), tuple(steps))
+
+
+def classify_by_inclusion(f: ScalarField, f2: ScalarField) -> Classification:
+    """Oracle for perturb.classify_change_detailed: every pair, crossing or
+    not, goes through the inclusion tests on both merge trees and both
+    OBDTs (and both BDTs for a horizontal swap), up to renaming of the
+    perturbed vertex and its swap partner."""
+    p = check_minimal(f, f2)
+    exempt = frozenset(v for v in (p.vertex, p.swap_partner) if v is not None)
+    t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+    bd1, bd2 = persistence_branch_decomposition(t1), persistence_branch_decomposition(t2)
+
+    def both_ways(check, a, b):
+        return check(a, b, exempt=exempt) or check(b, a, exempt=exempt)
+
+    tree_inc = both_ways(tree_included_up_to_iso, t1, t2)
+    obdt_inc = both_ways(bdt_included_up_to_iso, build_obdt(bd1), build_obdt(bd2))
+    if tree_inc and obdt_inc:
+        cls = ChangeClass.SIMPLE_CHANGE
+    elif tree_inc:
+        cls = ChangeClass.VERTICAL_SWAP
+    elif obdt_inc:
+        cls = ChangeClass.EDGE_SPLIT
+    else:
+        bdt_inc = both_ways(bdt_included_up_to_iso, build_bdt(bd1), build_bdt(bd2))
+        cls = (
+            ChangeClass.ORDERED_HORIZONTAL_SWAP
+            if bdt_inc
+            else ChangeClass.UNORDERED_HORIZONTAL_SWAP
+        )
+        return Classification(cls, p, tree_inc, obdt_inc, bdt_inc)
+    return Classification(cls, p, tree_inc, obdt_inc, None)
 
 
 def superlevel_components(field, threshold):

@@ -1035,12 +1035,13 @@ def test_covers_is_the_same_on_either_solver(monkeypatch):
 
 
 #: Each route to an assignment in a fresh process, with the matrices the
-#: Python solver answers counted per route: a classification whose
-#: merge-tree inclusion matches two children in mergetree._covers, w on
-#: BDTs whose roots have 2 and 3 children (a 2x3 block, which always
-#: reaches a solver), a 3x3 stability suite on two CPUs, and the classify
-#: and perturb commands on two field files. Afterwards neither numpy nor
-#: scipy is imported.
+#: Python solver answers counted per route: the classification of a swap
+#: (vertex 2 crosses vertex 4; a step that crosses no value reaches no
+#: solve), whose merge-tree inclusion matches two children in
+#: mergetree._covers, w on BDTs whose roots have 2 and 3 children (a 2x3
+#: block, which always reaches a solver), a 3x3 stability suite on two
+#: CPUs, and the classify and perturb commands on two field files.
+#: Afterwards neither numpy nor scipy is imported.
 SMALL_SOLVES = """
 import contextlib, io, os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -1069,7 +1070,7 @@ def route():
     count, solved[0] = solved[0], 0
     return count > 0
 
-a, b = path_field([0.0, 5.0, 1.0, 6.0, 2.0]), path_field([0.0, 5.0, 1.5, 6.0, 2.0])
+a, b = path_field([0.0, 5.0, 1.0, 6.0, 2.0]), path_field([0.0, 5.0, 2.5, 6.0, 2.0])
 classify_change_detailed(a, b)
 routes = [route()]
 tree_distance(MetricId.W, merge_tree_of(path_field([0.0, 5.0, 1.0, 6.0, 2.0, 7.0, 3.0])),

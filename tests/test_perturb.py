@@ -6,16 +6,25 @@ import pytest
 from helpers import (
     build_augmented,
     check_minimal_by_ranks,
+    classify_by_inclusion,
     decompose_by_resorting,
     embed_backtracking,
     random_field,
+    random_graph_field,
+    random_path_field,
     scenario_suite,
     staircase_field,
 )
 from mtstab import mergetree
 from mtstab.distances import MetricId, tree_distance
 from mtstab.errors import DomainMismatchError, DuplicateValueError, NotMinimalError, ValidationError
-from mtstab.field import apply_value_change, build_domain, build_grid_domain, validate_field
+from mtstab.field import (
+    ScalarField,
+    apply_value_change,
+    build_domain,
+    build_grid_domain,
+    validate_field,
+)
 from mtstab.mergetree import build_bdt, merge_tree_of, persistence_branch_decomposition
 from mtstab.perturb import (
     ChangeClass,
@@ -346,6 +355,52 @@ def test_classifier_on_a_10x10_grid_matches_the_oracle(monkeypatch):
     monkeypatch.setattr(mergetree, "_embed", embed_backtracking)
     assert got == [classify_change_detailed(a, b) for a, b in pairs]
     assert len({info.change_class for info in got}) == 4
+
+
+def _classified(classify, f, f2):
+    try:
+        return classify(f, f2)
+    except ValidationError as e:
+        return type(e), str(e)
+
+
+def _pairs_for_the_oracle():
+    rng = random.Random(2103)
+    fields = [random_field(rng, n, n) for n in (3, 4, 5, 6) for _ in range(8)]
+    fields += [random_graph_field(rng, rng.randint(2, 12), rng.randint(0, 6)) for _ in range(40)]
+    fields += [random_path_field(rng, rng.randint(2, 8)) for _ in range(20)]
+    for f in fields:
+        yield f, f
+        for v in range(f.vertex_count):
+            for p in enumerate_minimal_perturbations(f, v):
+                yield f, apply_perturbation(f, p)
+    for sc in scenario_suite():
+        yield sc.field, sc.perturbed
+        yield sc.perturbed, sc.field
+
+
+def test_classifier_matches_the_inclusion_oracle():
+    """On every minimal perturbation of random grids, random connected
+    graphs and path fields, on the scenarios both ways and on identity
+    pairs, the classifier returns the inclusion oracle's Classification, or
+    raises its error when a merge tree is invalid. A pair that crosses no
+    value builds no tree (docs/decisions.md section 21)."""
+    seen, free_classified, free_raised = set(), 0, 0
+    for f, f2 in _pairs_for_the_oracle():
+        # copies without memos: the oracle memoizes trees on f and f2
+        a, b = ScalarField(f.domain, f.values), ScalarField(f2.domain, f2.values)
+        got = _classified(classify_change_detailed, a, b)
+        assert got == _classified(classify_by_inclusion, f, f2), (f, f2)
+        if check_minimal(f, f2).swap_partner is None:
+            assert "_memo" not in vars(a) and "_memo" not in vars(b)
+            if isinstance(got, tuple):
+                free_raised += 1
+            else:
+                free_classified += 1
+        if not isinstance(got, tuple):
+            seen.add(got.change_class)
+    assert seen == set(ChangeClass)
+    assert free_classified > 1000 and free_raised > 0
 
 
 def test_classifier_on_a_1200_level_staircase():
