@@ -28,7 +28,6 @@ import functools
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -211,7 +210,7 @@ def _assignment_min(cost_rows, del_costs, ins_costs):
         row = fill2 + zeros
         row[j] = c
         block.append(row)
-    return _solved(block, big)
+    return _solved(block)
 
 
 def _augmented_min(mat, del_costs, ins_costs):
@@ -230,22 +229,14 @@ def _augmented_min(mat, del_costs, ins_costs):
     diag1, diag2 = np.arange(n1), np.arange(n2)
     mat[diag1, n2 + diag1] = del_costs
     mat[n1 + diag2, diag2] = ins_costs
-    return _solved(mat, big)
+    return _solved(mat)
 
 
-#: The solution of an n-row augmented matrix is n cells, each at most
-#: `big`; while n * big is at most this, numpy sums them without overflow:
-#: its pairwise sum rounds a sum of non-negative floats up by far less
-#: than a factor of 2.
-_SUM_SAFE = sys.float_info.max / 2
-
-
-def _solved(mat, big) -> float:
+def _solved(mat) -> float:
     """The solver's value of an augmented matrix, a list-built block or a
-    float64 array: numpy's sum of the cells it chose, summed by
-    _numpy_order_sum for a list. A block whose costs overflow sums to inf
-    without numpy's overflow warning; tree_distance names the metric that
-    met it."""
+    float64 array: the cells it chose, summed by _numpy_order_sum in
+    numpy's order. A block whose costs overflow sums to inf without a
+    warning; tree_distance names the metric that met it."""
     try:
         rows, cols = linear_sum_assignment(mat)
     except ValueError as exc:
@@ -254,21 +245,21 @@ def _solved(mat, big) -> float:
         raise ValidationError(f"an assignment block's costs overflow a float: {exc}") from exc
     if type(mat) is list:
         return _numpy_order_sum([mat[r][c] for r, c in zip(rows, cols)])
-    if big * len(mat) <= _SUM_SAFE:
-        return float(mat[rows, cols].sum())
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        return float(mat[rows, cols].sum())
+    return _numpy_order_sum(mat[rows, cols].tolist())
 
 
 def _numpy_order_sum(cells) -> float:
-    """float(np.array(cells).sum()) for up to 128 floats, numpy's pairwise
-    block: a left fold from 0.0 below 8 cells; from 8 on, eight partial
-    sums over the cells in strides of 8, combined as ((r0 + r1) + (r2 +
-    r3)) + ((r4 + r5) + (r6 + r7)), then the tail folded on, the whole
-    added to the reduction's initial 0.0 (docs/decisions.md section 3)."""
+    """float(np.array(cells).sum()) in Python: numpy's pairwise sum. Above
+    128 cells, the sums of two halves, the first a multiple of 8 long; up
+    to 128, a left fold from 0.0 below 8 cells, and from 8 on, eight
+    partial sums over the cells in strides of 8, combined as ((r0 + r1) +
+    (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail folded on, the
+    whole added to the reduction's initial 0.0 (docs/decisions.md section
+    3)."""
     n = len(cells)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_order_sum(cells[:half]) + _numpy_order_sum(cells[half:])
     total = 0.0
     if n < 8:
         for x in cells:

@@ -33,9 +33,6 @@ from .mergetree import (
 )
 
 SQRT2 = math.sqrt(2.0)
-#: Tie-break slack of the optimizers: costs within _EPS count as equal. Far
-#: below field.TOLERANCE, the one tolerance for comparing lengths and costs.
-_EPS = 1e-12
 
 
 _solve = None
@@ -252,9 +249,9 @@ def _pairs_key(pairs):
 
 
 def _better(cost, key, best_cost, best_key):
-    if cost < best_cost - _EPS:
-        return True
-    return cost <= best_cost + _EPS and (best_key is None or key < best_key)
+    """Whether (cost, key) beats the best so far: a smaller float, or the
+    same float and a smaller mapping key."""
+    return cost < best_cost or (cost == best_cost and (best_key is None or key < best_key))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +266,10 @@ def brute_force_distance(
     """Exact minimum over all Tai mappings, the edit distance of delta_G,
     with the cost model of l1's label scheme.
 
-    Returns (cost, EditMapping); ties resolved toward the lexicographically
-    smallest mapping. Deformation constraints live in deform_brute_force.
+    Returns (cost, EditMapping): the least float over all mappings, each
+    summing its gains in the first tree's node order, and of the mappings
+    with exactly that total the lexicographically smallest. Deformation
+    constraints live in deform_brute_force.
     """
     cost = cost_model_for(l1)
     n1, n2 = l1.node_count(), l2.node_count()
@@ -348,7 +347,8 @@ def _tai_search(l1: LabeledTree, l2: LabeledTree, cost: CostModel):
         suffix[i] = suffix[i + 1] + g
 
     best = [math.inf, None, None]  # cost, pairs, key
-    search = (anc1, nodes1, anc2, nodes2, gains, base, suffix, best)
+    margin = TOLERANCE * (1.0 + base)
+    search = (anc1, nodes1, anc2, nodes2, gains, base, suffix, margin, best)
     _tai_dfs(search, 0, list(forced), set(), 0.0)
     return best[0], best[1]
 
@@ -357,9 +357,11 @@ def _tai_dfs(search, i, pairs, used, gain_acc):
     """_tai_search from the i-th node of the first tree on: each free
     compatible partner in turn, then no partner. A module-level recursion,
     so a call leaves no reference cycle behind (a self-recursive closure
-    would)."""
-    anc1, nodes1, anc2, nodes2, gains, base, suffix, best = search
-    if base + gain_acc + suffix[i] > best[0] + _EPS:
+    would). A branch is pruned only when its lower bound, less a margin
+    for the bound's rounding, exceeds the best total: every total that
+    could beat or tie it is reached (docs/decisions.md section 22)."""
+    anc1, nodes1, anc2, nodes2, gains, base, suffix, margin, best = search
+    if base + gain_acc + suffix[i] - margin > best[0]:
         return
     if i == len(nodes1):
         total = base + gain_acc
@@ -547,15 +549,19 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
     the walk reaches its entry. The inner walk skips quotients of another
     root shape instead of bucketing them, and stops where the bucket walk
     would: costs do not decrease and `best` only moves on a matching entry
-    (docs/decisions.md section 9).
+    (docs/decisions.md section 9). The stops compare exactly: a total adds
+    non-negative floats to c1 and to c1 + c2, and rounding never takes such
+    a sum below either, so the walk returns the least float over all pairs,
+    in whatever order they are visited (section 22).
 
     Once a witness is found, the inner walk also skips, before building the
     quotient, every pair whose lower bound c1 + c2 + |(L1 - c1) - (L2 - c2)|
     reaches `best`, L being a tree's total edge length (its non-root labels
     summed in dict order). A quotient keeps every surviving length, so its
     total is L - c, and an isomorphism costs at least the difference of the
-    totals; the margin covers the rounding of these sums. A skip rests on its own pair's bound alone, so it is a
-    `continue`, not a stop (docs/decisions.md section 11).
+    totals; the margin covers the rounding of these sums. A skip rests on
+    its own pair's bound alone, so it is a `continue`, not a stop
+    (docs/decisions.md section 11).
     """
     (lt1, variants1), (lt2, variants2) = _guarded_variants(
         t1, t2, edge_limit, "deformation enumeration"
@@ -565,22 +571,22 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
     best = math.inf  # no stop or skip fires while it is
     for item1 in variants1:
         c1 = item1[0]
-        if c1 >= best - _EPS:
+        if c1 >= best:
             break
         q1, s1 = _shaped(lt1, item1)
         shape = s1[q1.root]
         rest1 = len1 - c1
         for item2 in variants2:
             c2 = item2[0]
-            if c1 + c2 >= best - _EPS:
+            if c1 + c2 >= best:
                 break
-            if c1 + c2 + abs(rest1 - (len2 - c2)) - margin >= best - _EPS:
+            if c1 + c2 + abs(rest1 - (len2 - c2)) - margin >= best:
                 continue
             q2, s2 = _shaped(lt2, item2)
             if s2[q2.root] != shape:
                 continue
             total = c1 + c2 + _iso(q1, s1, q2, s2, _length_diff)[0]
-            if total < best - _EPS:
+            if total < best:
                 best = total
     return best
 

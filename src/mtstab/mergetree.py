@@ -361,7 +361,9 @@ def build_obdt(bd: BranchDecomposition) -> LabeledTree:
 def label_for_scheme(obj, scheme: str) -> LabeledTree:
     """Labeled merge tree for one of the per-distance schemes of the
     label-function catalogue; see the distances module for which distance
-    uses which. BDTs come labeled from build_bdt and build_obdt."""
+    uses which. BDTs come labeled from build_bdt and build_obdt. Shares the
+    merge tree's parent and children maps, which nothing mutates
+    (docs/decisions.md section 6)."""
     if scheme == NODE_DIST_TO_PARENT:
         if not isinstance(obj, AbstractMergeTree):
             raise SchemeMismatchError(f"{scheme} needs a merge tree")
@@ -369,8 +371,7 @@ def label_for_scheme(obj, scheme: str) -> LabeledTree:
             v: (BLANK if obj.parent[v] is None else obj.value[v] - obj.value[obj.parent[v]])
             for v in obj.nodes()
         }
-        ch = {v: obj.children(v) for v in obj.nodes()}
-        return LabeledTree(scheme, obj.root, dict(obj.parent), labels, ch)
+        return LabeledTree(scheme, obj.root, obj.parent, labels, obj._children)
     if scheme == BRANCH_LABEL_ON_NODES:
         if not isinstance(obj, AbstractMergeTree):
             raise SchemeMismatchError(f"{scheme} needs an abstract merge tree")
@@ -389,8 +390,7 @@ def label_for_scheme(obj, scheme: str) -> LabeledTree:
                     raise SchemeMismatchError(f"no branch starts at inner node {v!r}")
                 b = min(cands, key=lambda a: (-a.persistence, -a.birth, _id_key(a.leaf)))
             labels[v] = (b.birth, b.death)
-        ch = {v: obj.children(v) for v in obj.nodes()}
-        return LabeledTree(scheme, obj.root, dict(obj.parent), labels, ch)
+        return LabeledTree(scheme, obj.root, obj.parent, labels, obj._children)
     raise SchemeMismatchError(f"unknown scheme {scheme!r}")
 
 

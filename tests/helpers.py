@@ -11,8 +11,9 @@ for the deformation distances, a backtracking oracle for subtree
 inclusion, the enumerative Selkow search and all-pairs oracles for the
 one-degree DPs, which solve their child blocks on the in-place assignment
 matrix, a switch between editcore's two assignment solvers, the
-constrained branch and bound for the constrained DP, and eager oracles for
-the deformation searches."""
+constrained branch and bound for the constrained DP, eager oracles for
+the deformation searches, and the unpruned minima of the Tai and
+deformation searches."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from scipy.optimize import linear_sum_assignment
 
 from mtstab import distances, editcore
 from mtstab.editcore import (
-    _EPS,
     BRUTE_FORCE_NODE_LIMIT,
     EditMapping,
     EditOp,
@@ -1113,9 +1113,10 @@ def zhang_brute_force(l1, l2, node_limit=BRUTE_FORCE_NODE_LIMIT):
         suffix[i] = suffix[i + 1] + min(0.0, min(gains[nodes1[i]].values(), default=0.0))
     tables1, tables2 = _lca_tables(l1, anc1), _lca_tables(l2, anc2)
     best = [math.inf, None, None]  # cost, pairs, key
+    margin = TOLERANCE * (1.0 + base)  # covers the rounding of the bound
 
     def dfs(i, pairs, used, gain_acc):
-        if base + gain_acc + suffix[i] > best[0] + _EPS:
+        if base + gain_acc + suffix[i] - margin > best[0]:
             return
         if i == len(nodes1):
             key = _pairs_key(pairs)
@@ -1142,6 +1143,36 @@ def zhang_brute_force(l1, l2, node_limit=BRUTE_FORCE_NODE_LIMIT):
 
     dfs(0, list(zip(blank1, blank2)), set(), 0.0)
     return best[0], EditMapping.of(best[1])
+
+
+def tai_minimum_unpruned(l1, l2):
+    """delta_G's exact oracle: the least float over every Tai mapping of l1
+    and l2, no bound pruning and no tie-break. Each mapping's total is
+    base + its gains added from 0.0 in the first tree's id order, the sums
+    editcore._tai_dfs forms; blank roots map to each other."""
+    cost = cost_model_for(l1)
+    anc1, anc2 = _ancestry(l1), _ancestry(l2)
+    all1, all2 = sorted(l1.nodes(), key=_id_key), sorted(l2.nodes(), key=_id_key)
+    nodes1 = [v for v in all1 if l1.labels[v] is not BLANK]
+    nodes2 = [w for w in all2 if l2.labels[w] is not BLANK]
+    forced = [(v, w) for v in all1 if l1.labels[v] is BLANK for w in all2 if l2.labels[w] is BLANK]
+    del_cost = {v: cost.delete(l1.labels[v]) for v in nodes1}
+    ins_cost = {w: cost.delete(l2.labels[w]) for w in nodes2}
+    base = sum(del_cost.values()) + sum(ins_cost.values())
+
+    def totals(i, pairs, gain_acc):
+        if i == len(nodes1):
+            yield base + gain_acc
+            return
+        v = nodes1[i]
+        for w in nodes2:
+            if all(w != w2 and (v2 in anc1[v]) == (w2 in anc2[w]) and (v in anc1[v2]) == (w in anc2[w2])
+                   for v2, w2 in pairs):
+                gain = cost.relabel(l1.labels[v], l2.labels[w]) - del_cost[v] - ins_cost[w]
+                yield from totals(i + 1, pairs + [(v, w)], gain_acc + gain)
+        yield from totals(i + 1, pairs, gain_acc)
+
+    return min(totals(0, forced, 0.0))
 
 
 def assignment_matrix_reference(cost_rows, del_costs, ins_costs):
@@ -1334,13 +1365,13 @@ def eager_deform_brute_force(lt1, variants1, lt2, variants2, want_witness=False)
     best = math.inf
     win = None
     for c1, d1, q1, s1 in variants1:
-        if win is not None and c1 >= best - _EPS:
+        if c1 >= best:
             break
         for c2, d2, q2, s2 in buckets2.get(s1[q1.root], ()):
-            if win is not None and c1 + c2 >= best - _EPS:
+            if c1 + c2 >= best:
                 break
             total = c1 + c2 + _iso(q1, s1, q2, s2, _length_diff)[0]
-            if total < best - _EPS:
+            if total < best:
                 best = total
                 win = (d1, d2)
     if not want_witness:
@@ -1349,6 +1380,18 @@ def eager_deform_brute_force(lt1, variants1, lt2, variants2, want_witness=False)
     q1, q2 = replay_contract(lt1, d1), replay_contract(lt2, d2)
     pairs = _iso(q1, _shapes(q1), q2, _shapes(q2), _length_diff)[1]
     return best, DeformWitness(d1, d2, tuple(pairs))
+
+
+def deform_minimum_unpruned(t1, t2):
+    """delta_E's exact oracle on two merge trees: the least float of
+    c1 + c2 + the isomorphism cost over every pair of
+    eager_subset_variants entries whose quotients have the same root
+    shape, with no stop and no skip. No size guard."""
+    lt1, lt2 = (label_for_scheme(t, NODE_DIST_TO_PARENT) for t in (t1, t2))
+    buckets2 = _by_root_shape(eager_subset_variants(lt2))
+    return min(c1 + c2 + _iso(q1, s1, q2, s2, _length_diff)[0]
+               for c1, _, q1, s1 in eager_subset_variants(lt1)
+               for c2, _, q2, s2 in buckets2.get(s1[q1.root], ()))
 
 
 def eager_deform_witness_search(lt1, variants1, lt2, variants2, max_ops, max_op_cost):

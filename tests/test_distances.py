@@ -429,8 +429,10 @@ def test_small_block_closed_forms_are_the_solver_value(monkeypatch, kind):
 
 def test_numpy_order_sum_is_numpys_sum():
     """distances._numpy_order_sum has the bits of float(np.array(a).sum())
-    for every length from 1 to 40: spread and signed values, zeros of both
-    signs, values whose sum overflows and infinities of both signs."""
+    for every length from 1 to 200 and around 256, 512, 1024 and deep's
+    1,198-cell solutions, where numpy splits its pairwise sum: spread and
+    signed values, zeros of both signs, values whose sum overflows and
+    infinities of both signs."""
     rng = random.Random(128)
     kinds = [
         lambda: 10 ** rng.uniform(-3, 3),
@@ -439,8 +441,9 @@ def test_numpy_order_sum_is_numpys_sum():
         lambda: rng.uniform(-8e307, 8e307),
         lambda: rng.choice((math.inf, -math.inf, 1.0)),
     ]
-    for n in range(1, 41):
-        for k in range(250):
+    lengths = [*range(1, 201), 255, 256, 257, 511, 512, 513, 1023, 1024, 1025, 1197, 1198, 1199]
+    for n in lengths:
+        for k in range(250 if n <= 40 else 50):
             cells = [kinds[k % len(kinds)]() for _ in range(n)]
             with np.errstate(all="ignore"):
                 want = float(np.array(cells).sum())

@@ -36,7 +36,7 @@ from helpers import (
 )
 from mtstab import editcore
 from mtstab import mergetree as mt
-from mtstab.distances import delta_p
+from mtstab.distances import MetricId, delta_p, tree_distance
 from mtstab.editcore import (
     ABS_DIFF,
     WASSERSTEIN_POINT,
@@ -700,6 +700,54 @@ def test_lazy_quotients_match_the_eager_oracle_on_ties_and_one_edge_trees():
             t1, t2 = abstract_merge_tree(p1, v1), abstract_merge_tree(p2, v2)
             _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled)
     assert 0 < filled[0] <= filled[1]
+
+
+def _sweep_pair(seed, grid, i, near):
+    """Merge trees of a grid field and of its minimal perturbation (near)
+    or of the next random field (independent), drawn from one seed."""
+    rng = random.Random(seed * 1_000_003 + i + grid * 7919)
+    f = random_grid_field(rng, grid, grid)
+    p = random_minimal_perturbation(rng, f)
+    f2 = apply_perturbation(f, p) if near else random_grid_field(rng, grid, grid)
+    return merge_tree_of(f), merge_tree_of(f2)
+
+
+def test_delta_e_and_g_are_the_least_float_of_their_candidates():
+    """Two pairs where a tie slack of 1e-12 kept the first total found
+    instead of one a last bit lower: delta_E's walk met
+    0x1.30e69b2d430dfp+0 before 0x1.30e69b2d430dep+0, and the Tai search
+    0x1.132494915baf3p+0 before 0x1.132494915baf2p+0. Both searches now
+    return the least float, the unpruned minimum bit for bit
+    (docs/decisions.md section 22)."""
+    t1, t2 = _sweep_pair(2, 3, 13, near=False)
+    e = tree_distance(MetricId.E, t1, t2)
+    assert e.hex() == "0x1.30e69b2d430dep+0"
+    assert e.hex() == helpers.deform_minimum_unpruned(t1, t2).hex()
+    t1, t2 = _sweep_pair(1, 3, 39, near=True)
+    g = tree_distance(MetricId.G, t1, t2)
+    assert g.hex() == "0x1.132494915baf2p+0"
+    assert g.hex() == helpers.tai_minimum_unpruned(labeled(t1), labeled(t2)).hex()
+
+
+def test_delta_e_and_g_are_the_unpruned_minima_on_random_trees():
+    """On 200 pairs of random trees of up to 6 edges, half of them a
+    minimal perturbation apart, delta_E and the Tai search have the .hex()
+    of the unpruned minima in tests/helpers.py."""
+    rng = random.Random(22)
+    compared = 0
+    while compared < 200:
+        f = random_grid_field(rng, 3, 3)
+        if compared % 2:
+            f2 = apply_perturbation(f, random_minimal_perturbation(rng, f))
+        else:
+            f2 = random_grid_field(rng, 3, 3)
+        t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+        if max(t1.edge_count(), t2.edge_count()) > 6:
+            continue
+        assert deform_brute_force(t1, t2).hex() == helpers.deform_minimum_unpruned(t1, t2).hex()
+        l1, l2 = labeled(t1), labeled(t2)
+        assert brute_force_distance(l1, l2)[0].hex() == helpers.tai_minimum_unpruned(l1, l2).hex()
+        compared += 1
 
 
 def test_iso_leaves_no_cyclic_garbage():

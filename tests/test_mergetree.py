@@ -202,6 +202,8 @@ def test_label_schemes_figure_values():
     t = figure_tree()
     node = label_for_scheme(t, mt.NODE_DIST_TO_PARENT)
     assert node.labels["A"] is BLANK
+    # both schemes share the merge tree's maps instead of copying them
+    assert node.parent is t.parent and node.children is t._children
     # parent edge lengths from the scalar values; the B-F edge spans 5 - 2 = 3
     assert {k: v for k, v in node.labels.items() if k != "A"} == {
         "B": 2.0, "C": 2.0, "E": 6.0, "D": 2.0, "G": 2.0, "H": 2.5, "I": 3.0, "F": 3.0,
@@ -210,6 +212,7 @@ def test_label_schemes_figure_values():
     labels = {b.name: label for b, label in bdt.labels.items()}
     assert labels["E-A"] == (10.0, 0.0) and labels["H-D"] == (8.5, 6.0)
     branch = label_for_scheme(t, mt.BRANCH_LABEL_ON_NODES)
+    assert branch.parent is t.parent and branch.children is t._children
     assert branch.labels == {
         "A": (10.0, 0.0), "B": (5.0, 2.0), "C": (9.0, 4.0), "D": (8.5, 6.0),
         "E": (10.0, 0.0), "F": (5.0, 2.0), "G": (8.0, 6.0), "H": (8.5, 6.0),

@@ -21,7 +21,13 @@ from mtstab.editcore import deform_witness_search
 from mtstab.errors import DuplicateValueError, ValidationError
 from mtstab.field import TOLERANCE, apply_value_change, build_domain, validate_field
 from mtstab.mergetree import label_for_scheme, merge_tree_of
-from mtstab.perturb import ChangeClass, apply_perturbation, check_minimal, classify_change
+from mtstab.perturb import (
+    ChangeClass,
+    apply_perturbation,
+    check_minimal,
+    classify_change,
+    enumerate_minimal_perturbations,
+)
 from mtstab.stability import (
     STABILITY_MATRIX,
     CellStats,
@@ -269,6 +275,37 @@ def test_delta_e_and_g_exceed_deg_f_times_extent_on_a_scaled_saddle_swap(x):
         assert d == pytest.approx(3.5 * extent, rel=1e-9) and d <= 4 * extent
         report = check_bound(f, f2, m)
         assert report.passed is False and report.degree_g == 4
+
+
+def test_l_g_p_and_e_exceed_deg_f_times_extent_on_a_3d_simple_change():
+    """The same failure on a simple change, where l and p fail too: the
+    3x3x3 Freudenthal grid (vertex (z * 3 + y) * 3 + x, edges to the
+    offsets (1,0,0), (0,1,0), (0,0,1), (1,1,0), (1,0,1), (0,1,1) and
+    (1,1,1)), values from random.Random(20014), vertex 22 moved down past
+    vertex 18. Vertex 18 becomes a new maximum under 22, so T_f is included
+    in T_g, and vertex 22 has degree 3 in T_f and 4 in T_g. delta_L,
+    delta_G, delta_P and delta_E all equal the split bound
+    3 * |f(18) - old| + 4 * |new - f(18)| to the bit, 1.2195 * deg(T_f) *
+    extent. This records the cause only; the group is open
+    (docs/decisions.md section 2)."""
+    n = 3
+    offsets = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    edges = [((z * n + y) * n + x, ((z + dz) * n + y + dy) * n + x + dx)
+             for z in range(n) for y in range(n) for x in range(n)
+             for dx, dy, dz in offsets if x + dx < n and y + dy < n and z + dz < n]
+    assert len(edges) == 98
+    rng = random.Random(20014)
+    f = validate_field(build_domain(n ** 3, edges), [rng.random() for _ in range(n ** 3)])
+    (p,) = [p for p in enumerate_minimal_perturbations(f, 22) if p.swap_partner == 18]
+    f2 = apply_perturbation(f, p)
+    assert classify_change(f, f2) is ChangeClass.SIMPLE_CHANGE
+    t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+    assert stability_degree(t1) == 3 and stability_degree(t2) == 4
+    split = 3 * abs(f.values[18] - p.old_value) + 4 * abs(p.new_value - f.values[18])
+    assert split.hex() == "0x1.475576a974060p-3"
+    assert split == pytest.approx(1.2195 * 3 * p.extent, rel=1e-4)
+    for m in (MetricId.L, MetricId.G, MetricId.P, MetricId.E):
+        assert tree_distance(m, t1, t2).hex() == split.hex(), m
 
 
 @pytest.mark.parametrize("seed", [42, 0, 1, 2, 3])
