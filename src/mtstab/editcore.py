@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, product, repeat
 
 from .errors import (
     InapplicableOperationError,
@@ -25,7 +25,6 @@ from .field import TOLERANCE
 from .mergetree import (
     BLANK,
     NODE_DIST_TO_PARENT,
-    AbstractMergeTree,
     LabeledTree,
     _id_key,
     _memoized,
@@ -242,10 +241,10 @@ BRUTE_FORCE_NODE_LIMIT = 12
 
 
 def _pairs_key(pairs):
-    return tuple(
+    return tuple([
         (_id_key(a), _id_key(b))
         for a, b in sorted(pairs, key=lambda p: (_id_key(p[0]), _id_key(p[1])))
-    )
+    ])
 
 
 def _better(cost, key, best_cost, best_key):
@@ -289,12 +288,13 @@ def _parents_first(lt: LabeledTree):
     return order
 
 
-#: _parents_first kept on the tree, for trees walked more than once: a
-#: delete-set list's base tree, walked by contract for every quotient, and
-#: the trees of the s and p DPs and of the Tai search, walked per pair. A
-#: quotient is walked once, by _shapes, and _collapse_costs once per tree
-#: and cost model; both call _parents_first directly, so a long-lived tree
-#: that only they walk keeps no order.
+#: _parents_first kept on the tree, for trees walked more than once: the
+#: base tree of delta_E and the witness search, walked by contract for
+#: every quotient a search builds, and the trees of the s and p DPs and of
+#: the Tai search, walked per pair. A quotient is walked once, by _shapes,
+#: and _collapse_costs once per tree and cost model; both call
+#: _parents_first directly, so a long-lived tree that only they walk keeps
+#: no order.
 _order = _memoized(_parents_first)
 
 
@@ -495,48 +495,50 @@ def _length_diff(a, b):
 DEFORM_EDGE_LIMIT = 10
 
 
-def _subset_variants(lt: LabeledTree):
-    """[cost, delete set, None] for every delete set, sorted by cost, then by
-    the sorted ids of the set. _shaped fills the third slot with the
-    quotient and its _shapes map when a search first reaches the entry.
-    Built by doubling over the edges in id order, so a set's cost is its
-    lengths summed in id order from int 0, as sum gives, whatever the set's
-    hash order, and one sort on (cost, edge indices) is the order above
-    (docs/decisions.md section 9)."""
+def _delete_sets(lt: LabeledTree):
+    """(cost, [delete set, None]) for every delete set of lt in (cost, edge
+    indices) order, the edges indexed by id, each made when the walk asks
+    for it. A heap grows a set only by edges of a higher index than its
+    last, so a cost is its lengths summed in id order from int 0, as sum
+    gives, and never below the cost of the set it grew from: the pops come
+    in the order of a full sort (docs/decisions.md section 9). heapq is
+    imported here, so a process that computes no delta_E never loads it."""
+    from heapq import heappop, heappush
+
     edges = sorted((v for v in lt.nodes() if lt.parent[v] is not None), key=_id_key)
-    grown = [(0, (), frozenset())]
-    for j, v in enumerate(edges):
-        length, one = lt.labels[v], frozenset((v,))
-        grown += [(c + length, idx + (j,), d | one) for c, idx, d in grown]
-    grown.sort()
-    return [[c, d, None] for c, _, d in grown]
+    heap = [(0, ())]
+    while heap:
+        cost, idx = heappop(heap)
+        yield cost, [frozenset(map(edges.__getitem__, idx)), None]
+        for j in range(idx[-1] + 1 if idx else 0, len(edges)):
+            heappush(heap, (cost + lt.labels[edges[j]], idx + (j,)))
 
 
 def _shaped(lt: LabeledTree, item):
-    """(quotient, its _shapes map) of a _subset_variants entry, built on the
-    first call and kept in the entry for every later search."""
-    built = item[2]
+    """(quotient, its _shapes map) of a [delete set, None] entry, built on
+    the first call and kept in the entry for the rest of the search."""
+    built = item[1]
     if built is None:
-        q = contract(lt, item[1])
-        built = item[2] = (q, _shapes(q))
+        q = contract(lt, item[0])
+        built = item[1] = (q, _shapes(q))
     return built
 
 
-@_memoized
-def _variants_of(t: AbstractMergeTree):
-    """(labeled tree, _subset_variants) of a merge tree, enumerated once and
-    kept on the tree: delta_E and the witness search share it, and with it
-    every quotient one of them built. The labeled tree is delta_L's and
-    delta_P's, each edge labeled by its length."""
-    lt = label_for_scheme(t, NODE_DIST_TO_PARENT)
-    return lt, _subset_variants(lt)
-
-
-def _guarded_variants(t1, t2, edge_limit, what):
+def _length_trees(t1, t2, edge_limit, what):
+    """delta_L's labeled trees of t1 and t2, each within edge_limit edges."""
     m = max(t1.edge_count(), t2.edge_count())
     if m > edge_limit:
         raise SizeGuardError(what, m, edge_limit)
-    return _variants_of(t1), _variants_of(t2)
+    return [label_for_scheme(t, NODE_DIST_TO_PARENT) for t in (t1, t2)]
+
+
+def _read_through(seen, source):
+    """The entries of seen, then those of source, each appended to seen
+    before it is yielded, so the next walk reads it from the list."""
+    yield from seen
+    for item in source:
+        seen.append(item)
+        yield item
 
 
 def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
@@ -545,9 +547,11 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
     Minimizes len(D1) + len(D2) + optimal relabel cost over all pairs of
     contractible edge sets whose quotients are isomorphic rooted trees.
 
-    Both lists are walked in cost order and a quotient is built only when
-    the walk reaches its entry. The inner walk skips quotients of another
-    root shape instead of bucketing them, and stops where the bucket walk
+    Both trees' delete sets are walked in cost order, as _delete_sets
+    makes them: the first tree's once, the second's through a list that
+    grows only as far as an inner walk reads. A quotient is built when the
+    walk reaches its entry. The inner walk skips quotients of another root
+    shape instead of bucketing them, and stops where the bucket walk
     would: costs do not decrease and `best` only moves on a matching entry
     (docs/decisions.md section 9). The stops compare exactly: a total adds
     non-negative floats to c1 and to c1 + c2, and rounding never takes such
@@ -563,21 +567,18 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
     its own pair's bound alone, so it is a `continue`, not a stop
     (docs/decisions.md section 11).
     """
-    (lt1, variants1), (lt2, variants2) = _guarded_variants(
-        t1, t2, edge_limit, "deformation enumeration"
-    )
+    lt1, lt2 = _length_trees(t1, t2, edge_limit, "deformation enumeration")
     len1, len2 = (sum(x for x in lt.labels.values() if x is not BLANK) for lt in (lt1, lt2))
     margin = TOLERANCE * (1.0 + len1 + len2)
     best = math.inf  # no stop or skip fires while it is
-    for item1 in variants1:
-        c1 = item1[0]
+    seen2, sets2 = [], _delete_sets(lt2)
+    for c1, item1 in _delete_sets(lt1):
         if c1 >= best:
             break
         q1, s1 = _shaped(lt1, item1)
         shape = s1[q1.root]
         rest1 = len1 - c1
-        for item2 in variants2:
-            c2 = item2[0]
+        for c2, item2 in _read_through(seen2, sets2):
             if c1 + c2 >= best:
                 break
             if c1 + c2 + abs(rest1 - (len2 - c2)) - margin >= best:
@@ -604,31 +605,29 @@ def deform_witness_search(
     This verifies the existence clause of the stability theorems: the
     qualifying sequence need not be cost-optimal. A plan is two delete sets
     and an isomorphism of their quotients (docs/decisions.md section 2).
-    Only the quotients of usable delete sets are built.
+    Only usable delete sets are listed: at most max_ops edges, each no
+    longer than the cap, by edge count. Pairs are tried by n1 + n2 while
+    it is at most max_ops, and a quotient is built the first time a pair
+    needs it, so a near pair stops at the two empty sets.
     """
-    (lt1, variants1), (lt2, variants2) = _guarded_variants(
-        t1, t2, edge_limit, "deformation witness search"
-    )
+    lt1, lt2 = _length_trees(t1, t2, edge_limit, "deformation witness search")
     cap = max_op_cost + TOLERANCE
-
-    def usable(lt, variants):
-        return [
-            item
-            for item in variants
-            if len(item[1]) <= max_ops
-            and all(lt.labels[v] <= cap for v in item[1])
-        ]
-
-    buckets2 = {}
-    for item in usable(lt2, variants2):
-        q2, s2 = _shaped(lt2, item)
-        buckets2.setdefault(s2[q2.root], []).append((len(item[1]), q2, s2))
-    for item in usable(lt1, variants1):
-        q1, s1 = _shaped(lt1, item)
-        for n2, q2, s2 in buckets2.get(s1[q1.root], ()):
-            budget = max_ops - len(item[1]) - n2
-            if budget >= 0 and _qualifying_iso(q1, s1, q2, s2, budget, cap) is not None:
-                return True
+    levels1, levels2 = [], []  # [delete set, None] entries by edge count
+    for lt, levels in ((lt1, levels1), (lt2, levels2)):
+        short = [v for v in _order(lt)[1:] if lt.labels[v] <= cap]
+        for n in range(min(max_ops, len(short)) + 1):
+            levels.append([[frozenset(d), None] for d in combinations(short, n)])
+    for n1, n2 in sorted(product(range(len(levels1)), range(len(levels2))), key=sum):
+        budget = max_ops - n1 - n2
+        if budget < 0:
+            break
+        for item1 in levels1[n1]:
+            q1, s1 = _shaped(lt1, item1)
+            for item2 in levels2[n2]:
+                q2, s2 = _shaped(lt2, item2)
+                if s1[q1.root] == s2[q2.root] and _qualifying_iso(
+                        q1, s1, q2, s2, budget, cap) is not None:
+                    return True
     return False
 
 

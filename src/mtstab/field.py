@@ -63,7 +63,7 @@ def build_domain(vertex_count: int, edges) -> Domain1Skeleton:
         adj[v].append(u)
     # norm is sorted, so each list gets its lower neighbors in order, then
     # its higher ones in order: sorted already
-    return Domain1Skeleton(vertex_count, tuple(norm), tuple(map(tuple, adj)))
+    return Domain1Skeleton(vertex_count, tuple(norm), tuple([tuple(a) for a in adj]))
 
 
 def _connected(dom: Domain1Skeleton) -> bool:
@@ -109,7 +109,7 @@ class ScalarField:
 
 
 def validate_field(domain: Domain1Skeleton, values) -> ScalarField:
-    values = tuple(float(x) for x in values)
+    values = tuple([float(x) for x in values])
     if len(values) != domain.vertex_count:
         raise LengthMismatchError(
             f"{len(values)} values for {domain.vertex_count} vertices"

@@ -351,7 +351,7 @@ def build_obdt(bd: BranchDecomposition) -> LabeledTree:
     Shares the BDT's maps."""
     bdt = build_bdt(bd)
     groups = {
-        b: tuple(tuple(run) for _, run in itertools.groupby(cs, key=lambda c: c.start))
+        b: tuple([tuple(run) for _, run in itertools.groupby(cs, key=lambda c: c.start)])
         for b, cs in bdt.children.items()
     }
     return LabeledTree(OBDT_BIRTH_DEATH, bdt.root, bdt.parent, bdt.labels, bdt.children, groups)

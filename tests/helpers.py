@@ -1396,9 +1396,9 @@ def deform_minimum_unpruned(t1, t2):
 
 def eager_deform_witness_search(lt1, variants1, lt2, variants2, max_ops, max_op_cost):
     """Oracle of editcore.deform_witness_search on two length-labeled trees:
-    the first qualifying plan as a DeformWitness, or None. The variants are lists in
-    cost order whose entries hold a delete set second, those of
-    eager_subset_variants or of editcore._variants_of. Each usable delete set
+    the first qualifying plan as a DeformWitness, or None. The variants are
+    eager_subset_variants lists, or any lists in cost order whose entries
+    hold a delete set second. Each usable delete set
     gets its replay quotient, and the second tree's are bucketed by root
     shape, so the witness names the nodes deform_sequence rebuilds."""
     cap = max_op_cost + TOLERANCE

@@ -31,6 +31,7 @@ from helpers import (
     deform_sequence,
     deform_sequence_search,
     eager_deform_witness_search,
+    eager_subset_variants,
     labeled_canonical,
     random_abstract_tree,
     scenario_suite,
@@ -232,8 +233,9 @@ def _swap_witness_ok(failure) -> bool:
         return False
     if not deform_witness_search(t1, t2, max_ops=deg + 2, max_op_cost=extent):
         return False
+    l1, l2 = (label_for_scheme(t, mt.NODE_DIST_TO_PARENT) for t in (t1, t2))
     witness = eager_deform_witness_search(
-        *editcore._variants_of(t1), *editcore._variants_of(t2), deg + 2, extent
+        l1, eager_subset_variants(l1), l2, eager_subset_variants(l2), deg + 2, extent
     )
     if witness is None:
         return False

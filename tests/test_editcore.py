@@ -7,6 +7,7 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from helpers import (
 )
 from mtstab import editcore
 from mtstab import mergetree as mt
-from mtstab.distances import MetricId, delta_p, tree_distance
+from mtstab.distances import Guards, MetricId, delta_p, tree_distance
 from mtstab.editcore import (
     ABS_DIFF,
     WASSERSTEIN_POINT,
@@ -49,7 +50,6 @@ from mtstab.editcore import (
     deform_brute_force,
     deform_witness_search,
     _qualifying_iso,
-    _subset_variants,
     mapping_to_sequence,
 )
 from mtstab.errors import InapplicableOperationError, SizeGuardError, ValidationError
@@ -466,11 +466,11 @@ HASH_ORDER_PAIR = (
 
 
 def test_subset_variants_are_the_combinations_summed_in_edge_order():
-    """Every delete set once, its cost the sum of its lengths in id order
-    (int 0 for the empty set, as sum gives), sorted by cost and then by the
-    sorted ids: the same type, bits and set per entry as a reference built
-    with itertools.combinations, on int-id grid trees and on string-id
-    trees with tied costs."""
+    """_delete_sets makes every delete set once, its cost the sum of its
+    lengths in id order (int 0 for the empty set, as sum gives), in the
+    order of cost and then the sorted ids: the same type, bits and set per
+    entry as a reference built with itertools.combinations and sorted, on
+    int-id grid trees and on string-id trees with tied costs."""
     trees = grid_trees(21, 20, max_edges=9)
     trees += [abstract_merge_tree(p, v) for p, v in (*TIED_TREES, *HASH_ORDER_PAIR)]
     for t in trees:
@@ -484,11 +484,11 @@ def test_subset_variants_are_the_combinations_summed_in_edge_order():
             ),
             key=lambda entry: (entry[0], entry[2]),
         )
-        got = _subset_variants(lt)
-        assert [(type(c), float(c).hex(), d) for c, d, _ in got] == [
+        got = list(editcore._delete_sets(lt))
+        assert [(type(c), float(c).hex(), d) for c, (d, _) in got] == [
             (type(c), float(c).hex(), d) for c, d, _ in want
         ]
-        assert all(built is None for _, _, built in got)
+        assert all(built is None for _, (_, built) in got)
 
 
 def test_deform_values_do_not_depend_on_the_hash_seed():
@@ -515,7 +515,8 @@ def test_deform_values_do_not_depend_on_the_hash_seed():
 def test_memoized_variants_give_the_fresh_results():
     """e, p and the witness search agree whether each call sees trees built
     from a new field object, with nothing memoized yet, or the memoized
-    trees of the same field, whose variants an earlier call enumerated."""
+    trees of the same field, whose labeled tree and its parents-first walk
+    an earlier call built."""
     rng = random.Random(14)
     checked = 0
     while checked < 8:
@@ -542,16 +543,16 @@ def test_memoized_variants_give_the_fresh_results():
 
         fresh = results(new_trees)
         deform_brute_force(t1, t2)
-        memo1, memo2 = editcore._variants_of(t1), editcore._variants_of(t2)
-        assert merge_tree_of(f) is t1 and editcore._variants_of(merge_tree_of(f)) is memo1
-        assert merge_tree_of(f2) is t2 and editcore._variants_of(merge_tree_of(f2)) is memo2
+        for g, t in ((f, t1), (f2, t2)):
+            assert merge_tree_of(g) is t and labeled(merge_tree_of(g)) is labeled(t)
+            assert "_memo" in vars(labeled(t))
         assert results(lambda: (t1, t2)) == fresh
 
 
 def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
     """Quotients are built when a search first reaches their delete set and
-    kept with it: on a fresh pair, _shapes runs at most once per delete set
-    of either tree, over delta_E and the witness search together,
+    kept with it for the rest of that search: _shapes runs at most once per
+    delete set of either tree in each of delta_E and the witness search,
     and never inside _iso. delta_E stops before it reaches every set, so it
     calls _shapes fewer times than there are delete sets."""
     quotient, shapes, iso = editcore.contract, editcore._shapes, editcore._iso
@@ -589,8 +590,79 @@ def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
     assert calls == {"other": 0, "in_iso": 0}
     assert set(per_set.values()) == {1}
     assert len(per_set) < 2 ** t1.edge_count() + 2 ** t2.edge_count()
-    deform_witness_search(t1, t2, max_ops=stability_degree(t1), max_op_cost=0.5)
+    per_set.clear()
+    assert not deform_witness_search(t1, t2, max_ops=stability_degree(t1), max_op_cost=0.5)
     assert set(per_set.values()) == {1} and calls["in_iso"] == 0
+
+
+def _suite_trial(seed, i, grid):
+    """Trial i of suite_trials(seed, ..., grid), its trees built afresh."""
+    return list(suite_trials(seed, i + 1, grid))[i]
+
+
+def test_delta_e_makes_only_the_delete_sets_its_walk_reads(monkeypatch):
+    """On a 12-edge pair one minimal perturbation apart (seed-1 trial 192
+    of the 5x5 suite) at Guards(deform_edges=12), delta_E makes fewer than
+    the 2^12 delete sets of either tree, and its value is the eager walk's."""
+    t1, t2, _ = _suite_trial(1, 192, 5)
+    assert t1.edge_count() == t2.edge_count() == 12
+    made, sets = {}, editcore._delete_sets
+
+    def counted(lt):
+        for entry in sets(lt):
+            made[id(lt)] = made.get(id(lt), 0) + 1
+            yield entry
+
+    monkeypatch.setattr(editcore, "_delete_sets", counted)
+    e = tree_distance(MetricId.E, t1, t2, guards=Guards(deform_edges=12))
+    assert len(made) == 2 and max(made.values()) < 2 ** 12
+    lt1, lt2 = labeled(t1), labeled(t2)
+    want = eager_deform_brute_force(lt1, eager_subset_variants(lt1), lt2, eager_subset_variants(lt2))
+    assert e.hex() == want.hex()
+
+
+def _holds_delete_sets(value):
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_delete_sets, value))
+    return isinstance(value, frozenset)
+
+
+def test_deform_searches_keep_no_delete_set_list_on_the_trees():
+    """delta_E and the witness search make their delete sets per call:
+    after both, no memo of the merge trees or of their labeled trees holds
+    a delete set."""
+    trees = grid_trees(15, 4)
+    for t1, t2 in itertools.product(trees[:2], trees[2:]):
+        deform_brute_force(t1, t2)
+        deform_witness_search(t1, t2, max_ops=stability_degree(t1), max_op_cost=0.5)
+        for obj in (t1, t2, labeled(t1), labeled(t2)):
+            assert not _holds_delete_sets(list(vars(obj).get("_memo", {}).values()))
+
+
+def test_delta_e_keeps_little_on_the_trees_of_seed_42_trial_40():
+    """The two 9-edge trees of seed-42 trial 40 of the 4x4 suite kept
+    1.35 MB after delta_E while every delete set and quotient stayed on
+    them; now they keep their labeled trees and walks, under 0.2 MB."""
+    tree_distance(MetricId.E, *_suite_trial(42, 40, 4)[:2])  # loads the solver untraced
+    t1, t2, _ = _suite_trial(42, 40, 4)
+    tracemalloc.start()
+    try:
+        tree_distance(MetricId.E, t1, t2)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 0.2e6
+
+
+def test_witness_search_builds_only_the_quotients_it_compares(monkeypatch):
+    """Pairs are tried fewest deletions first and a quotient is built when
+    a pair first needs it: on seed-42 trial 40, where the two empty delete
+    sets qualify, the search builds their two quotients and no other."""
+    built = _recorded_quotients(monkeypatch)
+    t1, t2, extent = _suite_trial(42, 40, 4)
+    assert deform_witness_search(t1, t2, max_ops=stability_degree(t1), max_op_cost=extent)
+    assert [d for _, d in built] == [frozenset(), frozenset()]
+    assert all(len(quotients) == 1 for quotients in built.values())
 
 
 def test_deform_length_bound_skips_isomorphisms_the_eager_oracle_runs(monkeypatch):
@@ -615,28 +687,46 @@ def test_deform_length_bound_skips_isomorphisms_the_eager_oracle_runs(monkeypatc
     assert 0 < calls["lazy"] < calls["eager"]
 
 
-def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled):
+def _recorded_quotients(monkeypatch):
+    """Wrap editcore.contract for the searches; returns the dict it fills,
+    (id of the base tree, delete set) -> the quotients built of it."""
+    built, quotient = {}, editcore.contract
+
+    def recorded(lt, deleted):
+        q = quotient(lt, deleted)
+        built.setdefault((id(lt), deleted), []).append(q)
+        return q
+
+    monkeypatch.setattr(editcore, "contract", recorded)
+    return built
+
+
+def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled, built):
     """delta_E and the witness search on t1, t2 equal the eager oracles'
-    bit for bit, and every quotient the lazy searches built equals the
-    eager one of its delete set. `filled` counts [built entries, entries]."""
+    bit for bit, _delete_sets makes the eager list's costs and sets in its
+    order, and every quotient the searches built, at most one per delete
+    set and search, equals the eager one of its delete set. `built` is
+    _recorded_quotients' dict; `filled` counts [sets built, sets]."""
     eager = [(lt, eager_subset_variants(lt)) for lt in (labeled(t1), labeled(t2))]
     oracle_args = (*eager[0], *eager[1])
+    built.clear()
     assert deform_brute_force(t1, t2).hex() == eager_deform_brute_force(*oracle_args).hex()
     got_w = deform_witness_search(t1, t2, max_ops, max_op_cost)
     assert type(got_w) is bool
     assert got_w == (eager_deform_witness_search(*oracle_args, max_ops, max_op_cost) is not None)
-    for t, (_, want_variants) in zip((t1, t2), eager):
-        _, variants = editcore._variants_of(t)
+    for lt, want_variants in eager:
         # the empty set costs the int 0, as sum() returns it
-        assert [(type(c), float(c).hex(), d) for c, d, _ in variants] == [
+        assert [(type(c), float(c).hex(), d) for c, (d, _) in editcore._delete_sets(lt)] == [
             (type(c), float(c).hex(), d) for c, d, _, _ in want_variants
         ]
-        for (_, _, built), (_, _, q, shapes) in zip(variants, want_variants):
+        for _, d, q, shapes in want_variants:
+            quotients = built.get((id(lt), d), ())
+            filled[0] += bool(quotients)
             filled[1] += 1
-            if built is not None:
-                filled[0] += 1
-                assert labeled_canonical(built[0]) == labeled_canonical(q)
-                assert built[1] == shapes
+            assert len(quotients) <= 2
+            for got in quotients:
+                assert labeled_canonical(got) == labeled_canonical(q)
+                assert editcore._shapes(got) == shapes
 
 
 DEFORM_HEX = Path(__file__).parent / "data" / "deform_hex.json"
@@ -665,11 +755,11 @@ def test_deform_values_and_verdicts_match_the_recorded_bits():
         assert got == suite["pairs"], suite["seed"]
 
 
-def test_lazy_quotients_match_the_eager_oracle_on_random_pairs():
+def test_lazy_quotients_match_the_eager_oracle_on_random_pairs(monkeypatch):
     """200 pairs of 3x3 and 4x4 grid trees, one minimal perturbation apart
     or independent."""
     rng = random.Random(16)
-    filled = [0, 0]
+    built, filled = _recorded_quotients(monkeypatch), [0, 0]
     compared = 0
     while compared < 200:
         n = rng.choice((3, 4))
@@ -685,20 +775,20 @@ def test_lazy_quotients_match_the_eager_oracle_on_random_pairs():
             with pytest.raises(SizeGuardError):
                 deform_brute_force(t1, t2)
             continue
-        _assert_lazy_matches_eager(t1, t2, stability_degree(t1), max_op_cost, filled)
+        _assert_lazy_matches_eager(t1, t2, stability_degree(t1), max_op_cost, filled, built)
         compared += 1
     assert 0 < filled[0] < filled[1]
 
 
-def test_lazy_quotients_match_the_eager_oracle_on_ties_and_one_edge_trees():
+def test_lazy_quotients_match_the_eager_oracle_on_ties_and_one_edge_trees(monkeypatch):
     """Hand-built trees with edges of length 1 (and one of length 2), so
     many delete sets cost the same and the sorted ids break the ties, also
     between sets of different sizes, and 1-edge trees."""
-    filled = [0, 0]
+    built, filled = _recorded_quotients(monkeypatch), [0, 0]
     for (p1, v1), (p2, v2) in itertools.product(TIED_TREES, repeat=2):
         for max_ops, max_op_cost in ((1, 1.0), (3, 1.0), (6, 0.5)):
             t1, t2 = abstract_merge_tree(p1, v1), abstract_merge_tree(p2, v2)
-            _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled)
+            _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled, built)
     assert 0 < filled[0] <= filled[1]
 
 
@@ -768,6 +858,25 @@ def test_iso_leaves_no_cyclic_garbage():
     try:
         for _ in range(200):
             editcore._iso(q1, s1, q2, s2, editcore._length_diff)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_deform_searches_leave_no_cyclic_garbage():
+    """delta_E's walks break off inside the delete-set generators, and the
+    witness search returns from inside its pair loop or runs it out; none
+    of it leaves anything for the cycle collector."""
+    trees = grid_trees(15, 6)
+    # the first call loads the assignment solver, which leaves garbage
+    deform_brute_force(trees[0], trees[1])
+    gc.collect()
+    gc.disable()
+    try:
+        for t1, t2 in itertools.product(trees[:3], trees[3:]):
+            deform_brute_force(t1, t2)
+            for t in (t1, t2):
+                deform_witness_search(t1, t, max_ops=stability_degree(t1), max_op_cost=0.5)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -11,10 +11,11 @@ from helpers import (
     check_edge_sequence,
     deform_sequence,
     eager_deform_witness_search,
+    eager_subset_variants,
     labeled_canonical,
     scenario_suite,
 )
-from mtstab import editcore, pool, stability
+from mtstab import pool, stability
 from mtstab import mergetree as mt
 from mtstab.distances import DEFAULT_GUARDS, Guards, MetricId, tree_distance
 from mtstab.editcore import deform_witness_search
@@ -312,7 +313,7 @@ def test_l_g_p_and_e_exceed_deg_f_times_extent_on_a_3d_simple_change():
 def test_every_witness_the_search_finds_replays_within_its_limits(seed):
     """The suite's witness check is deform_witness_search's verdict
     (docs/decisions.md section 2). For every True verdict on a suite trial
-    (200 trials, 4x4 grid), the replay oracle finds a witness on the same
+    (200 trials, 4x4 grid), the replay oracle finds a witness on the eager
     delete-set lists, and it becomes a sequence of at most deg(T_f)
     operations, each costing at most the extent, that check_edge_sequence
     replays onto T2; for every False verdict the oracle finds none. Some
@@ -326,8 +327,9 @@ def test_every_witness_the_search_finds_replays_within_its_limits(seed):
         t1, t2 = merge_tree_of(f), merge_tree_of(apply_perturbation(f, p))
         deg = stability_degree(t1)
         verdict = deform_witness_search(t1, t2, max_ops=deg, max_op_cost=p.extent)
+        l1, l2 = (label_for_scheme(t, mt.NODE_DIST_TO_PARENT) for t in (t1, t2))
         witness = eager_deform_witness_search(
-            *editcore._variants_of(t1), *editcore._variants_of(t2), deg, p.extent
+            l1, eager_subset_variants(l1), l2, eager_subset_variants(l2), deg, p.extent
         )
         assert verdict is (witness is not None), i
         if not verdict:
