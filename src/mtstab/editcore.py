@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import combinations, product, repeat, tee
 
 from .errors import (
     InapplicableOperationError,
@@ -241,7 +241,7 @@ BRUTE_FORCE_NODE_LIMIT = 12
 
 
 def _pairs_key(pairs):
-    return tuple([
+    return tuple([  # from a list, not a generator: docs/decisions.md section 6
         (_id_key(a), _id_key(b))
         for a, b in sorted(pairs, key=lambda p: (_id_key(p[0]), _id_key(p[1])))
     ])
@@ -289,8 +289,8 @@ def _parents_first(lt: LabeledTree):
 
 
 #: _parents_first kept on the tree, for trees walked more than once: the
-#: base tree of delta_E and the witness search, walked by contract for
-#: every quotient a search builds, and the trees of the s and p DPs and of
+#: base tree of delta_E and the witness search, walked by _root_shape for
+#: every set and by contract for every quotient, and the trees of s, p and
 #: the Tai search, walked per pair. A quotient is walked once, by _shapes,
 #: and _collapse_costs once per tree and cost model; both call
 #: _parents_first directly, so a long-lived tree that only they walk keeps
@@ -496,31 +496,46 @@ DEFORM_EDGE_LIMIT = 10
 
 
 def _delete_sets(lt: LabeledTree):
-    """(cost, [delete set, None]) for every delete set of lt in (cost, edge
-    indices) order, the edges indexed by id, each made when the walk asks
-    for it. A heap grows a set only by edges of a higher index than its
-    last, so a cost is its lengths summed in id order from int 0, as sum
+    """(cost, [delete set, its quotient's root shape, None]) for every
+    delete set of lt in (cost, edge indices) order, edges indexed by id,
+    made on demand. A heap grows a set only by edges of a higher index than
+    its last, so a cost is its lengths summed in id order from int 0, as sum
     gives, and never below the cost of the set it grew from: the pops come
-    in the order of a full sort (docs/decisions.md section 9). heapq is
-    imported here, so a process that computes no delta_E never loads it."""
-    from heapq import heappop, heappush
+    in a full sort's order (docs/decisions.md section 9)."""
+    from heapq import heappop, heappush  # here: only delta_E loads heapq
 
     edges = sorted((v for v in lt.nodes() if lt.parent[v] is not None), key=_id_key)
     heap = [(0, ())]
     while heap:
         cost, idx = heappop(heap)
-        yield cost, [frozenset(map(edges.__getitem__, idx)), None]
+        d = frozenset(map(edges.__getitem__, idx))
+        yield cost, [d, _root_shape(lt, d), None]
         for j in range(idx[-1] + 1 if idx else 0, len(edges)):
             heappush(heap, (cost + lt.labels[edges[j]], idx + (j,)))
 
 
+def _root_shape(lt: LabeledTree, deleted):
+    """The root's entry in _shapes(contract(lt, deleted)), found without the
+    quotient: a deleted node hands its child shapes to its parent, and a
+    kept non-root node with one child shape is pruned into that child."""
+    below = {}  # node -> the shapes handed to it so far, if any
+    for v in reversed(_order(lt)[1:]):  # children first, the root left out
+        got, p = below.pop(v, None), lt.parent[v]
+        if v not in deleted:
+            shape = () if got is None else got[0] if len(got) == 1 else tuple(sorted(got))
+            below.setdefault(p, []).append(shape)
+        elif got:
+            below.setdefault(p, []).extend(got)
+    return tuple(sorted(below.get(lt.root, ())))
+
+
 def _shaped(lt: LabeledTree, item):
-    """(quotient, its _shapes map) of a [delete set, None] entry, built on
-    the first call and kept in the entry for the rest of the search."""
-    built = item[1]
+    """(quotient, its _shapes map) of an entry, built on the first call
+    and kept in the entry; only a pair of one root shape needs it."""
+    built = item[2]
     if built is None:
         q = contract(lt, item[0])
-        built = item[1] = (q, _shapes(q))
+        built = item[2] = (q, _shapes(q))
     return built
 
 
@@ -532,34 +547,24 @@ def _length_trees(t1, t2, edge_limit, what):
     return [label_for_scheme(t, NODE_DIST_TO_PARENT) for t in (t1, t2)]
 
 
-def _read_through(seen, source):
-    """The entries of seen, then those of source, each appended to seen
-    before it is yielded, so the next walk reads it from the list."""
-    yield from seen
-    for item in source:
-        seen.append(item)
-        yield item
-
-
 def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
     """Exact deformation-based edit distance by enumerating delete sets.
 
     Minimizes len(D1) + len(D2) + optimal relabel cost over all pairs of
     contractible edge sets whose quotients are isomorphic rooted trees.
 
-    Both trees' delete sets are walked in cost order, as _delete_sets
-    makes them: the first tree's once, the second's through a list that
-    grows only as far as an inner walk reads. A quotient is built when the
-    walk reaches its entry. The inner walk skips quotients of another root
-    shape instead of bucketing them, and stops where the bucket walk
-    would: costs do not decrease and `best` only moves on a matching entry
-    (docs/decisions.md section 9). The stops compare exactly: a total adds
-    non-negative floats to c1 and to c1 + c2, and rounding never takes such
-    a sum below either, so the walk returns the least float over all pairs,
-    in whatever order they are visited (section 22).
+    Both trees' delete sets are walked in cost order, the second's through
+    a tee whose buffer grows only as far as an inner walk reads. The inner
+    walk skips sets of another root shape, found without a quotient, and
+    stops where a walk bucketed by shape would: costs do not decrease and
+    `best` only moves on a matching entry (docs/decisions.md section 9). The
+    stops compare exactly: a total adds non-negative floats to c1 and to
+    c1 + c2, and rounding never takes such a sum below either, so the walk
+    returns the least float over all pairs, in whatever order they are
+    visited (section 22).
 
     Once a witness is found, the inner walk also skips, before building the
-    quotient, every pair whose lower bound c1 + c2 + |(L1 - c1) - (L2 - c2)|
+    quotients, every pair whose lower bound c1 + c2 + |(L1 - c1) - (L2 - c2)|
     reaches `best`, L being a tree's total edge length (its non-root labels
     summed in dict order). A quotient keeps every surviving length, so its
     total is L - c, and an isomorphism costs at least the difference of the
@@ -571,22 +576,17 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
     len1, len2 = (sum(x for x in lt.labels.values() if x is not BLANK) for lt in (lt1, lt2))
     margin = TOLERANCE * (1.0 + len1 + len2)
     best = math.inf  # no stop or skip fires while it is
-    seen2, sets2 = [], _delete_sets(lt2)
+    sets2 = tee(_delete_sets(lt2), 1)[0]  # each copy reads from the first set
     for c1, item1 in _delete_sets(lt1):
         if c1 >= best:
             break
-        q1, s1 = _shaped(lt1, item1)
-        shape = s1[q1.root]
-        rest1 = len1 - c1
-        for c2, item2 in _read_through(seen2, sets2):
+        shape, rest1 = item1[1], len1 - c1
+        for c2, item2 in sets2.__copy__():
             if c1 + c2 >= best:
                 break
-            if c1 + c2 + abs(rest1 - (len2 - c2)) - margin >= best:
+            if item2[1] != shape or c1 + c2 + abs(rest1 - (len2 - c2)) - margin >= best:
                 continue
-            q2, s2 = _shaped(lt2, item2)
-            if s2[q2.root] != shape:
-                continue
-            total = c1 + c2 + _iso(q1, s1, q2, s2, _length_diff)[0]
+            total = c1 + c2 + _iso(*_shaped(lt1, item1), *_shaped(lt2, item2), _length_diff)[0]
             if total < best:
                 best = total
     return best
@@ -605,28 +605,29 @@ def deform_witness_search(
     This verifies the existence clause of the stability theorems: the
     qualifying sequence need not be cost-optimal. A plan is two delete sets
     and an isomorphism of their quotients (docs/decisions.md section 2).
-    Only usable delete sets are listed: at most max_ops edges, each no
-    longer than the cap, by edge count. Pairs are tried by n1 + n2 while
-    it is at most max_ops, and a quotient is built the first time a pair
-    needs it, so a near pair stops at the two empty sets.
+    Only usable delete sets are made (at most max_ops edges, each within
+    the cap), grouped by root shape one edge count at a time as the pairs of
+    counts, tried by n1 + n2 <= max_ops, first need them. A quotient is built
+    only for a pair of one shape, so a near pair stops at the two empty sets.
     """
     lt1, lt2 = _length_trees(t1, t2, edge_limit, "deformation witness search")
     cap = max_op_cost + TOLERANCE
-    levels1, levels2 = [], []  # [delete set, None] entries by edge count
-    for lt, levels in ((lt1, levels1), (lt2, levels2)):
-        short = [v for v in _order(lt)[1:] if lt.labels[v] <= cap]
-        for n in range(min(max_ops, len(short)) + 1):
-            levels.append([[frozenset(d), None] for d in combinations(short, n)])
-    for n1, n2 in sorted(product(range(len(levels1)), range(len(levels2))), key=sum):
+    short1, short2 = ([v for v in _order(lt)[1:] if lt.labels[v] <= cap] for lt in (lt1, lt2))
+    groups1, groups2 = {}, {}  # edge count -> {root shape: entries}, as first reached
+    sizes = product(range(min(max_ops, len(short1)) + 1), range(min(max_ops, len(short2)) + 1))
+    for n1, n2 in sorted(sizes, key=sum):
         budget = max_ops - n1 - n2
         if budget < 0:
             break
-        for item1 in levels1[n1]:
-            q1, s1 = _shaped(lt1, item1)
-            for item2 in levels2[n2]:
-                q2, s2 = _shaped(lt2, item2)
-                if s1[q1.root] == s2[q2.root] and _qualifying_iso(
-                        q1, s1, q2, s2, budget, cap) is not None:
+        for lt, short, n, groups in ((lt1, short1, n1, groups1), (lt2, short2, n2, groups2)):
+            if n not in groups:
+                groups[n] = {}
+                for d in map(frozenset, combinations(short, n)):
+                    shape = _root_shape(lt, d)
+                    groups[n].setdefault(shape, []).append([d, shape, None])
+        for shape, items1 in groups1[n1].items():
+            for e1, e2 in product(items1, groups2[n2].get(shape, ())):
+                if _qualifying_iso(*_shaped(lt1, e1), *_shaped(lt2, e2), budget, cap) is not None:
                     return True
     return False
 

@@ -62,7 +62,7 @@ def build_domain(vertex_count: int, edges) -> Domain1Skeleton:
         adj[u].append(v)
         adj[v].append(u)
     # norm is sorted, so each list gets its lower neighbors in order, then
-    # its higher ones in order: sorted already
+    # its higher ones in order: sorted already. Tuples built from lists: decisions section 6
     return Domain1Skeleton(vertex_count, tuple(norm), tuple([tuple(a) for a in adj]))
 
 
@@ -109,7 +109,7 @@ class ScalarField:
 
 
 def validate_field(domain: Domain1Skeleton, values) -> ScalarField:
-    values = tuple([float(x) for x in values])
+    values = tuple([float(x) for x in values])  # a list: docs/decisions.md section 6
     if len(values) != domain.vertex_count:
         raise LengthMismatchError(
             f"{len(values)} values for {domain.vertex_count} vertices"

@@ -348,7 +348,7 @@ def build_obdt(bd: BranchDecomposition) -> LabeledTree:
     """The BDT of bd plus, per branch, child groups ordered by attachment
     along the branch: the runs of children attached at one saddle, which
     share a group and stay incomparable (docs/decisions.md section 10).
-    Shares the BDT's maps."""
+    Shares the BDT's maps. Each group tuple is built from a list (section 6)."""
     bdt = build_bdt(bd)
     groups = {
         b: tuple([tuple(run) for _, run in itertools.groupby(cs, key=lambda c: c.start)])

@@ -433,7 +433,7 @@ def _suite_trial(seed, grid_size, metrics, guards, i):
     t1, t2 = merge_tree_of(f), merge_tree_of(f2)
     deg = stability_degree(t1)
     bound = deg * info.perturbation.extent
-    outcomes = tuple([
+    outcomes = tuple([  # from a list, not a generator: docs/decisions.md section 6
         _check(i, f, f2, t1, t2, m, bound, cls in STABILITY_MATRIX[m], guards)[1]
         for m in metrics
     ])
@@ -562,7 +562,7 @@ def _finite_trial(seed, grid_size, eps, metrics, guards, i):
             break
     f2 = validate_field(f.domain, values)
     seq = decompose_perturbation(f, f2)
-    step_classes = tuple([
+    step_classes = tuple([  # from a list, not a generator: docs/decisions.md section 6
         classify_change_detailed(fa, fb).change_class
         for fa, fb in zip(seq.fields, seq.fields[1:])
     ])

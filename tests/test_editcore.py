@@ -485,10 +485,10 @@ def test_subset_variants_are_the_combinations_summed_in_edge_order():
             key=lambda entry: (entry[0], entry[2]),
         )
         got = list(editcore._delete_sets(lt))
-        assert [(type(c), float(c).hex(), d) for c, (d, _) in got] == [
+        assert [(type(c), float(c).hex(), d) for c, (d, _, _) in got] == [
             (type(c), float(c).hex(), d) for c, d, _ in want
         ]
-        assert all(built is None for _, (_, built) in got)
+        assert all(entry[2] is None for _, entry in got)
 
 
 def test_deform_values_do_not_depend_on_the_hash_seed():
@@ -550,11 +550,12 @@ def test_memoized_variants_give_the_fresh_results():
 
 
 def test_deform_computes_shapes_once_per_delete_set(monkeypatch):
-    """Quotients are built when a search first reaches their delete set and
-    kept with it for the rest of that search: _shapes runs at most once per
-    delete set of either tree in each of delta_E and the witness search,
-    and never inside _iso. delta_E stops before it reaches every set, so it
-    calls _shapes fewer times than there are delete sets."""
+    """Quotients are built when a search first needs their delete set in a
+    pair of one root shape and kept with it for the rest of that search:
+    _shapes runs at most once per delete set of either tree in each of
+    delta_E and the witness search, and never inside _iso. delta_E stops
+    before it reaches every set, so it calls _shapes fewer times than there
+    are delete sets."""
     quotient, shapes, iso = editcore.contract, editcore._shapes, editcore._iso
     made = {}  # id of a quotient -> (the quotient, id of its base tree, delete set)
     per_set = {}
@@ -657,12 +658,27 @@ def test_delta_e_keeps_little_on_the_trees_of_seed_42_trial_40():
 def test_witness_search_builds_only_the_quotients_it_compares(monkeypatch):
     """Pairs are tried fewest deletions first and a quotient is built when
     a pair first needs it: on seed-42 trial 40, where the two empty delete
-    sets qualify, the search builds their two quotients and no other."""
+    sets qualify, the search builds their two quotients and no other. On a
+    pair with no witness, every quotient it builds is handed to
+    _qualifying_iso with a partner of the same root shape."""
     built = _recorded_quotients(monkeypatch)
     t1, t2, extent = _suite_trial(42, 40, 4)
     assert deform_witness_search(t1, t2, max_ops=stability_degree(t1), max_op_cost=extent)
     assert [d for _, d in built] == [frozenset(), frozenset()]
     assert all(len(quotients) == 1 for quotients in built.values())
+    built.clear()
+    compared, qualifying = set(), editcore._qualifying_iso
+
+    def recorded(q1, s1, q2, s2, *rest):
+        assert s1[q1.root] == s2[q2.root]
+        compared.update((id(q1), id(q2)))
+        return qualifying(q1, s1, q2, s2, *rest)
+
+    monkeypatch.setattr(editcore, "_qualifying_iso", recorded)
+    t1, t2 = grid_trees(15, 2)
+    assert not deform_witness_search(t1, t2, max_ops=stability_degree(t1), max_op_cost=0.5)
+    made = [id(q) for quotients in built.values() for q in quotients]
+    assert made and set(made) == compared
 
 
 def test_deform_length_bound_skips_isomorphisms_the_eager_oracle_runs(monkeypatch):
@@ -704,8 +720,9 @@ def _recorded_quotients(monkeypatch):
 def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled, built):
     """delta_E and the witness search on t1, t2 equal the eager oracles'
     bit for bit, _delete_sets makes the eager list's costs and sets in its
-    order, and every quotient the searches built, at most one per delete
-    set and search, equals the eager one of its delete set. `built` is
+    order, _root_shape gives each set its eager quotient's root shape, and
+    every quotient the searches built, at most one per delete set and
+    search, equals the eager one of its delete set. `built` is
     _recorded_quotients' dict; `filled` counts [sets built, sets]."""
     eager = [(lt, eager_subset_variants(lt)) for lt in (labeled(t1), labeled(t2))]
     oracle_args = (*eager[0], *eager[1])
@@ -716,10 +733,11 @@ def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled, built):
     assert got_w == (eager_deform_witness_search(*oracle_args, max_ops, max_op_cost) is not None)
     for lt, want_variants in eager:
         # the empty set costs the int 0, as sum() returns it
-        assert [(type(c), float(c).hex(), d) for c, (d, _) in editcore._delete_sets(lt)] == [
+        assert [(type(c), float(c).hex(), d) for c, (d, _, _) in editcore._delete_sets(lt)] == [
             (type(c), float(c).hex(), d) for c, d, _, _ in want_variants
         ]
         for _, d, q, shapes in want_variants:
+            assert editcore._root_shape(lt, d) == shapes[q.root]
             quotients = built.get((id(lt), d), ())
             filled[0] += bool(quotients)
             filled[1] += 1
