@@ -468,11 +468,11 @@ def constrained_dp(l1: LabeledTree, l2: LabeledTree, cost) -> float:
     through the empty label (docs/decisions.md §13). Each row is read by
     its parent's row only, so it is dropped once that row is done."""
     nodes1, nodes2 = _constrained_nodes(l1, cost), _constrained_nodes(l2, cost)
-    labels2 = [node[0] for node in nodes2]
+    labels2, relabel = [node[0] for node in nodes2], cost.relabel
     n2 = len(nodes2)
     T, F = [None] * len(nodes1), [None] * len(nodes1)
     for i, (lab1, d1, kids1, cols1, hops1, climbs1) in enumerate(nodes1):
-        rel = cost.relabel_rows([lab1], labels2)[0]
+        rel = [relabel(lab1, b) for b in labels2]  # roots included, blank ones too
         Tk, Fk = [T[a] for a in kids1], [F[a] for a in kids1]
         Tv, Fv = [0.0] * n2, [0.0] * n2
         for j, (_, d2, kids2, cols2, hops2, climbs2) in enumerate(nodes2):

@@ -178,10 +178,9 @@ class CostModel:
 
     def relabel_rows(self, labels_a, labels_b) -> list:
         """[[relabel(a, b) for b in labels_b] for a in labels_a], the same
-        floats; rows without a blank label skip the method call per cell."""
+        floats, for labels that are not blank: the one-degree DPs pass
+        child labels, and only a merge tree's root is blank."""
         if self.kind == "scalar":
-            if BLANK in labels_a or BLANK in labels_b:
-                return [[self.relabel(a, b) for b in labels_b] for a in labels_a]
             return [[abs(a - b) for b in labels_b] for a in labels_a]
         hypot = math.hypot
         return [[hypot(a0 - b0, a1 - b1) for b0, b1 in labels_b] for a0, a1 in labels_a]

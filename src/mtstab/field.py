@@ -38,7 +38,7 @@ class Domain1Skeleton:
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not _connected(self):
+        if _components(self.adjacency) != 1:
             raise DisconnectedDomainError("domain 1-skeleton is not connected")
 
 
@@ -66,18 +66,28 @@ def build_domain(vertex_count: int, edges) -> Domain1Skeleton:
     return Domain1Skeleton(vertex_count, tuple(norm), tuple([tuple(a) for a in adj]))
 
 
-def _connected(dom: Domain1Skeleton) -> bool:
-    if dom.vertex_count == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in dom.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == dom.vertex_count
+def _components(adjacency, without=None) -> int:
+    """The number of components of the graph of these adjacency lists
+    without vertex `without`. Seen vertices are flags in a list: a set of
+    more than a few ints is allocated outside Python's small-object
+    allocator, which raised the suites' peak RSS (docs/decisions.md
+    section 21)."""
+    seen = [False] * len(adjacency)
+    if without is not None:
+        seen[without] = True
+    count = 0
+    for s in range(len(adjacency)):
+        if seen[s]:
+            continue
+        count += 1
+        seen[s] = True
+        stack = [s]
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
 
 
 def build_grid_domain(rows: int, cols: int) -> Domain1Skeleton:

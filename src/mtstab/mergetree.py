@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import AbstractInvariantError, SchemeMismatchError, ValidationError
-from .field import TOLERANCE, ScalarField
+from .field import TOLERANCE, ScalarField, _components
 
 
 def _memoized(build):
@@ -149,27 +149,11 @@ def check_merge_tree_root(field: ScalarField) -> None:
     """Raise the AbstractInvariantError that merge_tree_of(field) raises at
     its root, without building the tree. The root is the global minimum m
     and every other vertex lies above it, so the root's children are the
-    components of the domain without m; no other node of a field's tree
-    can break an invariant (docs/decisions.md section 21)."""
-    adjacency = field.domain.adjacency
+    components of the domain without m, each of which touches m since the
+    domain is connected; no other node of a field's tree can break an
+    invariant (docs/decisions.md section 21)."""
     m = min(range(field.vertex_count), key=field.values.__getitem__)
-    # flags in a list: a set of more than a few ints has its table allocated
-    # outside Python's small-object allocator, and allocating one per check
-    # raised the suites' peak RSS (docs/decisions.md section 21)
-    seen = [False] * field.vertex_count
-    seen[m] = True
-    children = 0
-    for s in adjacency[m]:
-        if seen[s]:
-            continue
-        children += 1
-        seen[s] = True
-        stack = [s]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
+    children = _components(field.domain.adjacency, m)
     if children != 1:
         raise _root_error(children)
 

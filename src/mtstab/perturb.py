@@ -94,7 +94,10 @@ def enumerate_minimal_perturbations(field: ScalarField, vertex: int) -> list[Min
     """Up to four candidates for one vertex: move up/down without crossing
     (midpoint toward the rank neighbor) and swap with the rank successor or
     predecessor (landing halfway to the next-but-one value, so a swap never
-    crosses two vertices)."""
+    crosses two vertices). A value strictly between two rank neighbours
+    crosses exactly the values between them and the old one, so each record
+    is made from the ranks as check_minimal would return it
+    (docs/decisions.md section 18)."""
     if not 0 <= vertex < field.vertex_count:
         raise UnknownVertexError(f"vertex {vertex} not in field")
     order = sorted(range(field.vertex_count), key=field.values.__getitem__)
@@ -120,7 +123,7 @@ def enumerate_minimal_perturbations(field: ScalarField, vertex: int) -> list[Min
                    if math.nextafter(lo, hi) == hi
                    else f"{new_value!r} does not lie strictly between {lo!r} and {hi!r}")
             raise ValidationError(f"vertex {vertex} cannot move {direction}{past}: {why}")
-        candidates.append(check_minimal(field, apply_value_change(field, vertex, new_value)))
+        candidates.append(MinimalPerturbation(vertex, val, new_value, partner, direction))
 
     add(val, succ, None, "up")
     add(pred, val, None, "down")

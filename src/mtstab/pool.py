@@ -91,13 +91,6 @@ def map_in_order(fn, items) -> list:
     import multiprocessing
     import pickle
 
-    if "numpy" in sys.modules:
-        from .editcore import _solver
-
-        # once numpy is imported every solve is compiled: loaded once here,
-        # not once per child on its first solve
-        _solver()
-
     counter = multiprocessing.get_context("fork").Value("q", 0)
     _job = fn
     _flush_std_streams()

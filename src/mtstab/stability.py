@@ -35,9 +35,7 @@ from .field import (
 from .mergetree import (
     AbstractMergeTree,
     abstract_merge_tree,
-    build_bdt,
     merge_tree_of,
-    persistence_branch_decomposition,
 )
 from .perturb import (
     ChangeClass,
@@ -569,8 +567,8 @@ def _finite_trial(seed, grid_size, eps, metrics, guards, i):
     classes = set(step_classes)
     t1, t2 = merge_tree_of(f), merge_tree_of(f2)
     tree_bound = (t1.node_count() + t2.node_count()) * 2 * eps
-    bdts = [build_bdt(persistence_branch_decomposition(t)) for t in (t1, t2)]
-    bdt_bound = sum(b.node_count() for b in bdts) * 2 * eps
+    # a decomposition has one branch, so its BDT one node, per leaf
+    bdt_bound = (len(t1.leaves()) + len(t2.leaves())) * 2 * eps
     checks = []
     for m in metrics:
         bound = bdt_bound if m in (MetricId.W, MetricId.X) else tree_bound

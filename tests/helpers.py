@@ -49,6 +49,7 @@ from mtstab.errors import (
     InapplicableOperationError,
     NotMinimalError,
     SizeGuardError,
+    UnknownVertexError,
     ValidationError,
 )
 from mtstab.field import (
@@ -410,6 +411,39 @@ def decompose_by_resorting(f: ScalarField, f2: ScalarField) -> PerturbationSeque
     if fields[-1].values != f2.values:
         raise NotMinimalError("decomposition failed to reach the target field")
     return PerturbationSequence(tuple(fields), tuple(steps))
+
+
+def enumerate_by_fields(field: ScalarField, vertex: int) -> list[MinimalPerturbation]:
+    """Oracle for perturb.enumerate_minimal_perturbations: each candidate's
+    field is built with apply_value_change and its record is what
+    check_minimal returns on it, with the same bounds, moves and errors."""
+    if not 0 <= vertex < field.vertex_count:
+        raise UnknownVertexError(f"vertex {vertex} not in field")
+    order = sorted(range(field.vertex_count), key=field.values.__getitem__)
+    pos = order.index(vertex)
+    val = field.values[vertex]
+    value = lambda k, beyond: field.values[order[k]] if 0 <= k < len(order) else beyond
+    succ, succ2 = value(pos + 1, math.inf), value(pos + 2, math.inf)
+    pred, pred2 = value(pos - 1, -math.inf), value(pos - 2, -math.inf)
+    candidates = []
+
+    def add(lo, hi, partner, direction):
+        new_value = hi - 1.0 if lo == -math.inf else lo + 1.0 if hi == math.inf else (lo + hi) / 2
+        if not lo < new_value < hi:
+            past = "" if partner is None else f" past vertex {partner}"
+            why = (f"no float lies strictly between {lo!r} and {hi!r}"
+                   if math.nextafter(lo, hi) == hi
+                   else f"{new_value!r} does not lie strictly between {lo!r} and {hi!r}")
+            raise ValidationError(f"vertex {vertex} cannot move {direction}{past}: {why}")
+        candidates.append(check_minimal(field, apply_value_change(field, vertex, new_value)))
+
+    add(val, succ, None, "up")
+    add(pred, val, None, "down")
+    if succ < math.inf:
+        add(succ, succ2, order[pos + 1], "up")
+    if pred > -math.inf:
+        add(pred2, pred, order[pos - 1], "down")
+    return candidates
 
 
 def classify_by_inclusion(f: ScalarField, f2: ScalarField) -> Classification:

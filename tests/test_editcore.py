@@ -110,13 +110,14 @@ def test_cost_models_hash_by_identity():
 
 def test_relabel_rows_is_relabel_cell_by_cell():
     """The row kernel of the one-degree DPs returns relabel's floats, bit
-    for bit, blank scalar labels included."""
+    for bit. Its labels are never blank: the one-degree DPs pass child
+    labels, and only a merge tree's root is blank."""
     rng = random.Random(67)
     for _ in range(50):
         scalars = [rng.uniform(-10, 10) * 10 ** rng.randint(-6, 3) for _ in range(rng.randint(0, 6))]
         points = [tuple(rng.uniform(-10, 10) * 10 ** rng.randint(-6, 3) for _ in range(2))
                   for _ in range(rng.randint(0, 6))]
-        for cost, labels in ((ABS_DIFF, scalars + [mt.BLANK]), (WASSERSTEIN_POINT, points)):
+        for cost, labels in ((ABS_DIFF, scalars), (WASSERSTEIN_POINT, points)):
             la, lb = rng.sample(labels, len(labels) // 2), labels
             rows = cost.relabel_rows(la, lb)
             assert [[c.hex() for c in row] for row in rows] == [
@@ -149,8 +150,8 @@ def test_math_dist_is_the_hypot_of_the_differences():
 
 def test_relabel_block_is_relabel_rows():
     """The array form of the wide node pairs holds relabel_rows' floats,
-    bit for bit, on spread and extreme labels, blank scalar labels
-    included."""
+    bit for bit, on spread and extreme labels. Like relabel_rows, it gets
+    no blank label: the wide pairs pass child labels."""
     rng = random.Random(98)
     for k in range(200):
         n1, n2 = rng.randint(1, 9), rng.randint(1, 9)
@@ -161,8 +162,6 @@ def test_relabel_block_is_relabel_rows():
             scalars = [rng.uniform(-10, 10) * 10 ** rng.randint(-6, 3) for _ in range(n1 + n2)]
             points = [tuple(rng.uniform(-10, 10) * 10 ** rng.randint(-6, 3) for _ in range(2))
                       for _ in range(n1 + n2)]
-        if k % 5 == 0:
-            scalars[rng.randrange(n1 + n2)] = mt.BLANK
         for cost, labels in ((ABS_DIFF, scalars), (WASSERSTEIN_POINT, points)):
             la, lb = labels[:n1], labels[n1:]
             with np.errstate(all="ignore"):

@@ -13,10 +13,12 @@ from helpers import (
     prune_to_abstract,
     random_abstract_tree,
     random_field,
+    random_graph_field,
     random_path_field,
     staircase_field,
     superlevel_components,
 )
+from mtstab import field
 from mtstab import mergetree as mt
 from mtstab.distances import _all_decompositions
 from mtstab.errors import AbstractInvariantError, SchemeMismatchError, ValidationError
@@ -118,6 +120,60 @@ def _tree_or_error(build, f):
     except AbstractInvariantError as e:
         return str(e)
     return t.parent, t.value, t.root, {v: t.children(v) for v in t.nodes()}
+
+
+def _union_find_count(n, edges, without=None):
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        if without not in (u, v):
+            parent[find(u)] = find(v)
+    return len({find(v) for v in range(n) if v != without})
+
+
+def _root_check(f):
+    try:
+        mt.check_merge_tree_root(f)
+    except AbstractInvariantError as e:
+        return str(e)
+    return None
+
+
+def test_components_match_a_union_find_count():
+    """field._components, the one walk of the domain check and the root
+    check, counts what union-find counts on random graphs, connected or
+    not, with and without a removed vertex. check_merge_tree_root raises
+    exactly when merge_tree_of raises "root has k children", with its
+    message."""
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)) // rng.choice((1, 2, 4)))
+        adjacency = [[] for _ in range(n)]
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        assert field._components(adjacency) == _union_find_count(n, edges)
+        for without in range(n):
+            assert field._components(adjacency, without) == _union_find_count(n, edges, without)
+    raised = 0
+    fields = [random_graph_field(rng, rng.randint(2, 14), extra) for extra in (0, 0, 3, 20) * 40]
+    fields += [random_field(rng, 2, 2), path_field([1, 0, 2]), path_field([0])]
+    for f in fields:
+        want = _tree_or_error(merge_tree_of, f)
+        got = _root_check(f)
+        if isinstance(want, str):
+            assert want.startswith("root has ") and got == want
+            raised += 1
+        else:
+            assert got is None
+    assert 30 < raised < len(fields) - 30
 
 
 def test_sweep_matches_pruned_augmented_tree():

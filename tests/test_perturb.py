@@ -99,13 +99,16 @@ def test_enumerate_a_move_that_rounds_outside_its_bounds_raises(values, vertex, 
 
 
 def test_enumerate_candidates_all_validate():
+    """Each candidate, made from the ranks without a field, is the record
+    check_minimal returns on the field it makes: vertex, old and new
+    value, partner and direction."""
     rng = random.Random(3)
-    for _ in range(20):
-        f = random_field(rng, 3, 3)
-        v = rng.randrange(f.vertex_count)
-        for p in enumerate_minimal_perturbations(f, v):
-            q = check_minimal(f, apply_perturbation(f, p))
-            assert q.vertex == p.vertex and q.swap_partner == p.swap_partner
+    fields = [random_field(rng, n, n) for n in (3, 4) for _ in range(10)]
+    fields += [random_path_field(rng, rng.randint(1, 8)) for _ in range(10)]
+    for f in fields:
+        for v in range(f.vertex_count):
+            for p in enumerate_minimal_perturbations(f, v):
+                assert check_minimal(f, apply_perturbation(f, p)) == p
 
 
 def test_check_minimal_rejects_double_change():

@@ -234,8 +234,11 @@ def test_delta_e_and_g_on_saddle_swaps_exceed_deg_f_times_extent(seed, trial, di
     the pinned seed (these trials of run_stability_suite, 4x4 grid). A
     saddle of T_g merges three subtrees, so deg(T_g) = 4 while
     deg(T_f) = 3, and delta_E = delta_G lies above 3 * extent but within
-    4 * extent. This records the cause only; which tree deg is taken in is
-    still open (docs/decisions.md section 2)."""
+    4 * extent. Each is at most the split bound deg(T_f) * |f(partner) -
+    old| + deg(T_g) * |new - f(partner)|, within a relative 1e-12: the
+    ratio reads 0.9999999999999994 to 1.0000000000000027. This records the
+    cause only; which tree deg is taken in is still open
+    (docs/decisions.md section 2)."""
     rng = random.Random(seed * 1_000_003 + trial)
     f = random_grid_field(rng, 4, 4)
     p = random_minimal_perturbation(rng, f)
@@ -247,7 +250,10 @@ def test_delta_e_and_g_on_saddle_swaps_exceed_deg_f_times_extent(seed, trial, di
     assert abs(tree_distance(MetricId.G, t1, t2) - e) <= TOLERANCE
     assert abs(e - distance) <= 1e-6 and abs(p.extent - extent) <= 1e-6
     assert 3 * p.extent + TOLERANCE < e <= 4 * p.extent
+    crossed = f.values[p.swap_partner]
+    split = 3 * abs(crossed - p.old_value) + 4 * abs(p.new_value - crossed)
     for m in (MetricId.E, MetricId.G):
+        assert tree_distance(m, t1, t2) <= split * (1 + 1e-12), m
         report = check_bound(f, f2, m)
         assert report.claimed and report.degree == 3 and report.passed is False
         assert report.degree_g == 4 and report.to_dict()["degree_g"] == 4
