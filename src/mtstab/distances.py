@@ -34,8 +34,6 @@ from enum import Enum
 from . import editcore, mergetree
 from .editcore import (
     ABS_DIFF,
-    BRUTE_FORCE_NODE_LIMIT,
-    DEFORM_EDGE_LIMIT,
     WASSERSTEIN_POINT,
     brute_force_distance,
     deform_brute_force,
@@ -68,11 +66,13 @@ class MetricId(Enum):
 
 @dataclass(frozen=True)
 class Guards:
-    """Size limits for the exponential metrics; CLI flags override them."""
+    """Size limits for the exponential metrics; CLI flags override them.
+    delta_g, delta_e and delta_b refuse a pair above their limit before they
+    search; no other module decides a guard (docs/decisions.md section 23)."""
 
-    mapping_nodes: int = BRUTE_FORCE_NODE_LIMIT  # g brute force
-    deform_edges: int = DEFORM_EDGE_LIMIT        # e subset enumeration
-    branch_edges: int = 8                        # b decomposition enumeration
+    mapping_nodes: int = 12  # g brute force
+    deform_edges: int = 10   # e subset enumeration
+    branch_edges: int = 8    # b decomposition enumeration
 
     def __post_init__(self):
         # a negative limit would skip every check of its metric as over size
@@ -589,7 +589,10 @@ def delta_g(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
     labeled trees as delta_l. Exponential; guarded."""
     l1 = label_for_scheme(t1, mergetree.NODE_DIST_TO_PARENT)
     l2 = label_for_scheme(t2, mergetree.NODE_DIST_TO_PARENT)
-    cost, _ = brute_force_distance(l1, l2, node_limit=guards.mapping_nodes)
+    n = max(l1.node_count(), l2.node_count())
+    if n > guards.mapping_nodes:
+        raise SizeGuardError("brute-force mapping search", n, guards.mapping_nodes)
+    cost, _ = brute_force_distance(l1, l2)
     return cost
 
 
@@ -602,8 +605,11 @@ def delta_s(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS)
 
 
 def delta_e(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS) -> float:
-    """Deformation-based edit distance (unconstrained)."""
-    return deform_brute_force(t1, t2, edge_limit=guards.deform_edges)
+    """Deformation-based edit distance (unconstrained). Exponential; guarded."""
+    m = max(t1.edge_count(), t2.edge_count())
+    if m > guards.deform_edges:
+        raise SizeGuardError("deformation enumeration", m, guards.deform_edges)
+    return deform_brute_force(t1, t2)
 
 
 def delta_p(t1: AbstractMergeTree, t2: AbstractMergeTree, guards=DEFAULT_GUARDS) -> float:

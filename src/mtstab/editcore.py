@@ -16,11 +16,7 @@ import sys
 from dataclasses import dataclass
 from itertools import combinations, product, repeat, tee
 
-from .errors import (
-    InapplicableOperationError,
-    SizeGuardError,
-    ValidationError,
-)
+from .errors import InapplicableOperationError, ValidationError
 from .field import TOLERANCE
 from .mergetree import (
     BLANK,
@@ -236,9 +232,6 @@ class EditMapping:
         )
 
 
-BRUTE_FORCE_NODE_LIMIT = 12
-
-
 def _pairs_key(pairs):
     return tuple([  # from a list, not a generator: docs/decisions.md section 6
         (_id_key(a), _id_key(b))
@@ -256,11 +249,7 @@ def _better(cost, key, best_cost, best_key):
 # Brute force over Tai mappings
 # ---------------------------------------------------------------------------
 
-def brute_force_distance(
-    l1: LabeledTree,
-    l2: LabeledTree,
-    node_limit: int = BRUTE_FORCE_NODE_LIMIT,
-):
+def brute_force_distance(l1: LabeledTree, l2: LabeledTree):
     """Exact minimum over all Tai mappings, the edit distance of delta_G,
     with the cost model of l1's label scheme.
 
@@ -269,11 +258,7 @@ def brute_force_distance(
     with exactly that total the lexicographically smallest. Deformation
     constraints live in deform_brute_force.
     """
-    cost = cost_model_for(l1)
-    n1, n2 = l1.node_count(), l2.node_count()
-    if max(n1, n2) > node_limit:
-        raise SizeGuardError("brute-force mapping search", max(n1, n2), node_limit)
-    c, pairs = _tai_search(l1, l2, cost)
+    c, pairs = _tai_search(l1, l2, cost_model_for(l1))
     return c, EditMapping.of(pairs)
 
 
@@ -491,9 +476,6 @@ def _length_diff(a, b):
     return abs(a - b)
 
 
-DEFORM_EDGE_LIMIT = 10
-
-
 def _delete_sets(lt: LabeledTree):
     """(cost, [delete set, its quotient's root shape, None]) for every
     delete set of lt in (cost, edge indices) order, edges indexed by id,
@@ -538,15 +520,7 @@ def _shaped(lt: LabeledTree, item):
     return built
 
 
-def _length_trees(t1, t2, edge_limit, what):
-    """delta_L's labeled trees of t1 and t2, each within edge_limit edges."""
-    m = max(t1.edge_count(), t2.edge_count())
-    if m > edge_limit:
-        raise SizeGuardError(what, m, edge_limit)
-    return [label_for_scheme(t, NODE_DIST_TO_PARENT) for t in (t1, t2)]
-
-
-def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
+def deform_brute_force(t1, t2):
     """Exact deformation-based edit distance by enumerating delete sets.
 
     Minimizes len(D1) + len(D2) + optimal relabel cost over all pairs of
@@ -571,7 +545,7 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
     its own pair's bound alone, so it is a `continue`, not a stop
     (docs/decisions.md section 11).
     """
-    lt1, lt2 = _length_trees(t1, t2, edge_limit, "deformation enumeration")
+    lt1, lt2 = (label_for_scheme(t, NODE_DIST_TO_PARENT) for t in (t1, t2))
     len1, len2 = (sum(x for x in lt.labels.values() if x is not BLANK) for lt in (lt1, lt2))
     margin = TOLERANCE * (1.0 + len1 + len2)
     best = math.inf  # no stop or skip fires while it is
@@ -591,13 +565,7 @@ def deform_brute_force(t1, t2, edge_limit: int = DEFORM_EDGE_LIMIT):
     return best
 
 
-def deform_witness_search(
-    t1,
-    t2,
-    max_ops: int,
-    max_op_cost: float,
-    edge_limit: int = DEFORM_EDGE_LIMIT,
-) -> bool:
+def deform_witness_search(t1, t2, max_ops: int, max_op_cost: float) -> bool:
     """Whether some deformation plan has a normalized sequence of at most
     max_ops operations, each of cost at most max_op_cost.
 
@@ -609,7 +577,7 @@ def deform_witness_search(
     counts, tried by n1 + n2 <= max_ops, first need them. A quotient is built
     only for a pair of one shape, so a near pair stops at the two empty sets.
     """
-    lt1, lt2 = _length_trees(t1, t2, edge_limit, "deformation witness search")
+    lt1, lt2 = (label_for_scheme(t, NODE_DIST_TO_PARENT) for t in (t1, t2))
     cap = max_op_cost + TOLERANCE
     short1, short2 = ([v for v in _order(lt)[1:] if lt.labels[v] <= cap] for lt in (lt1, lt2))
     groups1, groups2 = {}, {}  # edge count -> {root shape: entries}, as first reached

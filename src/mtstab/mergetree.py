@@ -158,14 +158,12 @@ def check_merge_tree_root(field: ScalarField) -> None:
         raise _root_error(children)
 
 
-def abstract_merge_tree(parent: dict, value: dict, root=None) -> AbstractMergeTree:
+def abstract_merge_tree(parent: dict, value: dict) -> AbstractMergeTree:
     """Build an abstract merge tree directly (used for figure counterexamples)."""
-    if root is None:
-        roots = [v for v, p in parent.items() if p is None]
-        if len(roots) != 1:
-            raise ValidationError(f"expected exactly one root, got {roots}")
-        root = roots[0]
-    tree = AbstractMergeTree(parent, value, root)
+    roots = [v for v, p in parent.items() if p is None]
+    if len(roots) != 1:
+        raise ValidationError(f"expected exactly one root, got {roots}")
+    tree = AbstractMergeTree(parent, value, roots[0])
     _check_abstract_invariants(tree)
     return tree
 

@@ -28,7 +28,6 @@ from scipy.optimize import linear_sum_assignment
 
 from mtstab import distances, editcore
 from mtstab.editcore import (
-    BRUTE_FORCE_NODE_LIMIT,
     EditMapping,
     EditOp,
     _ancestry,
@@ -1025,12 +1024,12 @@ def selkow_brute_force(l1, l2):
     roots mapped, parents of mapped pairs mapped, child order honored when
     both trees are ordered. Returns (cost, EditMapping), ties resolved
     toward the lexicographically smallest mapping, with the cost model of
-    l1's label scheme; trees above BRUTE_FORCE_NODE_LIMIT nodes raise
-    SizeGuardError. Independent of the DPs it checks; optima of node pairs
-    are kept for this call."""
-    n = max(l1.node_count(), l2.node_count())
-    if n > BRUTE_FORCE_NODE_LIMIT:
-        raise SizeGuardError("brute-force mapping search", n, BRUTE_FORCE_NODE_LIMIT)
+    l1's label scheme; trees above delta_G's default mapping_nodes guard
+    raise SizeGuardError. Independent of the DPs it checks; optima of node
+    pairs are kept for this call."""
+    n, limit = max(l1.node_count(), l2.node_count()), distances.DEFAULT_GUARDS.mapping_nodes
+    if n > limit:
+        raise SizeGuardError("brute-force mapping search", n, limit)
     cost = cost_model_for(l1)
     ordered = l1.groups is not None and l2.groups is not None
     del1 = _collapse_costs(l1, cost)
@@ -1113,7 +1112,7 @@ def _zhang_ok(tables1, tables2, pairs, v3, w3):
     return True
 
 
-def zhang_brute_force(l1, l2, node_limit=BRUTE_FORCE_NODE_LIMIT):
+def zhang_brute_force(l1, l2, node_limit=distances.DEFAULT_GUARDS.mapping_nodes):
     """Exact optimum over Zhang's constrained mappings: one-to-one,
     ancestor-preserving (Tai) and keeping every lowest-common-ancestor
     triple condition. Branch and bound in the order of the Tai search:

@@ -37,7 +37,7 @@ from helpers import (
 )
 from mtstab import editcore
 from mtstab import mergetree as mt
-from mtstab.distances import Guards, MetricId, delta_p, tree_distance
+from mtstab.distances import DEFAULT_GUARDS, Guards, MetricId, delta_p, tree_distance
 from mtstab.editcore import (
     ABS_DIFF,
     WASSERSTEIN_POINT,
@@ -226,10 +226,12 @@ def test_mapping_constraint_axioms_sampled():
 
 
 def test_brute_force_size_guard():
-    rng = random.Random(4)
-    big = labeled(random_abstract_tree(rng))
-    with pytest.raises(SizeGuardError):
-        brute_force_distance(big, big, node_limit=2)
+    """delta_G refuses a pair above mapping_nodes before it searches."""
+    big = random_abstract_tree(random.Random(4))
+    with pytest.raises(SizeGuardError) as info:
+        tree_distance(MetricId.G, big, big, Guards(mapping_nodes=2))
+    assert (info.value.what, info.value.size, info.value.limit) == (
+        "brute-force mapping search", big.node_count(), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +317,12 @@ def test_one_degree_at_least_free():
 
 
 def test_deform_size_guard():
-    rng = random.Random(7)
-    t = random_abstract_tree(rng)
-    with pytest.raises(SizeGuardError):
-        deform_brute_force(t, t, edge_limit=1)
+    """delta_E refuses a pair above deform_edges before it searches."""
+    t = random_abstract_tree(random.Random(7))
+    with pytest.raises(SizeGuardError) as info:
+        tree_distance(MetricId.E, t, t, Guards(deform_edges=1))
+    assert (info.value.what, info.value.size, info.value.limit) == (
+        "deformation enumeration", t.edge_count(), 1)
 
 
 def test_contract_operational_semantics():
@@ -749,26 +753,22 @@ def _assert_lazy_matches_eager(t1, t2, max_ops, max_op_cost, filled, built):
 DEFORM_HEX = Path(__file__).parent / "data" / "deform_hex.json"
 
 
-def _guarded(search):
-    try:
-        return search()
-    except SizeGuardError:
-        return "skipped"
-
-
 def test_deform_values_and_verdicts_match_the_recorded_bits():
     """delta_E's .hex() and the witness search's verdict at deg(T_f) and the
     perturbation's extent, on the seed-42 4x4 and seed-5 5x5 suite pairs,
-    equal tests/data/deform_hex.json ("skipped" where a size guard fires).
+    equal tests/data/deform_hex.json ("skipped" above delta_E's default
+    deform_edges guard, which the suite's witness check follows).
     The file was recorded before delta_E and the witness search moved onto
     the labeled tree of delta_L, so it pins their bits independently of the
     oracles in tests/helpers.py."""
     for suite in json.loads(DEFORM_HEX.read_text()):
         got = []
         for t1, t2, extent in suite_trials(suite["seed"], suite["trials"], suite["grid_size"]):
-            e = _guarded(lambda: deform_brute_force(t1, t2).hex())
-            w = _guarded(lambda: deform_witness_search(t1, t2, stability_degree(t1), extent))
-            got.append([e, w])
+            if max(t1.edge_count(), t2.edge_count()) > DEFAULT_GUARDS.deform_edges:
+                got.append(["skipped", "skipped"])
+                continue
+            e = deform_brute_force(t1, t2).hex()
+            got.append([e, deform_witness_search(t1, t2, stability_degree(t1), extent)])
         assert got == suite["pairs"], suite["seed"]
 
 
@@ -788,9 +788,9 @@ def test_lazy_quotients_match_the_eager_oracle_on_random_pairs(monkeypatch):
             m = rng.choice((3, 4))
             f2, max_op_cost = random_grid_field(rng, m, m), rng.uniform(0.05, 0.5)
         t1, t2 = merge_tree_of(f), merge_tree_of(f2)
-        if max(t1.edge_count(), t2.edge_count()) > editcore.DEFORM_EDGE_LIMIT:
+        if max(t1.edge_count(), t2.edge_count()) > DEFAULT_GUARDS.deform_edges:
             with pytest.raises(SizeGuardError):
-                deform_brute_force(t1, t2)
+                tree_distance(MetricId.E, t1, t2)
             continue
         _assert_lazy_matches_eager(t1, t2, stability_degree(t1), max_op_cost, filled, built)
         compared += 1

@@ -19,7 +19,7 @@ from mtstab import pool, stability
 from mtstab import mergetree as mt
 from mtstab.distances import DEFAULT_GUARDS, Guards, MetricId, tree_distance
 from mtstab.editcore import deform_witness_search
-from mtstab.errors import DuplicateValueError, ValidationError
+from mtstab.errors import DuplicateValueError, SizeGuardError, ValidationError
 from mtstab.field import TOLERANCE, apply_value_change, build_domain, validate_field
 from mtstab.mergetree import label_for_scheme, merge_tree_of
 from mtstab.perturb import (
@@ -207,6 +207,34 @@ def test_delta_s_on_a_two_node_simple_change_is_twice_the_extent():
     assert report.claimed and report.degree == 1 and report.passed is False
 
 
+#: Guard skips of run_stability_suite(seed=5, trials=40) by grid size, per
+#: metric; every metric not named skips no trial (ROADMAP's guard table).
+_SEED_5_SKIPS = {4: {"b": 4}, 5: {"b": 28, "e": 8, "g": 1},
+                 6: {"b": 37, "e": 33, "g": 21}, 8: {"b": 40, "e": 40, "g": 40}}
+
+
+def test_guard_skips_by_grid_size():
+    """The size guards fire on the seed-5 suites as recorded, the witness
+    check skips exactly the trials that delta_E skips, and a tight Guards
+    makes tree_distance raise each guard's (what, size, limit)."""
+    for grid, want in _SEED_5_SKIPS.items():
+        report = run_stability_suite(seed=5, trials=40, grid_size=grid)
+        skips = {m.value: 0 for m in MetricId}
+        for (m, _), cell in report.cells.items():
+            skips[m.value] += cell.skipped
+        assert skips == {m.value: want.get(m.value, 0) for m in MetricId}, grid
+        assert report.witness_checks.skipped == skips["e"], grid
+    t1, t2 = counterexample(FAMS.HORIZONTAL_FIG8, 10.0, 0.1)
+    for metric, guards, fields in [
+        (MetricId.G, Guards(mapping_nodes=5), ("brute-force mapping search", 6, 5)),
+        (MetricId.E, Guards(deform_edges=4), ("deformation enumeration", 5, 4)),
+        (MetricId.B, Guards(branch_edges=4), ("branch decomposition enumeration", 5, 4)),
+    ]:
+        with pytest.raises(SizeGuardError) as info:
+            tree_distance(metric, t1, t2, guards)
+        assert (info.value.what, info.value.size, info.value.limit) == fields
+
+
 @pytest.mark.parametrize("grid", [5, 6, 8])
 def test_delta_s_skips_no_trial_of_the_seed_5_suites(grid):
     """delta_s runs a DP with no size guard, so the seed-5 suites skip none
@@ -282,6 +310,35 @@ def test_delta_e_and_g_exceed_deg_f_times_extent_on_a_scaled_saddle_swap(x):
         assert d == pytest.approx(3.5 * extent, rel=1e-9) and d <= 4 * extent
         report = check_bound(f, f2, m)
         assert report.passed is False and report.degree_g == 4
+
+
+def test_l_g_p_and_e_exceed_deg_f_times_extent_on_a_simple_change_from_4_to_5():
+    """The same failure where deg(T_f) = 4 and deg(T_g) = 5, without a
+    seed: the 6-vertex graph of the test above, values [1, 2, 0, 3, 4, 5],
+    vertex 1 moved down past vertex 0 to 0.5 (extent 1.5). Vertex 0 becomes
+    a new maximum under the saddle 1, which has three children in T_f and
+    four in T_g. delta_L, delta_G, delta_P and delta_E all read 6.5: above
+    4 * 1.5 = 6.0, equal to the split bound 4 * |1 - 2| + 5 * |0.5 - 1|
+    and below the max-degree bound 5 * 1.5 = 7.5. This records the cause
+    only; the group is open (docs/decisions.md section 2)."""
+    f = validate_field(
+        build_domain(6, [(0, 1), (1, 2), (2, 3), (2, 4), (1, 3), (1, 4), (1, 5)]),
+        [1, 2, 0, 3, 4, 5],
+    )
+    f2 = apply_value_change(f, 1, 0.5)
+    assert classify_change(f, f2) is ChangeClass.SIMPLE_CHANGE
+    t1, t2 = merge_tree_of(f), merge_tree_of(f2)
+    assert stability_degree(t1) == 4 and stability_degree(t2) == 5
+    extent = check_minimal(f, f2).extent
+    assert extent == 1.5
+    split = 4 * abs(1 - 2) + 5 * abs(0.5 - 1)
+    for m in (MetricId.L, MetricId.G, MetricId.P, MetricId.E):
+        d = tree_distance(m, t1, t2)
+        assert d == 6.5 and d == pytest.approx(split, rel=1e-12), m
+        assert 4 * extent + TOLERANCE < d < 5 * extent, m
+        report = check_bound(f, f2, m)
+        assert report.claimed and report.passed is False and report.degree == 4, m
+        assert report.degree_g == 5, m
 
 
 def test_l_g_p_and_e_exceed_deg_f_times_extent_on_a_3d_simple_change():
@@ -529,7 +586,7 @@ def test_suite_zero_trials_empty():
 
 def test_suite_report_header_notes():
     rep = run_stability_suite(seed=1, trials=1, grid_size=3, metrics=(MetricId.E,))
-    assert any("delta_L" in note for note in rep.header_notes)
+    assert any("delta_L" in note for note in rep.to_dict()["notes"])
 
 
 def test_finite_stability_uniform_shift_zero():
